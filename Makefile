@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet fmt-check build test race bench-guard bench bench-json resume-smoke fleet-smoke async-smoke scale-smoke shard-smoke scale-results
+.PHONY: check vet fmt-check build test race fingerprint bench-guard bench bench-json resume-smoke fleet-smoke async-smoke scale-smoke shard-smoke scale-results
 
 ## check: the tier-1 gate — vet, gofmt, build, and the full test suite under -race.
 check: vet fmt-check build race
@@ -24,6 +24,15 @@ test:
 # minutes, past go test's default 10-minute per-package timeout.
 race:
 	$(GO) test -race -timeout 60m ./...
+
+## fingerprint: behaviour check that needs no parent checkout (~4 s, no
+## timing involved). The benchmark's exact outputs — virtual time and
+## the FNV of the global model and of the selection stream, for each of
+## the four workloads — at -short -seed 1 must equal the committed
+## golden. A PR that changes one on purpose re-records the golden and
+## says so.
+fingerprint:
+	$(GO) run ./benchmark -short -seed 1 | grep '^exact ' | diff tests/golden/benchmark_short_seed1.txt -
 
 ## bench-guard: compile and run every benchmark exactly once so a broken
 ## benchmark fails CI without paying full measurement time.

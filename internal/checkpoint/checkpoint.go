@@ -106,21 +106,35 @@ func (s *Snapshot) Restore(comps []Component) error {
 	return nil
 }
 
-// Encode serializes the snapshot as a gob stream.
-func (s *Snapshot) Encode() ([]byte, error) {
+// EncodeGob gob-encodes one component's state struct; label names the
+// payload in the error (e.g. "rounds: driver state").
+func EncodeGob(label string, v any) ([]byte, error) {
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
-		return nil, fmt.Errorf("checkpoint: encode snapshot: %w", err)
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		return nil, fmt.Errorf("%s: gob encode: %w", label, err)
 	}
 	return buf.Bytes(), nil
+}
+
+// DecodeGob parses an EncodeGob payload into v (a pointer).
+func DecodeGob(label string, data []byte, v any) error {
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
+		return fmt.Errorf("%s: gob decode: %w", label, err)
+	}
+	return nil
+}
+
+// Encode serializes the snapshot as a gob stream.
+func (s *Snapshot) Encode() ([]byte, error) {
+	return EncodeGob("checkpoint: snapshot", s)
 }
 
 // Decode parses a gob-encoded snapshot and validates its format
 // version.
 func Decode(data []byte) (*Snapshot, error) {
 	var snap Snapshot
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("checkpoint: decode snapshot: %w", err)
+	if err := DecodeGob("checkpoint: snapshot", data, &snap); err != nil {
+		return nil, err
 	}
 	if snap.Version != FormatVersion {
 		return nil, fmt.Errorf("checkpoint: snapshot format version %d, this build reads %d", snap.Version, FormatVersion)

@@ -1,11 +1,10 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 
+	"haccs/internal/checkpoint"
 	"haccs/internal/cluster"
 	"haccs/internal/stats"
 )
@@ -50,11 +49,7 @@ func (s *Scheduler) SnapshotState() ([]byte, error) {
 		Labels:    labels,
 		Baselines: baselines,
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("core: encode scheduler state: %w", err)
-	}
-	return buf.Bytes(), nil
+	return checkpoint.EncodeGob("core: scheduler state", st)
 }
 
 // RestoreState implements checkpoint.Snapshotter (restore-after-Init:
@@ -65,8 +60,8 @@ func (s *Scheduler) RestoreState(data []byte) error {
 		return errors.New("core: scheduler not initialized")
 	}
 	var st schedulerState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("core: decode scheduler state: %w", err)
+	if err := checkpoint.DecodeGob("core: scheduler state", data, &st); err != nil {
+		return err
 	}
 	if st.Version != schedulerStateVersion {
 		return fmt.Errorf("core: scheduler state version %d, this build reads %d", st.Version, schedulerStateVersion)

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
@@ -525,11 +523,7 @@ func (c sketchCheckpoint) SnapshotState() ([]byte, error) {
 		NextLabel:  s.sk.nextLabel,
 		Reclusters: s.sk.reclusters,
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("core: encode sketch state: %w", err)
-	}
-	return buf.Bytes(), nil
+	return checkpoint.EncodeGob("core: sketch state", st)
 }
 
 // RestoreState implements checkpoint.Snapshotter (restore-after-Init,
@@ -542,8 +536,8 @@ func (c sketchCheckpoint) RestoreState(data []byte) error {
 		return errors.New("core: sketch backend not initialized")
 	}
 	var st sketchComponentState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("core: decode sketch state: %w", err)
+	if err := checkpoint.DecodeGob("core: sketch state", data, &st); err != nil {
+		return err
 	}
 	if st.Version != sketchStateVersion {
 		return fmt.Errorf("core: sketch state version %d, this build reads %d", st.Version, sketchStateVersion)

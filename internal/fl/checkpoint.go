@@ -1,8 +1,6 @@
 package fl
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"haccs/internal/checkpoint"
@@ -42,19 +40,15 @@ func (r engineRun) SnapshotState() ([]byte, error) {
 		PerClientAcc: append([]float64(nil), e.perClientAcc...),
 		Selected:     append([][]int(nil), e.selected...),
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("fl: encode run state: %w", err)
-	}
-	return buf.Bytes(), nil
+	return checkpoint.EncodeGob("fl: run state", st)
 }
 
 // RestoreState implements checkpoint.Snapshotter.
 func (r engineRun) RestoreState(data []byte) error {
 	e := r.e
 	var st runState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("fl: decode run state: %w", err)
+	if err := checkpoint.DecodeGob("fl: run state", data, &st); err != nil {
+		return err
 	}
 	if st.Version != runStateVersion {
 		return fmt.Errorf("fl: run state version %d, this build reads %d", st.Version, runStateVersion)

@@ -1,9 +1,9 @@
 package fleet
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
+
+	"haccs/internal/checkpoint"
 )
 
 // The registry checkpoints itself the same way the rounds driver does:
@@ -52,19 +52,15 @@ func (r *Registry) SnapshotState() ([]byte, error) {
 		st.Clusters[i].Members = append([]int(nil), r.clusters[i].Members...)
 	}
 	r.mu.Unlock()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("fleet: snapshot: %w", err)
-	}
-	return buf.Bytes(), nil
+	return checkpoint.EncodeGob("fleet: registry state", st)
 }
 
 // RestoreState implements checkpoint.Snapshotter. The receiver must
 // have been built for the same roster size as the snapshot.
 func (r *Registry) RestoreState(data []byte) error {
 	var st registryState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("fleet: restore: %w", err)
+	if err := checkpoint.DecodeGob("fleet: registry state", data, &st); err != nil {
+		return err
 	}
 	if st.Version != registryStateVersion {
 		return fmt.Errorf("fleet: restore: snapshot version %d, want %d", st.Version, registryStateVersion)

@@ -40,6 +40,11 @@ const (
 	// contract — non-finite or negative wall time, non-positive sample
 	// count, non-finite loss, or negative epochs.
 	ErrBadClientStats EnvelopeErrorKind = "bad_client_stats"
+	// ErrBadUpdate: a TrainReply whose model update cannot be aggregated
+	// — wrong parameter dimension, a non-positive sample count (its
+	// FedAvg weight), or a NaN/Inf coordinate that would poison the
+	// global model for the rest of the run.
+	ErrBadUpdate EnvelopeErrorKind = "bad_update"
 )
 
 // EnvelopeError is the typed error for every protocol violation: a
@@ -135,6 +140,28 @@ func checkReply(env *Envelope, clientID, round int, sc telemetry.SpanContext) (*
 		return nil, err
 	}
 	return env.Reply, nil
+}
+
+// checkUpdate validates the model update of an otherwise well-formed
+// reply against the dimension of the parameters it was trained from —
+// the checks FedAvg would otherwise panic on, plus finiteness.
+func checkUpdate(reply *TrainReply, dim int) error {
+	if len(reply.Params) != dim {
+		return envelopeErr(ErrBadUpdate, reply.ClientID, reply.Round,
+			fmt.Sprintf("update has %d parameters, model has %d", len(reply.Params), dim))
+	}
+	if reply.NumSamples <= 0 {
+		return envelopeErr(ErrBadUpdate, reply.ClientID, reply.Round,
+			fmt.Sprintf("update sample count %d is not positive", reply.NumSamples))
+	}
+	for i, v := range reply.Params {
+		// v-v is 0 for every finite v and NaN for NaN and ±Inf.
+		if v-v != 0 {
+			return envelopeErr(ErrBadUpdate, reply.ClientID, reply.Round,
+				fmt.Sprintf("update coordinate %d is %v", i, v))
+		}
+	}
+	return nil
 }
 
 // checkWireSpan validates a reply's piggybacked span against the span

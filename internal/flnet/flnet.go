@@ -476,6 +476,9 @@ func (s *Server) Train(clientID, round int, params []float64, sc telemetry.SpanC
 		return TrainReply{}, fmt.Errorf("flnet: receive from client %d: %w", clientID, err)
 	}
 	reply, err := checkReply(&env, clientID, round, sc)
+	if err == nil {
+		err = checkUpdate(reply, len(params))
+	}
 	if err != nil {
 		s.dropSession(clientID, sess)
 		return TrainReply{}, err

@@ -1,0 +1,112 @@
+package flnet
+
+import (
+	"errors"
+	"math"
+	"reflect"
+	"testing"
+)
+
+// TestBadUpdateDropsSession feeds Server.Train replies that are
+// well-formed envelopes carrying a model update FedAvg cannot take: each
+// must fail with the typed bad_update kind and drop the session, and the
+// valid one must pass.
+func TestBadUpdateDropsSession(t *testing.T) {
+	cases := []struct {
+		name    string
+		params  []float64
+		samples int
+		bad     bool
+	}{
+		{"wrong length", []float64{1, 2, 3}, 10, true},
+		{"empty params", nil, 10, true},
+		{"zero samples", []float64{1, 2}, 0, true},
+		{"negative samples", []float64{1, 2}, -1, true},
+		{"nan", []float64{1, math.NaN()}, 10, true},
+		{"plus inf", []float64{math.Inf(1), 2}, 10, true},
+		{"minus inf", []float64{1, math.Inf(-1)}, 10, true},
+		{"valid", []float64{1, -2}, 10, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			srv, err := NewServer("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			errc := acceptAsync(srv, 1)
+			raw := dialRaw(t, srv.Addr())
+			raw.register(t, 0)
+			if err := <-errc; err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				if req := raw.expectRequest(t); req != nil {
+					_ = raw.enc.Encode(Envelope{Reply: &TrainReply{
+						ClientID: 0, Round: req.Round, Params: c.params, NumSamples: c.samples,
+					}})
+				}
+			}()
+			reply, err := srv.Train(0, 4, []float64{0, 0}, noTrace)
+			<-done
+			if !c.bad {
+				if err != nil || !reflect.DeepEqual(reply.Params, c.params) {
+					t.Fatalf("Train = %+v, %v; want the update accepted", reply, err)
+				}
+				return
+			}
+			var ee *EnvelopeError
+			if !errors.As(err, &ee) || ee.Kind != ErrBadUpdate || ee.ClientID != 0 || ee.Round != 4 {
+				t.Fatalf("Train err = %v, want bad_update for client 0 round 4", err)
+			}
+			if _, err := srv.Train(0, 5, []float64{0, 0}, noTrace); !errors.As(err, &ee) || ee.Kind != ErrNotRegistered {
+				t.Fatalf("post-violation Train err = %v, want not_registered", err)
+			}
+		})
+	}
+}
+
+// TestCoordinatorSurvivesWrongLengthUpdate runs a coordinator round in
+// which one client replies with an update of the wrong dimension: the
+// client ends the round as Failed, the round completes, and the other
+// reporters aggregate. Before the wire check this reply reached FedAvg
+// and panicked the coordinator.
+func TestCoordinatorSurvivesWrongLengthUpdate(t *testing.T) {
+	srv, err := NewServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	errc := acceptAsync(srv, 3)
+	trainers := []Trainer{
+		TrainerFunc(func(_ int, params []float64) ([]float64, int, float64) {
+			return make([]float64, len(params)+1), 10, 0
+		}),
+		echoTrainer(1, 1),
+		echoTrainer(2, 2),
+	}
+	for id, tr := range trainers {
+		c := &Client{Reg: RegisterFromSummary(id, []float64{1}, nil, float64(id)+1, 10), Trainer: tr}
+		go func() { _, _ = c.Run(srv.Addr()) }()
+	}
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	strat := &pickStrategy{sel: [][]int{{0, 1, 2}}}
+	coord, err := NewCoordinator(srv, CoordinatorConfig{ClientsPerRound: 3}, strat, []float64{0, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := coord.RunRound(0)
+	if !reflect.DeepEqual(out.Failed, []int{0}) || !reflect.DeepEqual(out.Reporters, []int{1, 2}) || !out.Aggregated {
+		t.Fatalf("outcome = %+v, want client 0 failed and [1 2] aggregated", out)
+	}
+	// FedAvg over the survivors: (20*1 + 30*2) / 50 = 1.6.
+	for i, v := range coord.Global() {
+		if v != 1.6 {
+			t.Fatalf("global[%d] = %v, want 1.6", i, v)
+		}
+	}
+}

@@ -134,83 +134,6 @@ func TestDropoutBadRatePanics(t *testing.T) {
 	NewDropout(1, stats.NewRNG(1))
 }
 
-func TestAdamConvergesOnSeparableData(t *testing.T) {
-	rng := stats.NewRNG(35)
-	n := NewMLP(2, []int{16}, 2, rng)
-	opt := NewAdam(0.01)
-	batch := 64
-	x := tensor.New(batch, 2)
-	labels := make([]int, batch)
-	for i := 0; i < batch; i++ {
-		if i%2 == 0 {
-			x.Set(i, 0, rng.Normal(2, 0.5))
-			x.Set(i, 1, rng.Normal(2, 0.5))
-		} else {
-			x.Set(i, 0, rng.Normal(-2, 0.5))
-			x.Set(i, 1, rng.Normal(-2, 0.5))
-			labels[i] = 1
-		}
-	}
-	initial := n.Loss(x, labels)
-	for i := 0; i < 150; i++ {
-		TrainBatchAdam(n, opt, x, labels)
-	}
-	final, acc := n.Evaluate(x, labels)
-	if final >= initial || acc < 0.95 {
-		t.Errorf("Adam failed to converge: loss %v -> %v, acc %v", initial, final, acc)
-	}
-}
-
-func TestAdamFasterThanSGDOnIllConditioned(t *testing.T) {
-	// A feature with a tiny scale makes plain SGD slow; Adam's
-	// per-parameter adaptation shrugs it off.
-	build := func() (*Network, *tensor.Dense, []int) {
-		rng := stats.NewRNG(36)
-		n := NewMLP(2, nil, 2, rng)
-		batch := 64
-		x := tensor.New(batch, 2)
-		labels := make([]int, batch)
-		for i := 0; i < batch; i++ {
-			cls := i % 2
-			sign := float64(2*cls - 1)
-			x.Set(i, 0, sign*0.001+rng.Normal(0, 0.0002)) // tiny informative feature
-			x.Set(i, 1, rng.Normal(0, 1))                 // big useless feature
-			labels[i] = cls
-		}
-		return n, x, labels
-	}
-	nSGD, x, labels := build()
-	sgd := NewSGD(0.05, 0, 0)
-	for i := 0; i < 100; i++ {
-		TrainBatch(nSGD, sgd, x, labels)
-	}
-	nAdam, x2, labels2 := build()
-	adam := NewAdam(0.05)
-	for i := 0; i < 100; i++ {
-		TrainBatchAdam(nAdam, adam, x2, labels2)
-	}
-	sgdAcc := nSGD.Accuracy(x, labels)
-	adamAcc := nAdam.Accuracy(x2, labels2)
-	if adamAcc <= sgdAcc {
-		t.Errorf("Adam accuracy %v not above SGD %v on ill-conditioned features", adamAcc, sgdAcc)
-	}
-}
-
-func TestAdamResetAndValidation(t *testing.T) {
-	a := NewAdam(0.01)
-	a.step = 5
-	a.Reset()
-	if a.step != 0 {
-		t.Error("Reset did not clear step")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for bad lr")
-		}
-	}()
-	NewAdam(0)
-}
-
 func TestExtraLayersCloneAndName(t *testing.T) {
 	g := tensor.ConvGeom{Channels: 1, Height: 4, Width: 4, Kernel: 2, Stride: 2, Pad: 0}
 	layers := []Layer{NewSigmoid(), NewTanh(), NewDropout(0.3, stats.NewRNG(1)), NewAvgPool2D(g)}

@@ -2,16 +2,12 @@ package rounds
 
 import (
 	"container/heap"
-	"fmt"
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"haccs/internal/fleet"
 	"haccs/internal/introspect"
-	"haccs/internal/simnet"
 	"haccs/internal/telemetry"
 )
 
@@ -33,43 +29,27 @@ import (
 // the sync driver. Like the sync driver it is not safe for concurrent
 // use; cycles run one at a time.
 type AsyncDriver struct {
-	cfg         Config
-	async       AsyncConfig
-	strategy    Strategy
-	proxies     []Proxy
-	latency     []float64
-	parallelism int
+	roundCore
+	async AsyncConfig
 
-	global  []float64
-	clock   float64
-	version int // model version: buffered aggregations applied so far
-	seq     uint64
-	dead    []bool
-	busy    []bool // client has an in-flight (queued) update
+	seq  uint64
+	busy []bool // client has an in-flight (queued) update
 
 	queue  eventQueue
 	buffer []*asyncEntry
 	free   []*asyncEntry
 
 	// Cycle-loop buffers, sized once and reused across cycles.
-	available []bool
-	seen      []bool
-	down      []int
-	repIDs    []int
-	losses    []float64
-	cut       []int
-	failed    []int
-	reports   []fleet.ClientReport
-	errs      []error
-	batch     []*asyncEntry
-	weights   []float64
+	cut     []int
+	failed  []int
+	batch   []*asyncEntry
+	weights []float64
 
 	// Cumulative counters behind the introspection state.
 	bufferedTotal     int
 	staleDroppedTotal int
 	stalenessCounts   []int
 
-	met  *driverMetrics
 	amet *asyncMetrics
 
 	// insp is the snapshot served at /debug/selection, refreshed at
@@ -103,13 +83,10 @@ type asyncEntry struct {
 // fill captures a training result as a delta against the dispatch-time
 // global snapshot, copying the reply's summary and stats so the entry
 // survives transport buffer reuse across cycles.
-func (e *asyncEntry) fill(id, round, version int, base []float64, res Result) {
+func (e *asyncEntry) fill(base []float64, res Result) {
 	if len(res.Params) != len(base) {
 		panic("rounds: async update parameter dimension mismatch")
 	}
-	e.client = id
-	e.dispatchRound = round
-	e.version = version
 	e.loss = res.Loss
 	e.numSamples = res.NumSamples
 	if cap(e.delta) < len(base) {
@@ -198,69 +175,30 @@ func NewAsyncDriver(cfg Config, async AsyncConfig, t Transport, strategy Strateg
 		panic(err)
 	}
 	async = async.withDefaults(cfg.ClientsPerRound)
-	if cfg.Dropout == nil {
-		cfg.Dropout = simnet.NoDropout{}
-	}
-	proxies := t.Proxies()
-	if len(proxies) == 0 {
-		panic("rounds: transport has no clients")
-	}
-	par := t.Parallelism()
-	if par <= 0 {
-		panic("rounds: transport parallelism must be positive")
-	}
-	d := &AsyncDriver{
-		cfg:         cfg,
-		async:       async,
-		strategy:    strategy,
-		proxies:     proxies,
-		parallelism: par,
-		global:      initial,
-		met:         newDriverMetrics(cfg.Metrics),
-		amet:        newAsyncMetrics(cfg.Metrics),
-	}
-	d.latency = make([]float64, len(proxies))
-	for i, p := range proxies {
-		d.latency[i] = p.Latency()
-	}
 	c := cfg.ClientsPerRound
-	d.queue = make(eventQueue, 0, c)
-	d.buffer = make([]*asyncEntry, 0, async.BufferK)
-	d.repIDs = make([]int, 0, async.BufferK)
-	d.losses = make([]float64, 0, async.BufferK)
-	d.weights = make([]float64, 0, async.BufferK)
-	d.cut = make([]int, 0, c)
-	d.failed = make([]int, 0, c)
-	d.errs = make([]error, c)
-	d.batch = make([]*asyncEntry, c)
-	if cfg.Fleet != nil {
-		d.reports = make([]fleet.ClientReport, 0, async.BufferK)
+	d := &AsyncDriver{
+		roundCore:       newProxyCore(cfg, t, strategy, initial, false),
+		async:           async,
+		amet:            newAsyncMetrics(cfg.Metrics),
+		queue:           make(eventQueue, 0, c),
+		buffer:          make([]*asyncEntry, 0, async.BufferK),
+		weights:         make([]float64, 0, async.BufferK),
+		cut:             make([]int, 0, c),
+		failed:          make([]int, 0, c),
+		batch:           make([]*asyncEntry, c),
+		stalenessCounts: make([]int, inspStalenessSlots),
 	}
-	d.available = make([]bool, len(proxies))
-	d.seen = make([]bool, len(proxies))
-	d.dead = make([]bool, len(proxies))
-	d.busy = make([]bool, len(proxies))
-	d.stalenessCounts = make([]int, inspStalenessSlots)
+	d.busy = make([]bool, len(d.proxies))
+	// Each reply is captured eagerly as a delta in its pre-assigned entry,
+	// so transport-owned reply buffers can be reused next cycle.
+	d.sink = func(slot int, res Result) { d.batch[slot].fill(d.global, res) }
 	d.refreshInspection(0)
 	return d
 }
 
-// Global returns the driver-owned global parameter vector (read-only).
-func (d *AsyncDriver) Global() []float64 { return d.global }
-
-// Clock returns the virtual time elapsed so far in seconds.
-func (d *AsyncDriver) Clock() float64 { return d.clock }
-
 // Version returns the global model version — the number of buffered
 // aggregations applied so far.
 func (d *AsyncDriver) Version() int { return d.version }
-
-// Latency returns a client's expected round latency in virtual seconds.
-func (d *AsyncDriver) Latency(id int) float64 { return d.latency[id] }
-
-// Dead reports whether a client's transport failed earlier; dead
-// clients are excluded from availability forever.
-func (d *AsyncDriver) Dead(id int) bool { return d.dead[id] }
 
 // InFlight returns how many dispatched updates are awaiting their
 // virtual finish event.
@@ -277,53 +215,20 @@ func (d *AsyncDriver) InFlight() int { return len(d.queue) }
 // duration.
 func (d *AsyncDriver) RunRound(round int) Outcome {
 	tracer := d.cfg.Tracer
-	root := d.cfg.Spans.Root("round", round)
+	// Refill: hand the strategy only the free concurrency slots, with
+	// the clients still training masked out, so selected clients train
+	// continuously across cycles.
+	root, selected := d.begin(round, d.busy, d.cfg.ClientsPerRound-len(d.queue))
 	defer root.End()
-	if tracer != nil {
-		tracer.Emit(telemetry.RoundStart(round))
-	}
-
-	// Availability: dropout and death feed the Unavailable event
-	// exactly as in sync mode; clients still training are additionally
-	// masked from selection without counting as down.
-	sp := root.Child("availability")
-	mask := d.cfg.Dropout.Unavailable(round, len(d.proxies))
-	available := d.available
-	down := d.down[:0]
-	for i := range available {
-		unavailable := mask[i] || d.dead[i]
-		if unavailable {
-			down = append(down, i)
+	if len(selected) > 0 {
+		for i, id := range selected {
+			e := d.checkout()
+			e.client, e.dispatchRound, e.version = id, round, d.version
+			d.batch[i] = e
 		}
-		available[i] = !unavailable && !d.busy[i]
-	}
-	d.down = down
-	sp.End()
-	if len(down) > 0 {
-		if tracer != nil {
-			tracer.Emit(telemetry.Unavailable(round, down))
-		}
-		if d.met != nil {
-			d.met.unavailable.Add(float64(len(down)))
-		}
-	}
-
-	// Refill: hand the strategy only the free concurrency slots, so
-	// selected clients train continuously across cycles.
-	var selected []int
-	if want := d.cfg.ClientsPerRound - len(d.queue); want > 0 {
-		sp = root.Child("select")
-		selected = d.strategy.Select(round, available, want)
+		sp := root.Child("dispatch")
+		d.fanOut(round, selected, sp)
 		sp.End()
-		if tracer != nil {
-			tracer.Emit(telemetry.Selection(round, append([]int(nil), selected...)))
-		}
-		validateSelection(selected, available, d.seen, len(d.proxies), want)
-		if len(selected) > 0 {
-			sp = root.Child("dispatch")
-			d.dispatch(round, selected, sp)
-			sp.End()
-		}
 	}
 
 	// Fold dispatch outcomes in selection order: failures mark the
@@ -331,13 +236,12 @@ func (d *AsyncDriver) RunRound(round int) Outcome {
 	// is instantaneous); successes enter the event queue.
 	failed := d.failed[:0]
 	for i, id := range selected {
-		if d.errs[i] != nil {
-			d.dead[id] = true
+		e := d.batch[i]
+		if d.slotFailed[i] {
 			failed = append(failed, id)
-			d.release(d.batch[i])
+			d.release(e)
 			continue
 		}
-		e := d.batch[i]
 		e.finish = d.clock + d.latency[id]
 		e.seq = d.seq
 		d.seq++
@@ -345,20 +249,13 @@ func (d *AsyncDriver) RunRound(round int) Outcome {
 		d.busy[id] = true
 	}
 	d.failed = failed
-	if len(failed) > 0 {
-		if tracer != nil {
-			tracer.Emit(telemetry.ClientFailed(round, append([]int(nil), failed...)))
-		}
-		if d.met != nil {
-			d.met.failures.Add(float64(len(failed)))
-		}
-	}
+	d.fail(round, failed)
 
 	// Drain: pop finish events in (finish, seq) order until the buffer
 	// reaches BufferK or the queue runs dry. The clock rides the
 	// popped finish times — monotonic, because every dispatch happens
 	// at the current clock and adds a non-negative latency.
-	sp = root.Child("drain")
+	sp := root.Child("drain")
 	cycleStart := d.clock
 	cut := d.cut[:0]
 	for len(d.queue) > 0 && len(d.buffer) < d.async.BufferK {
@@ -401,80 +298,41 @@ func (d *AsyncDriver) RunRound(round int) Outcome {
 	// cycle with nothing dispatched, queued or buffered idles one
 	// virtual second, exactly like the sync driver's empty round.
 	sp = root.Child("aggregate")
-	aggregated := false
-	repIDs := d.repIDs[:0]
-	losses := d.losses[:0]
+	aggregated := len(d.buffer) > 0
 	maxTau := 0
-	if len(d.buffer) > 0 {
+	if aggregated {
 		d.applyBuffer()
 		d.version++
-		aggregated = true
 		for _, e := range d.buffer {
-			repIDs = append(repIDs, e.client)
-			losses = append(losses, e.loss)
-			if e.staleness > maxTau {
-				maxTau = e.staleness
-			}
+			d.credit(e.client, Result{NumSamples: e.numSamples, Loss: e.loss, Summary: e.summary, Stats: e.stats}, e.staleness)
+			maxTau = max(maxTau, e.staleness)
 		}
 	} else if len(selected) == 0 && len(d.queue) == 0 {
 		d.clock++
 	}
-	d.repIDs, d.losses = repIDs, losses
 	roundVirtual := d.clock - cycleStart
 	sp.End()
 
-	if aggregated && tracer != nil {
-		tracer.Emit(telemetry.AggregateAsync(round, append([]int(nil), repIDs...), maxTau, roundVirtual, d.clock))
-	}
-	if d.met != nil {
-		d.met.rounds.Inc()
-		if len(selected) > 0 {
-			d.met.selected.Add(float64(len(selected)))
-		}
-		d.met.roundVirt.Observe(roundVirtual)
-		d.met.clock.Set(d.clock)
-	}
-	if d.amet != nil && aggregated {
-		d.amet.aggregates.Inc()
-		d.amet.fill.Set(0)
-	}
-
-	sp = root.Child("update")
-	if d.cfg.OnSummary != nil {
-		for _, e := range d.buffer {
-			if e.summary != nil {
-				d.cfg.OnSummary(e.client, e.summary)
+	if aggregated {
+		if tracer != nil {
+			ids := make([]int, len(d.buffer))
+			for i, e := range d.buffer {
+				ids[i] = e.client
 			}
+			tracer.Emit(telemetry.AggregateAsync(round, ids, maxTau, roundVirtual, d.clock))
+		}
+		if d.amet != nil {
+			d.amet.aggregates.Inc()
+			d.amet.fill.Set(0)
 		}
 	}
-	d.strategy.Update(round, repIDs, losses)
-	sp.End()
-
-	if d.cfg.Fleet != nil {
-		reports := d.reports[:0]
-		for _, e := range d.buffer {
-			reports = append(reports, fleet.ClientReport{
-				ClientID:   e.client,
-				Loss:       e.loss,
-				NumSamples: e.numSamples,
-				VirtualSec: d.latency[e.client],
-				Stats:      e.stats,
-				Staleness:  e.staleness,
-			})
-		}
-		d.reports = reports
-		d.cfg.Fleet.ObserveRound(fleet.RoundObservation{
-			Round:        round,
-			Selected:     selected,
-			Reports:      reports,
-			Cut:          cut,
-			Failed:       failed,
-			Unavailable:  down,
-			RoundVirtual: roundVirtual,
-			Clock:        d.clock,
-			Async:        true,
-		})
-	}
+	out := d.finish(round, root, Outcome{
+		Selected:     selected,
+		Cut:          cut,
+		Failed:       failed,
+		RoundVirtual: roundVirtual,
+		Aggregated:   aggregated,
+	})
 
 	flushed := len(d.buffer)
 	for _, e := range d.buffer {
@@ -482,69 +340,7 @@ func (d *AsyncDriver) RunRound(round int) Outcome {
 	}
 	d.buffer = d.buffer[:0]
 	d.refreshInspection(flushed)
-
-	return Outcome{
-		Selected:     selected,
-		Reporters:    repIDs,
-		Losses:       losses,
-		Cut:          cut,
-		Failed:       failed,
-		RoundVirtual: roundVirtual,
-		Aggregated:   aggregated,
-	}
-}
-
-// dispatch trains the newly selected clients in parallel — the same
-// worker-pinned fan-out as the sync driver — capturing each result
-// eagerly as a delta in its pre-assigned entry so transport-owned
-// reply buffers can be reused next cycle.
-func (d *AsyncDriver) dispatch(round int, selected []int, disp telemetry.Span) {
-	batch := d.batch[:len(selected)]
-	errs := d.errs[:len(selected)]
-	for i := range batch {
-		batch[i] = d.checkout()
-		errs[i] = nil
-	}
-	workers := min(d.parallelism, len(selected))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(selected) {
-					return
-				}
-				id := selected[i]
-				var start time.Time
-				if d.cfg.Tracer != nil || d.met != nil {
-					start = time.Now()
-				}
-				ts := disp.ChildClient("train", id)
-				res, err := d.proxies[id].Train(round, w, i, d.global, ts.Context())
-				ts.End()
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				batch[i].fill(id, round, d.version, d.global, res)
-				if d.cfg.Tracer != nil || d.met != nil {
-					wall := time.Since(start).Seconds()
-					virt := d.latency[id]
-					if d.cfg.Tracer != nil {
-						d.cfg.Tracer.Emit(telemetry.ClientTrained(round, id, res.Loss, res.NumSamples, wall, virt))
-					}
-					if d.met != nil {
-						d.met.trainWall.Observe(wall)
-						d.met.trainVirt.Observe(virt)
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
+	return out
 }
 
 // applyBuffer folds the buffered deltas into the global model:
@@ -633,28 +429,6 @@ func (d *AsyncDriver) AsyncState() introspect.AsyncState {
 	st.InFlight = append([]int(nil), st.InFlight...)
 	st.StalenessCounts = append([]int(nil), st.StalenessCounts...)
 	return st
-}
-
-// validateSelection enforces the Strategy contract shared by both
-// drivers: valid, available, distinct IDs within the budget.
-// Violations are programming errors and panic.
-func validateSelection(selected []int, available, seen []bool, n, budget int) {
-	clear(seen)
-	for _, id := range selected {
-		if id < 0 || id >= n {
-			panic(fmt.Sprintf("rounds: strategy selected invalid client %d", id))
-		}
-		if !available[id] {
-			panic(fmt.Sprintf("rounds: strategy selected unavailable client %d", id))
-		}
-		if seen[id] {
-			panic(fmt.Sprintf("rounds: strategy selected client %d twice", id))
-		}
-		seen[id] = true
-	}
-	if len(selected) > budget {
-		panic("rounds: strategy selected more clients than the budget")
-	}
 }
 
 // Both drivers present the same runtime surface.

@@ -1,11 +1,10 @@
 package rounds
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sort"
 
+	"haccs/internal/checkpoint"
 	"haccs/internal/fleet"
 )
 
@@ -117,7 +116,7 @@ func (d *AsyncDriver) SnapshotState() ([]byte, error) {
 	for i, e := range d.buffer {
 		buffer[i] = encodeEntry(e)
 	}
-	st := asyncDriverState{
+	return checkpoint.EncodeGob("rounds: async driver state", asyncDriverState{
 		Version:         asyncDriverStateVersion,
 		Clock:           d.clock,
 		ModelVersion:    d.version,
@@ -129,12 +128,7 @@ func (d *AsyncDriver) SnapshotState() ([]byte, error) {
 		StaleDropped:    d.staleDroppedTotal,
 		LastFlush:       d.insp.LastFlush,
 		StalenessCounts: append([]int(nil), d.stalenessCounts...),
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("rounds: encode async driver state: %w", err)
-	}
-	return buf.Bytes(), nil
+	})
 }
 
 // RestoreState implements checkpoint.Snapshotter. The driver must have
@@ -144,20 +138,20 @@ func (d *AsyncDriver) SnapshotState() ([]byte, error) {
 // resumed trajectory is bit-identical to an uninterrupted one.
 func (d *AsyncDriver) RestoreState(data []byte) error {
 	var st asyncDriverState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("rounds: decode async driver state: %w", err)
+	if err := checkpoint.DecodeGob("rounds: async driver state", data, &st); err != nil {
+		return err
 	}
 	if st.Version != asyncDriverStateVersion {
 		return fmt.Errorf("rounds: async driver state version %d, this build reads %d", st.Version, asyncDriverStateVersion)
-	}
-	if len(st.Dead) != len(d.proxies) {
-		return fmt.Errorf("rounds: async driver snapshot for %d clients, driver has %d", len(st.Dead), len(d.proxies))
 	}
 	if n := len(st.Queue) + len(st.Buffer); n > d.cfg.ClientsPerRound {
 		return fmt.Errorf("rounds: async driver snapshot holds %d entries, concurrency is %d", n, d.cfg.ClientsPerRound)
 	}
 	if len(st.StalenessCounts) != inspStalenessSlots {
 		return fmt.Errorf("rounds: async driver snapshot has %d staleness slots, this build uses %d", len(st.StalenessCounts), inspStalenessSlots)
+	}
+	if err := d.restoreClock("async driver", st.Clock, st.Dead); err != nil {
+		return err
 	}
 	for _, e := range d.queue {
 		d.release(e)
@@ -188,27 +182,11 @@ func (d *AsyncDriver) RestoreState(data []byte) error {
 		}
 		d.buffer = append(d.buffer, e)
 	}
-	d.clock = st.Clock
 	d.version = st.ModelVersion
 	d.seq = st.Seq
-	copy(d.dead, st.Dead)
 	d.bufferedTotal = st.BufferedTotal
 	d.staleDroppedTotal = st.StaleDropped
 	copy(d.stalenessCounts, st.StalenessCounts)
-	if d.met != nil {
-		d.met.clock.Set(d.clock)
-	}
 	d.refreshInspection(st.LastFlush)
-	return nil
-}
-
-// SetGlobal overwrites the driver-owned global parameter vector — the
-// restore path of the model snapshot component. The dimension must
-// match the vector the driver was constructed with.
-func (d *AsyncDriver) SetGlobal(params []float64) error {
-	if len(params) != len(d.global) {
-		return fmt.Errorf("rounds: SetGlobal with %d params, driver has %d", len(params), len(d.global))
-	}
-	copy(d.global, params)
 	return nil
 }

@@ -1,9 +1,9 @@
 package rounds
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
+
+	"haccs/internal/checkpoint"
 )
 
 // driverStateVersion versions the driver's gob payload.
@@ -23,16 +23,11 @@ type driverState struct {
 
 // SnapshotState implements checkpoint.Snapshotter.
 func (d *Driver) SnapshotState() ([]byte, error) {
-	st := driverState{
+	return checkpoint.EncodeGob("rounds: driver state", driverState{
 		Version: driverStateVersion,
 		Clock:   d.clock,
 		Dead:    append([]bool(nil), d.dead...),
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("rounds: encode driver state: %w", err)
-	}
-	return buf.Bytes(), nil
+	})
 }
 
 // RestoreState implements checkpoint.Snapshotter. The driver must have
@@ -40,30 +35,11 @@ func (d *Driver) SnapshotState() ([]byte, error) {
 // snapshot.
 func (d *Driver) RestoreState(data []byte) error {
 	var st driverState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("rounds: decode driver state: %w", err)
+	if err := checkpoint.DecodeGob("rounds: driver state", data, &st); err != nil {
+		return err
 	}
 	if st.Version != driverStateVersion {
 		return fmt.Errorf("rounds: driver state version %d, this build reads %d", st.Version, driverStateVersion)
 	}
-	if len(st.Dead) != len(d.proxies) {
-		return fmt.Errorf("rounds: driver snapshot for %d clients, driver has %d", len(st.Dead), len(d.proxies))
-	}
-	d.clock = st.Clock
-	copy(d.dead, st.Dead)
-	if d.met != nil {
-		d.met.clock.Set(d.clock)
-	}
-	return nil
-}
-
-// SetGlobal overwrites the driver-owned global parameter vector — the
-// restore path of the model snapshot component. The dimension must
-// match the vector the driver was constructed with.
-func (d *Driver) SetGlobal(params []float64) error {
-	if len(params) != len(d.global) {
-		return fmt.Errorf("rounds: SetGlobal with %d params, driver has %d", len(params), len(d.global))
-	}
-	copy(d.global, params)
-	return nil
+	return d.restoreClock("driver", st.Clock, st.Dead)
 }

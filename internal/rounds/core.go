@@ -1,0 +1,429 @@
+package rounds
+
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"haccs/internal/fleet"
+	"haccs/internal/simnet"
+	"haccs/internal/telemetry"
+)
+
+// roundCore is the round lifecycle every runtime shares, embedded by
+// Driver, AsyncDriver and HierDriver: begin (mask the unavailable,
+// select, validate) → fanOut (train the selection) → the driver's own
+// collect/aggregate policy, crediting each aggregated update → finish
+// (events, metrics, summary forwarding, loss feedback, fleet
+// observation). It owns the state those steps read and write — latency
+// table, dead mask, clock, global vector, model version — and the
+// buffers they reuse, so a steady-state round allocates nothing beyond
+// what the transport does. Invariant: every selected client ends its
+// round as exactly one of reported / cut / failed.
+type roundCore struct {
+	cfg      Config
+	strategy Strategy // nil only under an async hierarchical root
+	// barrier marks a synchronous runtime: the round closes at a barrier,
+	// so Cut means a straggler cut and the round emits Aggregated. Async
+	// runtimes report Cut as stale drops and emit their own merge events.
+	barrier bool
+
+	latency []float64
+	global  []float64
+	clock   float64
+	version int // aggregations applied so far (async and hierarchical)
+	dead    []bool
+	met     *driverMetrics
+
+	// Fan-out: the client endpoints (nil under a hierarchical root, which
+	// dispatches to shards instead), the worker bound, and the per-slot
+	// sink a successful reply is handed to.
+	proxies     []Proxy
+	parallelism int
+	sink        func(slot int, res Result)
+	slotFailed  []bool // per selection slot: the transport died
+
+	available []bool
+	seen      []bool
+	down      []int
+	reps      []Result // this round's aggregated updates, in credit order
+	taus      []int    // their staleness (0 in sync runtimes)
+	repIDs    []int
+	losses    []float64
+	reports   []fleet.ClientReport
+}
+
+// driverMetrics caches the driver's telemetry collectors (nil when
+// metrics are off) so the hot loop never touches the registry maps.
+type driverMetrics struct {
+	rounds      *telemetry.Counter
+	selected    *telemetry.Counter
+	unavailable *telemetry.Counter
+	stragglers  *telemetry.Counter
+	failures    *telemetry.Counter
+	trainWall   *telemetry.Histogram
+	trainVirt   *telemetry.Histogram
+	roundVirt   *telemetry.Histogram
+	clock       *telemetry.Gauge
+}
+
+// TrainWallBuckets cover host-side local-training times: sub-ms MLP
+// steps at Quick scale up to seconds for paper-scale CNNs.
+var TrainWallBuckets = []float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
+
+// VirtualBuckets cover the simulator's per-round latencies (Table II
+// profiles land in tens to hundreds of virtual seconds).
+var VirtualBuckets = []float64{1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500}
+
+func newDriverMetrics(reg *telemetry.Registry) *driverMetrics {
+	if reg == nil {
+		return nil
+	}
+	return &driverMetrics{
+		rounds:      reg.Counter("haccs_rounds_total", "Training rounds completed by the round driver."),
+		selected:    reg.Counter("haccs_clients_selected_total", "Client training jobs dispatched."),
+		unavailable: reg.Counter("haccs_clients_unavailable_total", "Per-round client dropout occurrences."),
+		stragglers:  reg.Counter("haccs_clients_straggler_cut_total", "Client updates discarded at the round deadline."),
+		failures:    reg.Counter("haccs_clients_failed_total", "Clients whose transport died mid-round (marked dead)."),
+		trainWall:   reg.Histogram("haccs_client_train_seconds", "Host wall-clock duration of one local training job.", TrainWallBuckets),
+		trainVirt:   reg.Histogram("haccs_client_virtual_latency_seconds", "Simulated per-client round latency.", VirtualBuckets),
+		roundVirt:   reg.Histogram("haccs_round_virtual_seconds", "Simulated round makespan (slowest reporter, or the deadline).", VirtualBuckets),
+		clock:       reg.Gauge("haccs_virtual_clock_seconds", "Virtual time elapsed in the run."),
+	}
+}
+
+// newRoundCore builds the shared state over a dense roster with the
+// given per-client latencies. initial is the global parameter vector;
+// the core takes ownership.
+func newRoundCore(cfg Config, strategy Strategy, latency, initial []float64, barrier bool) roundCore {
+	if cfg.Dropout == nil {
+		cfg.Dropout = simnet.NoDropout{}
+	}
+	n, k := len(latency), cfg.ClientsPerRound
+	c := roundCore{
+		cfg:        cfg,
+		strategy:   strategy,
+		barrier:    barrier,
+		latency:    latency,
+		global:     initial,
+		dead:       make([]bool, n),
+		met:        newDriverMetrics(cfg.Metrics),
+		slotFailed: make([]bool, k),
+		available:  make([]bool, n),
+		seen:       make([]bool, n),
+		reps:       make([]Result, 0, k),
+		taus:       make([]int, 0, k),
+		repIDs:     make([]int, 0, k),
+		losses:     make([]float64, 0, k),
+	}
+	if cfg.Fleet != nil {
+		c.reports = make([]fleet.ClientReport, 0, k)
+	}
+	return c
+}
+
+// newProxyCore is newRoundCore over a client transport: the roster and
+// its latencies come from the transport's proxies. The embedding driver
+// sets sink before its first round.
+func newProxyCore(cfg Config, t Transport, strategy Strategy, initial []float64, barrier bool) roundCore {
+	proxies := t.Proxies()
+	if len(proxies) == 0 {
+		panic("rounds: transport has no clients")
+	}
+	par := t.Parallelism()
+	if par <= 0 {
+		panic("rounds: transport parallelism must be positive")
+	}
+	latency := make([]float64, len(proxies))
+	for i, p := range proxies {
+		latency[i] = p.Latency()
+	}
+	c := newRoundCore(cfg, strategy, latency, initial, barrier)
+	c.proxies, c.parallelism = proxies, par
+	return c
+}
+
+// Global returns the driver-owned global parameter vector. Callers must
+// treat it as read-only; it is overwritten by aggregation each round.
+func (c *roundCore) Global() []float64 { return c.global }
+
+// SetGlobal overwrites the driver-owned global parameter vector — the
+// restore path of the model snapshot component. The dimension must
+// match the vector the driver was constructed with.
+func (c *roundCore) SetGlobal(params []float64) error {
+	if len(params) != len(c.global) {
+		return fmt.Errorf("rounds: SetGlobal with %d params, driver has %d", len(params), len(c.global))
+	}
+	copy(c.global, params)
+	return nil
+}
+
+// Clock returns the virtual time elapsed so far in seconds.
+func (c *roundCore) Clock() float64 { return c.clock }
+
+// Latency returns a client's expected round latency in virtual seconds.
+func (c *roundCore) Latency(id int) float64 { return c.latency[id] }
+
+// Dead reports whether a client's transport failed in an earlier round;
+// dead clients are excluded from availability forever.
+func (c *roundCore) Dead(id int) bool { return c.dead[id] }
+
+// restoreClock installs the clock and dead mask of a snapshot taken
+// over the same roster; what names the payload in the mismatch error.
+func (c *roundCore) restoreClock(what string, clock float64, dead []bool) error {
+	if len(dead) != len(c.dead) {
+		return fmt.Errorf("rounds: %s snapshot for %d clients, driver has %d", what, len(dead), len(c.dead))
+	}
+	c.clock = clock
+	copy(c.dead, dead)
+	if c.met != nil {
+		c.met.clock.Set(c.clock)
+	}
+	return nil
+}
+
+// open starts a round: the root span every phase hangs under (the zero
+// span when Config.Spans is nil) and the RoundStart event.
+func (c *roundCore) open(round int) telemetry.Span {
+	root := c.cfg.Spans.Root("round", round)
+	if c.cfg.Tracer != nil {
+		c.cfg.Tracer.Emit(telemetry.RoundStart(round))
+	}
+	c.reps, c.taus = c.reps[:0], c.taus[:0]
+	return root
+}
+
+// begin opens the round and picks who trains in it. Dropout and death
+// make a client down (the Unavailable event and counter); busy, when
+// non-nil, additionally hides clients that are still training from
+// selection without counting them as down. The strategy then fills up
+// to budget slots from the available mask; budget <= 0 skips selection
+// altogether. Violations of the Strategy contract panic.
+func (c *roundCore) begin(round int, busy []bool, budget int) (telemetry.Span, []int) {
+	root := c.open(round)
+	tracer := c.cfg.Tracer
+	sp := root.Child("availability")
+	mask := c.cfg.Dropout.Unavailable(round, len(c.dead))
+	down := c.down[:0]
+	for i := range c.available {
+		if mask[i] || c.dead[i] {
+			down = append(down, i)
+			c.available[i] = false
+		} else {
+			c.available[i] = busy == nil || !busy[i]
+		}
+	}
+	c.down = down
+	sp.End()
+	if len(down) > 0 {
+		if tracer != nil {
+			tracer.Emit(telemetry.Unavailable(round, down))
+		}
+		if c.met != nil {
+			c.met.unavailable.Add(float64(len(down)))
+		}
+	}
+	if budget <= 0 {
+		return root, nil
+	}
+	sp = root.Child("select")
+	selected := c.strategy.Select(round, c.available, budget)
+	sp.End()
+	if tracer != nil {
+		tracer.Emit(telemetry.Selection(round, append([]int(nil), selected...)))
+	}
+	c.validateSelection(selected, budget)
+	return root, selected
+}
+
+// validateSelection enforces the Strategy contract: valid, available,
+// distinct IDs within the budget. Violations are programming errors and
+// panic, exactly as the pre-driver engine did. It leaves c.seen marking
+// the selection.
+func (c *roundCore) validateSelection(selected []int, budget int) {
+	clear(c.seen)
+	for _, id := range selected {
+		if id < 0 || id >= len(c.seen) {
+			panic(fmt.Sprintf("rounds: strategy selected invalid client %d", id))
+		}
+		if !c.available[id] {
+			panic(fmt.Sprintf("rounds: strategy selected unavailable client %d", id))
+		}
+		if c.seen[id] {
+			panic(fmt.Sprintf("rounds: strategy selected client %d twice", id))
+		}
+		c.seen[id] = true
+	}
+	if len(selected) > budget {
+		panic("rounds: strategy selected more clients than the budget")
+	}
+}
+
+// idle closes a round in which nothing could be selected: the server
+// waits one virtual second — the scheduler's retry tick — and tries
+// again next round.
+func (c *roundCore) idle(round int, root telemetry.Span) Outcome {
+	c.clock++
+	return c.finish(round, root, Outcome{RoundVirtual: 1})
+}
+
+// fanOut trains the selected clients in parallel, each from the current
+// global parameters, handing every reply to the sink and flagging the
+// slots whose transport died in c.slotFailed. It spawns
+// min(parallelism, jobs) goroutines — each pinned to one worker index
+// so in-process transports can pin a persistent TrainContext — that
+// pull job indices from an atomic counter; no semaphore churn and no
+// per-job closure allocations. Results are independent of scheduling
+// because transports derive all per-job randomness from the (client,
+// round) pair and each selection slot owns its sink target. Each job
+// gets a per-client "train" span parented under disp; its context rides
+// to the proxy so network transports can propagate it on the wire.
+func (c *roundCore) fanOut(round int, selected []int, disp telemetry.Span) {
+	failed := c.slotFailed[:len(selected)]
+	clear(failed)
+	workers := min(c.parallelism, len(selected))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(selected) {
+					return
+				}
+				id := selected[i]
+				var start time.Time
+				if c.cfg.Tracer != nil || c.met != nil {
+					start = time.Now()
+				}
+				ts := disp.ChildClient("train", id)
+				res, err := c.proxies[id].Train(round, w, i, c.global, ts.Context())
+				ts.End()
+				if err != nil {
+					failed[i] = true
+					continue
+				}
+				c.sink(i, res)
+				if c.cfg.Tracer != nil || c.met != nil {
+					wall := time.Since(start).Seconds()
+					virt := c.latency[id]
+					if c.cfg.Tracer != nil {
+						c.cfg.Tracer.Emit(telemetry.ClientTrained(round, id, res.Loss, res.NumSamples, wall, virt))
+					}
+					if c.met != nil {
+						c.met.trainWall.Observe(wall)
+						c.met.trainVirt.Observe(virt)
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// credit records one update the policy folded into the global model:
+// client id reported r with the given model-version staleness. finish
+// feeds the credited updates back to the strategy and the fleet.
+func (c *roundCore) credit(id int, r Result, staleness int) {
+	r.ClientID = id
+	c.reps = append(c.reps, r)
+	c.taus = append(c.taus, staleness)
+}
+
+// fail records clients whose transport died: they are dead — excluded
+// from availability from now on — and counted and traced as failed.
+func (c *roundCore) fail(round int, ids []int) {
+	if len(ids) == 0 {
+		return
+	}
+	for _, id := range ids {
+		c.dead[id] = true
+	}
+	if c.cfg.Tracer != nil {
+		c.cfg.Tracer.Emit(telemetry.ClientFailed(round, append([]int(nil), ids...)))
+	}
+	if c.met != nil {
+		c.met.failures.Add(float64(len(ids)))
+	}
+}
+
+// finish closes the round the policy described in out (Selected, Cut,
+// Failed, RoundVirtual, Aggregated; the clock already advanced): the
+// barrier events, the round metrics, then — under the "update" span —
+// refreshed summaries and the credited reporters' losses go to the
+// strategy, and the fleet registry gets its observation. It returns out
+// with Reporters and Losses filled in credit order.
+func (c *roundCore) finish(round int, root telemetry.Span, out Outcome) Outcome {
+	tracer := c.cfg.Tracer
+	if c.barrier {
+		if len(out.Cut) > 0 {
+			if tracer != nil {
+				tracer.Emit(telemetry.StragglerCut(round, append([]int(nil), out.Cut...), c.cfg.Deadline))
+			}
+			if c.met != nil {
+				c.met.stragglers.Add(float64(len(out.Cut)))
+			}
+		}
+		c.fail(round, out.Failed)
+		if out.Aggregated && tracer != nil {
+			tracer.Emit(telemetry.Aggregated(round, append([]int(nil), out.Selected...), out.RoundVirtual, c.clock))
+		}
+	}
+	if c.met != nil {
+		c.met.rounds.Inc()
+		c.met.selected.Add(float64(len(out.Selected)))
+		c.met.roundVirt.Observe(out.RoundVirtual)
+		c.met.clock.Set(c.clock)
+	}
+	repIDs, losses := c.repIDs[:0], c.losses[:0]
+	for i := range c.reps {
+		repIDs = append(repIDs, c.reps[i].ClientID)
+		losses = append(losses, c.reps[i].Loss)
+	}
+	c.repIDs, c.losses = repIDs, losses
+
+	sp := root.Child("update")
+	if c.cfg.OnSummary != nil {
+		for i := range c.reps {
+			if s := c.reps[i].Summary; s != nil {
+				c.cfg.OnSummary(c.reps[i].ClientID, s)
+			}
+		}
+	}
+	if c.strategy != nil {
+		c.strategy.Update(round, repIDs, losses)
+	}
+	sp.End()
+
+	if c.cfg.Fleet != nil {
+		reports := c.reports[:0]
+		for i := range c.reps {
+			r := &c.reps[i]
+			reports = append(reports, fleet.ClientReport{
+				ClientID:   r.ClientID,
+				Loss:       r.Loss,
+				NumSamples: r.NumSamples,
+				VirtualSec: c.latency[r.ClientID],
+				Stats:      r.Stats,
+				Staleness:  c.taus[i],
+			})
+		}
+		c.reports = reports
+		c.cfg.Fleet.ObserveRound(fleet.RoundObservation{
+			Round:        round,
+			Selected:     out.Selected,
+			Reports:      reports,
+			Cut:          out.Cut,
+			Failed:       out.Failed,
+			Unavailable:  c.down,
+			RoundVirtual: out.RoundVirtual,
+			Clock:        c.clock,
+			Async:        !c.barrier,
+		})
+	}
+	out.Reporters, out.Losses = repIDs, losses
+	return out
+}

@@ -1,11 +1,6 @@
 package rounds
 
 import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
-
 	"haccs/internal/fleet"
 	"haccs/internal/simnet"
 	"haccs/internal/telemetry"
@@ -91,74 +86,14 @@ type Outcome struct {
 	Aggregated bool
 }
 
-// Driver owns the per-round state machine over one Transport. It is
-// not safe for concurrent use; rounds run one at a time.
+// Driver is the synchronous round runtime over one Transport: the
+// shared lifecycle (roundCore) with the barrier policy — collect by the
+// sync outcome rule, FedAvg over the reporters. It is not safe for
+// concurrent use; rounds run one at a time.
 type Driver struct {
-	cfg         Config
-	strategy    Strategy
-	proxies     []Proxy
-	latency     []float64
-	parallelism int
-
-	global []float64
-	clock  float64
-	dead   []bool
-
-	// Round-loop buffers, sized once and reused across rounds so the
-	// steady-state loop allocates nothing beyond what the transport
-	// does.
-	results   []Result
-	errs      []error
-	reporters []Result
-	repIDs    []int
-	losses    []float64
-	available []bool
-	seen      []bool
-	down      []int
-	cut       []int
-	failed    []int
-	reports   []fleet.ClientReport
-
-	met *driverMetrics
-}
-
-// driverMetrics caches the driver's telemetry collectors (nil when
-// metrics are off) so the hot loop never touches the registry maps.
-type driverMetrics struct {
-	rounds      *telemetry.Counter
-	selected    *telemetry.Counter
-	unavailable *telemetry.Counter
-	stragglers  *telemetry.Counter
-	failures    *telemetry.Counter
-	trainWall   *telemetry.Histogram
-	trainVirt   *telemetry.Histogram
-	roundVirt   *telemetry.Histogram
-	clock       *telemetry.Gauge
-}
-
-// TrainWallBuckets cover host-side local-training times: sub-ms MLP
-// steps at Quick scale up to seconds for paper-scale CNNs.
-var TrainWallBuckets = []float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
-
-// VirtualBuckets cover the simulator's per-round latencies (Table II
-// profiles land in tens to hundreds of virtual seconds).
-var VirtualBuckets = []float64{1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500}
-
-func newDriverMetrics(reg *telemetry.Registry) *driverMetrics {
-	if reg == nil {
-		return nil
-	}
-	return &driverMetrics{
-		rounds:      reg.Counter("haccs_rounds_total", "Training rounds completed by the round driver."),
-		selected:    reg.Counter("haccs_clients_selected_total", "Client training jobs dispatched."),
-		unavailable: reg.Counter("haccs_clients_unavailable_total", "Per-round client dropout occurrences."),
-		stragglers:  reg.Counter("haccs_clients_straggler_cut_total", "Client updates discarded at the round deadline."),
-		failures:    reg.Counter("haccs_clients_failed_total", "Clients whose transport died mid-round (marked dead)."),
-		trainWall:   reg.Histogram("haccs_client_train_seconds", "Host wall-clock duration of one local training job.", TrainWallBuckets),
-		trainVirt:   reg.Histogram("haccs_client_virtual_latency_seconds", "Simulated per-client round latency.", VirtualBuckets),
-		roundVirt:   reg.Histogram("haccs_round_virtual_seconds", "Simulated round makespan (slowest reporter, or the deadline).", VirtualBuckets),
-		clock:       reg.Gauge("haccs_virtual_clock_seconds", "Virtual time elapsed in the run."),
-	}
+	roundCore
+	results []Result // per selection slot, filled by fanOut
+	out     SyncOutcome
 }
 
 // NewDriver builds a driver over the transport. initial is the global
@@ -169,59 +104,13 @@ func NewDriver(cfg Config, t Transport, strategy Strategy, initial []float64) *D
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	if cfg.Dropout == nil {
-		cfg.Dropout = simnet.NoDropout{}
-	}
-	proxies := t.Proxies()
-	if len(proxies) == 0 {
-		panic("rounds: transport has no clients")
-	}
-	par := t.Parallelism()
-	if par <= 0 {
-		panic("rounds: transport parallelism must be positive")
-	}
 	d := &Driver{
-		cfg:         cfg,
-		strategy:    strategy,
-		proxies:     proxies,
-		parallelism: par,
-		global:      initial,
-		met:         newDriverMetrics(cfg.Metrics),
+		roundCore: newProxyCore(cfg, t, strategy, initial, true),
+		results:   make([]Result, cfg.ClientsPerRound),
 	}
-	d.latency = make([]float64, len(proxies))
-	for i, p := range proxies {
-		d.latency[i] = p.Latency()
-	}
-	k := cfg.ClientsPerRound
-	d.results = make([]Result, k)
-	d.errs = make([]error, k)
-	d.reporters = make([]Result, 0, k)
-	d.repIDs = make([]int, 0, k)
-	d.losses = make([]float64, 0, k)
-	d.cut = make([]int, 0, k)
-	d.failed = make([]int, 0, k)
-	if cfg.Fleet != nil {
-		d.reports = make([]fleet.ClientReport, 0, k)
-	}
-	d.available = make([]bool, len(proxies))
-	d.seen = make([]bool, len(proxies))
-	d.dead = make([]bool, len(proxies))
+	d.sink = func(slot int, res Result) { d.results[slot] = res }
 	return d
 }
-
-// Global returns the driver-owned global parameter vector. Callers must
-// treat it as read-only; it is overwritten by aggregation each round.
-func (d *Driver) Global() []float64 { return d.global }
-
-// Clock returns the virtual time elapsed so far in seconds.
-func (d *Driver) Clock() float64 { return d.clock }
-
-// Latency returns a client's expected round latency in virtual seconds.
-func (d *Driver) Latency(id int) float64 { return d.latency[id] }
-
-// Dead reports whether a client's transport failed in an earlier round;
-// dead clients are excluded from availability forever.
-func (d *Driver) Dead(id int) bool { return d.dead[id] }
 
 // RunRound executes one full round: availability masking, strategy
 // selection, dispatch, collection with the deadline cutoff, partial
@@ -229,258 +118,33 @@ func (d *Driver) Dead(id int) bool { return d.dead[id] }
 // feedback to the strategy. With Config.Spans set, every phase is
 // timed under one round-rooted span tree.
 func (d *Driver) RunRound(round int) Outcome {
-	tracer := d.cfg.Tracer
-	root := d.cfg.Spans.Root("round", round)
+	root, selected := d.begin(round, nil, d.cfg.ClientsPerRound)
 	defer root.End()
-	if tracer != nil {
-		tracer.Emit(telemetry.RoundStart(round))
-	}
-	sp := root.Child("availability")
-	mask := d.cfg.Dropout.Unavailable(round, len(d.proxies))
-	available := d.available
-	down := d.down[:0]
-	for i := range available {
-		available[i] = !mask[i] && !d.dead[i]
-		if !available[i] {
-			down = append(down, i)
-		}
-	}
-	d.down = down
-	sp.End()
-	if len(down) > 0 {
-		if tracer != nil {
-			tracer.Emit(telemetry.Unavailable(round, down))
-		}
-		if d.met != nil {
-			d.met.unavailable.Add(float64(len(down)))
-		}
-	}
-	sp = root.Child("select")
-	selected := d.strategy.Select(round, available, d.cfg.ClientsPerRound)
-	sp.End()
-	if tracer != nil {
-		tracer.Emit(telemetry.Selection(round, append([]int(nil), selected...)))
-	}
 	if len(selected) == 0 {
-		// Nothing available: the server idles briefly and retries next
-		// round. One virtual second models the scheduler's retry tick.
-		d.clock++
-		d.strategy.Update(round, nil, nil)
-		if d.met != nil {
-			d.met.rounds.Inc()
-			d.met.clock.Set(d.clock)
-		}
-		if d.cfg.Fleet != nil {
-			d.cfg.Fleet.ObserveRound(fleet.RoundObservation{
-				Round:        round,
-				Unavailable:  down,
-				RoundVirtual: 1,
-				Clock:        d.clock,
-			})
-		}
-		return Outcome{RoundVirtual: 1}
+		return d.idle(round, root)
 	}
-	d.validateSelection(selected, available)
-
-	sp = root.Child("dispatch")
-	d.dispatch(round, selected, sp)
+	sp := root.Child("dispatch")
+	d.fanOut(round, selected, sp)
 	sp.End()
 
-	// Collect: partition the selection into reporters, deadline-cut
-	// stragglers and transport failures, preserving selection order.
 	sp = root.Child("collect")
-	deadline := d.cfg.Deadline
-	reporters := d.reporters[:0]
-	repIDs := d.repIDs[:0]
-	losses := d.losses[:0]
-	cut := d.cut[:0]
-	failed := d.failed[:0]
-	maxAll, maxRep := 0.0, 0.0
-	for i, id := range selected {
-		lat := d.latency[id]
-		if lat > maxAll {
-			maxAll = lat
-		}
-		if d.errs[i] != nil {
-			failed = append(failed, id)
-			d.dead[id] = true
-			continue
-		}
-		if deadline > 0 && lat > deadline {
-			cut = append(cut, id)
-			continue
-		}
-		reporters = append(reporters, d.results[i])
-		repIDs = append(repIDs, id)
-		losses = append(losses, d.results[i].Loss)
-		if lat > maxRep {
-			maxRep = lat
-		}
+	d.out.Resolve(selected, d.Latency, d.cfg.Deadline, d.slotFailed[:len(selected)], nil)
+	for _, slot := range d.out.Reporters {
+		d.credit(selected[slot], d.results[slot], 0)
 	}
-	d.reporters, d.repIDs, d.losses = reporters, repIDs, losses
-	d.cut, d.failed = cut, failed
 	sp.End()
 
-	// The round lasts as long as its slowest reporter; when anyone was
-	// cut or died, the server waits out the deadline (or, without one,
-	// the missing client's expected reply time) before closing.
-	roundTime := maxRep
-	if len(cut)+len(failed) > 0 {
-		if deadline > 0 {
-			roundTime = deadline
-		} else {
-			roundTime = maxAll
-		}
-	}
 	sp = root.Child("aggregate")
-	if len(reporters) > 0 {
-		FedAvgInto(d.global, reporters)
+	if len(d.reps) > 0 {
+		FedAvgInto(d.global, d.reps)
 	}
-	d.clock += roundTime
+	d.clock += d.out.RoundTime
 	sp.End()
-
-	if len(cut) > 0 && tracer != nil {
-		tracer.Emit(telemetry.StragglerCut(round, append([]int(nil), cut...), deadline))
-	}
-	if len(failed) > 0 && tracer != nil {
-		tracer.Emit(telemetry.ClientFailed(round, append([]int(nil), failed...)))
-	}
-	if len(reporters) > 0 && tracer != nil {
-		tracer.Emit(telemetry.Aggregated(round, append([]int(nil), selected...), roundTime, d.clock))
-	}
-	if d.met != nil {
-		d.met.rounds.Inc()
-		d.met.selected.Add(float64(len(selected)))
-		if len(cut) > 0 {
-			d.met.stragglers.Add(float64(len(cut)))
-		}
-		if len(failed) > 0 {
-			d.met.failures.Add(float64(len(failed)))
-		}
-		d.met.roundVirt.Observe(roundTime)
-		d.met.clock.Set(d.clock)
-	}
-	sp = root.Child("update")
-	if d.cfg.OnSummary != nil {
-		for i := range reporters {
-			if s := reporters[i].Summary; s != nil {
-				d.cfg.OnSummary(reporters[i].ClientID, s)
-			}
-		}
-	}
-	d.strategy.Update(round, repIDs, losses)
-	sp.End()
-	if d.cfg.Fleet != nil {
-		reports := d.reports[:0]
-		for i := range reporters {
-			reports = append(reports, fleet.ClientReport{
-				ClientID:   repIDs[i],
-				Loss:       reporters[i].Loss,
-				NumSamples: reporters[i].NumSamples,
-				VirtualSec: d.latency[repIDs[i]],
-				Stats:      reporters[i].Stats,
-			})
-		}
-		d.reports = reports
-		d.cfg.Fleet.ObserveRound(fleet.RoundObservation{
-			Round:        round,
-			Selected:     selected,
-			Reports:      reports,
-			Cut:          cut,
-			Failed:       failed,
-			Unavailable:  down,
-			RoundVirtual: roundTime,
-			Clock:        d.clock,
-		})
-	}
-	return Outcome{
+	return d.finish(round, root, Outcome{
 		Selected:     selected,
-		Reporters:    repIDs,
-		Losses:       losses,
-		Cut:          cut,
-		Failed:       failed,
-		RoundVirtual: roundTime,
-		Aggregated:   len(reporters) > 0,
-	}
-}
-
-// validateSelection enforces the Strategy contract: valid, available,
-// distinct IDs within the budget. Violations are programming errors and
-// panic, exactly as the pre-driver engine did.
-func (d *Driver) validateSelection(selected []int, available []bool) {
-	clear(d.seen)
-	for _, id := range selected {
-		if id < 0 || id >= len(d.proxies) {
-			panic(fmt.Sprintf("rounds: strategy selected invalid client %d", id))
-		}
-		if !available[id] {
-			panic(fmt.Sprintf("rounds: strategy selected unavailable client %d", id))
-		}
-		if d.seen[id] {
-			panic(fmt.Sprintf("rounds: strategy selected client %d twice", id))
-		}
-		d.seen[id] = true
-	}
-	if len(selected) > d.cfg.ClientsPerRound {
-		panic("rounds: strategy selected more clients than the budget")
-	}
-}
-
-// dispatch trains the selected clients in parallel, each from the
-// current global parameters, filling d.results/d.errs in selection
-// order. The fan-out spawns min(parallelism, jobs) goroutines per round
-// — each pinned to one worker index so in-process transports can pin a
-// persistent TrainContext — that pull job indices from an atomic
-// counter; no semaphore churn and no per-job closure allocations.
-// Results are independent of scheduling because transports derive all
-// per-job randomness from the (client, round) pair and each selection
-// slot owns its result buffer. Each job gets a per-client "train" span
-// parented under disp; its context rides to the proxy so network
-// transports can propagate it on the wire.
-func (d *Driver) dispatch(round int, selected []int, disp telemetry.Span) {
-	results := d.results[:len(selected)]
-	errs := d.errs[:len(selected)]
-	for i := range errs {
-		errs[i] = nil
-	}
-	workers := min(d.parallelism, len(selected))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(selected) {
-					return
-				}
-				id := selected[i]
-				var start time.Time
-				if d.cfg.Tracer != nil || d.met != nil {
-					start = time.Now()
-				}
-				ts := disp.ChildClient("train", id)
-				res, err := d.proxies[id].Train(round, w, i, d.global, ts.Context())
-				ts.End()
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				results[i] = res
-				if d.cfg.Tracer != nil || d.met != nil {
-					wall := time.Since(start).Seconds()
-					virt := d.latency[id]
-					if d.cfg.Tracer != nil {
-						d.cfg.Tracer.Emit(telemetry.ClientTrained(round, id, res.Loss, res.NumSamples, wall, virt))
-					}
-					if d.met != nil {
-						d.met.trainWall.Observe(wall)
-						d.met.trainVirt.Observe(virt)
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
+		Cut:          d.out.Cut,
+		Failed:       d.out.Failed,
+		RoundVirtual: d.out.RoundTime,
+		Aggregated:   len(d.reps) > 0,
+	})
 }

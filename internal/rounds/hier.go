@@ -1,18 +1,16 @@
 package rounds
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
 	"time"
 
-	"haccs/internal/fleet"
-	"haccs/internal/simnet"
+	"haccs/internal/checkpoint"
 	"haccs/internal/telemetry"
 )
 
@@ -214,28 +212,25 @@ func newHierMetrics(reg *telemetry.Registry) *hierMetrics {
 }
 
 // HierDriver runs the root half of hierarchical FedAvg over shard
-// proxies. It implements Runner, so the flat coordinator surface
-// (checkpointing, the round loop, /debug handlers) works unchanged.
-// Like the flat drivers it is not safe for concurrent use.
+// proxies: the shared lifecycle (roundCore) with shards in place of
+// clients — sync partitions the selection by owner and sums the shards'
+// partials, async folds the shards' flushes staleness-weighted. It
+// implements Runner, so the flat coordinator surface (checkpointing,
+// the round loop, /debug handlers) works unchanged. Like the flat
+// drivers it is not safe for concurrent use.
 type HierDriver struct {
-	cfg      Config
-	hier     HierConfig
-	strategy Strategy
-	shards   []ShardProxy
+	roundCore
+	hier   HierConfig
+	shards []ShardProxy
 
 	// Roster geometry, fixed at construction: owner maps a global
 	// client ID to its shard slot, slotClients holds each shard's
 	// client IDs in ascending order.
 	owner       []int
 	slotClients [][]int
-	latency     []float64
 	labels      []string
 
-	global  []float64
-	clock   float64
-	version int // root model version: aggregations applied so far
-	cycle   int // async resync cadence counter
-	dead    []bool
+	cycle int // async resync cadence counter
 
 	// Async bookkeeping: each shard's current base version and the
 	// cumulative per-shard counters behind ShardStatus.
@@ -246,20 +241,15 @@ type HierDriver struct {
 	failures   []int
 
 	// Round-loop buffers, sized once and reused.
-	available []bool
-	seen      []bool
-	down      []int
-	cut       []int
-	failed    []int
-	repIDs    []int
-	losses    []float64
-	perShard  [][]int
-	repBuf    []*ShardReport
-	errBuf    []error
-	scratch   []float64
-	reports   []fleet.ClientReport
+	out      SyncOutcome // the round's outcome over the global selection
+	want     SyncOutcome // the root's expectation of one shard's report
+	slotLost []bool      // per selection slot: the owning shard was lost
+	perShard [][]int
+	cursor   []int
+	repBuf   []*ShardReport
+	errBuf   []error
+	scratch  []float64
 
-	met  *driverMetrics
 	hmet *hierMetrics
 }
 
@@ -276,9 +266,6 @@ func NewHierDriver(cfg Config, hier HierConfig, shards []ShardProxy, strategy St
 		return nil, err
 	}
 	hier = hier.withDefaults()
-	if cfg.Dropout == nil {
-		cfg.Dropout = simnet.NoDropout{}
-	}
 	if len(shards) == 0 {
 		return nil, errors.New("rounds: hierarchical driver needs at least one shard")
 	}
@@ -292,87 +279,67 @@ func NewHierDriver(cfg Config, hier HierConfig, shards []ShardProxy, strategy St
 	if n == 0 {
 		return nil, errors.New("rounds: shards own no clients")
 	}
-	d := &HierDriver{
-		cfg:      cfg,
-		hier:     hier,
-		strategy: strategy,
-		shards:   shards,
-		met:      newDriverMetrics(cfg.Metrics),
-		hmet:     newHierMetrics(cfg.Metrics),
+	owner := make([]int, n)
+	latency := make([]float64, n)
+	for i := range owner {
+		owner[i] = -1
 	}
-	d.owner = make([]int, n)
-	d.latency = make([]float64, n)
-	for i := range d.owner {
-		d.owner[i] = -1
-	}
-	d.slotClients = make([][]int, len(shards))
-	d.labels = make([]string, len(shards))
+	slotClients := make([][]int, len(shards))
+	labels := make([]string, len(shards))
 	for slot, s := range shards {
-		d.labels[slot] = strconv.Itoa(s.ID())
+		labels[slot] = strconv.Itoa(s.ID())
 		ids := make([]int, 0, len(s.Clients()))
 		for _, c := range s.Clients() {
 			if c.ID < 0 || c.ID >= n {
 				return nil, fmt.Errorf("rounds: shard %d owns client %d outside the dense roster [0,%d)", s.ID(), c.ID, n)
 			}
-			if d.owner[c.ID] != -1 {
-				return nil, fmt.Errorf("rounds: client %d owned by shards %d and %d", c.ID, shards[d.owner[c.ID]].ID(), s.ID())
+			if owner[c.ID] != -1 {
+				return nil, fmt.Errorf("rounds: client %d owned by shards %d and %d", c.ID, shards[owner[c.ID]].ID(), s.ID())
 			}
 			if c.Latency < 0 {
 				return nil, fmt.Errorf("rounds: shard %d reports negative latency for client %d", s.ID(), c.ID)
 			}
-			d.owner[c.ID] = slot
-			d.latency[c.ID] = c.Latency
+			owner[c.ID] = slot
+			latency[c.ID] = c.Latency
 			ids = append(ids, c.ID)
 		}
 		sort.Ints(ids)
-		d.slotClients[slot] = ids
+		slotClients[slot] = ids
 	}
-	d.global = initial
-	d.dead = make([]bool, n)
-	d.base = make([]int, len(shards))
-	d.sessions = make([]int, len(shards))
-	d.reconnects = make([]int, len(shards))
-	d.lastClock = make([]float64, len(shards))
-	d.failures = make([]int, len(shards))
 	k := cfg.ClientsPerRound
-	d.available = make([]bool, n)
-	d.seen = make([]bool, n)
-	d.cut = make([]int, 0, k)
-	d.failed = make([]int, 0, k)
-	d.repIDs = make([]int, 0, k)
-	d.losses = make([]float64, 0, k)
-	d.perShard = make([][]int, len(shards))
+	d := &HierDriver{
+		roundCore:   newRoundCore(cfg, strategy, latency, initial, hier.Mode == ModeSync),
+		hier:        hier,
+		shards:      shards,
+		owner:       owner,
+		slotClients: slotClients,
+		labels:      labels,
+		base:        make([]int, len(shards)),
+		sessions:    make([]int, len(shards)),
+		reconnects:  make([]int, len(shards)),
+		lastClock:   make([]float64, len(shards)),
+		failures:    make([]int, len(shards)),
+		slotLost:    make([]bool, k),
+		perShard:    make([][]int, len(shards)),
+		cursor:      make([]int, len(shards)),
+		repBuf:      make([]*ShardReport, len(shards)),
+		errBuf:      make([]error, len(shards)),
+		scratch:     make([]float64, len(initial)),
+		hmet:        newHierMetrics(cfg.Metrics),
+	}
 	for i := range d.perShard {
 		d.perShard[i] = make([]int, 0, k)
 	}
-	d.repBuf = make([]*ShardReport, len(shards))
-	d.errBuf = make([]error, len(shards))
-	d.scratch = make([]float64, len(initial))
-	if cfg.Fleet != nil {
-		d.reports = make([]fleet.ClientReport, 0, k)
-	}
 	if d.hmet != nil {
 		for slot := range shards {
-			d.hmet.shardClients.With(d.labels[slot]).Set(float64(len(d.slotClients[slot])))
+			d.hmet.shardClients.With(labels[slot]).Set(float64(len(slotClients[slot])))
 		}
 	}
 	return d, nil
 }
 
-// Global returns the driver-owned global parameter vector (read-only).
-func (d *HierDriver) Global() []float64 { return d.global }
-
-// Clock returns the virtual time elapsed so far in seconds.
-func (d *HierDriver) Clock() float64 { return d.clock }
-
 // Version returns the root model version — aggregations applied so far.
 func (d *HierDriver) Version() int { return d.version }
-
-// Latency returns a client's expected round latency in virtual seconds.
-func (d *HierDriver) Latency(id int) float64 { return d.latency[id] }
-
-// Dead reports whether a client's transport failed in an earlier round.
-func (d *HierDriver) Dead(id int) bool { return d.dead[id] }
 
 // Owner returns the shard slot owning a client, or -1 if out of range.
 func (d *HierDriver) Owner(id int) int {
@@ -413,50 +380,12 @@ func (d *HierDriver) RunRound(round int) Outcome {
 }
 
 func (d *HierDriver) runSync(round int) Outcome {
-	tracer := d.cfg.Tracer
-	if tracer != nil {
-		tracer.Emit(telemetry.RoundStart(round))
-	}
-	mask := d.cfg.Dropout.Unavailable(round, len(d.owner))
-	available := d.available
-	down := d.down[:0]
-	for i := range available {
-		available[i] = !mask[i] && !d.dead[i]
-		if !available[i] {
-			down = append(down, i)
-		}
-	}
-	d.down = down
-	if len(down) > 0 {
-		if tracer != nil {
-			tracer.Emit(telemetry.Unavailable(round, down))
-		}
-		if d.met != nil {
-			d.met.unavailable.Add(float64(len(down)))
-		}
-	}
-	selected := d.strategy.Select(round, available, d.cfg.ClientsPerRound)
-	if tracer != nil {
-		tracer.Emit(telemetry.Selection(round, append([]int(nil), selected...)))
-	}
+	root, selected := d.begin(round, nil, d.cfg.ClientsPerRound)
+	defer root.End()
 	if len(selected) == 0 {
-		d.clock++
-		d.strategy.Update(round, nil, nil)
-		if d.met != nil {
-			d.met.rounds.Inc()
-			d.met.clock.Set(d.clock)
-		}
-		if d.cfg.Fleet != nil {
-			d.cfg.Fleet.ObserveRound(fleet.RoundObservation{
-				Round:        round,
-				Unavailable:  down,
-				RoundVirtual: 1,
-				Clock:        d.clock,
-			})
-		}
-		return Outcome{RoundVirtual: 1}
+		return d.idle(round, root)
 	}
-	validateSelection(selected, available, d.seen, len(d.owner), d.cfg.ClientsPerRound)
+	tracer := d.cfg.Tracer
 
 	// Partition the selection by owning shard, preserving global
 	// selection order within each shard.
@@ -467,30 +396,26 @@ func (d *HierDriver) runSync(round int) Outcome {
 		slot := d.owner[id]
 		d.perShard[slot] = append(d.perShard[slot], id)
 	}
+	sp := root.Child("dispatch")
 	d.exec(func(slot int) ShardCmd {
 		return ShardCmd{Round: round, Params: d.global, Selected: d.perShard[slot], Version: d.version}
 	}, func(slot int) bool { return len(d.perShard[slot]) > 0 })
+	sp.End()
 
-	// Collect: validate each shard's report against the root's own
-	// latency table, then walk the global selection order with
-	// per-shard cursors to rebuild reporters/cut/failed exactly as the
-	// flat driver's collect loop would.
-	deadline := d.cfg.Deadline
-	cut := d.cut[:0]
-	failed := d.failed[:0]
-	repIDs := d.repIDs[:0]
-	losses := d.losses[:0]
-	if d.cfg.Fleet != nil {
-		d.reports = d.reports[:0]
-	}
+	// Collect: check each shard's report against the root's own view (a
+	// shard that fails the check is lost for the round, like one whose
+	// round trip failed), then apply the outcome rule to the global
+	// selection exactly as the flat driver does, drawing each reporter's
+	// metadata from its shard's report with a per-shard cursor.
+	sp = root.Child("collect")
+	failedSet := d.seen
+	clear(failedSet)
 	for slot := range d.shards {
 		if len(d.perShard[slot]) == 0 {
 			continue
 		}
 		if d.errBuf[slot] == nil {
-			if err := d.checkSyncReport(slot, d.repBuf[slot]); err != nil {
-				d.errBuf[slot] = err
-			}
+			d.errBuf[slot] = d.checkSyncReport(slot, d.repBuf[slot])
 		}
 		if d.errBuf[slot] != nil {
 			d.failures[slot]++
@@ -500,88 +425,41 @@ func (d *HierDriver) runSync(round int) Outcome {
 			if tracer != nil {
 				tracer.Emit(telemetry.ShardFailed(round, d.shards[slot].ID(), append([]int(nil), d.perShard[slot]...)))
 			}
+			continue
+		}
+		for _, id := range d.repBuf[slot].Failed {
+			failedSet[id] = true
 		}
 	}
-	cursor := make(map[int]int, len(d.shards))
-	failedSet := d.seen
-	clear(failedSet)
-	for slot := range d.shards {
-		if d.errBuf[slot] == nil && d.repBuf[slot] != nil {
-			for _, id := range d.repBuf[slot].Failed {
-				failedSet[id] = true
-			}
-		}
+	failed, lost := d.slotFailed[:len(selected)], d.slotLost[:len(selected)]
+	for i, id := range selected {
+		failed[i] = failedSet[id]
+		lost[i] = d.errBuf[d.owner[id]] != nil
 	}
-	maxAll, maxRep := 0.0, 0.0
+	d.out.Resolve(selected, d.Latency, d.cfg.Deadline, failed, lost)
+	clear(d.cursor)
 	samples := 0
-	for _, id := range selected {
-		lat := d.latency[id]
-		if lat > maxAll {
-			maxAll = lat
-		}
+	for _, i := range d.out.Reporters {
+		id := selected[i]
 		slot := d.owner[id]
-		if d.errBuf[slot] != nil {
-			// Whole-shard failure: the update is lost for the round but
-			// the client is not dead — its shard is.
-			cut = append(cut, id)
-			continue
-		}
-		if failedSet[id] {
-			failed = append(failed, id)
-			d.dead[id] = true
-			continue
-		}
-		if deadline > 0 && lat > deadline {
-			cut = append(cut, id)
-			continue
-		}
-		rep := d.repBuf[slot]
-		r := &rep.Reporters[cursor[slot]]
-		cursor[slot]++
-		repIDs = append(repIDs, id)
-		losses = append(losses, r.Loss)
+		r := d.repBuf[slot].Reporters[d.cursor[slot]]
+		d.cursor[slot]++
 		samples += r.NumSamples
-		if lat > maxRep {
-			maxRep = lat
-		}
 		if d.met != nil {
-			d.met.trainVirt.Observe(lat)
+			d.met.trainVirt.Observe(d.latency[id])
 		}
-		if d.cfg.OnSummary != nil && r.Summary != nil {
-			d.cfg.OnSummary(id, r.Summary)
-		}
-		if d.cfg.Fleet != nil {
-			d.reports = append(d.reports, fleet.ClientReport{
-				ClientID:   id,
-				Loss:       r.Loss,
-				NumSamples: r.NumSamples,
-				VirtualSec: lat,
-				Stats:      r.Stats,
-			})
-		}
+		d.credit(id, r, 0)
 	}
-	d.cut, d.failed, d.repIDs, d.losses = cut, failed, repIDs, losses
-
-	roundTime := maxRep
-	if len(cut)+len(failed) > 0 {
-		if deadline > 0 {
-			roundTime = deadline
-		} else {
-			roundTime = maxAll
-		}
-	}
+	sp.End()
 
 	// Aggregate: sum the shards' unnormalized partials and renormalize
 	// once by the total sample count — flat FedAvg, grouped by shard.
-	aggregated := false
-	var aggStart time.Time
-	if d.hmet != nil {
-		aggStart = time.Now()
-	}
-	if len(repIDs) > 0 {
-		for i := range d.scratch {
-			d.scratch[i] = 0
-		}
+	sp = root.Child("aggregate")
+	roundTime := d.out.RoundTime
+	aggregated := len(d.reps) > 0
+	aggStart := time.Now()
+	if aggregated {
+		clear(d.scratch)
 		merged := 0
 		for slot := range d.shards {
 			rep := d.repBuf[slot]
@@ -598,7 +476,6 @@ func (d *HierDriver) runSync(round int) Outcome {
 			d.global[i] = d.scratch[i] / inv
 		}
 		d.version++
-		aggregated = true
 		if d.hmet != nil {
 			d.hmet.merges.Add(float64(merged))
 		}
@@ -610,121 +487,70 @@ func (d *HierDriver) runSync(round int) Outcome {
 		d.hmet.rootAgg.Observe(time.Since(aggStart).Seconds())
 	}
 	d.clock += roundTime
-
-	if len(cut) > 0 && tracer != nil {
-		tracer.Emit(telemetry.StragglerCut(round, append([]int(nil), cut...), deadline))
-	}
-	if len(failed) > 0 && tracer != nil {
-		tracer.Emit(telemetry.ClientFailed(round, append([]int(nil), failed...)))
-	}
-	if aggregated && tracer != nil {
-		tracer.Emit(telemetry.Aggregated(round, append([]int(nil), selected...), roundTime, d.clock))
-	}
-	if d.met != nil {
-		d.met.rounds.Inc()
-		d.met.selected.Add(float64(len(selected)))
-		if len(cut) > 0 {
-			d.met.stragglers.Add(float64(len(cut)))
-		}
-		if len(failed) > 0 {
-			d.met.failures.Add(float64(len(failed)))
-		}
-		d.met.roundVirt.Observe(roundTime)
-		d.met.clock.Set(d.clock)
-	}
-	d.strategy.Update(round, repIDs, losses)
-	if d.cfg.Fleet != nil {
-		d.cfg.Fleet.ObserveRound(fleet.RoundObservation{
-			Round:        round,
-			Selected:     selected,
-			Reports:      d.reports,
-			Cut:          cut,
-			Failed:       failed,
-			Unavailable:  down,
-			RoundVirtual: roundTime,
-			Clock:        d.clock,
-		})
-	}
-	return Outcome{
+	sp.End()
+	return d.finish(round, root, Outcome{
 		Selected:     selected,
-		Reporters:    repIDs,
-		Losses:       losses,
-		Cut:          cut,
-		Failed:       failed,
+		Cut:          d.out.Cut,
+		Failed:       d.out.Failed,
 		RoundVirtual: roundTime,
 		Aggregated:   aggregated,
-	}
+	})
 }
 
 // checkSyncReport validates one shard's sync report against the root's
-// independent view: the cut set must match the root's deadline
-// arithmetic, reporters must be exactly the selected minus cut minus
-// failed in order, and the partial must be dimensioned and weighted
-// consistently. A violation is treated as a whole-shard failure for
-// the round (the transport layer additionally drops the session).
+// independent view: its failed clients must be selected ones (in
+// selection order, like every list a shard reports), its cut and
+// reporter sequences must be exactly what the outcome rule gives for
+// the shard's slice of the selection, and the partial must be
+// dimensioned and weighted consistently. A violation is treated as a
+// whole-shard failure for the round (the transport layer additionally
+// drops the session).
 func (d *HierDriver) checkSyncReport(slot int, rep *ShardReport) error {
+	shard := d.shards[slot].ID()
 	if rep == nil {
-		return fmt.Errorf("rounds: shard %d returned no report", d.shards[slot].ID())
+		return fmt.Errorf("rounds: shard %d returned no report", shard)
 	}
 	sel := d.perShard[slot]
-	inSel := make(map[int]bool, len(sel))
-	for _, id := range sel {
-		inSel[id] = true
-	}
-	for _, id := range rep.Failed {
-		if !inSel[id] {
-			return fmt.Errorf("rounds: shard %d reported unselected client %d as failed", d.shards[slot].ID(), id)
+	// d.slotFailed is free until the global flags are computed after
+	// every shard has been checked.
+	failed := d.slotFailed[:len(sel)]
+	next := 0
+	for i, id := range sel {
+		failed[i] = next < len(rep.Failed) && rep.Failed[next] == id
+		if failed[i] {
+			next++
 		}
 	}
-	failedSet := make(map[int]bool, len(rep.Failed))
-	for _, id := range rep.Failed {
-		failedSet[id] = true
+	if next < len(rep.Failed) {
+		return fmt.Errorf("rounds: shard %d reported client %d as failed, unselected or out of selection order", shard, rep.Failed[next])
 	}
-	// Recompute the expected cut and reporter sequences.
-	deadline := d.cfg.Deadline
-	wantCut := make([]int, 0, len(sel))
-	wantRep := make([]int, 0, len(sel))
-	for _, id := range sel {
-		if failedSet[id] {
-			continue
-		}
-		if deadline > 0 && d.latency[id] > deadline {
-			wantCut = append(wantCut, id)
-			continue
-		}
-		wantRep = append(wantRep, id)
+	d.want.Resolve(sel, d.Latency, d.cfg.Deadline, failed, nil)
+	if !slices.Equal(rep.Cut, d.want.Cut) {
+		return fmt.Errorf("rounds: shard %d cut %v, root expected %v", shard, rep.Cut, d.want.Cut)
 	}
-	if len(rep.Cut) != len(wantCut) {
-		return fmt.Errorf("rounds: shard %d cut %d clients, root expected %d", d.shards[slot].ID(), len(rep.Cut), len(wantCut))
-	}
-	for i, id := range rep.Cut {
-		if id != wantCut[i] {
-			return fmt.Errorf("rounds: shard %d cut set disagrees at position %d (%d vs %d)", d.shards[slot].ID(), i, id, wantCut[i])
-		}
-	}
-	if len(rep.Reporters) != len(wantRep) {
-		return fmt.Errorf("rounds: shard %d reported %d reporters, root expected %d", d.shards[slot].ID(), len(rep.Reporters), len(wantRep))
+	if len(rep.Reporters) != len(d.want.Reporters) {
+		return fmt.Errorf("rounds: shard %d reported %d reporters, root expected %d", shard, len(rep.Reporters), len(d.want.Reporters))
 	}
 	samples := 0
-	for i := range rep.Reporters {
+	for i, s := range d.want.Reporters {
 		r := &rep.Reporters[i]
-		if r.ClientID != wantRep[i] {
-			return fmt.Errorf("rounds: shard %d reporter order disagrees at position %d (%d vs %d)", d.shards[slot].ID(), i, r.ClientID, wantRep[i])
+		if r.ClientID != sel[s] {
+			return fmt.Errorf("rounds: shard %d reporter order disagrees at position %d (%d vs %d)", shard, i, r.ClientID, sel[s])
 		}
 		if r.NumSamples <= 0 {
-			return fmt.Errorf("rounds: shard %d reporter %d has non-positive sample count", d.shards[slot].ID(), r.ClientID)
+			return fmt.Errorf("rounds: shard %d reporter %d has non-positive sample count", shard, r.ClientID)
 		}
 		samples += r.NumSamples
 	}
 	if len(rep.Reporters) > 0 {
 		if len(rep.Partial) != len(d.global) {
-			return fmt.Errorf("rounds: shard %d partial dimension %d, model has %d", d.shards[slot].ID(), len(rep.Partial), len(d.global))
+			return fmt.Errorf("rounds: shard %d partial dimension %d, model has %d", shard, len(rep.Partial), len(d.global))
 		}
 		if rep.Samples != samples {
-			return fmt.Errorf("rounds: shard %d partial weight %d, reporters sum to %d", d.shards[slot].ID(), rep.Samples, samples)
+			return fmt.Errorf("rounds: shard %d partial weight %d, reporters sum to %d", shard, rep.Samples, samples)
 		}
 	} else if rep.Samples != 0 {
-		return fmt.Errorf("rounds: shard %d reported weight %d with no reporters", d.shards[slot].ID(), rep.Samples)
+		return fmt.Errorf("rounds: shard %d reported weight %d with no reporters", shard, rep.Samples)
 	}
 	return nil
 }
@@ -734,12 +560,12 @@ func (d *HierDriver) checkSyncReport(slot int, rep *ShardReport) error {
 // root folds the returned deltas staleness-weighted, in deterministic
 // (LocalClock, shard ID) order.
 func (d *HierDriver) runAsync(round int) Outcome {
+	root := d.open(round)
+	defer root.End()
 	tracer := d.cfg.Tracer
-	if tracer != nil {
-		tracer.Emit(telemetry.RoundStart(round))
-	}
 	resync := d.cycle%d.hier.ResyncEvery == 0
 	d.cycle++
+	sp := root.Child("dispatch")
 	d.exec(func(slot int) ShardCmd {
 		cmd := ShardCmd{Round: round, Version: d.version}
 		if resync {
@@ -747,6 +573,7 @@ func (d *HierDriver) runAsync(round int) Outcome {
 		}
 		return cmd
 	}, func(slot int) bool { return true })
+	sp.End()
 
 	type flush struct {
 		slot int
@@ -754,8 +581,7 @@ func (d *HierDriver) runAsync(round int) Outcome {
 		tau  int
 	}
 	flushes := make([]flush, 0, len(d.shards))
-	failed := d.failed[:0]
-	cut := d.cut[:0]
+	var failed, cut []int
 	for slot := range d.shards {
 		if d.errBuf[slot] != nil {
 			d.failures[slot]++
@@ -775,13 +601,9 @@ func (d *HierDriver) runAsync(round int) Outcome {
 			d.base[slot] = d.version
 		}
 		d.lastClock[slot] = rep.LocalClock
-		tau := d.version - rep.BaseVersion
-		if tau < 0 {
-			tau = 0
-		}
+		tau := max(d.version-rep.BaseVersion, 0)
 		for _, id := range rep.Failed {
 			if id >= 0 && id < len(d.dead) {
-				d.dead[id] = true
 				failed = append(failed, id)
 			}
 		}
@@ -789,7 +611,7 @@ func (d *HierDriver) runAsync(round int) Outcome {
 		if rep.Samples <= 0 || len(rep.Reporters) == 0 {
 			continue
 		}
-		if len(rep.Partial) != len(d.global) {
+		if len(rep.Partial) != len(d.global) || !d.ownsReporters(rep) {
 			d.failures[slot]++
 			continue
 		}
@@ -801,7 +623,7 @@ func (d *HierDriver) runAsync(round int) Outcome {
 		}
 		flushes = append(flushes, flush{slot: slot, rep: rep, tau: tau})
 	}
-	d.failed, d.cut = failed, cut
+	d.fail(round, failed)
 	sort.Slice(flushes, func(i, j int) bool {
 		if flushes[i].rep.LocalClock != flushes[j].rep.LocalClock {
 			return flushes[i].rep.LocalClock < flushes[j].rep.LocalClock
@@ -809,18 +631,11 @@ func (d *HierDriver) runAsync(round int) Outcome {
 		return d.shards[flushes[i].slot].ID() < d.shards[flushes[j].slot].ID()
 	})
 
-	var aggStart time.Time
-	if d.hmet != nil {
-		aggStart = time.Now()
-	}
-	repIDs := d.repIDs[:0]
-	losses := d.losses[:0]
-	if d.cfg.Fleet != nil {
-		d.reports = d.reports[:0]
-	}
-	aggregated := false
+	sp = root.Child("aggregate")
+	aggStart := time.Now()
+	aggregated := len(flushes) > 0
 	samples := 0
-	if len(flushes) > 0 {
+	if aggregated {
 		total := 0.0
 		for _, f := range flushes {
 			total += float64(f.rep.Samples) / math.Pow(1+float64(f.tau), d.hier.Async.StalenessExponent)
@@ -832,27 +647,8 @@ func (d *HierDriver) runAsync(round int) Outcome {
 				d.global[i] += c * v
 			}
 			samples += f.rep.Samples
-			for i := range f.rep.Reporters {
-				r := &f.rep.Reporters[i]
-				repIDs = append(repIDs, r.ClientID)
-				losses = append(losses, r.Loss)
-				if d.cfg.OnSummary != nil && r.Summary != nil {
-					d.cfg.OnSummary(r.ClientID, r.Summary)
-				}
-				if d.cfg.Fleet != nil {
-					lat := 0.0
-					if r.ClientID >= 0 && r.ClientID < len(d.latency) {
-						lat = d.latency[r.ClientID]
-					}
-					d.reports = append(d.reports, fleet.ClientReport{
-						ClientID:   r.ClientID,
-						Loss:       r.Loss,
-						NumSamples: r.NumSamples,
-						VirtualSec: lat,
-						Stats:      r.Stats,
-						Staleness:  f.tau,
-					})
-				}
+			for _, r := range f.rep.Reporters {
+				d.credit(r.ClientID, r, f.tau)
 			}
 			if tracer != nil {
 				ids := make([]int, len(f.rep.Reporters))
@@ -863,12 +659,10 @@ func (d *HierDriver) runAsync(round int) Outcome {
 			}
 		}
 		d.version++
-		aggregated = true
 		if d.hmet != nil {
 			d.hmet.merges.Add(float64(len(flushes)))
 		}
 	}
-	d.repIDs, d.losses = repIDs, losses
 
 	// The root clock tracks the frontier of shard-local virtual time;
 	// an empty cycle idles one virtual second like the flat drivers.
@@ -881,43 +675,31 @@ func (d *HierDriver) runAsync(round int) Outcome {
 	if d.clock == prev && !aggregated {
 		d.clock++
 	}
-	roundVirtual := d.clock - prev
 	if d.hmet != nil {
 		d.hmet.rootAgg.Observe(time.Since(aggStart).Seconds())
 	}
 	if aggregated && tracer != nil {
 		tracer.Emit(telemetry.ShardMerge(round, len(flushes), samples, time.Since(aggStart).Seconds(), d.clock))
 	}
-	if d.met != nil {
-		d.met.rounds.Inc()
-		if len(failed) > 0 {
-			d.met.failures.Add(float64(len(failed)))
-		}
-		d.met.roundVirt.Observe(roundVirtual)
-		d.met.clock.Set(d.clock)
-	}
-	if d.strategy != nil {
-		d.strategy.Update(round, repIDs, losses)
-	}
-	if d.cfg.Fleet != nil {
-		d.cfg.Fleet.ObserveRound(fleet.RoundObservation{
-			Round:        round,
-			Reports:      d.reports,
-			Cut:          cut,
-			Failed:       failed,
-			RoundVirtual: roundVirtual,
-			Clock:        d.clock,
-			Async:        true,
-		})
-	}
-	return Outcome{
-		Reporters:    repIDs,
-		Losses:       losses,
+	sp.End()
+	return d.finish(round, root, Outcome{
 		Cut:          cut,
 		Failed:       failed,
-		RoundVirtual: roundVirtual,
+		RoundVirtual: d.clock - prev,
 		Aggregated:   aggregated,
+	})
+}
+
+// ownsReporters reports whether every reporter of an async flush is a
+// roster client — the IDs arrive over the wire and index the latency
+// table and the strategy.
+func (d *HierDriver) ownsReporters(rep *ShardReport) bool {
+	for i := range rep.Reporters {
+		if id := rep.Reporters[i].ClientID; id < 0 || id >= len(d.latency) {
+			return false
+		}
 	}
+	return true
 }
 
 // exec fans one command out to every participating shard in parallel,
@@ -945,32 +727,23 @@ func (d *HierDriver) exec(cmd func(slot int) ShardCmd, participates func(slot in
 		}(slot)
 	}
 	wg.Wait()
-	if d.hmet != nil {
-		live := 0
-		for slot := range d.shards {
-			rep := d.repBuf[slot]
-			if rep == nil {
-				continue
-			}
-			if rep.Reconnects > d.reconnects[slot] {
-				d.hmet.netReconnects.Add(float64(rep.Reconnects - d.reconnects[slot]))
+	live := 0
+	for slot := range d.shards {
+		if rep := d.repBuf[slot]; rep != nil {
+			if d.hmet != nil {
+				if rep.Reconnects > d.reconnects[slot] {
+					d.hmet.netReconnects.Add(float64(rep.Reconnects - d.reconnects[slot]))
+				}
+				d.hmet.shardSessions.With(d.labels[slot]).Set(float64(rep.Sessions))
+				d.hmet.shardReconnects.With(d.labels[slot]).Set(float64(rep.Reconnects))
 			}
 			d.sessions[slot] = rep.Sessions
 			d.reconnects[slot] = rep.Reconnects
-			d.hmet.shardSessions.With(d.labels[slot]).Set(float64(rep.Sessions))
-			d.hmet.shardReconnects.With(d.labels[slot]).Set(float64(rep.Reconnects))
 		}
-		for slot := range d.shards {
-			live += d.sessions[slot]
-		}
+		live += d.sessions[slot]
+	}
+	if d.hmet != nil {
 		d.hmet.netSessions.Set(float64(live))
-	} else {
-		for slot := range d.shards {
-			if rep := d.repBuf[slot]; rep != nil {
-				d.sessions[slot] = rep.Sessions
-				d.reconnects[slot] = rep.Reconnects
-			}
-		}
 	}
 }
 
@@ -1003,7 +776,7 @@ type hierState struct {
 
 // SnapshotState implements checkpoint.Snapshotter.
 func (d *HierDriver) SnapshotState() ([]byte, error) {
-	st := hierState{
+	return checkpoint.EncodeGob("rounds: hierarchical driver state", hierState{
 		Version:      hierStateVersion,
 		Clock:        d.clock,
 		Dead:         append([]bool(nil), d.dead...),
@@ -1014,12 +787,7 @@ func (d *HierDriver) SnapshotState() ([]byte, error) {
 		Reconnects:   append([]int(nil), d.reconnects...),
 		LastClock:    append([]float64(nil), d.lastClock...),
 		Failures:     append([]int(nil), d.failures...),
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("rounds: encode hierarchical driver state: %w", err)
-	}
-	return buf.Bytes(), nil
+	})
 }
 
 // RestoreState implements checkpoint.Snapshotter. The driver must have
@@ -1027,20 +795,18 @@ func (d *HierDriver) SnapshotState() ([]byte, error) {
 // produced the snapshot.
 func (d *HierDriver) RestoreState(data []byte) error {
 	var st hierState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("rounds: decode hierarchical driver state: %w", err)
+	if err := checkpoint.DecodeGob("rounds: hierarchical driver state", data, &st); err != nil {
+		return err
 	}
 	if st.Version != hierStateVersion {
 		return fmt.Errorf("rounds: hierarchical driver state version %d, this build reads %d", st.Version, hierStateVersion)
 	}
-	if len(st.Dead) != len(d.dead) {
-		return fmt.Errorf("rounds: hierarchical snapshot for %d clients, driver has %d", len(st.Dead), len(d.dead))
-	}
 	if len(st.Base) != len(d.base) {
 		return fmt.Errorf("rounds: hierarchical snapshot for %d shards, driver has %d", len(st.Base), len(d.base))
 	}
-	d.clock = st.Clock
-	copy(d.dead, st.Dead)
+	if err := d.restoreClock("hierarchical", st.Clock, st.Dead); err != nil {
+		return err
+	}
 	d.version = st.ModelVersion
 	d.cycle = st.Cycle
 	copy(d.base, st.Base)
@@ -1056,19 +822,6 @@ func (d *HierDriver) RestoreState(data []byte) error {
 	if len(st.Failures) == len(d.failures) {
 		copy(d.failures, st.Failures)
 	}
-	if d.met != nil {
-		d.met.clock.Set(d.clock)
-	}
-	return nil
-}
-
-// SetGlobal overwrites the driver-owned global parameter vector — the
-// restore path of the model snapshot component.
-func (d *HierDriver) SetGlobal(params []float64) error {
-	if len(params) != len(d.global) {
-		return fmt.Errorf("rounds: SetGlobal with %d params, driver has %d", len(params), len(d.global))
-	}
-	copy(d.global, params)
 	return nil
 }
 

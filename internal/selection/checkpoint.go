@@ -10,11 +10,10 @@ package selection
 // captured it, making resumed selection sequences bit-identical.
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 
+	"haccs/internal/checkpoint"
 	"haccs/internal/stats"
 )
 
@@ -32,7 +31,7 @@ func (r *Random) SnapshotState() ([]byte, error) {
 	if r.rng == nil {
 		return nil, errors.New("selection: Random not initialized")
 	}
-	return encodeState(randomState{Version: stateVersion, RNG: r.rng.State()})
+	return checkpoint.EncodeGob("selection: strategy state", randomState{Version: stateVersion, RNG: r.rng.State()})
 }
 
 // RestoreState implements checkpoint.Snapshotter (restore-after-Init).
@@ -41,7 +40,7 @@ func (r *Random) RestoreState(data []byte) error {
 		return errors.New("selection: Random not initialized")
 	}
 	var st randomState
-	if err := decodeState(data, &st); err != nil {
+	if err := checkpoint.DecodeGob("selection: strategy state", data, &st); err != nil {
 		return err
 	}
 	if err := checkVersion("Random", st.Version); err != nil {
@@ -65,7 +64,7 @@ func (t *TiFL) SnapshotState() ([]byte, error) {
 	if t.rng == nil {
 		return nil, errors.New("selection: TiFL not initialized")
 	}
-	return encodeState(tiflState{
+	return checkpoint.EncodeGob("selection: strategy state", tiflState{
 		Version:  stateVersion,
 		RNG:      t.rng.State(),
 		Credits:  append([]int(nil), t.credits...),
@@ -79,7 +78,7 @@ func (t *TiFL) RestoreState(data []byte) error {
 		return errors.New("selection: TiFL not initialized")
 	}
 	var st tiflState
-	if err := decodeState(data, &st); err != nil {
+	if err := checkpoint.DecodeGob("selection: strategy state", data, &st); err != nil {
 		return err
 	}
 	if err := checkVersion("TiFL", st.Version); err != nil {
@@ -110,7 +109,7 @@ func (o *Oort) SnapshotState() ([]byte, error) {
 	if o.rng == nil {
 		return nil, errors.New("selection: Oort not initialized")
 	}
-	return encodeState(oortState{
+	return checkpoint.EncodeGob("selection: strategy state", oortState{
 		Version:  stateVersion,
 		RNG:      o.rng.State(),
 		LastLoss: append([]float64(nil), o.lastLoss...),
@@ -125,7 +124,7 @@ func (o *Oort) RestoreState(data []byte) error {
 		return errors.New("selection: Oort not initialized")
 	}
 	var st oortState
-	if err := decodeState(data, &st); err != nil {
+	if err := checkpoint.DecodeGob("selection: strategy state", data, &st); err != nil {
 		return err
 	}
 	if err := checkVersion("Oort", st.Version); err != nil {
@@ -138,23 +137,6 @@ func (o *Oort) RestoreState(data []byte) error {
 	copy(o.explored, st.Explored)
 	o.epsilon = st.Epsilon
 	o.rng.SetState(st.RNG)
-	return nil
-}
-
-// encodeState gob-encodes one strategy-state struct.
-func encodeState(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("selection: encode state: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// decodeState parses a strategy-state struct.
-func decodeState(data []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
-		return fmt.Errorf("selection: decode state: %w", err)
-	}
 	return nil
 }
 

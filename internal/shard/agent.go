@@ -334,65 +334,57 @@ func (a *Agent) exec(cmd *Cmd) *Report {
 
 // execSync trains every selected client in parallel through the local
 // flnet server — the exchange completes even for stragglers, exactly
-// like the flat coordinator — then applies the root's deadline
-// arithmetic to split selected into reporters/cut/failed and sums the
-// reporters' updates into the unnormalized partial Σ n_r·w_r.
+// like the flat coordinator — then applies the sync outcome rule the
+// root applies (rounds.SyncOutcome) to split selected into
+// reporters/cut/failed and sums the reporters' updates into the
+// unnormalized partial Σ n_r·w_r.
 func (a *Agent) execSync(cmd *Cmd) *Report {
 	sel := cmd.Selected
 	replies := make([]flnet.TrainReply, len(sel))
-	errs := make([]error, len(sel))
+	failed := make([]bool, len(sel))
 	var wg sync.WaitGroup
 	for i, id := range sel {
 		wg.Add(1)
 		go func(i, id int) {
 			defer wg.Done()
-			replies[i], errs[i] = a.cfg.Server.Train(id, cmd.Round, cmd.Params, telemetry.SpanContext{})
+			var err error
+			replies[i], err = a.cfg.Server.Train(id, cmd.Round, cmd.Params, telemetry.SpanContext{})
+			// A client the root believes we own but we never saw is
+			// reported failed rather than silently inventing an update.
+			_, known := a.latency[id]
+			failed[i] = err != nil || !known
 		}(i, id)
 	}
 	wg.Wait()
 
+	var out rounds.SyncOutcome
+	out.Resolve(sel, func(id int) float64 { return a.latency[id] }, a.ack.Deadline, failed, nil)
 	rep := &Report{
 		ShardID:    a.cfg.ShardID,
 		Round:      cmd.Round,
 		Sessions:   a.cfg.Server.Sessions(),
 		Reconnects: a.cfg.Server.Reconnects(),
+		Cut:        out.Cut,
+		Failed:     out.Failed,
 	}
-	deadline := a.ack.Deadline
-	var partial []float64
-	for i, id := range sel {
-		if errs[i] != nil {
-			rep.Failed = append(rep.Failed, id)
-			continue
-		}
-		lat, known := a.latency[id]
-		if !known {
-			// The root believes we own a client we never saw; report it
-			// failed rather than silently inventing an update.
-			rep.Failed = append(rep.Failed, id)
-			continue
-		}
-		if deadline > 0 && lat > deadline {
-			rep.Cut = append(rep.Cut, id)
-			continue
-		}
+	for _, i := range out.Reporters {
 		r := &replies[i]
 		rep.Reporters = append(rep.Reporters, WireResult{
-			ClientID:   id,
+			ClientID:   sel[i],
 			NumSamples: r.NumSamples,
 			Loss:       r.Loss,
 			Summary:    r.UpdatedLabelCounts,
 			Stats:      r.Stats,
 		})
-		if partial == nil {
-			partial = make([]float64, len(r.Params))
+		if rep.Partial == nil {
+			rep.Partial = make([]float64, len(r.Params))
 		}
 		n := float64(r.NumSamples)
 		for j, v := range r.Params {
-			partial[j] += n * v
+			rep.Partial[j] += n * v
 		}
 		rep.Samples += r.NumSamples
 	}
-	rep.Partial = partial
 	return rep
 }
 
