@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet fmt-check build test race fingerprint bench-guard bench bench-json resume-smoke fleet-smoke async-smoke scale-smoke shard-smoke scale-results
+.PHONY: check vet fmt-check build test race fingerprint loc bench-guard bench bench-json resume-smoke fleet-smoke async-smoke scale-smoke shard-smoke scale-results
 
 ## check: the tier-1 gate — vet, gofmt, build, and the full test suite under -race.
 check: vet fmt-check build race
@@ -33,6 +33,12 @@ race:
 ## says so.
 fingerprint:
 	$(GO) run ./benchmark -short -seed 1 | grep '^exact ' | diff tests/golden/benchmark_short_seed1.txt -
+
+## loc: the size of the system — non-test Go lines outside benchmark/.
+## A simplicity PR states its net delta with this one number, the way
+## `make fingerprint` states its behaviour.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l
 
 ## bench-guard: compile and run every benchmark exactly once so a broken
 ## benchmark fails CI without paying full measurement time.

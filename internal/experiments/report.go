@@ -30,20 +30,13 @@ type CompareReport struct {
 	Runs   []StrategyRun
 }
 
-// runComparison executes every strategy on an identically rebuilt
-// workload and engine configuration. build must return a fresh workload
-// per call (given a seed) so no strategy observes another's state; the
-// strategy for index i is produced by strat.
-func runComparison(title string, n int, target float64,
-	build func(seed uint64) (*Workload, EngineConfig),
-	strat func(w *Workload, i int, seed uint64) fl.Strategy) *CompareReport {
-	return runComparisonSeeds(title, n, target, 1, 0, build, strat)
-}
-
-// runComparisonSeeds is runComparison averaged over several seeds
+// runComparisonSeeds executes every strategy on an identically rebuilt
+// workload and engine configuration, averaged over several seeds
 // (baseSeed, baseSeed+101, baseSeed+202, ...): single-seed quick-scale
 // TTA comparisons are noisy, and the paper's curves come from far larger
-// runs, so headline comparisons average a few seeds.
+// runs, so headline comparisons average a few seeds. build must return a
+// fresh workload per call (given a seed) so no strategy observes
+// another's state; the strategy for index i is produced by strat.
 func runComparisonSeeds(title string, n int, target float64, repeats int, baseSeed uint64,
 	build func(seed uint64) (*Workload, EngineConfig),
 	strat func(w *Workload, i int, seed uint64) fl.Strategy) *CompareReport {

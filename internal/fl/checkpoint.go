@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"haccs/internal/checkpoint"
-	"haccs/internal/rounds"
 )
 
 // runStateVersion versions the engine's run-progress payload.
@@ -66,46 +65,12 @@ func (r engineRun) RestoreState(data []byte) error {
 	return nil
 }
 
-// checkpointComponents lists every stateful layer of this run, in a
-// stable naming scheme shared with the flnet coordinator ("model",
-// "driver"/"driver_async", "strategy", "dropout"; "run" is
-// engine-only). The async driver snapshots under its own component
-// name so restoring a snapshot into an engine running the other mode
-// fails loudly at the component table instead of misreading state.
-func (e *Engine) checkpointComponents() []checkpoint.Component {
-	comps := []checkpoint.Component{
-		{Name: "run", S: engineRun{e}},
-		{Name: "model", S: checkpoint.Model{Arch: e.cfg.Arch, Params: e.driver.Global, SetParams: e.driver.SetGlobal}},
-		{Name: driverComponentName(e.cfg.Mode), S: e.driver},
-	}
-	if s, ok := e.strategy.(checkpoint.Snapshotter); ok {
-		comps = append(comps, checkpoint.Component{Name: "strategy", S: s})
-	}
-	if l, ok := e.strategy.(checkpoint.ComponentLister); ok {
-		comps = append(comps, l.ExtraComponents()...)
-	}
-	if d, ok := e.cfg.Dropout.(checkpoint.Snapshotter); ok {
-		comps = append(comps, checkpoint.Component{Name: "dropout", S: d})
-	}
-	if e.cfg.Fleet != nil {
-		comps = append(comps, checkpoint.Component{Name: "fleet", S: e.cfg.Fleet})
-	}
-	return comps
-}
-
-// driverComponentName maps the round-runtime mode to its checkpoint
-// component name.
-func driverComponentName(mode rounds.Mode) string {
-	if mode == rounds.ModeAsync {
-		return "driver_async"
-	}
-	return "driver"
-}
-
 // Snapshot captures the engine's complete run state after roundsDone
-// completed rounds, independent of any configured store.
+// completed rounds, independent of any configured store: the shared
+// component table of every adapter (see rounds.NewRun) plus the
+// engine-only "run" progress component.
 func (e *Engine) Snapshot(roundsDone int) (*checkpoint.Snapshot, error) {
-	return checkpoint.Capture(roundsDone, e.checkpointComponents())
+	return e.run.Snapshot(roundsDone)
 }
 
 // Restore replays a snapshot into a freshly constructed engine, which
@@ -115,17 +80,16 @@ func (e *Engine) Snapshot(roundsDone int) (*checkpoint.Snapshot, error) {
 // schedule). The next Run call continues from the snapshot's round
 // and reproduces the uninterrupted run bit for bit.
 func (e *Engine) Restore(snap *checkpoint.Snapshot) error {
-	if e.roundsDone > 0 || e.startRound > 0 {
+	if e.roundsDone > 0 {
 		return fmt.Errorf("fl: Restore on an engine that has already run %d rounds", e.roundsDone)
 	}
-	if err := snap.Restore(e.checkpointComponents()); err != nil {
+	if err := e.run.Restore(snap); err != nil {
 		return err
 	}
-	e.startRound = snap.Round
 	e.roundsDone = snap.Round
 	return nil
 }
 
 // StartRound returns the round index the next Run call starts from
 // (0 for a fresh engine, the snapshot round after Restore).
-func (e *Engine) StartRound() int { return e.startRound }
+func (e *Engine) StartRound() int { return e.run.NextRound() }

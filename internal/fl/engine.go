@@ -183,12 +183,10 @@ type Engine struct {
 	perClientAcc []float64
 	selected     [][]int
 	roundsDone   int
-	// startRound is where the next Run call begins: 0 for a fresh
-	// engine, the snapshot round after Restore.
-	startRound int
-	// saver persists snapshots on cadence; nil = checkpointing off
-	// (MaybeSave on a nil saver is a zero-alloc no-op).
-	saver *checkpoint.Saver
+	// run is the shared run assembly: the checkpoint component table,
+	// the saver (off without a store, at zero cost to the round hot
+	// path) and where the next Run call begins after Restore.
+	run *rounds.Run
 
 	// met caches the engine's evaluation gauges (nil when metrics are
 	// off); the round-level collectors are owned by the driver.
@@ -202,13 +200,10 @@ type engineMetrics struct {
 	evalLoss *telemetry.Gauge
 }
 
-// trainWallBuckets and virtualBuckets moved to the rounds driver with
-// the collectors that use them; aliased here for tests and callers that
-// referenced the fl-level layouts.
-var (
-	trainWallBuckets = rounds.TrainWallBuckets
-	virtualBuckets   = rounds.VirtualBuckets
-)
+// trainWallBuckets moved to the rounds driver with the collector that
+// uses it; aliased here for the test that referenced the fl-level
+// layout.
+var trainWallBuckets = rounds.TrainWallBuckets
 
 func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
 	if reg == nil {
@@ -272,17 +267,16 @@ func NewEngine(cfg Config, clients []*Client, strategy Strategy) *Engine {
 		OnSummary:       cfg.OnSummary,
 		Fleet:           cfg.Fleet,
 	}
-	if cfg.Mode == rounds.ModeAsync {
-		e.driver = rounds.NewAsyncDriver(rcfg, cfg.Async, localTransport{e}, strategy, initial)
-	} else {
-		e.driver = rounds.NewDriver(rcfg, localTransport{e}, strategy, initial)
+	// The engine's configuration is written by the experiment code, so
+	// an invalid one is a programming error: panic with the typed error.
+	var err error
+	if e.driver, err = rounds.NewRunner(cfg.Mode, rcfg, cfg.Async, localTransport{e}, strategy, initial); err != nil {
+		panic(err)
 	}
-	e.saver = checkpoint.NewSaver(cfg.Checkpoint, cfg.CheckpointEvery, e.checkpointComponents(), cfg.Tracer, cfg.Spans, cfg.Metrics)
+	e.run = rounds.NewRun(e.driver, rcfg, strategy, cfg.Arch, cfg.Checkpoint, cfg.CheckpointEvery,
+		checkpoint.Component{Name: "run", S: engineRun{e}})
 	return e
 }
-
-// ModelBytes returns the simulated wire size of one model transfer.
-func (e *Engine) ModelBytes() int { return e.modelBytes }
 
 // ClientLatency returns a client's expected round latency under the
 // engine's configuration.
@@ -295,7 +289,7 @@ func (e *Engine) ClientLatency(id int) float64 {
 // from the snapshot round; the returned Result spans the whole run,
 // restored prefix included.
 func (e *Engine) Run() *Result {
-	for round := e.startRound; round < e.cfg.MaxRounds; round++ {
+	for round := e.run.NextRound(); round < e.cfg.MaxRounds; round++ {
 		out := e.driver.RunRound(round)
 		e.roundsDone = round + 1
 		if e.cfg.RecordSelections {
@@ -321,9 +315,7 @@ func (e *Engine) Run() *Result {
 		// The snapshot is taken after the round's evaluation so its
 		// history prefix matches what an uninterrupted run would have
 		// accumulated by this point.
-		if _, err := e.saver.MaybeSave(round + 1); err != nil {
-			panic(fmt.Sprintf("fl: checkpoint save after round %d: %v", round+1, err))
-		}
+		e.run.AfterRound(round + 1)
 		if stop {
 			break
 		}

@@ -2,7 +2,6 @@ package flnet
 
 import (
 	"fmt"
-	"time"
 
 	"haccs/internal/checkpoint"
 	"haccs/internal/fleet"
@@ -76,24 +75,12 @@ type CoordinatorConfig struct {
 // through the shared round runtime: the same selection, deadline,
 // partial-aggregation and failure semantics as the in-process engine,
 // with the gob protocol as the transport. Build it after AcceptClients
-// has gathered the full roster.
-type Coordinator struct {
-	srv      *Server
-	driver   rounds.Runner
-	mode     rounds.Mode
-	strategy rounds.Strategy
-	arch     nn.Arch
-	dropout  simnet.DropoutModel
-	fleet    *fleet.Registry
-
-	// saver persists snapshots on cadence (nil = off); startRound is
-	// where the round sequence continues after Restore.
-	saver      *checkpoint.Saver
-	startRound int
-
-	tracer telemetry.Tracer
-	reg    *telemetry.Registry
-}
+// has gathered the full roster. Its run methods — RunRound, Snapshot,
+// Restore, NextRound, Global, Clock, Runner — are the embedded run
+// assembly's: a round over the wire carries the coordinator-level
+// NetRound event and haccs_net_* metrics on top of the driver's own
+// and persists a checkpoint on cadence.
+type Coordinator struct{ *rounds.Run }
 
 // netTransport adapts the Server's registered sessions to the round
 // driver. Parallelism is the roster size so every push in a round goes
@@ -158,7 +145,6 @@ func NewCoordinator(srv *Server, cfg CoordinatorConfig, strategy rounds.Strategy
 		}
 		proxies[r.ClientID] = &netProxy{srv: srv, id: r.ClientID, latency: r.LatencyEstimate, spans: cfg.Spans}
 	}
-	c := &Coordinator{srv: srv, mode: cfg.Mode, strategy: strategy, arch: cfg.Arch, dropout: cfg.Dropout, fleet: cfg.Fleet, tracer: cfg.Tracer, reg: cfg.Metrics}
 	rcfg := rounds.Config{
 		ClientsPerRound: cfg.ClientsPerRound,
 		Deadline:        cfg.Deadline,
@@ -169,108 +155,14 @@ func NewCoordinator(srv *Server, cfg CoordinatorConfig, strategy rounds.Strategy
 		OnSummary:       cfg.OnSummary,
 		Fleet:           cfg.Fleet,
 	}
-	// The coordinator receives user-supplied configuration, so it
-	// validates up front and returns the typed rounds error instead of
-	// letting the driver constructor panic.
-	if cfg.Mode == rounds.ModeAsync {
-		if err := rounds.ValidateAsync(rcfg, cfg.Async); err != nil {
-			return nil, fmt.Errorf("flnet: %w", err)
-		}
-		c.driver = rounds.NewAsyncDriver(rcfg, cfg.Async, netTransport{proxies}, strategy, initial)
-	} else {
-		if err := rcfg.Validate(); err != nil {
-			return nil, fmt.Errorf("flnet: %w", err)
-		}
-		c.driver = rounds.NewDriver(rcfg, netTransport{proxies}, strategy, initial)
+	// The coordinator receives user-supplied configuration, so an
+	// invalid one is returned as the typed rounds error, not a panic.
+	driver, err := rounds.NewRunner(cfg.Mode, rcfg, cfg.Async, netTransport{proxies}, strategy, initial)
+	if err != nil {
+		return nil, fmt.Errorf("flnet: %w", err)
 	}
-	c.saver = checkpoint.NewSaver(cfg.Checkpoint, cfg.CheckpointEvery, c.checkpointComponents(), cfg.Tracer, cfg.Spans, cfg.Metrics)
-	return c, nil
+	return &Coordinator{rounds.NewRun(driver, rcfg, strategy, cfg.Arch, cfg.Checkpoint, cfg.CheckpointEvery)}, nil
 }
-
-// checkpointComponents lists the coordinator's stateful layers under
-// the same component names the fl engine uses, so tooling can read
-// either transport's snapshots.
-func (c *Coordinator) checkpointComponents() []checkpoint.Component {
-	driverName := "driver"
-	if c.mode == rounds.ModeAsync {
-		driverName = "driver_async"
-	}
-	comps := []checkpoint.Component{
-		{Name: "model", S: checkpoint.Model{Arch: c.arch, Params: c.driver.Global, SetParams: c.driver.SetGlobal}},
-		{Name: driverName, S: c.driver},
-	}
-	if s, ok := c.strategy.(checkpoint.Snapshotter); ok {
-		comps = append(comps, checkpoint.Component{Name: "strategy", S: s})
-	}
-	if l, ok := c.strategy.(checkpoint.ComponentLister); ok {
-		comps = append(comps, l.ExtraComponents()...)
-	}
-	if d, ok := c.dropout.(checkpoint.Snapshotter); ok {
-		comps = append(comps, checkpoint.Component{Name: "dropout", S: d})
-	}
-	if c.fleet != nil {
-		comps = append(comps, checkpoint.Component{Name: "fleet", S: c.fleet})
-	}
-	return comps
-}
-
-// Snapshot captures the coordinator's run state after roundsDone
-// completed rounds, independent of any configured store.
-func (c *Coordinator) Snapshot(roundsDone int) (*checkpoint.Snapshot, error) {
-	return checkpoint.Capture(roundsDone, c.checkpointComponents())
-}
-
-// Restore replays a snapshot into a freshly built coordinator: same
-// strategy (constructed and Init-ed with the same roster), same model
-// dimensions, clients re-registered on the new server under their old
-// dense IDs. NextRound then reports where the round sequence
-// continues. Restart recipe: bring up a new Server, let the clients
-// re-register, rebuild and Init the strategy, NewCoordinator, then
-// Restore(store.LoadLatest()).
-func (c *Coordinator) Restore(snap *checkpoint.Snapshot) error {
-	if err := snap.Restore(c.checkpointComponents()); err != nil {
-		return err
-	}
-	c.startRound = snap.Round
-	return nil
-}
-
-// NextRound returns the round index to continue from: 0 on a fresh
-// coordinator, the snapshot round after Restore.
-func (c *Coordinator) NextRound() int { return c.startRound }
-
-// RunRound executes one full round over the wire through the shared
-// driver and reports the outcome (see rounds.Outcome for buffer
-// lifetimes). On top of the driver's round-trace events it emits the
-// coordinator-level NetRound event and haccs_net_* metrics.
-func (c *Coordinator) RunRound(round int) rounds.Outcome {
-	start := time.Now()
-	out := c.driver.RunRound(round)
-	wall := time.Since(start).Seconds()
-	if c.tracer != nil {
-		c.tracer.Emit(telemetry.NetRound(round, append([]int(nil), out.Selected...), wall))
-	}
-	if c.reg != nil {
-		c.reg.Counter("haccs_net_rounds_total", "Coordinator rounds completed.").Inc()
-		c.reg.Histogram("haccs_net_round_seconds", "Wall-clock duration of one coordinator round (push + all replies).", nil).Observe(wall)
-	}
-	if _, err := c.saver.MaybeSave(round + 1); err != nil {
-		panic(fmt.Sprintf("flnet: checkpoint save after round %d: %v", round+1, err))
-	}
-	return out
-}
-
-// Global returns the driver-owned global parameter vector (read-only;
-// overwritten by aggregation each round).
-func (c *Coordinator) Global() []float64 { return c.driver.Global() }
-
-// Clock returns the virtual time elapsed across the coordinated rounds.
-func (c *Coordinator) Clock() float64 { return c.driver.Clock() }
 
 // Dead reports whether a client's session failed in an earlier round.
-func (c *Coordinator) Dead(id int) bool { return c.driver.Dead(id) }
-
-// Runner exposes the underlying round runtime — callers that need
-// mode-specific surfaces (the async driver's introspection state, for
-// example) type-assert on the returned value.
-func (c *Coordinator) Runner() rounds.Runner { return c.driver }
+func (c *Coordinator) Dead(id int) bool { return c.Runner().Dead(id) }

@@ -15,10 +15,10 @@ import (
 	"encoding/gob"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"haccs/internal/fleet"
+	"haccs/internal/session"
 	"haccs/internal/stats"
 	"haccs/internal/telemetry"
 )
@@ -213,240 +213,126 @@ func (c *Client) Serve(conn net.Conn) (rounds int, err error) {
 	}
 }
 
-// session is one registered client on the server side.
-type session struct {
-	reg  Register
-	enc  *gob.Encoder
-	dec  *gob.Decoder
-	conn net.Conn
-}
-
 // Server is the coordinator endpoint: it accepts registrations, then
-// drives synchronized training rounds over the registered clients.
+// drives synchronized training rounds over the registered clients. The
+// listener, the session table, the reconnect loop and the drop rule
+// are internal/session's; what is here is the client hop's own — its
+// messages, its admission policy and its reply validation.
 type Server struct {
-	ln net.Listener
-
-	mu       sync.Mutex
-	sessions map[int]*session
-	// everSeen records every ClientID that has ever held a session, so
-	// a re-registration after a drop (or a silent replacement of a
-	// stale session) counts as a reconnect rather than a fresh join.
-	everSeen   map[int]bool
-	reconnects int
-	closed     bool
-	reconnDone chan struct{}
-
-	// Telemetry (all optional; see EnableTelemetry).
-	reg    *telemetry.Registry
-	tracer telemetry.Tracer
-	http   *telemetry.HTTPServer
+	sess *session.Server[Register]
 }
 
 // NewServer listens on addr (use "127.0.0.1:0" for an ephemeral port).
 func NewServer(addr string) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
+	sess, err := session.Listen("flnet", addr, readRegister)
 	if err != nil {
-		return nil, fmt.Errorf("flnet: listen: %w", err)
+		return nil, err
 	}
-	return &Server{ln: ln, sessions: map[int]*session{}, everSeen: map[int]bool{}}, nil
+	return &Server{sess: sess}, nil
+}
+
+// readRegister is the hop's handshake: the first frame on a connection
+// must be a well-formed envelope carrying a Register.
+func readRegister(dec *gob.Decoder) (int, Register, error) {
+	var env Envelope
+	if err := dec.Decode(&env); err != nil {
+		return 0, Register{}, fmt.Errorf("flnet: bad registration: %w", err)
+	}
+	if err := env.Check(); err != nil {
+		return 0, Register{}, err
+	}
+	if env.Register == nil {
+		return 0, Register{}, envelopeErr(ErrUnexpectedMessage, -1, -1, "expected Register as first message")
+	}
+	return env.Register.ClientID, *env.Register, nil
 }
 
 // Addr returns the server's listen address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.sess.Addr() }
 
-// EnableTelemetry attaches a metrics registry and tracer to the
-// coordinator and, when httpAddr is non-empty, mounts the /metrics
-// (Prometheus text format) and /debug/trace (JSONL tail of ring)
-// endpoints on it, returning the bound address ("" when no endpoint
-// was requested). Pass the ring both here and inside tracer (via
-// telemetry.Combine) when the tail endpoint should see the
-// coordinator's events. Call before AcceptClients; Shutdown stops the
-// endpoint.
-func (s *Server) EnableTelemetry(reg *telemetry.Registry, tracer telemetry.Tracer, ring *telemetry.RingSink, httpAddr string, opts ...telemetry.ServeOption) (string, error) {
-	s.mu.Lock()
-	s.reg = reg
-	s.tracer = tracer
-	s.mu.Unlock()
-	if httpAddr == "" {
-		return "", nil
-	}
-	srv, err := telemetry.Serve(httpAddr, reg, ring, opts...)
-	if err != nil {
-		return "", err
-	}
-	s.mu.Lock()
-	s.http = srv
-	s.mu.Unlock()
-	return srv.Addr(), nil
+// EnableTelemetry attaches a metrics registry to the server (the
+// session gauges and the reconnect counter) and, when httpAddr is
+// non-empty, mounts the /metrics and /debug/trace endpoints on it (see
+// session.Server.EnableTelemetry). The server itself emits no trace
+// events, so the tracer argument is unused: coordinator events come
+// from the CoordinatorConfig's Tracer (combine the ring into that one
+// when the tail endpoint should see them). Call before AcceptClients.
+func (s *Server) EnableTelemetry(reg *telemetry.Registry, _ telemetry.Tracer, ring *telemetry.RingSink, httpAddr string, opts ...telemetry.ServeOption) (string, error) {
+	return s.sess.EnableTelemetry(reg, ring, httpAddr, opts...)
 }
 
 // AcceptClients blocks until n clients have registered (or an accept
-// fails) and returns their registrations. A malformed first message or
-// a Register for an already-registered ClientID closes that connection
-// and fails the accept loop with a typed *EnvelopeError.
+// fails) and returns their registrations. A malformed first message, a
+// dialer that stays silent past the handshake timeout, or a Register
+// for an already-registered ClientID closes that connection and fails
+// the accept loop (with a typed *EnvelopeError for protocol violations).
 func (s *Server) AcceptClients(n int) ([]Register, error) {
 	regs := make([]Register, 0, n)
 	for len(regs) < n {
-		conn, err := s.ln.Accept()
+		c, err := s.sess.Accept()
 		if err != nil {
-			return regs, fmt.Errorf("flnet: accept: %w", err)
-		}
-		sess := &session{
-			enc:  gob.NewEncoder(conn),
-			dec:  gob.NewDecoder(conn),
-			conn: conn,
-		}
-		var env Envelope
-		if err := sess.dec.Decode(&env); err != nil {
-			conn.Close()
-			return regs, fmt.Errorf("flnet: bad registration: %w", err)
-		}
-		if err := env.Check(); err != nil {
-			conn.Close()
 			return regs, err
 		}
-		if env.Register == nil {
-			conn.Close()
-			return regs, envelopeErr(ErrUnexpectedMessage, -1, -1, "expected Register as first message")
+		if !s.sess.Seat(c, false) {
+			return regs, envelopeErr(ErrDuplicateRegister, c.ID, -1, "client already registered")
 		}
-		sess.reg = *env.Register
-		s.mu.Lock()
-		if _, dup := s.sessions[sess.reg.ClientID]; dup {
-			s.mu.Unlock()
-			conn.Close()
-			return regs, envelopeErr(ErrDuplicateRegister, sess.reg.ClientID, -1, "client already registered")
-		}
-		s.sessions[sess.reg.ClientID] = sess
-		s.everSeen[sess.reg.ClientID] = true
-		n := len(s.sessions)
-		reg := s.reg
-		s.mu.Unlock()
-		setSessionGauges(reg, n)
-		regs = append(regs, sess.reg)
+		s.seated(c)
+		regs = append(regs, c.Hello)
 	}
 	return regs, nil
 }
 
-// setSessionGauges publishes the live-session count under both the
-// original registered-clients name (a stable contract since the gauge
-// first shipped) and the churn-oriented sessions-active alias the
-// scale harness scrapes.
-func setSessionGauges(reg *telemetry.Registry, n int) {
-	if reg == nil {
-		return
-	}
-	reg.Gauge("haccs_net_registered_clients", "Clients currently registered with the coordinator.").Set(float64(n))
-	reg.Gauge("haccs_net_sessions_active", "Live client sessions on the coordinator (alias of registered clients, tracked for churn analysis).").Set(float64(n))
-}
-
-// registerTimeout bounds how long the reconnect accept loop waits for
-// a freshly connected socket to send its Register message, so one
-// wedged dialer cannot stall admission of everyone behind it.
-const registerTimeout = 5 * time.Second
-
 // ServeReconnects starts a background accept loop that re-admits
 // clients after AcceptClients has seated the initial fleet: each new
 // connection registers exactly as in AcceptClients, but an already-
-// known ClientID *replaces* its previous session (closing the stale
-// conn) instead of failing — after a client-side drop the server still
-// holds the dead session, and a strict duplicate check would lock the
-// client out forever. Re-registrations of known clients increment
-// haccs_net_reconnects_total. Malformed or slow registrations are
-// dropped without disturbing the loop. The loop exits when the
-// listener closes; Shutdown and Abort wait for it.
+// known ClientID *replaces* its previous session instead of failing
+// (see session.Server.Seat). The loop exits when the listener closes;
+// Shutdown and Abort wait for it.
 func (s *Server) ServeReconnects() {
-	s.mu.Lock()
-	if s.closed || s.reconnDone != nil {
-		s.mu.Unlock()
-		return
-	}
-	done := make(chan struct{})
-	s.reconnDone = done
-	s.mu.Unlock()
-	go func() {
-		defer close(done)
-		for {
-			conn, err := s.ln.Accept()
-			if err != nil {
-				return // listener closed
-			}
-			s.admit(conn)
+	s.sess.ServeReconnects(func(c *session.Conn[Register]) {
+		if s.sess.Seat(c, true) {
+			s.seated(c)
 		}
-	}()
+	})
 }
 
-// admit runs the registration handshake for one reconnecting client.
-func (s *Server) admit(conn net.Conn) {
-	conn.SetReadDeadline(time.Now().Add(registerTimeout))
-	sess := &session{
-		enc:  gob.NewEncoder(conn),
-		dec:  gob.NewDecoder(conn),
-		conn: conn,
-	}
-	var env Envelope
-	if err := sess.dec.Decode(&env); err != nil {
-		conn.Close()
-		return
-	}
-	conn.SetReadDeadline(time.Time{})
-	if env.Check() != nil || env.Register == nil {
-		conn.Close()
-		return
-	}
-	sess.reg = *env.Register
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		conn.Close()
-		return
-	}
-	old := s.sessions[sess.reg.ClientID]
-	s.sessions[sess.reg.ClientID] = sess
-	reconnect := s.everSeen[sess.reg.ClientID]
-	s.everSeen[sess.reg.ClientID] = true
-	if reconnect {
-		s.reconnects++
-	}
-	n := len(s.sessions)
-	reg := s.reg
-	s.mu.Unlock()
-	if old != nil {
-		old.conn.Close()
-	}
-	if reg != nil && reconnect {
+// seated publishes a freshly seated session: a re-registration of a
+// previously seen client (after a drop, or silently replacing a stale
+// session) counts as a reconnect rather than a fresh join.
+func (s *Server) seated(c *session.Conn[Register]) {
+	if reg := s.sess.Registry(); reg != nil && c.Reconnect {
 		reg.Counter("haccs_net_reconnects_total", "Re-registrations of previously seen clients (connection churn).").Inc()
 	}
-	setSessionGauges(reg, n)
+	s.publishSessions()
+}
+
+// publishSessions publishes the live-session count under both the
+// original registered-clients name (a stable contract since the gauge
+// first shipped) and the churn-oriented sessions-active alias the
+// scale harness scrapes. Called wherever the count may have moved: a
+// seat, a failed exchange, teardown.
+func (s *Server) publishSessions() {
+	reg := s.sess.Registry()
+	if reg == nil {
+		return
+	}
+	n := float64(s.sess.Len())
+	reg.Gauge("haccs_net_registered_clients", "Clients currently registered with the coordinator.").Set(n)
+	reg.Gauge("haccs_net_sessions_active", "Live client sessions on the coordinator (alias of registered clients, tracked for churn analysis).").Set(n)
 }
 
 // Sessions returns the number of live client sessions — the shard
 // agent piggybacks it on every report so the root can export merged
 // session gauges without scraping the shards.
-func (s *Server) Sessions() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.sessions)
-}
+func (s *Server) Sessions() int { return s.sess.Len() }
 
 // Reconnects returns the cumulative count of re-registrations of
 // previously seen clients (the counter behind
 // haccs_net_reconnects_total, available without a registry).
-func (s *Server) Reconnects() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.reconnects
-}
+func (s *Server) Reconnects() int { return s.sess.Reconnects() }
 
 // Registrations returns a snapshot of all registered clients.
-func (s *Server) Registrations() []Register {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Register, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		out = append(out, sess.reg)
-	}
-	return out
-}
+func (s *Server) Registrations() []Register { return s.sess.Peers() }
 
 // Train runs one request/reply exchange with a single registered
 // client: push the global parameters for the round, decode and validate
@@ -460,113 +346,46 @@ func (s *Server) Registrations() []Register {
 // rounds, and returns the error (typed *EnvelopeError for protocol
 // violations) for the driver to record as a client failure.
 func (s *Server) Train(clientID, round int, params []float64, sc telemetry.SpanContext) (TrainReply, error) {
-	s.mu.Lock()
-	sess, ok := s.sessions[clientID]
-	s.mu.Unlock()
-	if !ok {
-		return TrainReply{}, envelopeErr(ErrNotRegistered, clientID, round, "no live session")
-	}
-	if err := sess.enc.Encode(Envelope{Request: &TrainRequest{Round: round, Params: params, Trace: sc}}); err != nil {
-		s.dropSession(clientID, sess)
-		return TrainReply{}, fmt.Errorf("flnet: push to client %d: %w", clientID, err)
-	}
 	var env Envelope
-	if err := sess.dec.Decode(&env); err != nil {
-		s.dropSession(clientID, sess)
-		return TrainReply{}, fmt.Errorf("flnet: receive from client %d: %w", clientID, err)
-	}
-	reply, err := checkReply(&env, clientID, round, sc)
-	if err == nil {
-		err = checkUpdate(reply, len(params))
-	}
+	var reply *TrainReply
+	err := s.sess.Exchange(clientID, Envelope{Request: &TrainRequest{Round: round, Params: params, Trace: sc}}, &env, func() (err error) {
+		if reply, err = checkReply(&env, clientID, round, sc); err == nil {
+			err = checkUpdate(reply, len(params))
+		}
+		return err
+	})
 	if err != nil {
-		s.dropSession(clientID, sess)
+		if err == session.ErrNoSession {
+			err = envelopeErr(ErrNotRegistered, clientID, round, "no live session")
+		}
+		s.publishSessions()
 		return TrainReply{}, err
 	}
 	return *reply, nil
 }
 
-// dropSession closes and forgets one client session (after a transport
-// or protocol error). The drop is pointer-matched: it only removes the
-// exact session the failure happened on, so a Train failure racing a
-// reconnect cannot evict the client's fresh replacement session.
-// Future Train calls for a truly dropped client fail fast with
-// ErrNotRegistered.
-func (s *Server) dropSession(clientID int, failed *session) {
-	s.mu.Lock()
-	cur, ok := s.sessions[clientID]
-	if ok && cur == failed {
-		delete(s.sessions, clientID)
-	} else {
-		ok = false
-	}
-	n := len(s.sessions)
-	reg := s.reg
-	s.mu.Unlock()
-	failed.conn.Close()
-	if ok {
-		setSessionGauges(reg, n)
-	}
-}
-
 // Close shuts down every session and the listener; see Shutdown.
-func (s *Server) Close() error { return s.ShutdownReason("done") }
+func (s *Server) Close() error { return s.stop(Envelope{Shutdown: &Shutdown{Reason: "done"}}) }
 
 // Shutdown gracefully stops the coordinator: every registered client
 // receives a Shutdown message (so Client.Run returns nil instead of a
-// receive error) before its connection closes, the listener stops, and
-// the telemetry HTTP endpoint (if any) drains and exits. Safe to call
-// more than once. No coordinator goroutines survive the call — the
-// shutdown-audit test counts them.
-func (s *Server) Shutdown() error { return s.ShutdownReason("shutdown") }
-
-// ShutdownReason is Shutdown with an explicit reason forwarded to the
-// clients.
-func (s *Server) ShutdownReason(reason string) error {
-	return s.teardown(&Shutdown{Reason: reason})
-}
+// receive error) before the session layer tears down (see
+// session.Server.Teardown). Safe to call more than once; no coordinator
+// goroutines survive the call — the shutdown-audit test counts them.
+func (s *Server) Shutdown() error { return s.stop(Envelope{Shutdown: &Shutdown{Reason: "shutdown"}}) }
 
 // Abort tears the coordinator down without sending Shutdown envelopes:
 // connections are simply closed, so clients observe a receive error —
 // exactly what a coordinator crash looks like from the fleet. The
 // scale harness uses it to inject a mid-run kill before exercising
 // checkpoint resume; production code should call Shutdown.
-func (s *Server) Abort() error {
-	return s.teardown(nil)
-}
+func (s *Server) Abort() error { return s.stop(nil) }
 
-// teardown closes sessions (sending farewell first when non-nil), the
-// listener, the reconnect loop and the telemetry endpoint. Safe to
-// call more than once.
-func (s *Server) teardown(farewell *Shutdown) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	for _, sess := range s.sessions {
-		if farewell != nil {
-			_ = sess.enc.Encode(Envelope{Shutdown: farewell})
-		}
-		sess.conn.Close()
-	}
-	s.sessions = map[int]*session{}
-	httpSrv := s.http
-	s.http = nil
-	reg := s.reg
-	reconnDone := s.reconnDone
-	s.mu.Unlock()
-	setSessionGauges(reg, 0)
-	err := s.ln.Close()
-	if reconnDone != nil {
-		<-reconnDone
-	}
-	if httpSrv != nil {
-		if herr := httpSrv.Close(); err == nil {
-			err = herr
-		}
-	}
+// stop tears the session layer down (farewell nil = none) and zeroes
+// the session gauges.
+func (s *Server) stop(farewell any) error {
+	err := s.sess.Teardown(farewell)
+	s.publishSessions()
 	return err
 }
 

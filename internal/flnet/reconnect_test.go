@@ -76,38 +76,6 @@ func TestServeReconnectsReadmitsDroppedClient(t *testing.T) {
 	}
 }
 
-func TestDropSessionIsPointerMatched(t *testing.T) {
-	srv, err := NewServer("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("server: %v", err)
-	}
-	defer srv.Close()
-
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	c := &Client{Reg: RegisterFromSummary(0, []float64{1}, nil, 0.5, 10), Trainer: echoTrainer(0, 0)}
-	go c.Serve(conn)
-	if _, err := srv.AcceptClients(1); err != nil {
-		t.Fatalf("accept: %v", err)
-	}
-	srv.mu.Lock()
-	stale := srv.sessions[0]
-	fresh := &session{reg: stale.reg, enc: stale.enc, dec: stale.dec, conn: stale.conn}
-	srv.sessions[0] = fresh
-	srv.mu.Unlock()
-
-	// Dropping the *stale* pointer must not evict the fresh session.
-	srv.dropSession(0, stale)
-	srv.mu.Lock()
-	got := srv.sessions[0]
-	srv.mu.Unlock()
-	if got != fresh {
-		t.Fatal("dropSession evicted a session it did not own")
-	}
-}
-
 func TestAbortLooksLikeACrashToClients(t *testing.T) {
 	srv, err := NewServer("127.0.0.1:0")
 	if err != nil {

@@ -67,8 +67,6 @@ type Fleet struct {
 
 	mu    sync.Mutex
 	conns map[int]net.Conn
-
-	dials atomic.Int64
 }
 
 // redialBackoff spaces redial attempts so a dead coordinator is not
@@ -95,16 +93,6 @@ func StartFleet(cfg FleetConfig, addr string) (*Fleet, error) {
 // SetTarget points subsequent (re)dials at a new coordinator address —
 // the crash+resume leg moves the fleet to the restarted server's port.
 func (f *Fleet) SetTarget(addr string) { f.target.Store(addr) }
-
-// Dials returns the total dial attempts so far (diagnostics).
-func (f *Fleet) Dials() int64 { return f.dials.Load() }
-
-// Live returns the number of clients currently holding a connection.
-func (f *Fleet) Live() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.conns)
-}
 
 // Storm abruptly closes up to n live client connections — a staged
 // reconnect storm. The victims' serve loops fail, back off, and
@@ -177,7 +165,6 @@ func (f *Fleet) clientLoop(id int) {
 		if f.cfg.Route != nil {
 			addr = f.cfg.Route(id)
 		}
-		f.dials.Add(1)
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			// Coordinator down (crash leg) or listen backlog overrun

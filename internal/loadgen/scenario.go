@@ -77,22 +77,6 @@ func (c MatrixConfig) withDefaults() MatrixConfig {
 	return c
 }
 
-// DefaultLegs is the canonical scenario matrix the committed scale
-// results run: a sync leg with a deadline that cuts heavy-tail
-// stragglers, an async leg over the same heavy tail, a reconnect
-// storm, and a coordinator crash + checkpoint resume.
-func DefaultLegs(roundsPerLeg, k int) []Leg {
-	return []Leg{
-		{Name: "sync", Rounds: roundsPerLeg, K: k, Deadline: 8},
-		{Name: "async", Mode: rounds.ModeAsync, Rounds: roundsPerLeg, K: k,
-			Async: rounds.AsyncConfig{BufferK: max(1, k/2), MaxStaleness: 16}},
-		{Name: "storm", Rounds: roundsPerLeg, K: k, Deadline: 8, StormFraction: 0.25},
-		{Name: "crash", Rounds: roundsPerLeg, K: k, Deadline: 8, Crash: true},
-		{Name: "sharded", Rounds: roundsPerLeg, K: k, Deadline: 8, Shards: 4,
-			StormFraction: 1, Crash: true},
-	}
-}
-
 // LegResult is everything the report renders for one leg. Every field
 // except the wall clock and pass/fail bookkeeping is computed from
 // /metrics and /debug/fleet scrapes — the harness has no private

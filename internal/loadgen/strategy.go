@@ -1,41 +1,11 @@
 package loadgen
 
-import "haccs/internal/stats"
+import "haccs/internal/rounds"
 
-// UniformStrategy selects k clients uniformly at random from the
-// available set each round. The harness deliberately uses the
-// simplest possible strategy: the scale results measure the transport
-// and round runtime, and a uniform draw keeps selection cost and bias
-// out of the numbers. It holds no model state, so the crash+resume leg
-// rebuilds it fresh (it is not a checkpoint.Snapshotter).
-type UniformStrategy struct {
-	rng *stats.RNG
-	ids []int // scratch, reused across rounds
-}
+// UniformStrategy is the harness's selection strategy: the uniform
+// sampler shared with the shard agents (see rounds.UniformStrategy),
+// under the name the harness and the CLIs have always used.
+type UniformStrategy = rounds.UniformStrategy
 
 // NewUniformStrategy seeds the selection stream.
-func NewUniformStrategy(seed uint64) *UniformStrategy {
-	return &UniformStrategy{rng: stats.NewRNG(seed)}
-}
-
-// Select implements rounds.Strategy with a partial Fisher-Yates over
-// the available IDs.
-func (s *UniformStrategy) Select(round int, available []bool, k int) []int {
-	s.ids = s.ids[:0]
-	for id, ok := range available {
-		if ok {
-			s.ids = append(s.ids, id)
-		}
-	}
-	if k > len(s.ids) {
-		k = len(s.ids)
-	}
-	for i := 0; i < k; i++ {
-		j := i + s.rng.Intn(len(s.ids)-i)
-		s.ids[i], s.ids[j] = s.ids[j], s.ids[i]
-	}
-	return append([]int(nil), s.ids[:k]...)
-}
-
-// Update implements rounds.Strategy; a uniform sampler learns nothing.
-func (s *UniformStrategy) Update(round int, selected []int, losses []float64) {}
+func NewUniformStrategy(seed uint64) *UniformStrategy { return rounds.NewUniformStrategy(seed) }

@@ -208,9 +208,6 @@ func writeAmplitude(dst, counts []float64) {
 	}
 }
 
-// Roster returns the shard's client slice as announced to the root.
-func (a *Agent) Roster() []rounds.ShardClient { return a.roster }
-
 // Close stops the agent: the current root connection is torn down and
 // Run returns after its in-flight exchange (if any) fails.
 func (a *Agent) Close() {
@@ -492,7 +489,7 @@ func (a *Agent) buildLocalDriver(dim int) error {
 		return fmt.Errorf("shard %d: local async driver: %w", a.cfg.ShardID, err)
 	}
 	seed := stats.DeriveSeed(a.cfg.StrategySeed, uint64(a.cfg.ShardID))
-	a.local = rounds.NewAsyncDriver(cfg, acfg, localTransport{proxies}, newLocalUniform(seed), make([]float64, dim))
+	a.local = rounds.NewAsyncDriver(cfg, acfg, localTransport{proxies}, rounds.NewUniformStrategy(seed), make([]float64, dim))
 	a.prev = make([]float64, dim)
 	return nil
 }
@@ -532,35 +529,3 @@ func (p *localProxy) Train(round, worker, slot int, params []float64, sc telemet
 }
 
 func (p *localProxy) Latency() float64 { return p.latency }
-
-// localUniform is a self-contained uniform sampler (partial
-// Fisher-Yates over the available set) for shard-local async
-// selection; the heterogeneity awareness lives in the root's θ-budget
-// plan, not in the within-shard draw.
-type localUniform struct {
-	rng *stats.RNG
-	ids []int
-}
-
-func newLocalUniform(seed uint64) *localUniform {
-	return &localUniform{rng: stats.NewRNG(seed)}
-}
-
-func (s *localUniform) Select(round int, available []bool, k int) []int {
-	s.ids = s.ids[:0]
-	for i, ok := range available {
-		if ok {
-			s.ids = append(s.ids, i)
-		}
-	}
-	if k > len(s.ids) {
-		k = len(s.ids)
-	}
-	for i := 0; i < k; i++ {
-		j := i + s.rng.Intn(len(s.ids)-i)
-		s.ids[i], s.ids[j] = s.ids[j], s.ids[i]
-	}
-	return append([]int(nil), s.ids[:k]...)
-}
-
-func (s *localUniform) Update(round int, selected []int, losses []float64) {}

@@ -29,7 +29,7 @@ func StatusHandler(statuses func() []rounds.ShardStatus) http.Handler {
 // FleetHandler serves the root's merged fleet registry like
 // fleet.Handler — indented JSON, ?format=table, ?sort= — with one
 // addition: ?shard=<id> restricts the client rows to the slice owned
-// by that shard (ownerID is Root.OwnerID). The fleet-wide aggregates
+// by that shard (ownerID maps a client to its shard ID, e.g. Ring.Owner). The fleet-wide aggregates
 // (rounds, clock, fairness) stay global: they describe the run, not
 // the slice.
 func FleetHandler(reg *fleet.Registry, ownerID func(clientID int) int) http.Handler {

@@ -3,143 +3,101 @@ package shard
 import (
 	"encoding/gob"
 	"fmt"
-	"net"
 	"sort"
 	"sync"
-	"time"
 
 	"haccs/internal/checkpoint"
 	"haccs/internal/fleet"
 	"haccs/internal/nn"
 	"haccs/internal/rounds"
+	"haccs/internal/session"
 	"haccs/internal/simnet"
 	"haccs/internal/telemetry"
 )
 
-// shardSession is one connected shard on the root side.
-type shardSession struct {
-	hello Hello
-	enc   *gob.Encoder
-	dec   *gob.Decoder
-	conn  net.Conn
-}
-
 // RootServer is the root aggregator's transport endpoint: it accepts
 // shard Hellos, replays Acks to reconnecting shards, and runs the
-// Cmd/Report exchange the hierarchical driver's proxies call. It
-// mirrors flnet.Server one level up the tree, with the same failure
-// responses: a protocol violation or transport error drops the shard
-// session (the round runtime then treats the shard as failed for the
-// round), and a reconnecting shard replaces its stale session after
-// roster validation.
+// Cmd/Report exchange the hierarchical driver's proxies call. It sits
+// on the same session layer as flnet.Server one level down
+// (internal/session): a protocol violation or transport error drops
+// the shard session, and the round runtime then treats the shard as
+// failed for the round. What is here is the shard hop's own admission
+// policy — the Ack is deferred until the plan exists, and a
+// reconnecting shard replaces its stale session only after re-offering
+// the roster of its first Hello.
 type RootServer struct {
-	ln net.Listener
+	sess *session.Server[Hello]
 
-	mu       sync.Mutex
-	sessions map[int]*shardSession
+	mu sync.Mutex
 	// hellos pins each shard's first-announced roster; reconnects must
 	// re-offer it exactly (the partition is fixed for the run).
-	hellos     map[int]Hello
-	acks       map[int]Ack
-	nextRound  func() int
-	reconnects int
-	closed     bool
-	reconnDone chan struct{}
-
-	reg    *telemetry.Registry
-	tracer telemetry.Tracer
-	http   *telemetry.HTTPServer
+	hellos    map[int]Hello
+	acks      map[int]Ack
+	nextRound func() int
 }
 
 // NewRootServer listens on addr (use "127.0.0.1:0" for an ephemeral
 // port).
 func NewRootServer(addr string) (*RootServer, error) {
-	ln, err := net.Listen("tcp", addr)
+	sess, err := session.Listen("shard", addr, readHello)
 	if err != nil {
-		return nil, fmt.Errorf("shard: listen: %w", err)
+		return nil, err
 	}
-	return &RootServer{
-		ln:       ln,
-		sessions: map[int]*shardSession{},
-		hellos:   map[int]Hello{},
-	}, nil
+	return &RootServer{sess: sess, hellos: map[int]Hello{}}, nil
+}
+
+// readHello is the hop's handshake: the first frame on a connection
+// must be a well-formed envelope carrying a consistent Hello.
+func readHello(dec *gob.Decoder) (int, Hello, error) {
+	var env Envelope
+	if err := dec.Decode(&env); err != nil {
+		return 0, Hello{}, fmt.Errorf("shard: bad hello: %w", err)
+	}
+	if err := env.Check(); err != nil {
+		return 0, Hello{}, err
+	}
+	if env.Hello == nil {
+		return 0, Hello{}, protoErr(ErrUnexpectedMessage, -1, -1, "expected Hello as first message")
+	}
+	if err := env.Hello.check(); err != nil {
+		return 0, Hello{}, err
+	}
+	return env.Hello.ShardID, *env.Hello, nil
 }
 
 // Addr returns the root's listen address.
-func (s *RootServer) Addr() string { return s.ln.Addr().String() }
+func (s *RootServer) Addr() string { return s.sess.Addr() }
 
-// EnableTelemetry attaches a metrics registry and tracer and, when
-// httpAddr is non-empty, mounts /metrics and /debug/trace (plus any
-// extra endpoints passed as options — the root adds /debug/shards and
-// the shard-filtered /debug/fleet) on it, returning the bound address.
-func (s *RootServer) EnableTelemetry(reg *telemetry.Registry, tracer telemetry.Tracer, ring *telemetry.RingSink, httpAddr string, opts ...telemetry.ServeOption) (string, error) {
-	s.mu.Lock()
-	s.reg = reg
-	s.tracer = tracer
-	s.mu.Unlock()
-	if httpAddr == "" {
-		return "", nil
-	}
-	srv, err := telemetry.Serve(httpAddr, reg, ring, opts...)
-	if err != nil {
-		return "", err
-	}
-	s.mu.Lock()
-	s.http = srv
-	s.mu.Unlock()
-	return srv.Addr(), nil
+// EnableTelemetry attaches a metrics registry (the shard-reconnect
+// counter) and, when httpAddr is non-empty, mounts /metrics and
+// /debug/trace on it, plus the endpoints passed as options — the root
+// adds /debug/shards and the shard-filtered /debug/fleet (see
+// session.Server.EnableTelemetry). The server itself emits no trace
+// events, so the tracer argument is unused: the root's events come
+// from the RootConfig's Tracer.
+func (s *RootServer) EnableTelemetry(reg *telemetry.Registry, _ telemetry.Tracer, ring *telemetry.RingSink, httpAddr string, opts ...telemetry.ServeOption) (string, error) {
+	return s.sess.EnableTelemetry(reg, ring, httpAddr, opts...)
 }
 
 // AcceptShards blocks until n distinct shards have said Hello (or an
 // accept fails) and returns their Hellos sorted by shard ID. No Acks
 // are sent yet: the root's plan (θ budgets, mode parameters) needs
 // every shard's representatives, so NewRoot computes it over the full
-// set and sends the Acks then. A malformed Hello or a duplicate shard
-// ID closes that connection and fails the accept with a typed
-// *ProtocolError.
+// set and sends the Acks then. A malformed Hello, a dialer that stays
+// silent past the handshake timeout, or a duplicate shard ID closes
+// that connection and fails the accept (with a typed *ProtocolError
+// for protocol violations).
 func (s *RootServer) AcceptShards(n int) ([]Hello, error) {
-	for {
-		s.mu.Lock()
-		have := len(s.sessions)
-		s.mu.Unlock()
-		if have >= n {
-			break
-		}
-		conn, err := s.ln.Accept()
+	for s.sess.Len() < n {
+		c, err := s.sess.Accept()
 		if err != nil {
-			return nil, fmt.Errorf("shard: accept: %w", err)
-		}
-		sess := &shardSession{
-			enc:  gob.NewEncoder(conn),
-			dec:  gob.NewDecoder(conn),
-			conn: conn,
-		}
-		var env Envelope
-		if err := sess.dec.Decode(&env); err != nil {
-			conn.Close()
-			return nil, fmt.Errorf("shard: bad hello: %w", err)
-		}
-		if err := env.Check(); err != nil {
-			conn.Close()
 			return nil, err
 		}
-		if env.Hello == nil {
-			conn.Close()
-			return nil, protoErr(ErrUnexpectedMessage, -1, -1, "expected Hello as first message")
+		if !s.sess.Seat(c, false) {
+			return nil, protoErr(ErrDuplicateShard, c.ID, -1, "shard already connected")
 		}
-		if err := env.Hello.check(); err != nil {
-			conn.Close()
-			return nil, err
-		}
-		sess.hello = *env.Hello
 		s.mu.Lock()
-		if _, dup := s.sessions[sess.hello.ShardID]; dup {
-			s.mu.Unlock()
-			conn.Close()
-			return nil, protoErr(ErrDuplicateShard, sess.hello.ShardID, -1, "shard already connected")
-		}
-		s.sessions[sess.hello.ShardID] = sess
-		s.hellos[sess.hello.ShardID] = sess.hello
+		s.hellos[c.ID] = c.Hello
 		s.mu.Unlock()
 	}
 	return s.Hellos(), nil
@@ -158,30 +116,35 @@ func (s *RootServer) Hellos() []Hello {
 }
 
 // setPlan stores the per-shard Acks and pushes them to every connected
-// shard; reconnecting shards get theirs replayed (with a fresh
-// NextRound) by the admission loop. Called by NewRoot once the plan is
-// computed over the full Hello set.
+// shard; reconnecting shards get theirs replayed by the admission
+// policy. Called by NewRoot once the plan is computed over the full
+// Hello set.
 func (s *RootServer) setPlan(acks map[int]Ack, nextRound func() int) error {
 	s.mu.Lock()
 	s.acks = acks
 	s.nextRound = nextRound
-	sessions := make([]*shardSession, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		sessions = append(sessions, sess)
-	}
 	s.mu.Unlock()
-	for _, sess := range sessions {
-		ack, ok := acks[sess.hello.ShardID]
-		if !ok {
-			continue
-		}
-		ack.NextRound = nextRound()
-		if err := sess.enc.Encode(Envelope{Ack: &ack}); err != nil {
-			s.dropSession(sess.hello.ShardID, sess)
-			return fmt.Errorf("shard: ack shard %d: %w", sess.hello.ShardID, err)
+	for _, h := range s.sess.Peers() {
+		if err := s.sendAck(h.ShardID); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// sendAck pushes a shard its planned Ack stamped with the current round
+// position; a shard the plan does not cover (or any shard before
+// setPlan) gets nothing yet.
+func (s *RootServer) sendAck(shardID int) error {
+	s.mu.Lock()
+	ack, ok := s.acks[shardID]
+	next := s.nextRound
+	s.mu.Unlock()
+	if !ok {
+		return nil
+	}
+	ack.NextRound = next()
+	return s.sess.Send(shardID, Envelope{Ack: &ack})
 }
 
 // ServeReconnects starts the background admission loop for shards
@@ -189,104 +152,40 @@ func (s *RootServer) setPlan(acks map[int]Ack, nextRound func() int) error {
 // where every shard redials a fresh RootServer that learned the
 // rosters from AcceptShards again). The loop exits when the listener
 // closes; Shutdown and Abort wait for it.
-func (s *RootServer) ServeReconnects() {
+func (s *RootServer) ServeReconnects() { s.sess.ServeReconnects(s.admit) }
+
+// admit is the reconnect policy: the re-offered roster must match the
+// original Hello exactly (the partition is fixed for the run), after
+// which the stale session is replaced and the stored Ack replayed with
+// the current round position.
+func (s *RootServer) admit(c *session.Conn[Hello]) {
 	s.mu.Lock()
-	if s.closed || s.reconnDone != nil {
-		s.mu.Unlock()
-		return
-	}
-	done := make(chan struct{})
-	s.reconnDone = done
+	known, seen := s.hellos[c.ID]
 	s.mu.Unlock()
-	go func() {
-		defer close(done)
-		for {
-			conn, err := s.ln.Accept()
-			if err != nil {
-				return // listener closed
-			}
-			s.admit(conn)
-		}
-	}()
-}
-
-// reconnectTimeout bounds how long the admission loop waits for a
-// fresh connection's Hello so one wedged dialer cannot stall everyone
-// behind it.
-const reconnectTimeout = 5 * time.Second
-
-// admit runs the handshake for one reconnecting shard: the re-offered
-// roster must match the original Hello exactly (the partition is fixed
-// for the run), after which the stale session is replaced and the
-// stored Ack replayed with the current round position.
-func (s *RootServer) admit(conn net.Conn) {
-	conn.SetReadDeadline(time.Now().Add(reconnectTimeout))
-	sess := &shardSession{
-		enc:  gob.NewEncoder(conn),
-		dec:  gob.NewDecoder(conn),
-		conn: conn,
-	}
-	var env Envelope
-	if err := sess.dec.Decode(&env); err != nil {
-		conn.Close()
-		return
-	}
-	conn.SetReadDeadline(time.Time{})
-	if env.Check() != nil || env.Hello == nil || env.Hello.check() != nil {
-		conn.Close()
-		return
-	}
-	sess.hello = *env.Hello
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		conn.Close()
-		return
-	}
-	known, seen := s.hellos[sess.hello.ShardID]
-	if !seen || !sameRoster(known.Clients, sess.hello.Clients) {
+	if !seen || !sameRoster(known.Clients, c.Hello.Clients) {
 		// An unknown shard mid-run, or a shard trying to change its
 		// slice: refuse (the typed error is advisory — the agent will
 		// keep redialing and keep being refused, which is the correct
 		// steady state until the operator fixes the ring).
-		s.mu.Unlock()
 		kind := ErrRosterMismatch
 		if !seen {
 			kind = ErrNotConnected
 		}
-		_ = sess.enc.Encode(Envelope{Bye: &Bye{Reason: protoErr(kind, sess.hello.ShardID, -1, "reconnect refused").Error()}})
-		conn.Close()
+		c.Reject(Envelope{Bye: &Bye{Reason: protoErr(kind, c.ID, -1, "reconnect refused").Error()}})
 		return
 	}
-	old := s.sessions[sess.hello.ShardID]
-	s.sessions[sess.hello.ShardID] = sess
-	s.reconnects++
-	ack, haveAck := s.acks[sess.hello.ShardID]
-	next := s.nextRound
-	reg := s.reg
-	s.mu.Unlock()
-	if old != nil {
-		old.conn.Close()
+	if !s.sess.Seat(c, true) {
+		return
 	}
-	if reg != nil {
+	if reg := s.sess.Registry(); reg != nil {
 		reg.Counter("haccs_root_shard_reconnects_total", "Shard re-registrations with the root (uplink churn).").Inc()
 	}
-	if haveAck {
-		if next != nil {
-			ack.NextRound = next()
-		}
-		if err := sess.enc.Encode(Envelope{Ack: &ack}); err != nil {
-			s.dropSession(sess.hello.ShardID, sess)
-		}
-	}
+	// A failed replay has already dropped the session; the shard redials.
+	_ = s.sendAck(c.ID)
 }
 
 // ShardReconnects returns the cumulative count of shard re-admissions.
-func (s *RootServer) ShardReconnects() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.reconnects
-}
+func (s *RootServer) ShardReconnects() int { return s.sess.Reconnects() }
 
 // exec runs one Cmd/Report exchange with a single connected shard —
 // the transport primitive behind the hierarchical driver's proxies.
@@ -294,47 +193,20 @@ func (s *RootServer) ShardReconnects() int {
 // through ServeReconnects) and surfaces to the driver as a whole-shard
 // round failure.
 func (s *RootServer) exec(shardID int, cmd Cmd) (*Report, error) {
-	s.mu.Lock()
-	sess, ok := s.sessions[shardID]
-	s.mu.Unlock()
-	if !ok {
-		return nil, protoErr(ErrNotConnected, shardID, cmd.Round, "no live session")
-	}
-	if err := sess.enc.Encode(Envelope{Cmd: &cmd}); err != nil {
-		s.dropSession(shardID, sess)
-		return nil, fmt.Errorf("shard: push to shard %d: %w", shardID, err)
-	}
 	var env Envelope
-	if err := sess.dec.Decode(&env); err != nil {
-		s.dropSession(shardID, sess)
-		return nil, fmt.Errorf("shard: receive from shard %d: %w", shardID, err)
+	var rep *Report
+	err := s.sess.Exchange(shardID, Envelope{Cmd: &cmd}, &env, func() (err error) {
+		rep, err = checkReport(&env, shardID, cmd.Round)
+		return err
+	})
+	if err == session.ErrNoSession {
+		err = protoErr(ErrNotConnected, shardID, cmd.Round, "no live session")
 	}
-	rep, err := checkReport(&env, shardID, cmd.Round)
-	if err != nil {
-		s.dropSession(shardID, sess)
-		return nil, err
-	}
-	return rep, nil
-}
-
-// dropSession closes and forgets one shard session. Pointer-matched so
-// a round failure racing a reconnect cannot evict the shard's fresh
-// replacement session.
-func (s *RootServer) dropSession(shardID int, failed *shardSession) {
-	s.mu.Lock()
-	if cur, ok := s.sessions[shardID]; ok && cur == failed {
-		delete(s.sessions, shardID)
-	}
-	s.mu.Unlock()
-	failed.conn.Close()
+	return rep, err
 }
 
 // Sessions returns the number of live shard sessions.
-func (s *RootServer) Sessions() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.sessions)
-}
+func (s *RootServer) Sessions() int { return s.sess.Len() }
 
 // Close shuts the root down gracefully; see Shutdown.
 func (s *RootServer) Close() error { return s.Shutdown() }
@@ -342,43 +214,15 @@ func (s *RootServer) Close() error { return s.Shutdown() }
 // Shutdown gracefully stops the root: every connected shard receives a
 // Bye (so Agent.Run returns nil), the listener and admission loop
 // stop, and the telemetry endpoint drains.
-func (s *RootServer) Shutdown() error { return s.teardown(&Bye{Reason: "shutdown"}) }
+func (s *RootServer) Shutdown() error {
+	return s.sess.Teardown(Envelope{Bye: &Bye{Reason: "shutdown"}})
+}
 
 // Abort tears the root down without farewells: connections close, so
 // shards observe a receive error and start redialing — exactly what a
 // root crash looks like from below. The scale harness uses it to
 // inject a mid-run kill before exercising checkpoint resume.
-func (s *RootServer) Abort() error { return s.teardown(nil) }
-
-func (s *RootServer) teardown(farewell *Bye) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	for _, sess := range s.sessions {
-		if farewell != nil {
-			_ = sess.enc.Encode(Envelope{Bye: farewell})
-		}
-		sess.conn.Close()
-	}
-	s.sessions = map[int]*shardSession{}
-	httpSrv := s.http
-	s.http = nil
-	reconnDone := s.reconnDone
-	s.mu.Unlock()
-	err := s.ln.Close()
-	if reconnDone != nil {
-		<-reconnDone
-	}
-	if httpSrv != nil {
-		if herr := httpSrv.Close(); err == nil {
-			err = herr
-		}
-	}
-	return err
-}
+func (s *RootServer) Abort() error { return s.sess.Teardown(nil) }
 
 // RootConfig parameterizes the hierarchical root runtime. It mirrors
 // flnet.CoordinatorConfig with the hierarchical additions: the async
@@ -434,23 +278,17 @@ type RootConfig struct {
 // AcceptShards has gathered the full shard set; construction computes
 // the θ-budget plan and sends every shard its Ack.
 type Root struct {
-	srv      *RootServer
-	driver   *rounds.HierDriver
-	strategy rounds.Strategy
-	arch     nn.Arch
-	dropout  simnet.DropoutModel
-	fleet    *fleet.Registry
-
-	saver *checkpoint.Saver
-
-	mu         sync.Mutex
-	startRound int
-	statuses   []rounds.ShardStatus
+	*rounds.Run
+	srv    *RootServer
+	driver *rounds.HierDriver
+	reg    *telemetry.Registry
 
 	budgets map[int]int
 
-	tracer telemetry.Tracer
-	reg    *telemetry.Registry
+	// statuses is the /debug/shards view, refreshed at every round
+	// boundary so the handler never reads the driver mid-round.
+	mu       sync.Mutex
+	statuses []rounds.ShardStatus
 }
 
 // rootProxy adapts one shard session to the hierarchical driver.
@@ -514,16 +352,11 @@ func NewRoot(srv *RootServer, cfg RootConfig, strategy rounds.Strategy, initial 
 	r := &Root{
 		srv:      srv,
 		driver:   driver,
-		strategy: strategy,
-		arch:     cfg.Arch,
-		dropout:  cfg.Dropout,
-		fleet:    cfg.Fleet,
-		tracer:   cfg.Tracer,
+		Run:      rounds.NewRun(driver, rcfg, strategy, cfg.Arch, cfg.Checkpoint, cfg.CheckpointEvery),
 		reg:      cfg.Metrics,
 		budgets:  make(map[int]int, len(hellos)),
 		statuses: driver.ShardStatuses(),
 	}
-	r.saver = checkpoint.NewSaver(cfg.Checkpoint, cfg.CheckpointEvery, r.checkpointComponents(), cfg.Tracer, nil, cfg.Metrics)
 	acks := make(map[int]Ack, len(hellos))
 	for i, h := range hellos {
 		r.budgets[h.ShardID] = budgets[i]
@@ -547,47 +380,14 @@ func NewRoot(srv *RootServer, cfg RootConfig, strategy rounds.Strategy, initial 
 // unknown shards).
 func (r *Root) Budget(shardID int) int { return r.budgets[shardID] }
 
-// checkpointComponents lists the root's stateful layers under the
-// shared component names ("driver_hier" marks hierarchical snapshots)
-// so tooling reads root snapshots like any coordinator's.
-func (r *Root) checkpointComponents() []checkpoint.Component {
-	comps := []checkpoint.Component{
-		{Name: "model", S: checkpoint.Model{Arch: r.arch, Params: r.driver.Global, SetParams: r.driver.SetGlobal}},
-		{Name: "driver_hier", S: r.driver},
-	}
-	if s, ok := r.strategy.(checkpoint.Snapshotter); ok {
-		comps = append(comps, checkpoint.Component{Name: "strategy", S: s})
-	}
-	if l, ok := r.strategy.(checkpoint.ComponentLister); ok {
-		comps = append(comps, l.ExtraComponents()...)
-	}
-	if d, ok := r.dropout.(checkpoint.Snapshotter); ok {
-		comps = append(comps, checkpoint.Component{Name: "dropout", S: d})
-	}
-	if r.fleet != nil {
-		comps = append(comps, checkpoint.Component{Name: "fleet", S: r.fleet})
-	}
-	return comps
-}
-
-// Snapshot captures the root's run state after roundsDone completed
-// rounds, independent of any configured store.
-func (r *Root) Snapshot(roundsDone int) (*checkpoint.Snapshot, error) {
-	return checkpoint.Capture(roundsDone, r.checkpointComponents())
-}
-
-// Restore replays a snapshot into a freshly built root: same strategy,
-// same model dimensions, same shard partition (the shards re-said
-// Hello to the new RootServer). NextRound then reports where the round
-// sequence continues.
+// Restore replays a snapshot into a freshly built root over the same
+// shard partition (the shards re-said Hello to the new RootServer); see
+// rounds.Run.Restore.
 func (r *Root) Restore(snap *checkpoint.Snapshot) error {
-	if err := snap.Restore(r.checkpointComponents()); err != nil {
+	if err := r.Run.Restore(snap); err != nil {
 		return err
 	}
-	r.mu.Lock()
-	r.startRound = snap.Round
-	r.statuses = r.driver.ShardStatuses()
-	r.mu.Unlock()
+	r.refreshStatuses()
 	// A restore implies a root restart: every shard currently seated
 	// re-registered with the new process — uplink churn the crashed
 	// root could not count through its admission loop.
@@ -599,36 +399,20 @@ func (r *Root) Restore(snap *checkpoint.Snapshot) error {
 	return nil
 }
 
-// NextRound returns the round index to continue from: 0 on a fresh
-// root, the snapshot round after Restore.
-func (r *Root) NextRound() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.startRound
+// RunRound executes one hierarchical round through the run assembly
+// (NetRound event, haccs_net_* metrics and checkpoint cadence as on
+// every network adapter), then refreshes the /debug/shards view.
+func (r *Root) RunRound(round int) rounds.Outcome {
+	out := r.Run.RunRound(round)
+	r.refreshStatuses()
+	return out
 }
 
-// RunRound executes one hierarchical round through the shared driver,
-// emits the coordinator-level NetRound event and haccs_net_* metrics,
-// refreshes the /debug/shards view, and persists a checkpoint on
-// cadence.
-func (r *Root) RunRound(round int) rounds.Outcome {
-	start := time.Now()
-	out := r.driver.RunRound(round)
-	wall := time.Since(start).Seconds()
-	if r.tracer != nil {
-		r.tracer.Emit(telemetry.NetRound(round, append([]int(nil), out.Selected...), wall))
-	}
-	if r.reg != nil {
-		r.reg.Counter("haccs_net_rounds_total", "Coordinator rounds completed.").Inc()
-		r.reg.Histogram("haccs_net_round_seconds", "Wall-clock duration of one coordinator round (push + all replies).", nil).Observe(wall)
-	}
+func (r *Root) refreshStatuses() {
+	st := r.driver.ShardStatuses()
 	r.mu.Lock()
-	r.statuses = r.driver.ShardStatuses()
+	r.statuses = st
 	r.mu.Unlock()
-	if _, err := r.saver.MaybeSave(round + 1); err != nil {
-		panic(fmt.Sprintf("shard: checkpoint save after round %d: %v", round+1, err))
-	}
-	return out
 }
 
 // ShardStatuses returns the per-shard view after the last completed
@@ -645,27 +429,5 @@ func (r *Root) ShardStatuses() []rounds.ShardStatus {
 // rounds.HierDriver.Owner); used by the shard-filtered fleet view.
 func (r *Root) Owner(clientID int) int { return r.driver.Owner(clientID) }
 
-// OwnerID returns the shard ID owning a client, or -1.
-func (r *Root) OwnerID(clientID int) int {
-	slot := r.driver.Owner(clientID)
-	if slot < 0 {
-		return -1
-	}
-	st := r.ShardStatuses()
-	if slot >= len(st) {
-		return -1
-	}
-	return st[slot].ID
-}
-
-// Global returns the driver-owned global parameter vector (read-only).
-func (r *Root) Global() []float64 { return r.driver.Global() }
-
-// Clock returns the virtual time elapsed across the hierarchy.
-func (r *Root) Clock() float64 { return r.driver.Clock() }
-
 // Driver exposes the underlying hierarchical runtime.
 func (r *Root) Driver() *rounds.HierDriver { return r.driver }
-
-// Runner exposes the round runtime as the generic interface.
-func (r *Root) Runner() rounds.Runner { return r.driver }

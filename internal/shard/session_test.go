@@ -1,0 +1,169 @@
+package shard
+
+import (
+	"encoding/gob"
+	"errors"
+	"net"
+	"testing"
+	"time"
+
+	"haccs/internal/rounds"
+)
+
+// These tests drive the root's session handling over a real socket
+// with hand-rolled shard peers — the shard-hop counterparts of flnet's
+// registration and exchange failure tests.
+
+// rawShard is a hand-driven shard connection.
+type rawShard struct {
+	conn net.Conn
+	enc  *gob.Encoder
+	dec  *gob.Decoder
+}
+
+func dialRoot(t *testing.T, srv *RootServer) *rawShard {
+	t.Helper()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return &rawShard{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}
+}
+
+func (s *rawShard) send(t *testing.T, v any) {
+	t.Helper()
+	if err := s.enc.Encode(v); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// expectClosed fails unless the root has closed the connection without
+// sending anything further.
+func (s *rawShard) expectClosed(t *testing.T) {
+	t.Helper()
+	s.conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	n, err := s.conn.Read(make([]byte, 1))
+	var ne net.Error
+	if n > 0 || err == nil || (errors.As(err, &ne) && ne.Timeout()) {
+		t.Fatalf("connection still open (read %d bytes, err %v)", n, err)
+	}
+}
+
+func validHello(shardID int) Hello {
+	return Hello{ShardID: shardID, Clients: []rounds.ShardClient{{ID: shardID, Latency: 1}}}
+}
+
+func newTestRoot(t *testing.T) *RootServer {
+	t.Helper()
+	srv, err := NewRootServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Abort() })
+	return srv
+}
+
+func wantKind(t *testing.T, err error, kind ProtocolErrorKind) *ProtocolError {
+	t.Helper()
+	var pe *ProtocolError
+	if !errors.As(err, &pe) || pe.Kind != kind {
+		t.Fatalf("err = %v, want kind %q", err, kind)
+	}
+	return pe
+}
+
+func TestAcceptShardsRejectsDuplicateShard(t *testing.T) {
+	srv := newTestRoot(t)
+	first := dialRoot(t, srv)
+	first.send(t, Envelope{Hello: ptr(validHello(0))})
+	second := dialRoot(t, srv)
+	second.send(t, Envelope{Hello: ptr(validHello(0))})
+
+	_, err := srv.AcceptShards(2)
+	if pe := wantKind(t, err, ErrDuplicateShard); pe.ShardID != 0 {
+		t.Errorf("duplicate reported for shard %d", pe.ShardID)
+	}
+	second.expectClosed(t)
+	if srv.Sessions() != 1 {
+		t.Errorf("%d sessions after the refused duplicate, want the first shard's", srv.Sessions())
+	}
+}
+
+func TestAcceptShardsRejectsBadFirstFrame(t *testing.T) {
+	cases := []struct {
+		name  string
+		frame any
+		kind  ProtocolErrorKind // "" = an untyped decode error
+	}{
+		{name: "not an envelope", frame: "garbage"},
+		{name: "empty envelope", frame: Envelope{}, kind: ErrEmptyEnvelope},
+		{name: "ambiguous envelope", frame: Envelope{Hello: ptr(validHello(1)), Bye: &Bye{}}, kind: ErrAmbiguousEnvelope},
+		{name: "not a hello", frame: Envelope{Report: &Report{}}, kind: ErrUnexpectedMessage},
+		{name: "hello failing check", frame: Envelope{Hello: &Hello{ShardID: 1}}, kind: ErrBadHello},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := newTestRoot(t)
+			peer := dialRoot(t, srv)
+			peer.send(t, tc.frame)
+			_, err := srv.AcceptShards(1)
+			if tc.kind != "" {
+				wantKind(t, err, tc.kind)
+			} else if err == nil {
+				t.Fatal("malformed first frame accepted")
+			}
+			peer.expectClosed(t)
+			if srv.Sessions() != 0 || len(srv.Hellos()) != 0 {
+				t.Errorf("rejected peer left %d sessions, %d hellos", srv.Sessions(), len(srv.Hellos()))
+			}
+		})
+	}
+}
+
+func TestExecToUnknownShardIsNotConnected(t *testing.T) {
+	srv := newTestRoot(t)
+	_, err := srv.exec(5, Cmd{Round: 2})
+	if pe := wantKind(t, err, ErrNotConnected); pe.ShardID != 5 || pe.Round != 2 {
+		t.Errorf("error names shard %d round %d", pe.ShardID, pe.Round)
+	}
+}
+
+// TestWrongRoundReportDropsShardSession: a protocol violation on the
+// exchange surfaces typed, drops exactly that session, and the next
+// dispatch to the shard fails fast instead of touching the dead conn.
+func TestWrongRoundReportDropsShardSession(t *testing.T) {
+	srv := newTestRoot(t)
+	bad := dialRoot(t, srv)
+	bad.send(t, Envelope{Hello: ptr(validHello(0))})
+	good := dialRoot(t, srv)
+	good.send(t, Envelope{Hello: ptr(validHello(1))})
+	if _, err := srv.AcceptShards(2); err != nil {
+		t.Fatal(err)
+	}
+	answer := func(s *rawShard, shardID, roundSkew int) {
+		var env Envelope
+		if s.dec.Decode(&env) == nil && env.Cmd != nil {
+			s.enc.Encode(Envelope{Report: &Report{ShardID: shardID, Round: env.Cmd.Round + roundSkew}})
+		}
+	}
+	go answer(bad, 0, 1)
+	go answer(good, 1, 0)
+
+	_, err := srv.exec(0, Cmd{Round: 3})
+	if pe := wantKind(t, err, ErrWrongRound); pe.ShardID != 0 || pe.Round != 3 {
+		t.Errorf("error names shard %d round %d", pe.ShardID, pe.Round)
+	}
+	bad.expectClosed(t)
+	_, err = srv.exec(0, Cmd{Round: 4})
+	wantKind(t, err, ErrNotConnected)
+
+	if _, err := srv.exec(1, Cmd{Round: 3}); err != nil {
+		t.Errorf("the other shard's session was disturbed: %v", err)
+	}
+	if srv.Sessions() != 1 {
+		t.Errorf("%d live sessions, want 1", srv.Sessions())
+	}
+}
+
+func ptr[T any](v T) *T { return &v }

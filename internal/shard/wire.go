@@ -8,12 +8,13 @@ import (
 	"haccs/internal/rounds"
 )
 
-// The shard↔root wire protocol mirrors flnet's client↔coordinator
-// protocol one level up the tree: gob framing, a single envelope union
-// per stream, typed errors for every violation, and session drop (never
-// a wedged round) as the failure response. One Hello from the shard,
-// one Ack from the root, then an alternating stream of Cmd/Report pairs
-// driven by the root, terminated by Bye.
+// The shard↔root wire protocol is flnet's client↔coordinator protocol
+// one level up the tree, over the same session layer (internal/session):
+// gob framing, a single envelope union per stream, typed errors for
+// every violation, and session drop (never a wedged round) as the
+// failure response. One Hello from the shard, one Ack from the root,
+// then an alternating stream of Cmd/Report pairs driven by the root,
+// terminated by Bye.
 
 // ProtocolErrorKind classifies a shard-protocol violation.
 type ProtocolErrorKind string
@@ -270,7 +271,9 @@ func (e *Envelope) Check() error {
 // whose violation drops the session.
 func checkReport(env *Envelope, shardID, round int) (*Report, error) {
 	if err := env.Check(); err != nil {
-		return nil, err
+		pe := err.(*ProtocolError)
+		pe.ShardID, pe.Round = shardID, round
+		return nil, pe
 	}
 	rep := env.Report
 	if rep == nil {

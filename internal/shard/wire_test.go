@@ -88,6 +88,7 @@ func TestCheckReport(t *testing.T) {
 		mutate func(r *Report)
 	}{
 		{name: "not a report", env: Envelope{Hello: &Hello{}}, kind: ErrUnexpectedMessage},
+		{name: "empty envelope", env: Envelope{}, kind: ErrEmptyEnvelope},
 		{name: "wrong shard", kind: ErrWrongShard, mutate: func(r *Report) { r.ShardID = 4 }},
 		{name: "wrong round", kind: ErrWrongRound, mutate: func(r *Report) { r.Round = 8 }},
 		{name: "negative samples", kind: ErrBadReport, mutate: func(r *Report) { r.Samples = -1 }},
@@ -106,7 +107,12 @@ func TestCheckReport(t *testing.T) {
 			_, err := checkReport(&env, 3, 7)
 			var pe *ProtocolError
 			if !errors.As(err, &pe) || pe.Kind != tc.kind {
-				t.Errorf("err = %v, want kind %q", err, tc.kind)
+				t.Fatalf("err = %v, want kind %q", err, tc.kind)
+			}
+			// Every violation names the session and round it happened on,
+			// including the envelope-union ones Check itself cannot know.
+			if pe.ShardID != 3 || pe.Round != 7 {
+				t.Errorf("error stamped shard %d round %d, want 3 and 7", pe.ShardID, pe.Round)
 			}
 		})
 	}
