@@ -1,6 +1,13 @@
+# Targets by kind. Gates: check (vet, fmt-check, build, race), test,
+# fingerprint, bench-guard. Smokes, one CI job each, none in tier-1:
+# resume-smoke, fleet-smoke, async-smoke, scale-smoke, shard-smoke and
+# fuzz-smoke — the home of every native fuzz target: the wire frame
+# today, ROADMAP 1(c)'s envelope / exposition / snapshot / sketch targets
+# as they land, one `go test -fuzz` line each. Measurement: loc, bench,
+# bench-json, scale-results.
 GO ?= go
 
-.PHONY: check vet fmt-check build test race fingerprint loc bench-guard bench bench-json resume-smoke fleet-smoke async-smoke scale-smoke shard-smoke scale-results
+.PHONY: check vet fmt-check build test race fingerprint loc bench-guard bench bench-json resume-smoke fleet-smoke async-smoke scale-smoke shard-smoke fuzz-smoke scale-results
 
 ## check: the tier-1 gate — vet, gofmt, build, and the full test suite under -race.
 check: vet fmt-check build race
@@ -132,6 +139,14 @@ shard-smoke:
 		-legs sharded -shards 2 -out $(SHARDSMOKE)/results -rev shard-smoke
 	test -s $(SHARDSMOKE)/results/shard-smoke.md
 	@echo "shard-smoke: root resume + sharded leg passed"
+
+## fuzz-smoke: five seconds of coverage-guided fuzzing per native fuzz
+## target (go test -fuzz takes one target and one package per run). The
+## committed seed corpora under testdata/fuzz already run as unit tests
+## in tier-1; this target is what looks for new inputs. A failure writes
+## its input under the package's testdata/fuzz — commit it with the fix.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime 5s ./internal/session
 
 ## scale-results: the committed-results run — a 2000-client fleet over
 ## the full matrix, writing tests/results/scale/<rev>.md for the

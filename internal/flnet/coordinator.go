@@ -74,12 +74,12 @@ type CoordinatorConfig struct {
 // Coordinator drives federated rounds over registered flnet clients
 // through the shared round runtime: the same selection, deadline,
 // partial-aggregation and failure semantics as the in-process engine,
-// with the gob protocol as the transport. Build it after AcceptClients
-// has gathered the full roster. Its run methods — RunRound, Snapshot,
-// Restore, NextRound, Global, Clock, Runner — are the embedded run
-// assembly's: a round over the wire carries the coordinator-level
-// NetRound event and haccs_net_* metrics on top of the driver's own
-// and persists a checkpoint on cadence.
+// with the framed wire protocol (session.Codec) as the transport. Build
+// it after AcceptClients has gathered the full roster. Its run methods
+// — RunRound, Snapshot, Restore, NextRound, Global, Clock, Runner — are
+// the embedded run assembly's: a round over the wire carries the
+// coordinator-level NetRound event and haccs_net_* metrics on top of
+// the driver's own and persists a checkpoint on cadence.
 type Coordinator struct{ *rounds.Run }
 
 // netTransport adapts the Server's registered sessions to the round

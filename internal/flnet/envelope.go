@@ -41,7 +41,8 @@ const (
 	// count, non-finite loss, or negative epochs.
 	ErrBadClientStats EnvelopeErrorKind = "bad_client_stats"
 	// ErrBadUpdate: a TrainReply whose model update cannot be aggregated
-	// — wrong parameter dimension, a non-positive sample count (its
+	// — wrong parameter dimension (refused on the frame's announced
+	// count, before the vector is read), a non-positive sample count (its
 	// FedAvg weight), or a NaN/Inf coordinate that would poison the
 	// global model for the rest of the run.
 	ErrBadUpdate EnvelopeErrorKind = "bad_update"

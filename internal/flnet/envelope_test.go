@@ -1,11 +1,11 @@
 package flnet
 
 import (
-	"encoding/gob"
 	"errors"
 	"net"
 	"testing"
 
+	"haccs/internal/session"
 	"haccs/internal/telemetry"
 )
 
@@ -76,12 +76,12 @@ func TestCheckReply(t *testing.T) {
 	}
 }
 
-// rawSession opens a gob connection to the server without the Client
+// rawSession opens a raw connection to the server without the Client
 // state machine, so tests can speak protocol violations.
 type rawSession struct {
 	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
+	enc  *session.Codec
+	dec  *session.Codec
 }
 
 func dialRaw(t *testing.T, addr string) *rawSession {
@@ -91,7 +91,8 @@ func dialRaw(t *testing.T, addr string) *rawSession {
 		t.Fatalf("dial: %v", err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	return &rawSession{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}
+	codec := session.NewCodec(conn)
+	return &rawSession{conn: conn, enc: codec, dec: codec}
 }
 
 func (r *rawSession) register(t *testing.T, id int) {

@@ -6,13 +6,15 @@
 // deterministic in-process engine instead, so this package carries the
 // protocol, not the evaluation.
 //
-// Framing is gob over the connection: one Register message from the
-// client, then an alternating stream of TrainRequest/TrainReply pairs
-// driven by the server, terminated by a Shutdown message.
+// One Register message from the client, then an alternating stream of
+// TrainRequest/TrainReply pairs driven by the server, terminated by a
+// Shutdown message. Framing is the session layer's (session.Codec): the
+// control envelope is gob, the model vector of a request or reply
+// follows it as raw little-endian float64s.
 package flnet
 
 import (
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"net"
 	"time"
@@ -96,8 +98,8 @@ type TrainReply struct {
 // Shutdown ends the session.
 type Shutdown struct{ Reason string }
 
-// Envelope wraps every wire message so a single gob stream can carry
-// all types.
+// Envelope wraps every wire message so a single stream can carry all
+// types.
 type Envelope struct {
 	Register *Register
 	Request  *TrainRequest
@@ -105,8 +107,23 @@ type Envelope struct {
 	Shutdown *Shutdown
 }
 
+// Vector implements session.Vectored: the Params of a request or reply
+// travel as the frame's raw trailer, never through gob.
+func (env Envelope) Vector() *[]float64 {
+	switch {
+	case env.Request != nil:
+		return &env.Request.Params
+	case env.Reply != nil:
+		return &env.Reply.Params
+	}
+	return nil
+}
+
 // Trainer is the client-side computation: given global parameters,
 // produce updated parameters, the local sample count, and a loss.
+// params aliases the connection's receive buffer and is valid until
+// Train returns; returning it (or a slice the Trainer reuses) as the
+// update is fine, keeping it is not.
 type Trainer interface {
 	Train(round int, params []float64) (updated []float64, numSamples int, loss float64)
 }
@@ -150,14 +167,13 @@ func (c *Client) Run(addr string) (rounds int, err error) {
 // the protocol) use this instead of Run.
 func (c *Client) Serve(conn net.Conn) (rounds int, err error) {
 	defer conn.Close()
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
-	if err := enc.Encode(Envelope{Register: &c.Reg}); err != nil {
+	codec := session.NewCodec(conn)
+	if err := codec.Encode(Envelope{Register: &c.Reg}); err != nil {
 		return 0, fmt.Errorf("flnet: register: %w", err)
 	}
 	for {
 		var env Envelope
-		if err := dec.Decode(&env); err != nil {
+		if err := codec.Decode(&env); err != nil {
 			return rounds, fmt.Errorf("flnet: receive: %w", err)
 		}
 		if err := env.Check(); err != nil {
@@ -202,7 +218,7 @@ func (c *Client) Serve(conn net.Conn) (rounds int, err error) {
 			if c.SummaryRefresh != nil {
 				reply.UpdatedLabelCounts = c.SummaryRefresh(env.Request.Round)
 			}
-			if err := enc.Encode(Envelope{Reply: &reply}); err != nil {
+			if err := codec.Encode(Envelope{Reply: &reply}); err != nil {
 				return rounds, fmt.Errorf("flnet: reply: %w", err)
 			}
 			rounds++
@@ -233,7 +249,7 @@ func NewServer(addr string) (*Server, error) {
 
 // readRegister is the hop's handshake: the first frame on a connection
 // must be a well-formed envelope carrying a Register.
-func readRegister(dec *gob.Decoder) (int, Register, error) {
+func readRegister(dec *session.Codec) (int, Register, error) {
 	var env Envelope
 	if err := dec.Decode(&env); err != nil {
 		return 0, Register{}, fmt.Errorf("flnet: bad registration: %w", err)
@@ -345,18 +361,26 @@ func (s *Server) Registrations() []Register { return s.sess.Peers() }
 // drops the session so a dead or misbehaving client cannot wedge later
 // rounds, and returns the error (typed *EnvelopeError for protocol
 // violations) for the driver to record as a client failure.
+//
+// The returned TrainReply.Params aliases the session's receive buffer:
+// it is valid until the next Train for the same client (a reconnected
+// client gets a new session and a new buffer). params is only read.
 func (s *Server) Train(clientID, round int, params []float64, sc telemetry.SpanContext) (TrainReply, error) {
 	var env Envelope
 	var reply *TrainReply
-	err := s.sess.Exchange(clientID, Envelope{Request: &TrainRequest{Round: round, Params: params, Trace: sc}}, &env, func() (err error) {
+	err := s.sess.Exchange(clientID, Envelope{Request: &TrainRequest{Round: round, Params: params, Trace: sc}}, &env, len(params), func() (err error) {
 		if reply, err = checkReply(&env, clientID, round, sc); err == nil {
 			err = checkUpdate(reply, len(params))
 		}
 		return err
 	})
 	if err != nil {
-		if err == session.ErrNoSession {
+		switch {
+		case err == session.ErrNoSession:
 			err = envelopeErr(ErrNotRegistered, clientID, round, "no live session")
+		case errors.Is(err, session.ErrBadVector):
+			// Refused on its announced length, before any of it was read.
+			err = envelopeErr(ErrBadUpdate, clientID, round, err.Error())
 		}
 		s.publishSessions()
 		return TrainReply{}, err

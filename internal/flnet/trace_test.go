@@ -2,12 +2,12 @@ package flnet
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"math"
 	"net"
 	"testing"
 
+	"haccs/internal/session"
 	"haccs/internal/telemetry"
 )
 
@@ -31,8 +31,8 @@ func TestEnvelopeTraceContextRoundTrip(t *testing.T) {
 		},
 	}}
 	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	dec := gob.NewDecoder(&buf)
+	enc := session.NewCodec(&buf)
+	dec := session.NewCodec(&buf)
 	for _, env := range []Envelope{req, rep} {
 		if err := enc.Encode(env); err != nil {
 			t.Fatal(err)
@@ -188,8 +188,8 @@ func TestClientRejectsHalfSetContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
+	enc := session.NewCodec(conn)
+	dec := enc
 	var reg Envelope
 	if err := dec.Decode(&reg); err != nil || reg.Register == nil {
 		t.Fatalf("registration: %v %+v", err, reg)

@@ -218,6 +218,10 @@ func (f *Fleet) sleepInterruptibly(d time.Duration) {
 // small client-specific shift so payload integrity is checkable end to
 // end.
 func (f *Fleet) trainer(id int, conn net.Conn, rng *stats.RNG) flnet.Trainer {
+	// One reply buffer per client session: Serve has written a reply to
+	// the wire before it asks for the next one, so the generator adds no
+	// garbage of its own to what haccs-load measures.
+	var out []float64
 	return flnet.TrainerFunc(func(round int, params []float64) ([]float64, int, float64) {
 		if f.cfg.SleepScale > 0 {
 			time.Sleep(sleepFor(f.cfg.Latency.Delay(id, round, rng), f.cfg.SleepScale, f.cfg.MaxSleep))
@@ -227,7 +231,9 @@ func (f *Fleet) trainer(id int, conn net.Conn, rng *stats.RNG) flnet.Trainer {
 			// drops the session; the serve loop returns and redials.
 			conn.Close()
 		}
-		out := make([]float64, len(params))
+		if len(out) != len(params) {
+			out = make([]float64, len(params))
+		}
 		shift := 1.0 / float64(id+1)
 		for i, v := range params {
 			out[i] = v + shift

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"haccs/internal/telemetry"
@@ -89,12 +90,22 @@ func newFakeCluster(latencies []float64, samples []int) ([]*fakeProxy, fakeTrans
 	return fakes, fakeTransport{proxies: proxies, par: 2}
 }
 
-// captureTracer records events by kind for assertion.
-type captureTracer struct{ events []telemetry.Event }
+// captureTracer records events by kind for assertion. Emit locks: the
+// drivers emit ClientTrained from their worker goroutines.
+type captureTracer struct {
+	mu     sync.Mutex
+	events []telemetry.Event
+}
 
-func (c *captureTracer) Emit(e telemetry.Event) { c.events = append(c.events, e) }
+func (c *captureTracer) Emit(e telemetry.Event) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.events = append(c.events, e)
+}
 
 func (c *captureTracer) kinds() []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	out := make([]string, len(c.events))
 	for i, e := range c.events {
 		out[i] = e.Kind
@@ -103,6 +114,8 @@ func (c *captureTracer) kinds() []string {
 }
 
 func (c *captureTracer) find(kind string) *telemetry.Event {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	for i := range c.events {
 		if c.events[i].Kind == kind {
 			return &c.events[i]

@@ -96,7 +96,10 @@ type ShardProxy interface {
 	Clients() []ShardClient
 	// Exec runs one root cycle on the shard and returns its report. An
 	// error means the whole shard failed the round trip; its selected
-	// clients are discarded for the round but stay alive.
+	// clients are discarded for the round but stay alive. The report's
+	// Partial may alias a transport-owned buffer: it is valid until the
+	// next Exec on the same proxy, and the driver folds it in the round
+	// it arrived. Implementations must not retain cmd.Params.
 	Exec(cmd ShardCmd) (*ShardReport, error)
 }
 

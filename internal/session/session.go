@@ -4,7 +4,9 @@
 // peer ID. A hop supplies the function that reads its handshake record
 // off a fresh connection and wraps its admission policy around Seat;
 // the listener, the session table, the reconnect loop, the
-// request/reply exchange and the teardown order are here, once.
+// request/reply exchange, the teardown order and the wire format (the
+// Codec: gob for the control envelope, model vectors as raw float64
+// frames read into per-session buffers) are here, once.
 //
 // The drop rule: any transport or protocol error on an exchange closes
 // and forgets exactly the session it happened on. The match is by
@@ -14,7 +16,6 @@
 package session
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -37,7 +38,7 @@ var handshakeTimeout = 5 * time.Second
 var ErrNoSession = errors.New("session: no live session")
 
 // Conn is one peer's session: the handshake record it announced itself
-// with and the gob streams bound to its connection.
+// with and the codec bound to its connection.
 type Conn[H any] struct {
 	ID    int
 	Hello H
@@ -46,16 +47,15 @@ type Conn[H any] struct {
 	// own metric name.
 	Reconnect bool
 
-	enc  *gob.Encoder
-	dec  *gob.Decoder
-	conn net.Conn
+	codec *Codec
+	conn  net.Conn
 }
 
 // Reject closes a connection the hop's admission policy refused,
 // sending farewell first when non-nil (best effort).
 func (c *Conn[H]) Reject(farewell any) {
 	if farewell != nil {
-		_ = c.enc.Encode(farewell)
+		_ = c.codec.Encode(farewell)
 	}
 	c.conn.Close()
 }
@@ -65,7 +65,7 @@ func (c *Conn[H]) Reject(farewell any) {
 type Server[H any] struct {
 	name  string // the hop's error prefix ("flnet", "shard")
 	ln    net.Listener
-	hello func(*gob.Decoder) (id int, h H, err error)
+	hello func(*Codec) (id int, h H, err error)
 
 	mu         sync.Mutex
 	sessions   map[int]*Conn[H]
@@ -80,7 +80,7 @@ type Server[H any] struct {
 // Listen binds addr (use "127.0.0.1:0" for an ephemeral port). hello
 // decodes and validates a peer's first frame, returning the peer ID
 // and its handshake record; its error is what a failed Accept reports.
-func Listen[H any](name, addr string, hello func(*gob.Decoder) (int, H, error)) (*Server[H], error) {
+func Listen[H any](name, addr string, hello func(*Codec) (int, H, error)) (*Server[H], error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("%s: listen: %w", name, err)
@@ -134,10 +134,10 @@ func (s *Server[H]) Accept() (*Conn[H], error) {
 
 // handshake reads the peer's first frame under the handshake deadline.
 func (s *Server[H]) handshake(conn net.Conn) (*Conn[H], error) {
-	c := &Conn[H]{enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn), conn: conn}
+	c := &Conn[H]{codec: NewCodec(conn), conn: conn}
 	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	var err error
-	if c.ID, c.Hello, err = s.hello(c.dec); err != nil {
+	if c.ID, c.Hello, err = s.hello(c.codec); err != nil {
 		conn.Close()
 		return nil, err
 	}
@@ -240,7 +240,7 @@ func (s *Server[H]) send(id int, msg any) (*Conn[H], error) {
 	if c == nil {
 		return nil, ErrNoSession
 	}
-	if err := c.enc.Encode(msg); err != nil {
+	if err := c.codec.Encode(msg); err != nil {
 		s.drop(c)
 		return nil, fmt.Errorf("%s: push to peer %d: %w", s.name, id, err)
 	}
@@ -249,16 +249,22 @@ func (s *Server[H]) send(id int, msg any) (*Conn[H], error) {
 
 // Exchange runs one request/reply round trip with peer id on the
 // caller's goroutine: encode req, decode into reply (a pointer), then
-// run the hop's check over what arrived. Any failure — connection
-// error, EOF, or a non-nil check — drops the session and is returned,
-// so a dead or misbehaving peer costs its caller one error and can
-// never wedge a later round.
-func (s *Server[H]) Exchange(id int, req, reply any, check func() error) error {
+// run the hop's check over what arrived. dim is the model dimension the
+// hop expects back: a reply that announces a vector of any other
+// non-zero length is refused (ErrBadVector) before a byte of it is read.
+// Any failure — connection error, EOF, a refused vector or a non-nil
+// check — drops the session and is returned, so a dead or misbehaving
+// peer costs its caller one error and can never wedge a later round.
+//
+// A vector in the reply aliases the session's receive buffer: it is
+// valid until the next Exchange with the same peer. A reconnect seats a
+// new Conn and with it a new buffer.
+func (s *Server[H]) Exchange(id int, req, reply any, dim int, check func() error) error {
 	c, err := s.send(id, req)
 	if err != nil {
 		return err
 	}
-	if err = c.dec.Decode(reply); err != nil {
+	if err = c.codec.decode(reply, dim); err != nil {
 		err = fmt.Errorf("%s: receive from peer %d: %w", s.name, id, err)
 	} else {
 		err = check()

@@ -1,7 +1,6 @@
 package session
 
 import (
-	"encoding/gob"
 	"errors"
 	"net"
 	"runtime"
@@ -12,7 +11,7 @@ import (
 // hello is the test hop's handshake record and only message.
 type hello struct{ ID int }
 
-func readHelloFrame(dec *gob.Decoder) (int, hello, error) {
+func readHelloFrame(dec *Codec) (int, hello, error) {
 	var h hello
 	if err := dec.Decode(&h); err != nil {
 		return 0, hello{}, err
@@ -33,8 +32,7 @@ func listen(t *testing.T) *Server[hello] {
 // peer is the dialing side of one test connection.
 type peer struct {
 	net.Conn
-	enc *gob.Encoder
-	dec *gob.Decoder
+	enc, dec *Codec
 }
 
 // dial connects and, for id >= 0, says hello; id < 0 stays silent.
@@ -45,7 +43,8 @@ func dial(t *testing.T, s *Server[hello], id int) *peer {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	p := &peer{Conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}
+	codec := NewCodec(conn)
+	p := &peer{Conn: conn, enc: codec, dec: codec}
 	if id >= 0 {
 		if err := p.enc.Encode(hello{ID: id}); err != nil {
 			t.Fatal(err)
@@ -108,7 +107,7 @@ func TestHandshakeTimeoutOnInitialAccept(t *testing.T) {
 	// that wait has now idled past it, and its exchange still works.
 	go seatedPeer.echo()
 	var rep hello
-	if err := s.Exchange(4, hello{ID: 10}, &rep, func() error { return nil }); err != nil || rep.ID != 11 {
+	if err := s.Exchange(4, hello{ID: 10}, &rep, 0, func() error { return nil }); err != nil || rep.ID != 11 {
 		t.Fatalf("exchange after idling past the handshake timeout: reply %+v, err %v", rep, err)
 	}
 }
@@ -184,7 +183,7 @@ func TestDropSessionIsPointerMatched(t *testing.T) {
 		t.Fatalf("seat: %v", err)
 	}
 	s.mu.Lock()
-	fresh := &Conn[hello]{ID: stale.ID, Hello: stale.Hello, enc: stale.enc, dec: stale.dec, conn: stale.conn}
+	fresh := &Conn[hello]{ID: stale.ID, Hello: stale.Hello, codec: stale.codec, conn: stale.conn}
 	s.sessions[0] = fresh
 	s.mu.Unlock()
 
@@ -200,7 +199,7 @@ func TestDropSessionIsPointerMatched(t *testing.T) {
 
 func TestExchangeDropsOnAnyError(t *testing.T) {
 	s := listen(t)
-	if err := s.Exchange(1, hello{}, &hello{}, nil); err != ErrNoSession {
+	if err := s.Exchange(1, hello{}, &hello{}, 0, nil); err != ErrNoSession {
 		t.Fatalf("exchange with an unseated peer: %v, want ErrNoSession", err)
 	}
 	p := dial(t, s, 1)
@@ -211,7 +210,7 @@ func TestExchangeDropsOnAnyError(t *testing.T) {
 	go p.echo()
 	bad := errors.New("protocol violation")
 	var rep hello
-	if err := s.Exchange(1, hello{ID: 5}, &rep, func() error { return bad }); err != bad {
+	if err := s.Exchange(1, hello{ID: 5}, &rep, 0, func() error { return bad }); err != bad {
 		t.Fatalf("exchange returned %v, want the check's error", err)
 	}
 	if rep.ID != 6 {

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
@@ -13,6 +12,7 @@ import (
 	"haccs/internal/fleet"
 	"haccs/internal/flnet"
 	"haccs/internal/rounds"
+	"haccs/internal/session"
 	"haccs/internal/sketch"
 	"haccs/internal/stats"
 	"haccs/internal/telemetry"
@@ -81,6 +81,10 @@ type Agent struct {
 
 	ack   Ack
 	acked bool
+
+	// partial backs every Report's Partial. One buffer is enough: a
+	// report is fully written to the wire before the next Cmd is read.
+	partial []float64
 
 	// Async-mode local state, built lazily on first Ack.
 	local       *rounds.AsyncDriver
@@ -277,15 +281,14 @@ func (a *Agent) serve(conn net.Conn) error {
 		a.mu.Unlock()
 		conn.Close()
 	}()
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
+	codec := session.NewCodec(conn)
 	hello := a.hello
 	hello.Sessions = a.cfg.Server.Sessions()
-	if err := enc.Encode(Envelope{Hello: &hello}); err != nil {
+	if err := codec.Encode(Envelope{Hello: &hello}); err != nil {
 		return fmt.Errorf("shard %d: hello: %w", a.cfg.ShardID, err)
 	}
 	var env Envelope
-	if err := dec.Decode(&env); err != nil {
+	if err := codec.Decode(&env); err != nil {
 		return fmt.Errorf("shard %d: await ack: %w", a.cfg.ShardID, err)
 	}
 	if err := env.Check(); err != nil {
@@ -301,7 +304,7 @@ func (a *Agent) serve(conn net.Conn) error {
 	a.acked = true
 	for {
 		var env Envelope
-		if err := dec.Decode(&env); err != nil {
+		if err := codec.Decode(&env); err != nil {
 			return fmt.Errorf("shard %d: receive: %w", a.cfg.ShardID, err)
 		}
 		if err := env.Check(); err != nil {
@@ -312,13 +315,23 @@ func (a *Agent) serve(conn net.Conn) error {
 			return nil
 		case env.Cmd != nil:
 			rep := a.exec(env.Cmd)
-			if err := enc.Encode(Envelope{Report: rep}); err != nil {
+			if err := codec.Encode(Envelope{Report: rep}); err != nil {
 				return fmt.Errorf("shard %d: report: %w", a.cfg.ShardID, err)
 			}
 		default:
 			return protoErr(ErrUnexpectedMessage, a.cfg.ShardID, -1, "expected Cmd or Bye")
 		}
 	}
+}
+
+// partialBuf returns the agent's partial buffer, zeroed, at length n.
+func (a *Agent) partialBuf(n int) []float64 {
+	if cap(a.partial) < n {
+		a.partial = make([]float64, n)
+	}
+	p := a.partial[:n]
+	clear(p)
+	return p
 }
 
 // exec runs one root work order and builds the report.
@@ -374,7 +387,7 @@ func (a *Agent) execSync(cmd *Cmd) *Report {
 			Stats:      r.Stats,
 		})
 		if rep.Partial == nil {
-			rep.Partial = make([]float64, len(r.Params))
+			rep.Partial = a.partialBuf(len(r.Params))
 		}
 		n := float64(r.NumSamples)
 		for j, v := range r.Params {
@@ -432,7 +445,7 @@ func (a *Agent) execAsync(cmd *Cmd) *Report {
 	if !out.Aggregated {
 		return rep
 	}
-	delta := make([]float64, len(a.prev))
+	delta := a.partialBuf(len(a.prev))
 	for i, v := range a.local.Global() {
 		delta[i] = v - a.prev[i]
 	}

@@ -1,7 +1,7 @@
 package shard
 
 import (
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -34,6 +34,9 @@ type RootServer struct {
 	hellos    map[int]Hello
 	acks      map[int]Ack
 	nextRound func() int
+	// dim is the model dimension, the only non-zero length a Report's
+	// partial may announce; 0 until the plan is set.
+	dim int
 }
 
 // NewRootServer listens on addr (use "127.0.0.1:0" for an ephemeral
@@ -48,7 +51,7 @@ func NewRootServer(addr string) (*RootServer, error) {
 
 // readHello is the hop's handshake: the first frame on a connection
 // must be a well-formed envelope carrying a consistent Hello.
-func readHello(dec *gob.Decoder) (int, Hello, error) {
+func readHello(dec *session.Codec) (int, Hello, error) {
 	var env Envelope
 	if err := dec.Decode(&env); err != nil {
 		return 0, Hello{}, fmt.Errorf("shard: bad hello: %w", err)
@@ -115,14 +118,15 @@ func (s *RootServer) Hellos() []Hello {
 	return out
 }
 
-// setPlan stores the per-shard Acks and pushes them to every connected
-// shard; reconnecting shards get theirs replayed by the admission
-// policy. Called by NewRoot once the plan is computed over the full
-// Hello set.
-func (s *RootServer) setPlan(acks map[int]Ack, nextRound func() int) error {
+// setPlan stores the per-shard Acks and the model dimension and pushes
+// the Acks to every connected shard; reconnecting shards get theirs
+// replayed by the admission policy. Called by NewRoot once the plan is
+// computed over the full Hello set.
+func (s *RootServer) setPlan(acks map[int]Ack, nextRound func() int, dim int) error {
 	s.mu.Lock()
 	s.acks = acks
 	s.nextRound = nextRound
+	s.dim = dim
 	s.mu.Unlock()
 	for _, h := range s.sess.Peers() {
 		if err := s.sendAck(h.ShardID); err != nil {
@@ -191,16 +195,24 @@ func (s *RootServer) ShardReconnects() int { return s.sess.Reconnects() }
 // the transport primitive behind the hierarchical driver's proxies.
 // Any failure drops the session (a reconnecting shard re-admits
 // through ServeReconnects) and surfaces to the driver as a whole-shard
-// round failure.
+// round failure. The returned Report's Partial aliases the session's
+// receive buffer: it is valid until the next exec for the same shard.
 func (s *RootServer) exec(shardID int, cmd Cmd) (*Report, error) {
+	s.mu.Lock()
+	dim := s.dim
+	s.mu.Unlock()
 	var env Envelope
 	var rep *Report
-	err := s.sess.Exchange(shardID, Envelope{Cmd: &cmd}, &env, func() (err error) {
+	err := s.sess.Exchange(shardID, Envelope{Cmd: &cmd}, &env, dim, func() (err error) {
 		rep, err = checkReport(&env, shardID, cmd.Round)
 		return err
 	})
-	if err == session.ErrNoSession {
+	switch {
+	case err == session.ErrNoSession:
 		err = protoErr(ErrNotConnected, shardID, cmd.Round, "no live session")
+	case errors.Is(err, session.ErrBadVector):
+		// Refused on its announced length, before any of it was read.
+		err = protoErr(ErrBadReport, shardID, cmd.Round, err.Error())
 	}
 	return rep, err
 }
@@ -301,6 +313,9 @@ type rootProxy struct {
 func (p *rootProxy) ID() int                       { return p.id }
 func (p *rootProxy) Clients() []rounds.ShardClient { return p.clients }
 
+// Exec runs one cycle on the shard. The report's Partial is valid until
+// the next Exec on this proxy (see RootServer.exec); cmd.Params is only
+// read.
 func (p *rootProxy) Exec(cmd rounds.ShardCmd) (*rounds.ShardReport, error) {
 	rep, err := p.srv.exec(p.id, Cmd{
 		Round:    cmd.Round,
@@ -370,7 +385,7 @@ func NewRoot(srv *RootServer, cfg RootConfig, strategy rounds.Strategy, initial 
 			BufferK:           cfg.Async.BufferK,
 		}
 	}
-	if err := srv.setPlan(acks, r.NextRound); err != nil {
+	if err := srv.setPlan(acks, r.NextRound, len(initial)); err != nil {
 		return nil, err
 	}
 	return r, nil

@@ -1,13 +1,14 @@
 package shard
 
 import (
-	"encoding/gob"
+	"bytes"
 	"errors"
 	"net"
 	"testing"
 	"time"
 
 	"haccs/internal/rounds"
+	"haccs/internal/session"
 )
 
 // These tests drive the root's session handling over a real socket
@@ -17,8 +18,8 @@ import (
 // rawShard is a hand-driven shard connection.
 type rawShard struct {
 	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
+	enc  *session.Codec
+	dec  *session.Codec
 }
 
 func dialRoot(t *testing.T, srv *RootServer) *rawShard {
@@ -28,7 +29,8 @@ func dialRoot(t *testing.T, srv *RootServer) *rawShard {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	return &rawShard{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}
+	codec := session.NewCodec(conn)
+	return &rawShard{conn: conn, enc: codec, dec: codec}
 }
 
 func (s *rawShard) send(t *testing.T, v any) {
@@ -163,6 +165,78 @@ func TestWrongRoundReportDropsShardSession(t *testing.T) {
 	}
 	if srv.Sessions() != 1 {
 		t.Errorf("%d live sessions, want 1", srv.Sessions())
+	}
+}
+
+// TestWrongDimensionPartialIsBadReport: the root admits a partial of
+// the model dimension or none at all. A Report announcing any other
+// length is refused on the count — typed bad_report stamped with shard
+// and round, that session dropped, the other shard undisturbed.
+func TestWrongDimensionPartialIsBadReport(t *testing.T) {
+	const dim = 4
+	srv := newTestRoot(t)
+	bad := dialRoot(t, srv)
+	bad.send(t, Envelope{Hello: ptr(validHello(0))})
+	good := dialRoot(t, srv)
+	good.send(t, Envelope{Hello: ptr(validHello(1))})
+	if _, err := srv.AcceptShards(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.setPlan(nil, func() int { return 0 }, dim); err != nil {
+		t.Fatal(err)
+	}
+	answer := func(s *rawShard, shardID, floats int) {
+		var env Envelope
+		if s.dec.Decode(&env) == nil && env.Cmd != nil {
+			s.enc.Encode(Envelope{Report: &Report{ShardID: shardID, Round: env.Cmd.Round, Partial: make([]float64, floats)}})
+		}
+	}
+	go answer(bad, 0, dim+1)
+	go answer(good, 1, dim)
+
+	_, err := srv.exec(0, Cmd{Round: 3, Params: make([]float64, dim)})
+	if pe := wantKind(t, err, ErrBadReport); pe.ShardID != 0 || pe.Round != 3 {
+		t.Errorf("error names shard %d round %d", pe.ShardID, pe.Round)
+	}
+	bad.expectClosed(t)
+	_, err = srv.exec(0, Cmd{Round: 4})
+	wantKind(t, err, ErrNotConnected)
+
+	rep, err := srv.exec(1, Cmd{Round: 3})
+	if err != nil || len(rep.Partial) != dim {
+		t.Errorf("the other shard's exchange: %d floats, err %v", len(rep.Partial), err)
+	}
+	// An empty partial — a shard with nothing to contribute — is admitted.
+	go answer(good, 1, 0)
+	if rep, err = srv.exec(1, Cmd{Round: 4}); err != nil || rep.Partial != nil {
+		t.Errorf("empty partial: %v, err %v", rep, err)
+	}
+	if srv.Sessions() != 1 {
+		t.Errorf("%d live sessions, want 1", srv.Sessions())
+	}
+}
+
+// TestVectorsNeverReachGob: for both vector-bearing messages of this hop
+// the gob part of the frame is the same size at every dimension.
+func TestVectorsNeverReachGob(t *testing.T) {
+	for name, with := range map[string]func(vec []float64) Envelope{
+		"cmd":    func(vec []float64) Envelope { return Envelope{Cmd: &Cmd{Round: 1, Version: 2, Params: vec}} },
+		"report": func(vec []float64) Envelope { return Envelope{Report: &Report{Round: 1, Samples: 3, Partial: vec}} },
+	} {
+		gobPart := -1
+		for _, dim := range []int{0, 1, 10000} {
+			var wire bytes.Buffer
+			if err := session.NewCodec(&wire).Encode(with(make([]float64, dim))); err != nil {
+				t.Fatal(err)
+			}
+			head := wire.Len() - 4 - 8*dim
+			if gobPart < 0 {
+				gobPart = head
+			}
+			if head != gobPart {
+				t.Errorf("%s at %d floats: gob part %d bytes, %d at 0 floats", name, dim, head, gobPart)
+			}
+		}
 	}
 }
 

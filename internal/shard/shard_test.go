@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"encoding/gob"
 	"net"
 	"testing"
 	"time"
@@ -9,6 +8,7 @@ import (
 	"haccs/internal/checkpoint"
 	"haccs/internal/flnet"
 	"haccs/internal/rounds"
+	"haccs/internal/session"
 )
 
 // intTrainer returns the deterministic integer trainer used across the
@@ -308,7 +308,8 @@ func TestReconnectRosterValidation(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer conn.Close()
-		enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
+		enc := session.NewCodec(conn)
+		dec := enc
 		if err := enc.Encode(Envelope{Hello: &h}); err != nil {
 			t.Fatal(err)
 		}

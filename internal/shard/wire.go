@@ -10,11 +10,12 @@ import (
 
 // The shard↔root wire protocol is flnet's client↔coordinator protocol
 // one level up the tree, over the same session layer (internal/session):
-// gob framing, a single envelope union per stream, typed errors for
-// every violation, and session drop (never a wedged round) as the
-// failure response. One Hello from the shard, one Ack from the root,
-// then an alternating stream of Cmd/Report pairs driven by the root,
-// terminated by Bye.
+// its framing (session.Codec — gob control envelope, Cmd.Params and
+// Report.Partial as raw float64 trailers), a single envelope union per
+// stream, typed errors for every violation, and session drop (never a
+// wedged round) as the failure response. One Hello from the shard, one
+// Ack from the root, then an alternating stream of Cmd/Report pairs
+// driven by the root, terminated by Bye.
 
 // ProtocolErrorKind classifies a shard-protocol violation.
 type ProtocolErrorKind string
@@ -47,8 +48,10 @@ const (
 	// ErrWrongShard: a Report claiming a different shard ID than the
 	// session it arrived on.
 	ErrWrongShard ProtocolErrorKind = "wrong_shard"
-	// ErrBadReport: a Report violating the wire contract (non-finite
-	// partial, negative counters, inconsistent reporter block).
+	// ErrBadReport: a Report violating the wire contract (a partial that
+	// is neither empty nor of the model dimension — refused on its
+	// announced length, before it is read — or non-finite, negative
+	// counters, inconsistent reporter block).
 	ErrBadReport ProtocolErrorKind = "bad_report"
 )
 
@@ -226,14 +229,26 @@ type Report struct {
 // Bye ends a shard session.
 type Bye struct{ Reason string }
 
-// Envelope wraps every shard↔root message so one gob stream carries
-// all types.
+// Envelope wraps every shard↔root message so one stream carries all
+// types.
 type Envelope struct {
 	Hello  *Hello
 	Ack    *Ack
 	Cmd    *Cmd
 	Report *Report
 	Bye    *Bye
+}
+
+// Vector implements session.Vectored: a Cmd's Params and a Report's
+// Partial travel as the frame's raw trailer, never through gob.
+func (e Envelope) Vector() *[]float64 {
+	switch {
+	case e.Cmd != nil:
+		return &e.Cmd.Params
+	case e.Report != nil:
+		return &e.Report.Partial
+	}
+	return nil
 }
 
 // Check validates the one-of-union invariant: exactly one field set.
