@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"haccs/internal/checkpoint"
-	"haccs/internal/cluster"
 	"haccs/internal/stats"
 )
 
@@ -69,11 +68,20 @@ func (s *Scheduler) RestoreState(data []byte) error {
 	if len(st.LastLoss) != len(s.lastLoss) || len(st.Labels) != len(s.summaries) {
 		return fmt.Errorf("core: scheduler snapshot for %d clients, scheduler has %d", len(st.Labels), len(s.summaries))
 	}
+	for _, l := range st.Labels {
+		if l < 0 {
+			return fmt.Errorf("core: scheduler snapshot carries cluster label %d", l)
+		}
+	}
 	copy(s.lastLoss, st.LastLoss)
 	s.mu.Lock()
 	s.labels = append(s.labels[:0], st.Labels...)
-	s.clusters = cluster.Members(s.labels)
-	s.baseline = st.Baselines
+	// Summaries are not checkpointed, so neither are the running sums:
+	// they are recomputed here from the summaries Init was given, and
+	// integer sums recomputed equal the integer sums the interrupted run
+	// maintained.
+	s.rebuildLocked()
+	s.setBaselinesLocked(st.Baselines)
 	s.mu.Unlock()
 	s.rng.SetState(st.RNG)
 	return nil

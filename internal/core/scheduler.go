@@ -112,18 +112,53 @@ type Scheduler struct {
 	latency  []float64
 	lastLoss []float64
 
-	labels   []int   // client -> cluster id (singletonized noise)
-	clusters [][]int // cluster id -> member client IDs
+	labels []int // client -> cluster id (singletonized noise)
+
+	// The published cluster view (clusterstate.go keeps it in step with
+	// labels). clusters maps cluster id -> member client IDs, ascending;
+	// byLat holds the same members ordered by (latency, ID). A list, once
+	// published, is never written again — a membership change builds new
+	// lists for the affected clusters and bumps version — so the fleet
+	// registry, the trace and the HTTP readers may hold them freely.
+	clusters [][]int
+	byLat    [][]int
+	version  uint64
+	latRank  []int // client -> position in the roster's (latency, ID) order
 
 	// sk holds the sketch backend's working state (nil on the dense
 	// backend and before the first reclusterSketch).
 	sk *sketchState
 
+	// The roster's summary shape, fixed at construction: label bins for
+	// P(y), class count for P(X|y), and the per-class histogram
+	// resolution for P(X|y). UpdateSummaries holds refreshed summaries to
+	// it.
+	bins, featBins int
+
+	// mass is the exact running label mass per cluster (fixed point, see
+	// clusterstate.go); dirty flags the clusters whose sums or membership
+	// changed in the current batch; massCap is the per-entry saturation.
+	mass        [][]int64
+	dirty       []bool
+	massCap     int64
+	centroidBuf []float64
+
 	// baseline holds each cluster's label-distribution centroid captured
-	// at cluster time — the reference point for the fleet drift gauge.
-	// Re-clustering (Init or UpdateSummaries) resets it, so drift always
-	// means "change since the clustering currently in force".
+	// at cluster time — the reference point for the drift trigger and the
+	// fleet drift gauge. Re-clustering (Init or UpdateSummaries) resets
+	// it, so drift always means "change since the clustering currently in
+	// force". drift caches driftOf per cluster in the view.
 	baseline [][]float64
+	drift    []float64
+
+	// Per-Select scratch, reused across rounds: nothing here outlives the
+	// call (lastParts and lastPicks keep their own storage).
+	sel selectScratch
+
+	// Resolved metric handles: the θ gauge per cluster index (grown when
+	// the cluster count grows) and the rejected-summary counter.
+	thetaGauges []*telemetry.Gauge
+	rejected    *telemetry.Counter
 
 	// Introspection snapshot: the scheduler's own loop (Init, Select,
 	// Update, UpdateSummaries) runs single-threaded on the round driver,
@@ -151,7 +186,20 @@ func NewScheduler(cfg Config, summaries []Summary) *Scheduler {
 			panic("core: summary kind mismatch with config")
 		}
 	}
-	return &Scheduler{cfg: cfg, summaries: summaries, lastRound: -1}
+	s := &Scheduler{cfg: cfg, summaries: summaries, lastRound: -1,
+		massCap: math.MaxInt64 / 2 / int64(len(summaries))}
+	if cfg.Kind == PY {
+		s.bins = summaries[0].Label.Bins()
+	} else {
+		s.bins = len(summaries[0].Feature)
+		s.featBins = featureBins(summaries)
+	}
+	s.centroidBuf = make([]float64, s.bins)
+	if cfg.Metrics != nil {
+		s.rejected = cfg.Metrics.Counter("haccs_summaries_rejected_total",
+			"Refreshed summaries UpdateSummaries skipped for a wrong shape or a non-finite count.")
+	}
+	return s
 }
 
 // Name implements fl.Strategy.
@@ -170,6 +218,8 @@ func (s *Scheduler) Init(clients []fl.ClientInfo, rng *stats.RNG) {
 		s.latency[c.ID] = c.Latency
 		s.lastLoss[c.ID] = s.cfg.InitLoss
 	}
+	s.rankByLatency()
+	s.sel.picked = make([]bool, len(clients))
 	s.recluster()
 }
 
@@ -208,8 +258,8 @@ func (s *Scheduler) recluster() {
 	}
 	s.mu.Lock()
 	s.labels = labels
-	s.clusters = cluster.Members(labels)
-	s.baseline = s.labelCentroids(s.clusters)
+	s.rebuildLocked()
+	s.setBaselinesLocked(s.captureBaselines())
 	s.distance = introspect.SummarizeDistances(m)
 	s.order = append([]int(nil), res.Order...)
 	s.reach = introspect.EncodeReachability(res.Reach)
@@ -231,6 +281,14 @@ func (s *Scheduler) recluster() {
 // only the changed clients against the standing representatives and
 // re-clusters only when label-centroid drift crosses the configured
 // threshold.
+//
+// Refreshed summaries can come off the wire, so every entry is checked
+// before anything is mutated. An unknown ID or the wrong kind is a
+// programmer error and panics. An entry whose shape differs from the
+// roster's (label bins; class count and per-class bins) or that carries
+// a non-finite count is skipped — the client keeps its previous summary
+// — and counted in haccs_summaries_rejected_total. The scheduler retains
+// the accepted summaries; the caller must not modify them afterwards.
 func (s *Scheduler) UpdateSummaries(updated map[int]Summary) {
 	for id, sum := range updated {
 		if id < 0 || id >= len(s.summaries) {
@@ -239,16 +297,53 @@ func (s *Scheduler) UpdateSummaries(updated map[int]Summary) {
 		if sum.Kind != s.cfg.Kind {
 			panic("core: UpdateSummaries kind mismatch")
 		}
-		s.summaries[id] = sum
 	}
-	if s.latency == nil {
+	ids := sortedUpdateIDs(updated)
+	accepted := ids[:0]
+	for _, id := range ids {
+		if s.wellFormed(updated[id]) {
+			accepted = append(accepted, id)
+		}
+	}
+	if n := len(updated) - len(accepted); n > 0 && s.rejected != nil {
+		s.rejected.Add(float64(n))
+	}
+	if s.latency != nil && s.cfg.Backend == SketchBackend && s.sk != nil && s.sk.index != nil {
+		s.updateSketch(accepted, updated)
 		return
 	}
-	if s.cfg.Backend == SketchBackend && s.sk != nil && s.sk.index != nil {
-		s.updateSketch(sortedUpdateIDs(updated))
-		return
+	for _, id := range accepted {
+		s.summaries[id] = updated[id]
 	}
-	s.recluster()
+	if s.latency != nil {
+		s.recluster()
+	}
+}
+
+// wellFormed reports whether a refreshed summary has the roster's shape
+// and only finite counts.
+func (s *Scheduler) wellFormed(sum Summary) bool {
+	if sum.Kind == PY {
+		return sum.Label != nil && len(sum.Label.Counts) == s.bins && finite(sum.Label.Counts)
+	}
+	if len(sum.Feature) != s.bins {
+		return false
+	}
+	for _, h := range sum.Feature {
+		if h != nil && (len(h.Counts) != s.featBins || !finite(h.Counts)) {
+			return false
+		}
+	}
+	return true
+}
+
+func finite(counts []float64) bool {
+	for _, c := range counts {
+		if math.IsNaN(c) || math.IsInf(c, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // ClusterLabels returns each client's cluster id.
@@ -276,6 +371,19 @@ type clusterWeight struct {
 	Alive    bool    // cluster has at least one available member
 }
 
+// selectScratch is Select's reusable working storage, sized on demand.
+type selectScratch struct {
+	avgLat, avgLoss, weights []float64
+	// remaining[i] counts available, unpicked members of cluster i;
+	// cursor[i] is where PickFastest resumes in byLat[i] — everything
+	// before it is unavailable or already picked this round — or −1 when
+	// an available member's latency is NaN (see pickWithin).
+	remaining, cursor []int
+	picked            []bool // per client; cleared before Select returns
+	candIDs           []int  // PickWeighted candidates
+	candW             []float64
+}
+
 // clusterWeights computes the eq. 7 sampling weight for every cluster
 // over its currently available members:
 //
@@ -284,12 +392,19 @@ type clusterWeight struct {
 //
 // where Latency_i and ACL_i are the average latency and loss of the
 // cluster's available members. Clusters with no available members get
-// weight 0.
+// weight 0. The same walk counts each cluster's available members into
+// sel.remaining. Sums run in member (ascending ID) order — the order θ,
+// and with it the RNG stream, has always been computed in. The returned
+// weights are scratch; parts is the caller's to keep.
 func (s *Scheduler) clusterWeights(available []bool) ([]float64, []clusterWeight) {
 	n := len(s.clusters)
-	avgLat := make([]float64, n)
-	avgLoss := make([]float64, n)
-	hasMembers := make([]bool, n)
+	sc := &s.sel
+	if cap(sc.weights) < n {
+		sc.avgLat, sc.avgLoss, sc.weights = make([]float64, n), make([]float64, n), make([]float64, n)
+		sc.remaining, sc.cursor = make([]int, n), make([]int, n)
+	}
+	avgLat, avgLoss, weights := sc.avgLat[:n], sc.avgLoss[:n], sc.weights[:n]
+	sc.remaining, sc.cursor = sc.remaining[:n], sc.cursor[:n]
 	maxLat := 0.0
 	totalLoss := 0.0
 	for i, members := range s.clusters {
@@ -301,10 +416,13 @@ func (s *Scheduler) clusterWeights(available []bool) ([]float64, []clusterWeight
 				cnt++
 			}
 		}
+		sc.remaining[i], sc.cursor[i], weights[i] = cnt, 0, 0
 		if cnt == 0 {
 			continue
 		}
-		hasMembers[i] = true
+		if math.IsNaN(sumLat) {
+			sc.cursor[i] = -1
+		}
 		avgLat[i] = sumLat / float64(cnt)
 		avgLoss[i] = sumLoss / float64(cnt)
 		if avgLat[i] > maxLat {
@@ -312,10 +430,9 @@ func (s *Scheduler) clusterWeights(available []bool) ([]float64, []clusterWeight
 		}
 		totalLoss += avgLoss[i]
 	}
-	weights := make([]float64, n)
 	parts := make([]clusterWeight, n)
 	for i := range s.clusters {
-		if !hasMembers[i] {
+		if sc.remaining[i] == 0 {
 			continue
 		}
 		tau := 0.0
@@ -342,18 +459,24 @@ func (s *Scheduler) clusterWeights(available []bool) ([]float64, []clusterWeight
 
 // publishWeights exports every cluster's θ (and the cluster count) as
 // labelled gauges — the per-cluster view the /metrics acceptance check
-// scrapes. Clusters without available members export θ = 0.
+// scrapes. Clusters without available members export θ = 0. Gauge
+// handles are resolved once per cluster index, not once per round.
 func (s *Scheduler) publishWeights(parts []clusterWeight) {
 	if s.cfg.Metrics == nil {
 		return
 	}
-	thetas := s.cfg.Metrics.GaugeVec("haccs_cluster_theta", "Eq. 7 sampling weight of each cluster over its available members.", "cluster")
+	if len(s.thetaGauges) < len(parts) {
+		thetas := s.cfg.Metrics.GaugeVec("haccs_cluster_theta", "Eq. 7 sampling weight of each cluster over its available members.", "cluster")
+		for i := len(s.thetaGauges); i < len(parts); i++ {
+			s.thetaGauges = append(s.thetaGauges, thetas.With(strconv.Itoa(i)))
+		}
+	}
 	for i, p := range parts {
 		theta := 0.0
 		if p.Alive {
 			theta = p.Theta
 		}
-		thetas.With(strconv.Itoa(i)).Set(theta)
+		s.thetaGauges[i].Set(theta)
 	}
 }
 
@@ -372,26 +495,26 @@ func (s *Scheduler) Select(epoch int, available []bool, k int) []int {
 		// One cluster_state record per cluster per Select: the
 		// flight-recorder form of /debug/selection, so a finished run's
 		// JSONL can replay why every round's draw looked the way it did.
+		// The event shares the published (immutable) member list.
 		for i, p := range parts {
-			s.cfg.Tracer.Emit(telemetry.ClusterState(epoch, i, p.Theta, p.Tau, p.ACL, p.ACLShare,
-				append([]int(nil), s.clusters[i]...)))
+			s.cfg.Tracer.Emit(telemetry.ClusterState(epoch, i, p.Theta, p.Tau, p.ACL, p.ACLShare, s.clusters[i]))
 		}
 	}
-	picked := make(map[int]bool, k)
-	var selected []int
-	picks := make([]introspect.Pick, 0, k)
-	// remaining[i] counts available, unpicked members of cluster i.
-	remaining := make([]int, len(s.clusters))
+	remaining := s.sel.remaining
 	anyRemaining := false
-	for i, members := range s.clusters {
-		for _, id := range members {
-			if available[id] {
-				remaining[i]++
-			}
-		}
+	for i := range weights {
 		if remaining[i] > 0 && weights[i] > 0 {
 			anyRemaining = true
+			break
 		}
+	}
+	// selected and picks outlive the call (the driver holds one, lastPicks
+	// the other), so they are the round's two fresh allocations.
+	var selected []int
+	var picks []introspect.Pick
+	if anyRemaining && k > 0 {
+		selected = make([]int, 0, min(k, len(available)))
+		picks = make([]introspect.Pick, 0, min(k, len(available)))
 	}
 	for len(selected) < k && anyRemaining {
 		c := s.rng.WeightedChoice(weights)
@@ -408,8 +531,8 @@ func (s *Scheduler) Select(epoch int, available []bool, k int) []int {
 			}
 			continue
 		}
-		best := s.pickWithin(c, available, picked)
-		picked[best] = true
+		best := s.pickWithin(c, available)
+		s.sel.picked[best] = true
 		selected = append(selected, best)
 		remaining[c]--
 		picks = append(picks, introspect.Pick{
@@ -425,6 +548,9 @@ func (s *Scheduler) Select(epoch int, available []bool, k int) []int {
 			s.cfg.Tracer.Emit(telemetry.ClusterSampled(epoch, c, p.Theta, p.Tau, p.ACL, p.ACLShare))
 			s.cfg.Tracer.Emit(telemetry.ClientPicked(epoch, c, best, s.latency[best], reason))
 		}
+	}
+	for _, id := range selected {
+		s.sel.picked[id] = false
 	}
 	s.mu.Lock()
 	s.lastRound = epoch
@@ -467,29 +593,43 @@ func (s *Scheduler) SelectionState() introspect.State {
 
 // pickWithin chooses one available, unpicked device from cluster c
 // according to the configured intra-cluster policy. The caller
-// guarantees at least one candidate exists.
-func (s *Scheduler) pickWithin(c int, available []bool, picked map[int]bool) int {
+// guarantees at least one candidate exists. PickFastest takes the first
+// candidate of the cluster's (latency, ID) order — the minimum-latency
+// device, lowest ID on a tie — resuming where the previous pick from
+// this cluster stopped. A NaN latency (it can come off the wire, in a
+// client's registration) has no place in that order: it compares false
+// both ways, so the published algorithm's scan keeps whichever of a NaN
+// and a number it met first. A cluster with an available NaN-latency
+// member therefore takes that scan, in member order.
+func (s *Scheduler) pickWithin(c int, available []bool) int {
+	sc := &s.sel
 	if s.cfg.IntraCluster == PickWeighted {
-		var ids []int
-		var weights []float64
+		ids, weights := sc.candIDs[:0], sc.candW[:0]
 		for _, id := range s.clusters[c] {
-			if available[id] && !picked[id] {
+			if available[id] && !sc.picked[id] {
 				ids = append(ids, id)
 				weights = append(weights, 1/math.Max(s.latency[id], 1e-9))
 			}
 		}
+		sc.candIDs, sc.candW = ids, weights
 		return ids[s.rng.WeightedChoice(weights)]
 	}
-	best := -1
-	for _, id := range s.clusters[c] {
-		if !available[id] || picked[id] {
-			continue
+	i := sc.cursor[c]
+	if i < 0 {
+		best := -1
+		for _, id := range s.clusters[c] {
+			if available[id] && !sc.picked[id] && (best == -1 || s.latency[id] < s.latency[best]) {
+				best = id
+			}
 		}
-		if best == -1 || s.latency[id] < s.latency[best] {
-			best = id
-		}
+		return best
 	}
-	return best
+	order := s.byLat[c]
+	for !available[order[i]] || sc.picked[order[i]] {
+		i++
+	}
+	sc.cursor[c] = i + 1
+	return order[i]
 }
 
 // Update implements fl.Strategy.
@@ -499,82 +639,25 @@ func (s *Scheduler) Update(epoch int, selected []int, losses []float64) {
 	}
 }
 
-// labelCentroids computes each cluster's label-distribution centroid
-// from the current summaries: for P(y) the normalized sum of the
-// members' label histograms, for P(X|y) the normalized per-class mass
-// vector (how much of the cluster's data sits under each class).
-// Noised summaries can carry negative mass; it clamps at zero, and an
-// entirely massless cluster yields the uniform distribution so the
-// drift distance stays well defined.
-func (s *Scheduler) labelCentroids(clusters [][]int) [][]float64 {
-	out := make([][]float64, len(clusters))
-	for i, members := range clusters {
-		out[i] = s.labelCentroid(members)
-	}
-	return out
-}
-
-func (s *Scheduler) labelCentroid(members []int) []float64 {
-	var acc []float64
-	for _, id := range members {
-		sum := s.summaries[id]
-		switch sum.Kind {
-		case PY:
-			if acc == nil {
-				acc = make([]float64, len(sum.Label.Counts))
-			}
-			for b, c := range sum.Label.Counts {
-				acc[b] += math.Max(0, c)
-			}
-		case PXY:
-			if acc == nil {
-				acc = make([]float64, len(sum.Feature))
-			}
-			for cls, h := range sum.Feature {
-				if h != nil {
-					acc[cls] += math.Max(0, h.Total())
-				}
-			}
-		}
-	}
-	total := 0.0
-	for _, v := range acc {
-		total += v
-	}
-	if total <= 0 {
-		u := 1.0 / float64(len(acc))
-		for i := range acc {
-			acc[i] = u
-		}
-		return acc
-	}
-	for i := range acc {
-		acc[i] /= total
-	}
-	return acc
-}
-
 // FleetClusterState implements fleet.ClusterSource: the cluster
-// membership in force, each cluster's normalized share of the eq. 7
-// sampling weight (the scheduler's intent, against which the fleet
-// registry reports realized selection share), and each cluster's
-// Hellinger drift — current label-distribution centroid vs. the
-// centroid captured when the clustering was computed. Before the first
-// Select the θ targets fall back to uniform. Called on the round-driver
-// goroutine by the fleet registry; summary reads are safe because
-// UpdateSummaries runs on the same loop.
+// membership in force (the published immutable lists and their
+// version), each cluster's normalized share of the eq. 7 sampling
+// weight (the scheduler's intent, against which the fleet registry
+// reports realized selection share), and each cluster's cached drift
+// (driftOf). Before the first Select the θ targets fall back to
+// uniform. O(clusters): nothing here walks the roster.
 func (s *Scheduler) FleetClusterState() fleet.ClusterTargets {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := len(s.clusters)
 	t := fleet.ClusterTargets{
-		Members: make([][]int, n),
+		Members: s.clusters,
+		Version: s.version,
 		Theta:   make([]float64, n),
-		Drift:   make([]float64, n),
+		Drift:   append([]float64(nil), s.drift...),
 	}
 	totalTheta := 0.0
-	for i, members := range s.clusters {
-		t.Members[i] = append([]int(nil), members...)
+	for i := range t.Theta {
 		if i < len(s.lastParts) && s.lastParts[i].Alive {
 			t.Theta[i] = s.lastParts[i].Theta
 		}
@@ -587,12 +670,6 @@ func (s *Scheduler) FleetClusterState() fleet.ClusterTargets {
 	} else if n > 0 {
 		for i := range t.Theta {
 			t.Theta[i] = 1 / float64(n)
-		}
-	}
-	for i, members := range s.clusters {
-		cur := s.labelCentroid(members)
-		if i < len(s.baseline) && len(s.baseline[i]) == len(cur) {
-			t.Drift[i] = stats.Hellinger(cur, s.baseline[i])
 		}
 	}
 	return t

@@ -385,8 +385,8 @@ func (s *Scheduler) reclusterSketch() {
 	sk.nextLabel = next
 	sk.reclusters++
 	s.labels = labels
-	s.clusters = cluster.Members(labels)
-	s.baseline = s.labelCentroids(s.clusters)
+	s.rebuildLocked()
+	s.setBaselinesLocked(s.captureBaselines())
 	// The distance/reachability introspection describes the K
 	// representatives (the set OPTICS actually saw), not the N clients.
 	s.distance = introspect.SummarizeDistances(m)
@@ -404,47 +404,37 @@ func (s *Scheduler) reclusterSketch() {
 	}
 }
 
-// updateSketch is the sketch backend's §IV-C adaptation path: the
-// changed clients are re-sketched and re-routed through the
-// representative index incrementally — O(K·Dim) per client — and a full
-// recluster runs only when some cluster's label centroid has drifted
-// past the configured threshold. ids must be sorted (ascending) so the
-// representative set stays independent of map iteration order.
-func (s *Scheduler) updateSketch(ids []int) {
+// updateSketch is the sketch backend's §IV-C adaptation path, at a cost
+// proportional to the batch: each changed client's old label mass leaves
+// its cluster's running sums, the client is re-sketched and re-routed
+// through the representative index — O(K·Dim) — and its new mass joins
+// the cluster it lands in; member lists are republished only for
+// clusters a client actually left or joined, and drift is re-evaluated
+// only for clusters the batch touched. A full recluster runs when some
+// cluster's cached drift is past the configured threshold. ids must be
+// sorted (ascending) so the representative set stays independent of map
+// iteration order.
+func (s *Scheduler) updateSketch(ids []int, updated map[int]Summary) {
 	s.mu.Lock()
+	var moves []move
 	for _, id := range ids {
+		from := s.labels[id]
+		s.addMass(from, s.summaries[id], -1)
+		s.summaries[id] = updated[id]
 		rep, _ := s.observeLocked(id)
-		s.labels[id] = s.sk.repLabels[rep]
-	}
-	s.clusters = cluster.Members(s.labels)
-	// Clusters born since the last recluster (new representatives) get
-	// their baseline captured at first sight, so their drift starts at
-	// zero rather than being measured against nothing.
-	for len(s.baseline) < len(s.clusters) {
-		s.baseline = append(s.baseline, s.labelCentroid(s.clusters[len(s.baseline)]))
-	}
-	maxDrift := 0.0
-	for i, members := range s.clusters {
-		if i >= len(s.baseline) {
-			continue
-		}
-		if len(members) == 0 {
-			// A cluster that had members at baseline and has none now
-			// is the extreme form of drift: its population migrated
-			// wholesale (new representatives carry fresh baselines, so
-			// only the abandonment is visible here).
-			if len(s.baseline[i]) > 0 {
-				maxDrift = 1
-			}
-			continue
-		}
-		cur := s.labelCentroid(members)
-		if len(cur) == len(s.baseline[i]) {
-			if d := stats.Hellinger(cur, s.baseline[i]); d > maxDrift {
-				maxDrift = d
-			}
+		to := s.sk.repLabels[rep]
+		s.growMass(to + 1)
+		s.addMass(to, s.summaries[id], +1)
+		s.dirty[from], s.dirty[to] = true, true
+		if to != from {
+			s.labels[id] = to
+			moves = append(moves, move{id: id, from: from, to: to})
 		}
 	}
+	if len(moves) > 0 {
+		s.applyMovesLocked(moves)
+	}
+	maxDrift := s.syncDriftLocked()
 	threshold := s.cfg.Sketch.DriftThreshold
 	if threshold == 0 {
 		threshold = DefaultDriftThreshold

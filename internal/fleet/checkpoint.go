@@ -42,14 +42,10 @@ func (r *Registry) SnapshotState() ([]byte, error) {
 		TotalSelected:   r.totalSelected,
 		Fairness:        r.fairness,
 		Clients:         append([]clientHealth(nil), r.clients...),
-		Clusters:        make([]clusterHealth, len(r.clusters)),
+		Clusters:        append([]clusterHealth(nil), r.clusters...), // member lists are immutable: shared
 		AsyncRounds:     r.asyncRounds,
 		StaleDropped:    r.staleDropped,
 		StalenessCounts: append([]int(nil), r.stalenessCounts[:]...),
-	}
-	for i := range r.clusters {
-		st.Clusters[i] = r.clusters[i]
-		st.Clusters[i].Members = append([]int(nil), r.clusters[i].Members...)
 	}
 	r.mu.Unlock()
 	return checkpoint.EncodeGob("fleet: registry state", st)
@@ -78,6 +74,13 @@ func (r *Registry) RestoreState(data []byte) error {
 	r.totalSelected = st.TotalSelected
 	r.fairness = st.Fairness
 	copy(r.clients, st.Clients)
+	// Σx² is not in the payload (registryStateVersion is unchanged); it
+	// is recomputed once here, and the cluster table on the next round.
+	r.selectedSq = 0
+	for i := range r.clients {
+		r.selectedSq += r.clients[i].Selected * r.clients[i].Selected
+	}
+	r.viewKnown = false
 	r.clusters = st.Clusters
 	r.asyncRounds = st.AsyncRounds
 	r.staleDropped = st.StaleDropped

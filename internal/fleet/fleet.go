@@ -83,11 +83,20 @@ type RoundObservation struct {
 
 // ClusterTargets is the scheduler-side cluster view the registry reads
 // once per round: current membership, normalized θ target shares, and
-// each cluster's centroid drift since it was formed. Slices must be
-// safe for the registry to retain (the provider copies).
+// each cluster's centroid drift since it was formed.
+//
+// Contract: the member lists are immutable — the provider never writes
+// a list it has handed out, it builds a new one — and disjoint; Version
+// says when they changed. The registry retains the lists and rebuilds
+// its per-client cluster table only when Version differs from the last
+// one it saw, so a source that changes membership without changing
+// Version breaks the per-cluster shares.
 type ClusterTargets struct {
 	// Members holds each cluster's client IDs.
 	Members [][]int
+	// Version changes whenever any member list does (re-clustering, a
+	// client moving between clusters, a restore).
+	Version uint64
 	// Theta is each cluster's eq. 7 sampling weight normalized to a
 	// share (sums to 1 over alive clusters).
 	Theta []float64

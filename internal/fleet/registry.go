@@ -101,9 +101,20 @@ type Registry struct {
 	clients       []clientHealth
 	rounds        int
 	clock         float64
-	totalSelected int
+	totalSelected int // Σx over the roster's cumulative selection counts
+	selectedSq    int // Σx², maintained with it: Jain's index needs no roster walk
 	fairness      float64
 	clusters      []clusterHealth
+
+	// The per-cluster cumulative selection counts, maintained from each
+	// round's Selected through clusterOf (client -> cluster, -1 outside
+	// every cluster). Both are rebuilt from the roster only when the
+	// source's Version differs from viewVersion, or on first sight
+	// (viewKnown false: a new or just-restored registry).
+	clusterOf   []int
+	clusterSel  []int
+	viewVersion uint64
+	viewKnown   bool
 
 	// Async-driver fleet view: rounds observed in async mode and the
 	// fleet-wide staleness histogram over buffered updates (index is
@@ -120,7 +131,12 @@ type Registry struct {
 	targetVec telemetry.GaugeVec
 	driftVec  telemetry.GaugeVec
 	hasVecs   bool
+	// gauges holds the resolved share/target/drift handles per cluster
+	// index, grown when the cluster count grows.
+	gauges []clusterGauges
 }
+
+type clusterGauges struct{ share, target, drift *telemetry.Gauge }
 
 // NewRegistry builds a registry for a dense roster of n clients
 // (IDs 0..n-1, matching the driver's proxy indexing).
@@ -175,6 +191,7 @@ func (r *Registry) ObserveRound(obs RoundObservation) {
 
 	for _, id := range obs.Selected {
 		c := &r.clients[id]
+		r.selectedSq += 2*c.Selected + 1
 		c.Selected++
 		c.LastSeen = obs.Round
 	}
@@ -222,8 +239,8 @@ func (r *Registry) ObserveRound(obs RoundObservation) {
 		r.clients[id].Unavailable++
 	}
 
-	r.fairness = r.jainLocked()
-	r.refreshClustersLocked()
+	r.fairness = r.jain()
+	r.refreshClustersLocked(obs.Selected)
 
 	// Emit under the lock: the driver calls ObserveRound serially, so
 	// this only ever delays a concurrent /debug/fleet read, and the
@@ -234,13 +251,18 @@ func (r *Registry) ObserveRound(obs RoundObservation) {
 	if r.tracer != nil {
 		r.tracer.Emit(telemetry.FleetHealth(obs.Round, r.fairness, r.clock))
 	}
+	for r.hasVecs && len(r.gauges) < len(r.clusters) {
+		label := strconv.Itoa(len(r.gauges))
+		r.gauges = append(r.gauges, clusterGauges{
+			r.shareVec.With(label), r.targetVec.With(label), r.driftVec.With(label)})
+	}
 	for i := range r.clusters {
 		ch := &r.clusters[i]
 		if r.hasVecs {
-			label := strconv.Itoa(i)
-			r.shareVec.With(label).Set(ch.Share)
-			r.targetVec.With(label).Set(ch.TargetShare)
-			r.driftVec.With(label).Set(ch.Drift)
+			g := &r.gauges[i]
+			g.share.Set(ch.Share)
+			g.target.Set(ch.TargetShare)
+			g.drift.Set(ch.Drift)
 		}
 		if r.tracer != nil {
 			r.tracer.Emit(telemetry.FleetClusterHealth(obs.Round, i, ch.Share, ch.TargetShare, ch.Drift))
@@ -249,42 +271,59 @@ func (r *Registry) ObserveRound(obs RoundObservation) {
 	r.mu.Unlock()
 }
 
-// jainLocked computes Jain's fairness index J = (Σx)² / (n·Σx²) over
-// the roster's cumulative selection counts: 1 when selections are
-// perfectly even, →1/n as they concentrate on one client, and 0 (by
-// convention) before any selection.
-func (r *Registry) jainLocked() float64 {
-	var sum, sumSq float64
-	for i := range r.clients {
-		x := float64(r.clients[i].Selected)
-		sum += x
-		sumSq += x * x
-	}
-	if sumSq == 0 {
+// jain computes Jain's fairness index J = (Σx)² / (n·Σx²) over the
+// roster's cumulative selection counts: 1 when selections are perfectly
+// even, →1/n as they concentrate on one client, and 0 (by convention)
+// before any selection. Σx is totalSelected and Σx² is maintained beside
+// it; both are exact integers below 2⁵³, so the quotient is the float a
+// walk over the roster would produce. Callers hold r.mu.
+func (r *Registry) jain() float64 {
+	if r.selectedSq == 0 {
 		return 0
 	}
-	return sum * sum / (float64(len(r.clients)) * sumSq)
+	sum := float64(r.totalSelected)
+	return sum * sum / (float64(len(r.clients)) * float64(r.selectedSq))
 }
 
 // refreshClustersLocked pulls the scheduler's current cluster view and
-// recomputes each cluster's cumulative selection share.
-func (r *Registry) refreshClustersLocked() {
+// brings each cluster's cumulative selection share up to date: from
+// this round's selected clients when the membership is the one already
+// seen, from the roster when it is new.
+func (r *Registry) refreshClustersLocked(selected []int) {
 	if r.source == nil {
 		return
 	}
 	ct := r.source.FleetClusterState()
+	if r.viewKnown && ct.Version == r.viewVersion {
+		for _, id := range selected {
+			if c := r.clusterOf[id]; c >= 0 {
+				r.clusterSel[c]++
+			}
+		}
+	} else {
+		if r.clusterOf == nil {
+			r.clusterOf = make([]int, len(r.clients))
+		}
+		for id := range r.clusterOf {
+			r.clusterOf[id] = -1
+		}
+		r.clusterSel = append(r.clusterSel[:0], make([]int, len(ct.Members))...)
+		for i, members := range ct.Members {
+			for _, id := range members {
+				r.clusterOf[id] = i
+				r.clusterSel[i] += r.clients[id].Selected
+			}
+		}
+		r.viewVersion, r.viewKnown = ct.Version, true
+	}
 	if cap(r.clusters) < len(ct.Members) {
 		r.clusters = make([]clusterHealth, len(ct.Members))
 	}
 	r.clusters = r.clusters[:len(ct.Members)]
 	for i, members := range ct.Members {
-		sel := 0
-		for _, id := range members {
-			sel += r.clients[id].Selected
-		}
 		share := 0.0
 		if r.totalSelected > 0 {
-			share = float64(sel) / float64(r.totalSelected)
+			share = float64(r.clusterSel[i]) / float64(r.totalSelected)
 		}
 		r.clusters[i] = clusterHealth{
 			Members:     members,
@@ -323,7 +362,8 @@ type ClientHealth struct {
 }
 
 // ClusterHealth is the exported per-cluster reading in a State
-// snapshot.
+// snapshot. Members is the source's immutable list, shared, not copied:
+// read it, do not write it.
 type ClusterHealth struct {
 	ID          int     `json:"id"`
 	Members     []int   `json:"members"`
@@ -411,7 +451,7 @@ func (r *Registry) State() State {
 			ch := &r.clusters[i]
 			st.Clusters[i] = ClusterHealth{
 				ID:          i,
-				Members:     append([]int(nil), ch.Members...),
+				Members:     ch.Members,
 				Share:       ch.Share,
 				TargetShare: ch.TargetShare,
 				Drift:       ch.Drift,

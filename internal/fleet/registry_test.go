@@ -163,6 +163,76 @@ func TestClusterView(t *testing.T) {
 	}
 }
 
+// versionedSource is a ClusterSource whose membership the test swaps,
+// bumping Version as the contract requires.
+type versionedSource struct{ t ClusterTargets }
+
+func (s *versionedSource) FleetClusterState() ClusterTargets { return s.t }
+
+func (s *versionedSource) set(members ...[]int) {
+	n := len(members)
+	s.t = ClusterTargets{Members: members, Version: s.t.Version + 1,
+		Theta: make([]float64, n), Drift: make([]float64, n)}
+}
+
+// TestClusterShareFollowsVersion: the per-cluster selection counts the
+// registry maintains from each round's Selected read bit-equal to a
+// walk over the members — while the membership stands, after it changes
+// under a new Version (emptied cluster and a client outside every
+// cluster included), and in a registry restored mid-run.
+func TestClusterShareFollowsVersion(t *testing.T) {
+	check := func(r *Registry, src *versionedSource, when string) {
+		t.Helper()
+		st := r.State()
+		if len(st.Clusters) != len(src.t.Members) {
+			t.Fatalf("%s: %d clusters, source has %d", when, len(st.Clusters), len(src.t.Members))
+		}
+		for i, ch := range st.Clusters {
+			sel := 0
+			for _, id := range src.t.Members[i] {
+				sel += st.Clients[id].Selected
+			}
+			want := 0.0
+			if st.TotalSelected > 0 {
+				want = float64(sel) / float64(st.TotalSelected)
+			}
+			if math.Float64bits(ch.Share) != math.Float64bits(want) {
+				t.Errorf("%s: cluster %d share %v, member walk %v", when, i, ch.Share, want)
+			}
+		}
+	}
+	src := &versionedSource{}
+	src.set([]int{0, 1}, []int{2, 3, 4}) // client 5 belongs to no cluster
+	r := NewRegistry(6, Options{Source: src})
+	for round := 0; round < 7; round++ {
+		r.ObserveRound(RoundObservation{Round: round, Selected: []int{round % 6, (round + 2) % 6, 5}})
+		check(r, src, "standing membership")
+	}
+	src.set([]int{0, 4, 5}, nil, []int{1, 2, 3})
+	for round := 7; round < 12; round++ {
+		r.ObserveRound(RoundObservation{Round: round, Selected: []int{round % 6, (round + 1) % 6}})
+		check(r, src, "after a membership change")
+	}
+
+	snap, err := r.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := NewRegistry(6, Options{Source: src})
+	if err := restored.RestoreState(snap); err != nil {
+		t.Fatal(err)
+	}
+	for round := 12; round < 16; round++ {
+		obs := RoundObservation{Round: round, Selected: []int{round % 6, (round + 3) % 6}}
+		r.ObserveRound(obs)
+		restored.ObserveRound(obs)
+		check(restored, src, "restored")
+	}
+	if !reflect.DeepEqual(restored.State(), r.State()) {
+		t.Error("restored registry diverged from the one it was taken from")
+	}
+}
+
 func TestFleetHealthEvents(t *testing.T) {
 	var sink telemetry.MemorySink
 	src := staticSource{ClusterTargets{

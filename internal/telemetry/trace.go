@@ -283,7 +283,7 @@ func SpanEnded(name string, trace, span, parent uint64, round, client int, start
 
 // ClusterState builds the per-round introspection record of one
 // cluster's scheduling state. members is retained by the event — pass a
-// copy.
+// copy or a list that is never written again.
 func ClusterState(round, cluster int, theta, tau, acl, aclShare float64, members []int) Event {
 	e := newEvent(KindClusterState, round)
 	e.Cluster = cluster
