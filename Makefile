@@ -3,11 +3,11 @@
 # resume-smoke, fleet-smoke, async-smoke, scale-smoke, shard-smoke and
 # fuzz-smoke — the home of every native fuzz target: the wire frame
 # today, ROADMAP 1(c)'s envelope / exposition / snapshot / sketch targets
-# as they land, one `go test -fuzz` line each. Measurement: loc, bench,
-# bench-json, scale-results.
+# as they land, one `go test -fuzz` line each. Measurement: loc,
+# deadcode, bench, scale-results.
 GO ?= go
 
-.PHONY: check vet fmt-check build test race fingerprint loc bench-guard bench bench-json resume-smoke fleet-smoke async-smoke scale-smoke shard-smoke fuzz-smoke scale-results
+.PHONY: check vet fmt-check build test race fingerprint loc deadcode bench-guard bench resume-smoke fleet-smoke async-smoke scale-smoke shard-smoke fuzz-smoke scale-results
 
 ## check: the tier-1 gate — vet, gofmt, build, and the full test suite under -race.
 check: vet fmt-check build race
@@ -46,6 +46,14 @@ fingerprint:
 ## `make fingerprint` states its behaviour.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l
+
+## deadcode: the dead-surface census — top-level funcs, methods and
+## types that no non-test file names, diffed against the committed
+## tests/deadcode/dead.txt. A new dead name fails, and so does a listed
+## name that is live again (delete its line), so the count only goes
+## down. The same test runs inside `go test ./...`.
+deadcode:
+	$(GO) test -count=1 -v -run TestDeadCode ./tests/deadcode
 
 ## bench-guard: compile and run every benchmark exactly once so a broken
 ## benchmark fails CI without paying full measurement time.
@@ -150,7 +158,7 @@ fuzz-smoke:
 
 ## scale-results: the committed-results run — a 2000-client fleet over
 ## the full matrix, writing tests/results/scale/<rev>.md for the
-## current revision (commit the file, mirroring BENCH_<rev>.json).
+## current revision (commit the file).
 scale-results:
 	$(GO) run ./cmd/haccs-load -clients 2000 -k 64 -rounds 40 \
 		-rev $$(git rev-parse --short HEAD)
@@ -158,11 +166,3 @@ scale-results:
 ## bench: full benchmark pass (slow; for local measurement only).
 bench:
 	$(GO) test -run '^$$' -bench . ./...
-
-## bench-json: run the tracked benchmark suite and write
-## BENCH_<rev>.json, comparing against the committed baseline. See
-## README "Benchmarks" for how to read the report.
-bench-json:
-	$(GO) run ./cmd/haccs-bench -bench \
-		-bench-out BENCH_$$(git rev-parse --short HEAD).json \
-		-bench-baseline BENCH_baseline.json

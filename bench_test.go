@@ -11,7 +11,6 @@ import (
 	"math"
 	"testing"
 
-	"haccs/internal/benchrun"
 	"haccs/internal/cluster"
 	"haccs/internal/core"
 	"haccs/internal/dataset"
@@ -188,73 +187,6 @@ func BenchmarkAblation_SummarySize(b *testing.B) {
 		b.ReportMetric(float64(pxy)/float64(py), "pxy_over_py_bytes")
 	}
 }
-
-// --- tracked substrate benchmarks (internal/benchrun suite) ---
-//
-// These delegate to the shared benchrun bodies so `go test -bench` and
-// the BENCH_<rev>.json trajectory files measure identical workloads.
-
-// BenchmarkConvForward measures the synthetic-CIFAR first-layer conv
-// forward pass (the tracked ≥3×-vs-baseline target).
-func BenchmarkConvForward(b *testing.B) { benchrun.ConvForward(b) }
-
-// BenchmarkConvTrain measures the conv forward+backward pass.
-func BenchmarkConvTrain(b *testing.B) { benchrun.ConvTrain(b) }
-
-// BenchmarkTrainStep measures one full SGD training step on the
-// synthetic-CIFAR LeNet; its allocs/op is the tracked allocation-free
-// hot-path signal (target ≤ 2).
-func BenchmarkTrainStep(b *testing.B) { benchrun.TrainStepLeNet(b) }
-
-// BenchmarkTrainStepMLP measures one SGD step of the Quick-scale MLP.
-func BenchmarkTrainStepMLP(b *testing.B) { benchrun.TrainStepMLP(b) }
-
-// BenchmarkHellingerMatrix100 measures the 100-client pairwise distance
-// matrix build (cluster.FromFunc).
-func BenchmarkHellingerMatrix100(b *testing.B) { benchrun.HellingerMatrix100(b) }
-
-// BenchmarkSketchCluster100k measures a full sketch-backend clustering
-// of a 100k-client fleet — the tracked no-N×N scaling signal.
-func BenchmarkSketchCluster100k(b *testing.B) { benchrun.SketchCluster100k(b) }
-
-// BenchmarkSketchAssign measures the steady-state per-client sketch
-// assignment kernel; its allocs/op is the tracked zero-allocation
-// churn-path signal (target: exactly 0).
-func BenchmarkSketchAssign(b *testing.B) { benchrun.SketchAssign(b) }
-
-// BenchmarkRoundsDriverOverhead measures the shared round driver's pure
-// orchestration cost (selection, fan-out, collection, FedAvg) with
-// instant proxies standing in for local training.
-func BenchmarkRoundsDriverOverhead(b *testing.B) { benchrun.RoundsDriverOverhead(b) }
-
-// BenchmarkAsyncRoundThroughput measures the buffered async driver's
-// orchestration throughput over a 256-client heavy-tail fleet; its
-// updates/s metric is the tracked aggregated-update wall throughput.
-func BenchmarkAsyncRoundThroughput(b *testing.B) { benchrun.AsyncRoundThroughput(b) }
-
-// BenchmarkSpanNilTracer measures a full nested span lifecycle against a
-// nil tracer; its allocs/op is the tracked zero-overhead signal
-// (target: exactly 0).
-func BenchmarkSpanNilTracer(b *testing.B) { benchrun.SpanNilTracer(b) }
-
-// BenchmarkCheckpointEncode measures capturing and gob-encoding a
-// LeNet-sized run snapshot — the per-checkpoint serialization cost.
-func BenchmarkCheckpointEncode(b *testing.B) { benchrun.CheckpointEncode(b) }
-
-// BenchmarkCheckpointDisabled measures the round loop's checkpoint
-// hook with checkpointing off; its allocs/op is the tracked
-// zero-overhead signal (target: exactly 0).
-func BenchmarkCheckpointDisabled(b *testing.B) { benchrun.CheckpointDisabled(b) }
-
-// BenchmarkFleetRecordDisabled measures the round loop's fleet health
-// hook with the registry off (nil); its allocs/op is the tracked
-// zero-overhead signal (target: exactly 0).
-func BenchmarkFleetRecordDisabled(b *testing.B) { benchrun.FleetRecordDisabled(b) }
-
-// BenchmarkRuntimeSampleDisabled measures the runtime self-metrics
-// hook with the collector off (nil); its allocs/op is the tracked
-// zero-overhead signal (target: exactly 0).
-func BenchmarkRuntimeSampleDisabled(b *testing.B) { benchrun.RuntimeSampleDisabled(b) }
 
 // --- substrate microbenchmarks ---
 

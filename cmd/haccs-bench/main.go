@@ -18,7 +18,6 @@ import (
 	"strings"
 	"time"
 
-	"haccs/internal/benchrun"
 	"haccs/internal/core"
 	"haccs/internal/experiments"
 	"haccs/internal/telemetry"
@@ -107,38 +106,8 @@ func main() {
 
 		jsonlPath   = flag.String("telemetry-jsonl", "", "stream the round traces of every instrumented run as JSONL to this path")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics (Prometheus) and /debug/trace on this address while experiments run")
-
-		benchMode     = flag.Bool("bench", false, "run the tracked benchmark suite instead of the paper experiments")
-		benchOut      = flag.String("bench-out", "", "write the benchmark report as JSON to this path (e.g. BENCH_$(git rev-parse --short HEAD).json)")
-		benchRev      = flag.String("bench-rev", "", "revision label stamped into the report (default: git short HEAD)")
-		benchBaseline = flag.String("bench-baseline", "", "compare the run against a previously written BENCH_*.json")
 	)
 	flag.Parse()
-
-	if *benchMode {
-		rev := *benchRev
-		if rev == "" {
-			rev = benchrun.GitRev()
-		}
-		rep := benchrun.Run(rev)
-		fmt.Print(rep.String())
-		if *benchBaseline != "" {
-			base, err := benchrun.ReadJSON(*benchBaseline)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Print(rep.Compare(base))
-		}
-		if *benchOut != "" {
-			if err := rep.WriteJSON(*benchOut); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *benchOut)
-		}
-		return
-	}
 
 	scale, ok := experiments.ParseScale(*scaleFlag)
 	if !ok {

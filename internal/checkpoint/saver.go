@@ -17,7 +17,7 @@ var SecondsBuckets = []float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.
 // A nil *Saver is the documented "checkpointing off" state: MaybeSave
 // on a nil receiver returns immediately without allocating, so the
 // round hot path pays one branch when the feature is disabled (pinned
-// by TestNilSaverZeroAllocs and the checkpoint_disabled benchmark).
+// by TestNilSaverZeroAllocs).
 type Saver struct {
 	store  *Store
 	every  int

@@ -42,3 +42,23 @@ func BenchmarkSelectRound(b *testing.B) {
 		s.UpdateSummaries(batches[i%len(batches)])
 	}
 }
+
+// BenchmarkSketchInit100k is the sketch backend's scaling probe past
+// select_scale's 20 000 clients: one iteration is a full Init of a
+// 100 000-client roster — every client routed through the
+// representative index, then OPTICS over the K ≪ N representatives.
+// Memory stays O(N·sketch + K²); the dense backend's N×N distance matrix
+// would need about 40 GB here. `make bench-guard` runs it once.
+func BenchmarkSketchInit100k(b *testing.B) {
+	const n, groups = 100_000, 20
+	_, sums, infos := newSynthRoster(PY, n, groups, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := NewScheduler(Config{Kind: PY, Rho: 0.5, Backend: SketchBackend, Sketch: SketchOptions{Dim: 32}}, sums)
+		s.Init(infos, stats.NewRNG(2))
+		if s.NumClusters() == 0 {
+			b.Fatal("no clusters")
+		}
+	}
+}

@@ -7,11 +7,11 @@ import (
 	"haccs/internal/stats"
 )
 
-// synthRoster is the generator behind the cluster-state tests and
-// BenchmarkSelectRound: clients in label groups with jittered,
-// non-integer summaries (so the fixed-point sums are exercised off the
-// integer grid), built without the dataset generator so a 20 000-client
-// roster costs milliseconds.
+// synthRoster is the generator behind the cluster-state tests,
+// BenchmarkSelectRound and BenchmarkSketchInit100k: clients in label
+// groups with jittered, non-integer summaries (so the fixed-point sums
+// are exercised off the integer grid), built without the dataset
+// generator so a 20 000-client roster costs milliseconds.
 type synthRoster struct {
 	kind    SummaryKind
 	bins    int // P(y): label bins; P(X|y): classes

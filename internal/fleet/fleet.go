@@ -13,8 +13,8 @@
 // is a pure deterministic function of the round history; it is a
 // checkpoint.Snapshotter, and a resumed run reproduces the registry
 // byte-identically. A nil *Registry is the documented "off" state and
-// costs nothing on the round hot path (pinned by the tracked
-// fleet_record_disabled benchmark), matching the nil Tracer / nil
+// costs nothing on the round hot path (pinned by
+// TestNilRegistryZeroAllocs), matching the nil Tracer / nil
 // Saver convention used everywhere else in the repo.
 package fleet
 

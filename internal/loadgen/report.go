@@ -7,11 +7,11 @@ import (
 	"strings"
 )
 
-// RunMeta stamps a scale report the way benchrun stamps BENCH files:
-// enough provenance to compare runs across revisions.
+// RunMeta stamps a scale report with enough provenance to compare runs
+// across revisions.
 type RunMeta struct {
 	// Rev is the git revision the run measured (the file is named
-	// after it, mirroring BENCH_<rev>.json).
+	// after it).
 	Rev string
 	// Date is the run date (YYYY-MM-DD).
 	Date string

@@ -57,8 +57,7 @@ type Config struct {
 	// Fleet, when non-nil, receives one RoundObservation at the end of
 	// every round (including empty-selection retry rounds), feeding the
 	// per-client health registry. A nil registry costs nothing
-	// (zero-alloc, pinned by the tracked fleet_record_disabled
-	// benchmark).
+	// (zero-alloc, pinned by fleet.TestNilRegistryZeroAllocs).
 	Fleet *fleet.Registry
 }
 

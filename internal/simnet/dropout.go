@@ -21,11 +21,6 @@ type NoDropout struct{}
 // Unavailable implements DropoutModel.
 func (NoDropout) Unavailable(epoch, n int) []bool { return make([]bool, n) }
 
-// bernoulliRNG is the RNG surface the transient model needs.
-type bernoulliRNG interface {
-	Float64() float64
-}
-
 // TransientDropout marks each client unavailable independently with
 // probability Rate at the start of each epoch; clients recover at the
 // end of the epoch (paper §V-C uses Rate = 0.10). The mask for an epoch

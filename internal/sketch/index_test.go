@@ -114,7 +114,9 @@ func TestObserveReassign(t *testing.T) {
 }
 
 // TestNearestZeroAlloc: the O(K·Dim) nearest-representative scan is the
-// per-client steady-state cost and must not allocate.
+// per-client steady-state cost and must not allocate, and neither may
+// re-observing an indexed client (the churn path one summary update
+// pays).
 func TestNearestZeroAlloc(t *testing.T) {
 	sketches, _ := groupedSketches(t, 100, 4)
 	idx := NewIndex(100, 64, DefaultAttachRadius, nil)
@@ -124,6 +126,9 @@ func TestNearestZeroAlloc(t *testing.T) {
 	probe := sketches[0]
 	if allocs := testing.AllocsPerRun(100, func() { idx.Nearest(probe) }); allocs != 0 {
 		t.Fatalf("Nearest allocated %v times per run, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { idx.Observe(0, probe) }); allocs != 0 {
+		t.Fatalf("re-Observe of an indexed client allocated %v times per run, want 0", allocs)
 	}
 }
 

@@ -15,8 +15,8 @@ import (
 // stamping the binary's VCS revision and Go version.
 //
 // A nil *RuntimeCollector is fully inert: every method returns
-// immediately and allocates nothing (pinned by the tracked
-// runtime_sample_disabled benchmark), mirroring the repo-wide
+// immediately and allocates nothing (pinned by
+// TestRuntimeCollectorNilIsInert), mirroring the repo-wide
 // nil-registry discipline — uninstrumented runs pay nothing.
 type RuntimeCollector struct {
 	interval time.Duration

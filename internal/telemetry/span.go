@@ -19,8 +19,7 @@ import (
 // is a value type, every constructor on a nil tracer returns the zero
 // Span, and every method on the zero Span is a no-op, so the fully
 // instrumented hot path allocates nothing when tracing is off (pinned
-// by TestSpanNilTracerZeroAlloc and the tracked span_nil_tracer
-// benchmark).
+// by TestSpanNilTracerZeroAlloc).
 
 // spanIDs hands out process-unique span and trace IDs. The counter is
 // offset by the process start time so two cooperating processes (a

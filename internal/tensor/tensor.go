@@ -52,9 +52,6 @@ func FromSlice(data []float64, shape ...int) *Dense {
 // Size returns the total number of elements.
 func (t *Dense) Size() int { return len(t.Data) }
 
-// Dims returns the number of dimensions.
-func (t *Dense) Dims() int { return len(t.Shape) }
-
 // Rows and Cols report the dimensions of a 2-D tensor; they panic on
 // tensors of any other rank.
 func (t *Dense) Rows() int { t.must2D(); return t.Shape[0] }
