@@ -225,8 +225,9 @@ func BenchmarkLocalTrainRound(b *testing.B) {
 	}
 }
 
-// BenchmarkLeNetForward measures a LeNet inference batch at full-scale
-// geometry.
+// BenchmarkLeNetForward measures one LeNet forward pass over a 32-image
+// batch at full-scale geometry. It is the training Forward, caches and
+// all; evaluation runs the same pass.
 func BenchmarkLeNetForward(b *testing.B) {
 	rng := stats.NewRNG(benchSeed)
 	net := nn.NewLeNet(1, 16, 16, 10, 4, 8, rng)

@@ -90,6 +90,21 @@ func (c *Conv2D) Forward(x *tensor.Dense) *tensor.Dense {
 // Backward implements Layer. The returned gradient is arena-owned and
 // valid until this layer's next Backward.
 func (c *Conv2D) Backward(gradOut *tensor.Dense) *tensor.Dense {
+	g := c.accumulateGrads(gradOut)
+	// dCols = Wᵀ · g, scattered back to image space.
+	dcols := c.arena.Dense2D("dcols", c.Geom.ColRows(), g.Cols())
+	tensor.MatMulTransAInto(dcols, c.W, g)
+	gradIn := c.arena.Dense2D("gradin", gradOut.Rows(), c.InSize())
+	tensor.Col2ImBatchedInto(gradIn, dcols, c.Geom)
+	return gradIn
+}
+
+// backwardParams is Backward without the input gradient.
+func (c *Conv2D) backwardParams(gradOut *tensor.Dense) { c.accumulateGrads(gradOut) }
+
+// accumulateGrads adds this batch's dW and dB and returns gradOut
+// gathered into the (F × batch·outHW) im2col column layout.
+func (c *Conv2D) accumulateGrads(gradOut *tensor.Dense) *tensor.Dense {
 	if c.lastCols == nil {
 		panic("nn: Conv2D.Backward before Forward")
 	}
@@ -122,12 +137,7 @@ func (c *Conv2D) Backward(gradOut *tensor.Dense) *tensor.Dense {
 			c.dB.Data[f] += s
 		}
 	}
-	// dCols = Wᵀ · g, scattered back to image space.
-	dcols := c.arena.Dense2D("dcols", c.Geom.ColRows(), width)
-	tensor.MatMulTransAInto(dcols, c.W, g)
-	gradIn := c.arena.Dense2D("gradin", batch, c.InSize())
-	tensor.Col2ImBatchedInto(gradIn, dcols, c.Geom)
-	return gradIn
+	return g
 }
 
 // Params implements Layer.
@@ -199,14 +209,25 @@ func (p *MaxPool2D) Forward(x *tensor.Dense) *tensor.Dense {
 	if x.Cols() != p.InSize() {
 		panic(fmt.Sprintf("nn: MaxPool2D input width %d, want %d", x.Cols(), p.InSize()))
 	}
-	outH, outW := p.Geom.OutHeight(), p.Geom.OutWidth()
 	y := p.arena.Dense2D("y", batch, p.OutSize())
 	if cap(p.lastArg) < batch*p.OutSize() {
 		p.lastArg = make([]int, batch*p.OutSize())
 	}
 	p.lastArg = p.lastArg[:batch*p.OutSize()]
 	p.lastIn = x.Cols()
-	for b := 0; b < batch; b++ {
+	if p.Geom.Kernel == 2 && p.Geom.Stride == 2 {
+		p.forward2x2(x, y)
+	} else {
+		p.forwardAny(x, y)
+	}
+	return y
+}
+
+// forwardAny is Forward for any window and stride: y gets each window's
+// maximum and lastArg its flat input index.
+func (p *MaxPool2D) forwardAny(x, y *tensor.Dense) {
+	outH, outW := p.Geom.OutHeight(), p.Geom.OutWidth()
+	for b := 0; b < x.Rows(); b++ {
 		in := x.Row(b)
 		out := y.Row(b)
 		argBase := b * p.OutSize()
@@ -215,8 +236,10 @@ func (p *MaxPool2D) Forward(x *tensor.Dense) *tensor.Dense {
 			outChan := c * outH * outW
 			for oy := 0; oy < outH; oy++ {
 				for ox := 0; ox < outW; ox++ {
-					bestIdx := -1
-					bestVal := math.Inf(-1)
+					// Seed from the window's first element, so a NaN there
+					// propagates and the argmax always lies in the window.
+					bestIdx := chanBase + oy*p.Geom.Stride*p.Geom.Width + ox*p.Geom.Stride
+					bestVal := in[bestIdx]
 					for ky := 0; ky < p.Geom.Kernel; ky++ {
 						iy := oy*p.Geom.Stride + ky
 						if iy >= p.Geom.Height {
@@ -241,7 +264,44 @@ func (p *MaxPool2D) Forward(x *tensor.Dense) *tensor.Dense {
 			}
 		}
 	}
-	return y
+}
+
+// forward2x2 is forwardAny for LeNet's 2×2 window at stride 2: the same
+// compares in the same order — first element, right, below, below-right,
+// each winning only when strictly greater — with the winner picked by
+// bit masks instead of branches on data the predictor cannot learn.
+func (p *MaxPool2D) forward2x2(x, y *tensor.Dense) {
+	H, W := p.Geom.Height, p.Geom.Width
+	outH, outW := p.Geom.OutHeight(), p.Geom.OutWidth()
+	outSize := p.OutSize()
+	for b := 0; b < x.Rows(); b++ {
+		in := x.Row(b)
+		out := y.Row(b)
+		arg := p.lastArg[b*outSize : (b+1)*outSize]
+		for c := 0; c < p.Geom.Channels; c++ {
+			for oy := 0; oy < outH; oy++ {
+				top := c*H*W + 2*oy*W
+				o := (c*outH + oy) * outW
+				for ox := 0; ox < outW; ox++ {
+					i := top + 2*ox
+					w := in[i : i+W+2]
+					best, v := pick(i, w[0], i+1, w[1])
+					best, v = pick(best, v, i+W, w[W])
+					best, v = pick(best, v, i+W+1, w[W+1])
+					out[o+ox] = v
+					arg[o+ox] = best
+				}
+			}
+		}
+	}
+}
+
+// pick returns (cand, cv) when cv > v and (best, v) otherwise, without a
+// branch.
+func pick(best int, v float64, cand int, cv float64) (int, float64) {
+	m := bitMask(cv > v)
+	vb := math.Float64bits(v)
+	return best ^ int(m)&(best^cand), math.Float64frombits(vb ^ m&(vb^math.Float64bits(cv)))
 }
 
 // Backward implements Layer. The returned gradient is arena-owned and

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"testing"
 
 	"haccs/internal/stats"
@@ -25,7 +26,7 @@ func bitEqual(t *testing.T, got, want []float64, what string) {
 		t.Fatalf("%s: length %d != %d", what, len(got), len(want))
 	}
 	for i := range got {
-		if got[i] != want[i] {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("%s: element %d = %v, want %v (not bit-identical)", what, i, got[i], want[i])
 		}
 	}

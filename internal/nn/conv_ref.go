@@ -79,6 +79,15 @@ func (c *Conv2DRef) Forward(x *tensor.Dense) *tensor.Dense {
 
 // Backward implements Layer.
 func (c *Conv2DRef) Backward(gradOut *tensor.Dense) *tensor.Dense {
+	return c.backward(gradOut, true)
+}
+
+// backwardParams is Backward without the input gradient.
+func (c *Conv2DRef) backwardParams(gradOut *tensor.Dense) { c.backward(gradOut, false) }
+
+// backward accumulates dW and dB image by image and, when input is set,
+// returns the input gradient (nil otherwise).
+func (c *Conv2DRef) backward(gradOut *tensor.Dense, input bool) *tensor.Dense {
 	if c.lastCols == nil {
 		panic("nn: Conv2DRef.Backward before Forward")
 	}
@@ -87,7 +96,10 @@ func (c *Conv2DRef) Backward(gradOut *tensor.Dense) *tensor.Dense {
 		panic("nn: Conv2DRef.Backward batch mismatch with last Forward")
 	}
 	outHW := c.Geom.OutHeight() * c.Geom.OutWidth()
-	gradIn := tensor.New(batch, c.InSize())
+	var gradIn *tensor.Dense
+	if input {
+		gradIn = tensor.New(batch, c.InSize())
+	}
 	for b := 0; b < batch; b++ {
 		// View this image's output gradient as (F × outHW).
 		g := tensor.FromSlice(gradOut.Row(b), c.Filters, outHW)
@@ -99,6 +111,9 @@ func (c *Conv2DRef) Backward(gradOut *tensor.Dense) *tensor.Dense {
 				s += v
 			}
 			c.dB.Data[f] += s
+		}
+		if !input {
+			continue
 		}
 		// dCols = Wᵀ · g, scattered back to image space.
 		dcols := tensor.MatMulTransA(c.W, g)

@@ -98,10 +98,18 @@ func (d *Dense) Forward(x *tensor.Dense) *tensor.Dense {
 // Backward implements Layer. The returned gradient is arena-owned and
 // valid until the next Backward.
 func (d *Dense) Backward(gradOut *tensor.Dense) *tensor.Dense {
+	d.backwardParams(gradOut)
+	dx := d.arena.Dense2D("dx", gradOut.Rows(), d.W.Rows())
+	tensor.MatMulTransBInto(dx, gradOut, d.W) // dX = gradOut · Wᵀ
+	return dx
+}
+
+// backwardParams is Backward without the input gradient.
+func (d *Dense) backwardParams(gradOut *tensor.Dense) {
 	if d.lastX == nil {
 		panic("nn: Dense.Backward before Forward")
 	}
-	// dW += xᵀ · gradOut ; dB += column sums ; dX = gradOut · Wᵀ.
+	// dW += xᵀ · gradOut ; dB += column sums.
 	dw := d.arena.Dense2D("dw", d.W.Rows(), d.W.Cols())
 	tensor.MatMulTransAInto(dw, d.lastX, gradOut)
 	d.dW.Add(dw)
@@ -112,9 +120,6 @@ func (d *Dense) Backward(gradOut *tensor.Dense) *tensor.Dense {
 			d.dB.Data[j] += row[j]
 		}
 	}
-	dx := d.arena.Dense2D("dx", rows, d.W.Rows())
-	tensor.MatMulTransBInto(dx, gradOut, d.W)
-	return dx
 }
 
 // Params implements Layer.
@@ -168,16 +173,26 @@ func (r *ReLU) Forward(x *tensor.Dense) *tensor.Dense {
 		r.mask = make([]bool, len(y.Data))
 	}
 	r.mask = r.mask[:len(y.Data)]
+	mask, out := r.mask[:len(x.Data)], y.Data[:len(x.Data)]
 	for i, v := range x.Data {
-		if v > 0 {
-			r.mask[i] = true
-			y.Data[i] = v
-		} else {
-			r.mask[i] = false
-			y.Data[i] = 0
-		}
+		// Select by bit mask, not by branch: the sign of a conv output
+		// is a coin flip the branch predictor loses. v ≤ 0 and NaN
+		// give +0.
+		keep := v > 0
+		mask[i] = keep
+		out[i] = math.Float64frombits(math.Float64bits(v) & bitMask(keep))
 	}
 	return y
+}
+
+// bitMask is all ones when keep is set and zero otherwise, computed
+// without a branch.
+func bitMask(keep bool) uint64 {
+	var m uint64
+	if keep {
+		m = ^uint64(0)
+	}
+	return m
 }
 
 // Backward implements Layer. The returned gradient is arena-owned and
@@ -187,12 +202,9 @@ func (r *ReLU) Backward(gradOut *tensor.Dense) *tensor.Dense {
 		panic("nn: ReLU.Backward shape mismatch with last Forward")
 	}
 	g := r.arena.Dense2D("g", gradOut.Rows(), gradOut.Cols())
+	mask, out := r.mask[:len(gradOut.Data)], g.Data[:len(gradOut.Data)]
 	for i, v := range gradOut.Data {
-		if r.mask[i] {
-			g.Data[i] = v
-		} else {
-			g.Data[i] = 0
-		}
+		out[i] = math.Float64frombits(math.Float64bits(v) & bitMask(mask[i]))
 	}
 	return g
 }

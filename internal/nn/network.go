@@ -12,7 +12,7 @@ import (
 type Network struct {
 	Layers []Layer
 
-	arena tensor.Scratch // backs LossGrad/Loss/Evaluate; per-network, not concurrency-safe
+	arena tensor.Scratch // backs LossGrad/Loss/Accuracy/Evaluate; per-network, not concurrency-safe
 }
 
 // NewNetwork builds a network from layers in forward order.
@@ -26,12 +26,29 @@ func (n *Network) Forward(x *tensor.Dense) *tensor.Dense {
 	return x
 }
 
+// paramsBackwarder is implemented by layers that can accumulate their
+// parameter gradients without producing an input gradient. Its result is
+// the same as Backward's minus the returned tensor.
+type paramsBackwarder interface {
+	backwardParams(gradOut *tensor.Dense)
+}
+
 // Backward propagates the loss gradient from the logits back through the
-// stack, accumulating parameter gradients.
+// stack, accumulating parameter gradients. Nothing reads the gradient
+// with respect to the network input, so the first layer computes its
+// parameter gradients only when it can.
 func (n *Network) Backward(gradLogits *tensor.Dense) {
+	if len(n.Layers) == 0 {
+		return
+	}
 	g := gradLogits
-	for i := len(n.Layers) - 1; i >= 0; i-- {
+	for i := len(n.Layers) - 1; i > 0; i-- {
 		g = n.Layers[i].Backward(g)
+	}
+	if pb, ok := n.Layers[0].(paramsBackwarder); ok {
+		pb.backwardParams(g)
+	} else {
+		n.Layers[0].Backward(g)
 	}
 }
 
@@ -149,49 +166,41 @@ func (n *Network) AddProximalGrad(ref []float64, mu float64) {
 // against integer labels and the gradient of that loss with respect to
 // the logits (softmax(logits) - onehot(labels), scaled by 1/batch).
 func SoftmaxCrossEntropy(logits *tensor.Dense, labels []int) (loss float64, grad *tensor.Dense) {
-	batch := logits.Rows()
-	if batch != len(labels) {
-		panic("nn: SoftmaxCrossEntropy batch/label mismatch")
-	}
-	probs := logits.SoftmaxRows()
-	grad = probs.Clone()
-	inv := 1.0 / float64(batch)
-	total := 0.0
-	for i := 0; i < batch; i++ {
-		y := labels[i]
-		if y < 0 || y >= logits.Cols() {
-			panic("nn: label out of range")
-		}
-		p := probs.At(i, y)
-		// Clamp to avoid -Inf on (numerically) zero probabilities.
-		if p < 1e-15 {
-			p = 1e-15
-		}
-		total += -math.Log(p)
-		grad.Set(i, y, grad.At(i, y)-1)
-	}
-	grad.Scale(inv)
-	return total * inv, grad
+	grad = logits.SoftmaxRows()
+	return crossEntropy(grad, labels, true), grad
 }
 
 // LossGrad is SoftmaxCrossEntropy computed into network-owned scratch:
 // same loss and gradient values, but the returned tensor is only valid
-// until the next LossGrad/Loss/Evaluate call on this network. It is the
-// loss entry point of the allocation-free training hot path.
+// until the next LossGrad call on this network. It is the loss entry
+// point of the allocation-free training hot path.
 func (n *Network) LossGrad(logits *tensor.Dense, labels []int) (loss float64, grad *tensor.Dense) {
-	batch := logits.Rows()
-	if batch != len(labels) {
-		panic("nn: LossGrad batch/label mismatch")
-	}
-	probs := n.arena.Dense2D("probs", batch, logits.Cols())
+	grad = n.arena.Dense2D("lossgrad", logits.Rows(), logits.Cols())
+	logits.SoftmaxRowsInto(grad)
+	return crossEntropy(grad, labels, true), grad
+}
+
+// lossOf is LossGrad's loss without the gradient, for Loss and Evaluate.
+func (n *Network) lossOf(logits *tensor.Dense, labels []int) float64 {
+	probs := n.arena.Dense2D("probs", logits.Rows(), logits.Cols())
 	logits.SoftmaxRowsInto(probs)
-	grad = n.arena.Dense2D("lossgrad", batch, logits.Cols())
-	copy(grad.Data, probs.Data)
-	inv := 1.0 / float64(batch)
+	return crossEntropy(probs, labels, false)
+}
+
+// crossEntropy is the one cross-entropy body: the mean over the batch of
+// −log p[i][label i], each probability clamped away from zero. With grad
+// set it then rewrites probs in place into the loss gradient with
+// respect to the logits, (probs − onehot(labels)) / batch. The loss is
+// summed in label order either way, so it has the same bits with or
+// without the gradient.
+func crossEntropy(probs *tensor.Dense, labels []int, grad bool) float64 {
+	batch := probs.Rows()
+	if batch != len(labels) {
+		panic("nn: cross-entropy batch/label mismatch")
+	}
 	total := 0.0
-	for i := 0; i < batch; i++ {
-		y := labels[i]
-		if y < 0 || y >= logits.Cols() {
+	for i, y := range labels {
+		if y < 0 || y >= probs.Cols() {
 			panic("nn: label out of range")
 		}
 		p := probs.At(i, y)
@@ -200,18 +209,21 @@ func (n *Network) LossGrad(logits *tensor.Dense, labels []int) (loss float64, gr
 			p = 1e-15
 		}
 		total += -math.Log(p)
-		grad.Set(i, y, grad.At(i, y)-1)
 	}
-	grad.Scale(inv)
-	return total * inv, grad
+	inv := 1.0 / float64(batch)
+	if grad {
+		for i, y := range labels {
+			probs.Set(i, y, probs.At(i, y)-1)
+		}
+		probs.Scale(inv)
+	}
+	return total * inv
 }
 
 // Loss computes the mean cross-entropy of the network on a batch without
 // updating gradients or parameters.
 func (n *Network) Loss(x *tensor.Dense, labels []int) float64 {
-	logits := n.Forward(x)
-	loss, _ := n.LossGrad(logits, labels)
-	return loss
+	return n.lossOf(n.Forward(x), labels)
 }
 
 // Accuracy computes the fraction of correct argmax predictions on a
@@ -220,7 +232,20 @@ func (n *Network) Accuracy(x *tensor.Dense, labels []int) float64 {
 	if len(labels) == 0 {
 		return 0
 	}
+	return n.accuracyOf(n.Forward(x), labels)
+}
+
+// Evaluate returns both mean loss and accuracy in a single forward pass.
+func (n *Network) Evaluate(x *tensor.Dense, labels []int) (loss, acc float64) {
+	if len(labels) == 0 {
+		return 0, 0
+	}
 	logits := n.Forward(x)
+	return n.lossOf(logits, labels), n.accuracyOf(logits, labels)
+}
+
+// accuracyOf is the fraction of logit rows whose argmax is the label.
+func (n *Network) accuracyOf(logits *tensor.Dense, labels []int) float64 {
 	pred := n.arena.Ints("preds", logits.Rows())
 	logits.ArgMaxRowsInto(pred)
 	correct := 0
@@ -230,22 +255,4 @@ func (n *Network) Accuracy(x *tensor.Dense, labels []int) float64 {
 		}
 	}
 	return float64(correct) / float64(len(labels))
-}
-
-// Evaluate returns both mean loss and accuracy in a single forward pass.
-func (n *Network) Evaluate(x *tensor.Dense, labels []int) (loss, acc float64) {
-	if len(labels) == 0 {
-		return 0, 0
-	}
-	logits := n.Forward(x)
-	loss, _ = n.LossGrad(logits, labels)
-	pred := n.arena.Ints("preds", logits.Rows())
-	logits.ArgMaxRowsInto(pred)
-	correct := 0
-	for i, p := range pred {
-		if p == labels[i] {
-			correct++
-		}
-	}
-	return loss, float64(correct) / float64(len(labels))
 }

@@ -117,23 +117,19 @@ func TestGradientCheckConvWithPadding(t *testing.T) {
 	checkGradients(t, n, x, []int{1, 0}, 1e-5)
 }
 
+// TestReLUForwardBackward checks output bits: positive values pass
+// unchanged, everything else — zeros of either sign, negatives, −Inf,
+// NaN — becomes +0, and Backward passes gradient bits only where the
+// input was positive.
 func TestReLUForwardBackward(t *testing.T) {
+	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
 	r := NewReLU()
-	x := tensor.FromSlice([]float64{-1, 2, -3, 4}, 1, 4)
-	y := r.Forward(x)
-	want := []float64{0, 2, 0, 4}
-	for i, w := range want {
-		if y.Data[i] != w {
-			t.Errorf("ReLU forward[%d] = %v, want %v", i, y.Data[i], w)
-		}
-	}
-	g := r.Backward(tensor.FromSlice([]float64{5, 5, 5, 5}, 1, 4))
-	wantG := []float64{0, 5, 0, 5}
-	for i, w := range wantG {
-		if g.Data[i] != w {
-			t.Errorf("ReLU backward[%d] = %v, want %v", i, g.Data[i], w)
-		}
-	}
+	x := []float64{-1, 2, -3, 4, nan, negZero, 0, inf, -inf, 5e-324}
+	y := r.Forward(tensor.FromSlice(x, 1, len(x)))
+	bitEqual(t, y.Data, []float64{0, 2, 0, 4, 0, 0, 0, inf, 0, 5e-324}, "ReLU forward")
+	gradOut := []float64{5, 5, 5, 5, 1, 2, 3, nan, 7, negZero}
+	g := r.Backward(tensor.FromSlice(gradOut, 1, len(gradOut)))
+	bitEqual(t, g.Data, []float64{0, 5, 0, 5, 0, 0, 0, nan, 0, negZero}, "ReLU backward")
 }
 
 func TestMaxPoolForward(t *testing.T) {

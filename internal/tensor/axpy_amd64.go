@@ -2,11 +2,12 @@
 
 package tensor
 
-// useAVX2 gates the vector saxpy microkernels, detected once at
-// package init. The AVX2 path issues the identical IEEE multiply and
-// add per element as the scalar loop (four lanes per instruction, each
-// lane an independent accumulation chain), so enabling or disabling it
-// never changes a single output bit — only throughput.
+// useAVX2 gates the vector microkernels, detected once at package
+// init. The AVX2 path issues the identical IEEE multiply and add per
+// element as the scalar loop (four lanes per instruction, each lane an
+// independent accumulation chain), so enabling or disabling it never
+// changes a single output bit — only throughput. The tests in
+// axpy_amd64_test.go flip it to check exactly that.
 var useAVX2 = detectAVX2()
 
 func detectAVX2() bool {
@@ -75,4 +76,30 @@ func axpy1(o, bp []float64, v float64) {
 		return
 	}
 	axpy1generic(o, bp, v)
+}
+
+//go:noescape
+func dot4x4chunkedavx2(d *float64, ldd int, a, b *float64, ld, k, chunk int)
+
+func dot4x4Chunked(d []float64, ldd int, a, b []float64, ld, k, chunk int) {
+	if useAVX2 {
+		// The kernel reads and writes exactly what the generic loop
+		// indexes; these checks are its bounds.
+		_, _, _ = d[3*ldd+3], a[3*ld+k-1], b[3*ld+k-1]
+		dot4x4chunkedavx2(&d[0], ldd, &a[0], &b[0], ld, k, chunk)
+		return
+	}
+	dot4x4ChunkedGeneric(d, ldd, a, b, ld, k, chunk)
+}
+
+//go:noescape
+func copyRowsavx2(dst, src *float64, rows, n, dstStride, srcStride int)
+
+func copyRows(dst, src []float64, rows, n, dstStride, srcStride int) {
+	if useAVX2 && rows > 0 && n > 0 {
+		_, _ = dst[(rows-1)*dstStride+n-1], src[(rows-1)*srcStride+n-1]
+		copyRowsavx2(&dst[0], &src[0], rows, n, dstStride, srcStride)
+		return
+	}
+	copyRowsGeneric(dst, src, rows, n, dstStride, srcStride)
 }

@@ -2,10 +2,10 @@
 
 #include "textflag.h"
 
-// AVX2 saxpy microkernels. Each lane performs the same IEEE-754
-// multiply then add as the scalar loops in axpy_generic.go (VMULPD /
-// VADDPD, never fused), and lanes are independent accumulation chains,
-// so results are bit-identical to the scalar path.
+// AVX2 microkernels. Each lane performs the same IEEE-754 multiply then
+// add as the scalar loops in axpy_generic.go (VMULPD / VADDPD, never
+// fused), and lanes are independent accumulation chains, so results are
+// bit-identical to the scalar path.
 
 // func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidex(SB), NOSPLIT, $0-24
@@ -143,5 +143,130 @@ axpy1_loop4:
 	JMP     axpy1_loop4
 
 axpy1_done:
+	VZEROUPPER
+	RET
+
+// func copyRowsavx2(dst, src *float64, rows, n, dstStride, srcStride int)
+// dst[r*dstStride+i] = src[r*srcStride+i] for r in [0, rows), i in
+// [0, n): four floats a move, then a scalar tail. rows must be positive.
+TEXT ·copyRowsavx2(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ rows+16(FP), CX
+	MOVQ n+24(FP), DX
+	MOVQ dstStride+32(FP), R8
+	SHLQ $3, R8
+	MOVQ srcStride+40(FP), R9
+	SHLQ $3, R9
+	MOVQ DX, R10
+	ANDQ $-4, R10
+
+copy_row:
+	XORQ AX, AX
+	TESTQ R10, R10
+	JEQ  copy_tail
+
+copy_vec:
+	VMOVUPD (SI)(AX*8), Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, R10
+	JLT     copy_vec
+
+copy_tail:
+	CMPQ AX, DX
+	JGE  copy_next
+	MOVQ (SI)(AX*8), BX
+	MOVQ BX, (DI)(AX*8)
+	INCQ AX
+	JMP  copy_tail
+
+copy_next:
+	ADDQ R8, DI
+	ADDQ R9, SI
+	DECQ CX
+	JNZ  copy_row
+	VZEROUPPER
+	RET
+
+// func dot4x4chunkedavx2(d *float64, ldd int, a, b *float64, ld, k, chunk int)
+// For the 4×4 block d[i*ldd+j], i, j in [0, 4), and every chunk
+// [c0, min(c0+chunk, k)) of [0, k) in ascending order:
+//   s = +0; s += a[i*ld+p] * b[j*ld+p] for p ascending; d[i*ldd+j] += s.
+// Lanes are the four j (one gathered b column per p), one accumulator
+// per row i, so every output keeps its own ascending-p chain. The block
+// of d lives in Y0–Y3 for the whole call. k and chunk must be positive.
+TEXT ·dot4x4chunkedavx2(SB), NOSPLIT, $0-56
+	MOVQ d+0(FP), DI
+	MOVQ ldd+8(FP), R8
+	SHLQ $3, R8
+	LEAQ (DI)(R8*2), R9
+	VMOVUPD (DI), Y0
+	VMOVUPD (DI)(R8*1), Y1
+	VMOVUPD (R9), Y2
+	VMOVUPD (R9)(R8*1), Y3
+
+	MOVQ ld+32(FP), R9
+	SHLQ $3, R9
+	MOVQ a+16(FP), AX        // a rows 0..3: AX BX CX DX
+	LEAQ (AX)(R9*1), BX
+	LEAQ (AX)(R9*2), CX
+	LEAQ (BX)(R9*2), DX
+	MOVQ b+24(FP), SI        // b rows 0..3: SI DI R8 R9
+	LEAQ (SI)(R9*1), DI
+	LEAQ (SI)(R9*2), R8
+	LEAQ (DI)(R9*2), R9
+	MOVQ k+40(FP), R12
+	MOVQ chunk+48(FP), R13
+	XORQ R10, R10            // p
+
+dot4_chunk:
+	CMPQ R10, R12
+	JGE  dot4_done
+	LEAQ (R10)(R13*1), R11   // chunk end = min(p+chunk, k)
+	CMPQ R11, R12
+	CMOVQGT R12, R11
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+
+dot4_p:
+	VMOVSD  (SI)(R10*8), X8
+	VMOVHPD (DI)(R10*8), X8, X8
+	VMOVSD  (R8)(R10*8), X9
+	VMOVHPD (R9)(R10*8), X9, X9
+	VINSERTF128 $1, X9, Y8, Y8 // Y8 = b0..b3 at p
+	VBROADCASTSD (AX)(R10*8), Y10
+	VBROADCASTSD (BX)(R10*8), Y11
+	VBROADCASTSD (CX)(R10*8), Y12
+	VBROADCASTSD (DX)(R10*8), Y13
+	VMULPD Y8, Y10, Y10
+	VMULPD Y8, Y11, Y11
+	VMULPD Y8, Y12, Y12
+	VMULPD Y8, Y13, Y13
+	VADDPD Y10, Y4, Y4
+	VADDPD Y11, Y5, Y5
+	VADDPD Y12, Y6, Y6
+	VADDPD Y13, Y7, Y7
+	INCQ R10
+	CMPQ R10, R11
+	JLT  dot4_p
+
+	VADDPD Y4, Y0, Y0
+	VADDPD Y5, Y1, Y1
+	VADDPD Y6, Y2, Y2
+	VADDPD Y7, Y3, Y3
+	JMP  dot4_chunk
+
+dot4_done:
+	MOVQ d+0(FP), DI
+	MOVQ ldd+8(FP), R8
+	SHLQ $3, R8
+	LEAQ (DI)(R8*2), R9
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, (DI)(R8*1)
+	VMOVUPD Y2, (R9)
+	VMOVUPD Y3, (R9)(R8*1)
 	VZEROUPPER
 	RET

@@ -1,6 +1,9 @@
 package tensor
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // fill writes a deterministic, sign-varying pattern so kernel identity
 // tests exercise non-trivial values without a seed dependency.
@@ -162,16 +165,27 @@ func TestMatMulTransAIntoMatchesAlloc(t *testing.T) {
 // against its defining decomposition: one MatMulTransB per inner-dim
 // chunk, each product added into the accumulator — the per-image weight
 // gradient pattern the batched convolution relies on. Results must be
-// bit-exact, including a tail chunk that does not divide k evenly.
+// bit-exact, including a tail chunk that does not divide k evenly, and
+// output shapes the 4×4 blocks do not tile.
 func TestAddMatMulTransBChunkedMatchesPerChunk(t *testing.T) {
-	for _, tc := range []struct{ m, n, k, chunk int }{
-		{6, 75, 4 * 49, 49}, // conv dW shape: chunk = outHW divides k
-		{5, 7, 23, 10},      // ragged tail chunk
-		{1, 3, 8, 8},        // single chunk = plain MatMulTransB
-		{3, 9, 40, 1},       // element-at-a-time chunks
+	for _, tc := range []struct {
+		m, n, k, chunk int
+		zeroA          bool
+	}{
+		{6, 75, 4 * 49, 49, false},   // conv dW shape: chunk = outHW divides k
+		{5, 7, 23, 10, false},        // ragged tail chunk
+		{1, 3, 8, 8, false},          // single chunk = plain MatMulTransB
+		{3, 9, 40, 1, false},         // element-at-a-time chunks
+		{4, 75, 4 * 144, 144, false}, // sim_tta conv1 dW: n % 4 = 3
+		{8, 100, 32 * 4, 4, false},   // sim_tta conv2 dW
+		{7, 3, 11, 4, false},         // fewer than four columns
+		{9, 6, 40, 1, true},          // all-zero weights, chunk 1
+		{5, 13, 17, 5, true},
 	} {
 		a, b := New(tc.m, tc.k), New(tc.n, tc.k)
-		fill(a.Data, uint64(tc.k))
+		if !tc.zeroA {
+			fill(a.Data, uint64(tc.k))
+		}
 		fill(b.Data, uint64(tc.k+1))
 		want := New(tc.m, tc.n)
 		fill(want.Data, 8) // both sides accumulate onto identical garbage
@@ -217,4 +231,64 @@ func TestGemmRowBandedMatchesSerial(t *testing.T) {
 	want := New(128, 128)
 	matMulRowsCols(want, a, b, 0, 128, 0, 128)
 	mustExact(t, got.Data, want.Data, "row-banded gemm")
+}
+
+// naiveIm2Col is im2col from its definition, one element at a time:
+// column b·outHW + oy·outW + ox of row (c·K+ky)·K+kx holds image b's
+// pixel (c, oy·S+ky−P, ox·S+kx−P), or 0 in the padding.
+func naiveIm2Col(x *Dense, g ConvGeom) *Dense {
+	outH, outW := g.OutHeight(), g.OutWidth()
+	batch := x.Rows()
+	cols := New(g.ColRows(), batch*outH*outW)
+	for r := 0; r < g.ColRows(); r++ {
+		c, ky, kx := r/(g.Kernel*g.Kernel), (r/g.Kernel)%g.Kernel, r%g.Kernel
+		for b := 0; b < batch; b++ {
+			for oy := 0; oy < outH; oy++ {
+				for ox := 0; ox < outW; ox++ {
+					iy, ix := oy*g.Stride+ky-g.Pad, ox*g.Stride+kx-g.Pad
+					if iy < 0 || iy >= g.Height || ix < 0 || ix >= g.Width {
+						continue
+					}
+					cols.Set(r, (b*outH+oy)*outW+ox, x.At(b, (c*g.Height+iy)*g.Width+ix))
+				}
+			}
+		}
+	}
+	return cols
+}
+
+// TestIm2ColMatchesNaive pins the batched im2col, whose stride-1 path
+// moves whole spans per image, to the element-by-element definition on
+// output widths that are and are not multiples of four.
+func TestIm2ColMatchesNaive(t *testing.T) {
+	geoms := append([]ConvGeom{
+		{Channels: 3, Height: 16, Width: 16, Kernel: 5, Stride: 1}, // sim_tta conv1: spans of 12
+		{Channels: 4, Height: 6, Width: 6, Kernel: 5, Stride: 1},   // sim_tta conv2: spans of 2
+		{Channels: 2, Height: 9, Width: 11, Kernel: 3, Stride: 1},  // spans of 9
+		{Channels: 1, Height: 4, Width: 7, Kernel: 1, Stride: 1},   // spans of 7
+	}, convGeoms...)
+	for gi, g := range geoms {
+		const batch = 3
+		x := New(batch, g.Channels*g.Height*g.Width)
+		fill(x.Data, uint64(gi))
+		got := New(g.ColRows(), batch*g.OutHeight()*g.OutWidth())
+		fill(got.Data, 77) // every element must be overwritten
+		Im2ColBatchedInto(got, x, g)
+		mustExact(t, got.Data, naiveIm2Col(x, g).Data, "im2col")
+	}
+}
+
+// TestAddMatMulTransBChunkedBandedMatchesSerial pushes the chunked
+// product over the parallel threshold, where the pool bands it by 4-row
+// group, and requires bit-exact agreement with the serial kernel.
+func TestAddMatMulTransBChunkedBandedMatchesSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	a, b := New(14, 1200), New(50, 1200) // 14·50·1200 = 840k madds > threshold
+	fill(a.Data, 41)
+	fill(b.Data, 42)
+	got := New(14, 50)
+	AddMatMulTransBChunked(got, a, b, 30)
+	want := New(14, 50)
+	addMatMulTransBChunkedRange(want, a, b, 30, 0, 14)
+	mustExact(t, got.Data, want.Data, "banded chunked product")
 }

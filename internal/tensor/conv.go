@@ -101,7 +101,10 @@ func Im2ColBatchedInto(dst, x *Dense, g ConvGeom) {
 
 // im2ColBatchedRange fills dst rows [lo, hi). Row r = (c·K+ky)·K+kx
 // gathers input pixel (ky, kx) of every kernel window of channel c,
-// laid out per image. The stride-1 fast path copies whole output rows.
+// laid out per image. With stride 1 an image's part of a row is outH
+// equal spans of the image at a fixed stride, moved by one copyRows call:
+// LeNet's spans are 2–12 floats, where a memmove call per span cost more
+// than the move.
 func im2ColBatchedRange(dst, x *Dense, g ConvGeom, lo, hi int) {
 	outH, outW := g.OutHeight(), g.OutWidth()
 	outHW := outH * outW
@@ -122,19 +125,22 @@ func im2ColBatchedRange(dst, x *Dense, g ConvGeom, lo, hi int) {
 				row[i] = 0
 			}
 		}
+		if oyLo > oyHi || oxLo > oxHi {
+			continue
+		}
 		chanBase := c * g.Height * g.Width
 		for b := 0; b < batch; b++ {
 			img := x.Data[b*chw : (b+1)*chw]
 			base := b * outHW
+			if g.Stride == 1 {
+				src := chanBase + (oyLo+ky-g.Pad)*g.Width + oxLo + kx - g.Pad
+				copyRows(row[base+oyLo*outW+oxLo:], img[src:], oyHi-oyLo+1, oxHi-oxLo+1, outW, g.Width)
+				continue
+			}
 			for oy := oyLo; oy <= oyHi; oy++ {
 				iy := oy*g.Stride + ky - g.Pad
 				srcRow := chanBase + iy*g.Width
 				dstRow := base + oy*outW
-				if g.Stride == 1 {
-					ix := oxLo + kx - g.Pad
-					copy(row[dstRow+oxLo:dstRow+oxHi+1], img[srcRow+ix:srcRow+ix+oxHi-oxLo+1])
-					continue
-				}
 				for ox := oxLo; ox <= oxHi; ox++ {
 					row[dstRow+ox] = img[srcRow+ox*g.Stride+kx-g.Pad]
 				}

@@ -204,21 +204,47 @@ func AddMatMulTransBChunked(dst, a, b *Dense, chunk int) {
 	}
 	m, k := a.Shape[0], a.Shape[1]
 	n := b.Shape[0]
-	if m*n*k < parallelThreshold || runtime.GOMAXPROCS(0) <= 1 || m == 1 {
+	groups := (m + 3) / 4 // bands split rows on 4-row block boundaries
+	if m*n*k < parallelThreshold || runtime.GOMAXPROCS(0) <= 1 || groups == 1 {
 		addMatMulTransBChunkedRange(dst, a, b, chunk, 0, m)
 		return
 	}
-	parallelBands(kernelTask{op: opChunkAcc, out: dst, a: a, b: b, chunk: chunk}, m)
+	parallelBands(kernelTask{op: opChunkAcc, out: dst, a: a, b: b, chunk: chunk}, groups)
 }
 
-// addMatMulTransBChunkedRange walks chunks outermost so one chunk-slice
-// of b (one image's columns in the conv dW case) is reused across every
-// output row before the stream advances. Per output element the chunk
-// partial sums are still added in ascending chunk order, matching the
-// per-image reference exactly.
+// addMatMulTransBChunkedRange accumulates output rows [lo, hi). Rows go
+// four at a time through dot4x4Chunked, one 4×4 output block per call,
+// each block carried across every chunk; a ragged last column block
+// re-runs the final four columns and puts back the ones already done.
+// Leftover rows take the scalar loop below, which walks chunks
+// outermost so one chunk-slice of b is reused across the rows. Either
+// way each element's chunk partial sums are formed and added in the
+// same order, matching the per-image reference exactly.
 func addMatMulTransBChunkedRange(dst, a, b *Dense, chunk, lo, hi int) {
 	k := a.Shape[1]
 	n := b.Shape[0]
+	if n >= 4 && k > 0 {
+		for ; lo+4 <= hi; lo += 4 {
+			d := dst.Data[lo*n:]
+			ai := a.Data[lo*k:]
+			j := 0
+			for ; j+4 <= n; j += 4 {
+				dot4x4Chunked(d[j:], n, ai, b.Data[j*k:], k, k, chunk)
+			}
+			if j == n {
+				continue
+			}
+			var kept [4][3]float64
+			redo := j - (n - 4) // columns of the last block already final
+			for r := range kept {
+				copy(kept[r][:redo], d[r*n+n-4:])
+			}
+			dot4x4Chunked(d[n-4:], n, ai, b.Data[(n-4)*k:], k, k, chunk)
+			for r := range kept {
+				copy(d[r*n+n-4:r*n+n-4+redo], kept[r][:redo])
+			}
+		}
+	}
 	for c0 := 0; c0 < k; c0 += chunk {
 		c1 := min(c0+chunk, k)
 		w := c1 - c0

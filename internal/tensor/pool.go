@@ -76,8 +76,8 @@ func runKernel(t kernelTask) {
 		matMulTransBRange(t.out, t.a, t.b, t.lo, t.hi)
 	case opTransA:
 		matMulTransARange(t.out, t.a, t.b, t.lo, t.hi)
-	case opChunkAcc:
-		addMatMulTransBChunkedRange(t.out, t.a, t.b, t.chunk, t.lo, t.hi)
+	case opChunkAcc: // banded by 4-row group
+		addMatMulTransBChunkedRange(t.out, t.a, t.b, t.chunk, 4*t.lo, min(4*t.hi, t.out.Shape[0]))
 	case opIm2Col:
 		im2ColBatchedRange(t.out, t.a, t.geom, t.lo, t.hi)
 	case opCol2Im:
