@@ -1,10 +1,10 @@
 # Targets by kind. Gates: check (vet, fmt-check, build, race), test,
 # fingerprint, bench-guard. Smokes, one CI job each, none in tier-1:
 # resume-smoke, fleet-smoke, async-smoke, scale-smoke, shard-smoke and
-# fuzz-smoke — the home of every native fuzz target: the wire frame
-# today, ROADMAP 1(c)'s envelope / exposition / snapshot / sketch targets
-# as they land, one `go test -fuzz` line each. Measurement: loc,
-# deadcode, bench, scale-results.
+# fuzz-smoke — the home of every native fuzz target: the wire frame and
+# the sketch index's Restore today, ROADMAP 5(d)'s envelope / exposition
+# / snapshot targets as they land, one `go test -fuzz` line each.
+# Measurement: loc, deadcode, bench, scale-results.
 GO ?= go
 
 .PHONY: check vet fmt-check build test race fingerprint loc deadcode bench-guard bench resume-smoke fleet-smoke async-smoke scale-smoke shard-smoke fuzz-smoke scale-results
@@ -155,6 +155,7 @@ shard-smoke:
 ## its input under the package's testdata/fuzz — commit it with the fix.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime 5s ./internal/session
+	$(GO) test -run '^$$' -fuzz FuzzIndexRestore -fuzztime 5s ./internal/sketch
 
 ## scale-results: the committed-results run — a 2000-client fleet over
 ## the full matrix, writing tests/results/scale/<rev>.md for the

@@ -43,6 +43,44 @@ func BenchmarkSelectRound(b *testing.B) {
 	}
 }
 
+// BenchmarkRecluster is the forced re-cluster alone, at select_scale's
+// size: 20 000 clients on the sketch backend, Dim 32, in 16 label groups
+// (one per majority label, so no two share a mix). One iteration is an
+// UpdateSummaries in which group 0 moves wholesale to a near-uniform
+// label mix no representative holds, or back on odd iterations, so the
+// cluster it leaves empties, reads drift 1, and forces exactly one
+// reclusterSketch. `make bench-guard` runs it once.
+func BenchmarkRecluster(b *testing.B) {
+	const n, groups = 20000, 16
+	roster, sums, infos := newSynthRoster(PY, n, groups, 1)
+	s := NewScheduler(Config{Kind: PY, Rho: 0.5, Backend: SketchBackend, Sketch: SketchOptions{Dim: 32}}, sums)
+	s.Init(infos, stats.NewRNG(2))
+	away, home := map[int]Summary{}, map[int]Summary{}
+	for id, g := range roster.groupOf {
+		if g == 0 {
+			h := stats.NewLabelHistogram(roster.bins)
+			for l := range h.Counts {
+				h.Counts[l] = 125 + roster.rng.Normal(0, 10)
+			}
+			away[id] = Summary{Kind: PY, Label: h}
+			home[id] = roster.draw(0)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		before := s.sk.reclusters
+		if i%2 == 0 {
+			s.UpdateSummaries(away)
+		} else {
+			s.UpdateSummaries(home)
+		}
+		if s.sk.reclusters != before+1 {
+			b.Fatalf("iteration %d re-clustered %d times, want 1", i, s.sk.reclusters-before)
+		}
+	}
+}
+
 // BenchmarkSketchInit100k is the sketch backend's scaling probe past
 // select_scale's 20 000 clients: one iteration is a full Init of a
 // 100 000-client roster — every client routed through the

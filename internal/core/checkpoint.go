@@ -80,7 +80,7 @@ func (s *Scheduler) RestoreState(data []byte) error {
 	// they are recomputed here from the summaries Init was given, and
 	// integer sums recomputed equal the integer sums the interrupted run
 	// maintained.
-	s.rebuildLocked()
+	s.rebuildLocked(nil)
 	s.setBaselinesLocked(st.Baselines)
 	s.mu.Unlock()
 	s.rng.SetState(st.RNG)

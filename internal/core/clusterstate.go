@@ -161,9 +161,12 @@ func (s *Scheduler) rankByLatency() {
 // rebuildLocked derives, from s.labels and the current summaries, the
 // membership and the sums this file maintains: member lists (ascending
 // ID, indexed as cluster.Members indexes them), the same members by
-// (latency, ID), and the running label mass. The caller follows it with
-// setBaselinesLocked. Callers hold s.mu.
-func (s *Scheduler) rebuildLocked() {
+// (latency, ID), and the running label mass. prev, when non-nil, is the
+// labelling s.mass is currently the exact sum for; the sums are then
+// carried across the relabel (carryMassLocked) instead of recomputed.
+// Pass nil wherever summaries may have changed without the sums. The
+// caller follows it with setBaselinesLocked. Callers hold s.mu.
+func (s *Scheduler) rebuildLocked(prev []int) {
 	s.clusters = cluster.Members(s.labels)
 	n := len(s.clusters)
 
@@ -186,12 +189,58 @@ func (s *Scheduler) rebuildLocked() {
 		s.byLat[l] = append(s.byLat[l], id)
 	}
 
-	s.mass, s.dirty = nil, nil
-	s.growMass(n)
-	for id, l := range s.labels {
-		s.addMass(l, s.summaries[id], +1)
+	if prev != nil {
+		s.carryMassLocked(prev, n)
+	} else {
+		s.mass, s.dirty = nil, nil
+		s.growMass(n)
+		for id, l := range s.labels {
+			s.addMass(l, s.summaries[id], +1)
+		}
 	}
 	s.version++
+}
+
+// carryMassLocked re-keys the running sums from the labelling prev to
+// s.labels (n clusters) without re-quantizing the roster. Each old
+// cluster's sums move, whole, to the new label of its first member (two
+// old clusters landing on one label add up); only the clients whose new
+// label differs from where their old cluster's sums went are taken out
+// of that row and added to their own. Integer addition is exact and
+// order-independent, so the result equals the from-scratch sum bit for
+// bit. Callers hold s.mu.
+func (s *Scheduler) carryMassLocked(prev []int, n int) {
+	old := s.mass
+	s.mass, s.dirty = make([][]int64, n), make([]bool, n)
+	dest := make([]int, len(old)) // old label -> new row its sums went to, -1 before its first member
+	for c := range dest {
+		dest[c] = -1
+	}
+	for id, c := range prev {
+		if dest[c] >= 0 {
+			continue
+		}
+		to := s.labels[id]
+		dest[c] = to
+		if row := s.mass[to]; row == nil {
+			s.mass[to] = old[c]
+		} else {
+			for b, v := range old[c] {
+				row[b] += v
+			}
+		}
+	}
+	for i := range s.mass {
+		if s.mass[i] == nil {
+			s.mass[i] = make([]int64, s.bins)
+		}
+	}
+	for id, c := range prev {
+		if to := s.labels[id]; to != dest[c] {
+			s.addMass(dest[c], s.summaries[id], -1)
+			s.addMass(to, s.summaries[id], +1)
+		}
+	}
 }
 
 // captureBaselines returns every cluster's current centroid — the

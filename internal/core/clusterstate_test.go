@@ -365,6 +365,70 @@ func TestIncrementalEqualsFromScratch(t *testing.T) {
 	}
 }
 
+// TestCarriedMassEqualsFromScratch relabels a sketch-backend clustering
+// by hand — old clusters 0 and 1 merge, old cluster 2 splits (its
+// second, fourth, … members to a new label above a gap), old cluster 2's
+// first member takes label 0, everything else keeps its label — and
+// asserts the sums carried across the relabel equal the from-scratch
+// sums exactly, for both summary kinds.
+func TestCarriedMassEqualsFromScratch(t *testing.T) {
+	for _, kind := range []SummaryKind{PY, PXY} {
+		_, sums, infos := newSynthRoster(kind, 48, 4, 3)
+		s := NewScheduler(Config{Kind: kind, Rho: 0.5, Backend: SketchBackend}, sums)
+		s.Init(infos, stats.NewRNG(4))
+		if len(s.clusters) < 4 || len(s.clusters[2]) < 2 {
+			t.Fatalf("%v: fixture has clusters %v, want four with a splittable third", kind, s.clusters)
+		}
+		prev := s.ClusterLabels()
+		labels := make([]int, len(prev))
+		for id, l := range prev {
+			switch l {
+			case 0, 1:
+				labels[id] = 1
+			case 2:
+				labels[id] = 0
+			default:
+				labels[id] = l
+			}
+		}
+		for i, id := range s.clusters[2] {
+			if i%2 == 1 {
+				labels[id] = len(s.clusters) + 1
+			}
+		}
+		s.mu.Lock()
+		s.labels = labels
+		s.rebuildLocked(prev)
+		s.setBaselinesLocked(s.captureBaselines())
+		s.mu.Unlock()
+		checkClusterState(t, s, kind.String()+" carried")
+		if len(s.clusters[len(s.clusters)-2]) != 0 {
+			t.Fatalf("%v: the relabel was meant to leave a gap below the split-off cluster", kind)
+		}
+	}
+}
+
+// TestDenseReclusterRecomputesMass: the dense backend's UpdateSummaries
+// overwrites summaries without touching the sums, so its re-cluster
+// must recompute them even when no label moves.
+func TestDenseReclusterRecomputesMass(t *testing.T) {
+	for _, kind := range []SummaryKind{PY, PXY} {
+		roster, sums, infos := newSynthRoster(kind, 24, 3, 5)
+		s := NewScheduler(Config{Kind: kind, Rho: 0.5}, sums)
+		s.Init(infos, stats.NewRNG(6))
+		labels := s.ClusterLabels()
+		batch := map[int]Summary{}
+		for id := 0; id < 24; id += 2 {
+			batch[id] = roster.draw(roster.groupOf[id])
+		}
+		s.UpdateSummaries(batch)
+		if !reflect.DeepEqual(s.labels, labels) {
+			t.Fatalf("%v: same-group re-reports moved labels %v -> %v", kind, labels, s.labels)
+		}
+		checkClusterState(t, s, kind.String()+" dense re-cluster")
+	}
+}
+
 // TestCentroidExactOnIntegerCounts: with integer counts the fixed-point
 // centroid is the float walk's, bit for bit — the case in which drift
 // values did not move at all.

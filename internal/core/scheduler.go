@@ -227,7 +227,7 @@ func (s *Scheduler) Init(clients []fl.ClientInfo, rng *stats.RNG) {
 // through whichever backend is configured.
 func (s *Scheduler) recluster() {
 	if s.cfg.Backend == SketchBackend {
-		s.reclusterSketch()
+		s.reclusterSketch(false)
 		return
 	}
 	start := time.Now()
@@ -258,7 +258,7 @@ func (s *Scheduler) recluster() {
 	}
 	s.mu.Lock()
 	s.labels = labels
-	s.rebuildLocked()
+	s.rebuildLocked(nil) // the dense UpdateSummaries does not keep the sums
 	s.setBaselinesLocked(s.captureBaselines())
 	s.distance = introspect.SummarizeDistances(m)
 	s.order = append([]int(nil), res.Order...)

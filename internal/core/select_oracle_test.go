@@ -161,7 +161,7 @@ func TestSelectMatchesOracle(t *testing.T) {
 				}
 			}
 			s.mu.Lock()
-			s.rebuildLocked()
+			s.rebuildLocked(nil)
 			s.setBaselinesLocked(s.captureBaselines())
 			s.mu.Unlock()
 			oracle := selectOracle{s: s, rng: stats.NewRNG(seed + 200)}

@@ -292,7 +292,13 @@ func (s *Scheduler) observeLocked(id int) (rep int, created bool) {
 // reclusterSketch rebuilds the representative index from scratch and
 // clusters the K representatives — the sketch backend's analogue of
 // recluster, with OPTICS cost K² instead of N² and no N×N allocation.
-func (s *Scheduler) reclusterSketch() {
+// carry says the running label mass is current for s.labels (true on
+// the drift trigger, where updateSketch maintained it; false at Init),
+// so the rebuild may carry it across the relabel instead of recomputing
+// it. The new index, labels and clustering are built on locals off the
+// lock and published in one locked section: a concurrent reader sees
+// the clustering before or after, never a mix.
+func (s *Scheduler) reclusterSketch(carry bool) {
 	start := time.Now()
 	if s.sk == nil {
 		s.sk = newSketchState(s.cfg, s.summaries)
@@ -300,23 +306,36 @@ func (s *Scheduler) reclusterSketch() {
 	sk := s.sk
 	n := len(s.summaries)
 
-	s.mu.Lock()
-	sk.index = sketch.NewIndex(n, sk.width, sk.attach, sk.metric)
-	sk.repLabels = sk.repLabels[:0]
-	sk.nextLabel = 0
 	// Clients feed the leader index in ascending ID order — the
 	// canonical order that makes the representative set deterministic.
+	// The old index, which only this loop writes, supplies each search's
+	// hint: where the previous client from the same old representative
+	// landed. Hints change the cost of a search, never its result.
+	idx := sketch.NewIndex(n, sk.width, sk.attach, sk.metric)
+	old := sk.index
+	var landed []int // old representative -> new representative of its latest client
+	if old != nil {
+		landed = make([]int, old.Len())
+		for r := range landed {
+			landed[r] = -1
+		}
+	}
 	for id := 0; id < n; id++ {
 		sk.encodeInto(sk.scratch, s.summaries[id])
-		sk.index.Observe(id, sk.scratch)
+		from, hint := -1, -1
+		if old != nil {
+			if from = old.Assignment(id); from >= 0 {
+				hint = landed[from]
+			}
+		}
+		rep, _ := idx.ObserveFrom(id, sk.scratch, hint)
+		if from >= 0 {
+			landed[from] = rep
+		}
 	}
-	idx := sk.index
-	s.mu.Unlock()
 
 	// Cluster the representatives with the very machinery the dense
-	// path applies to clients. Representative sketches are immutable
-	// once founded, so reading them outside the lock is safe: only
-	// reclusterSketch replaces the index, and it runs on this loop.
+	// path applies to clients.
 	//
 	// Density must reflect population, not representative count: a
 	// distribution group whose clients all collapse onto one
@@ -379,13 +398,18 @@ func (s *Scheduler) reclusterSketch() {
 	for id := 0; id < n; id++ {
 		labels[id] = repLabels[idx.Assignment(id)]
 	}
+	var prev []int
+	if carry {
+		prev = s.labels
+	}
 
 	s.mu.Lock()
-	sk.repLabels = append(sk.repLabels[:0], repLabels...)
+	sk.index = idx
+	sk.repLabels = repLabels
 	sk.nextLabel = next
 	sk.reclusters++
 	s.labels = labels
-	s.rebuildLocked()
+	s.rebuildLocked(prev)
 	s.setBaselinesLocked(s.captureBaselines())
 	// The distance/reachability introspection describes the K
 	// representatives (the set OPTICS actually saw), not the N clients.
@@ -442,7 +466,7 @@ func (s *Scheduler) updateSketch(ids []int, updated map[int]Summary) {
 	s.mu.Unlock()
 
 	if threshold > 0 && maxDrift > threshold {
-		s.reclusterSketch()
+		s.reclusterSketch(true)
 	}
 }
 
@@ -532,9 +556,28 @@ func (c sketchCheckpoint) RestoreState(data []byte) error {
 	if st.Version != sketchStateVersion {
 		return fmt.Errorf("core: sketch state version %d, this build reads %d", st.Version, sketchStateVersion)
 	}
-	if err := s.sk.index.Restore(st.Index); err != nil {
+	// Restore into a fresh index, so a refused payload leaves the
+	// scheduler as it was, and refuse rep labels observeLocked could not
+	// route on: one label per representative, none negative, and the next
+	// label above all of them.
+	idx := sketch.NewIndex(s.sk.index.NumClients(), s.sk.width, s.sk.attach, s.sk.metric)
+	if err := idx.Restore(st.Index); err != nil {
 		return err
 	}
+	if len(st.RepLabels) != idx.Len() {
+		return fmt.Errorf("core: sketch state carries %d representative labels for %d representatives", len(st.RepLabels), idx.Len())
+	}
+	maxLabel := -1
+	for r, l := range st.RepLabels {
+		if l < 0 {
+			return fmt.Errorf("core: sketch state labels representative %d with %d", r, l)
+		}
+		maxLabel = max(maxLabel, l)
+	}
+	if st.NextLabel <= maxLabel {
+		return fmt.Errorf("core: sketch state's next label %d is not above its largest label %d", st.NextLabel, maxLabel)
+	}
+	s.sk.index = idx
 	s.sk.repLabels = st.RepLabels
 	s.sk.nextLabel = st.NextLabel
 	s.sk.reclusters = st.Reclusters

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"bytes"
+	"slices"
+	"sync"
 	"testing"
 
+	"haccs/internal/checkpoint"
 	"haccs/internal/cluster"
 	"haccs/internal/dataset"
 	"haccs/internal/fl"
@@ -210,6 +214,114 @@ func TestSketchCheckpointRoundTrip(t *testing.T) {
 			t.Fatalf("post-restore update diverges: %v vs %v", l1, l2)
 		}
 	}
+}
+
+// TestSketchRestoreRejectsCorrupt: a sketch component that would later
+// panic observeLocked — a representative without a label, a negative
+// label, a next label that is not above every label in use — or whose
+// index Restore refuses is itself refused, and leaves the scheduler's
+// sketch state as it was.
+func TestSketchRestoreRejectsCorrupt(t *testing.T) {
+	s, _ := sketchFixture(t, PY, SketchOptions{})
+	comp := s.ExtraComponents()[0].S
+	blob, err := comp.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := func() sketchComponentState {
+		var st sketchComponentState
+		if err := checkpoint.DecodeGob("test", blob, &st); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	maxLabel := slices.Max(decode().RepLabels)
+	for _, tc := range []struct {
+		name string
+		edit func(st *sketchComponentState)
+	}{
+		{"a label short", func(st *sketchComponentState) { st.RepLabels = st.RepLabels[1:] }},
+		{"a label over", func(st *sketchComponentState) { st.RepLabels = append(st.RepLabels, st.NextLabel) }},
+		{"negative label", func(st *sketchComponentState) { st.RepLabels[0] = -1 }},
+		{"next label in use", func(st *sketchComponentState) { st.NextLabel = maxLabel }},
+		{"negative next label", func(st *sketchComponentState) { st.NextLabel = -1 }},
+		{"index refused", func(st *sketchComponentState) { st.Index = st.Index[:len(st.Index)/2] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := decode()
+			tc.edit(&st)
+			data, err := checkpoint.EncodeGob("test", st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := comp.RestoreState(data); err == nil {
+				t.Fatal("RestoreState accepted the payload")
+			}
+			if after, _ := comp.SnapshotState(); !bytes.Equal(after, blob) {
+				t.Fatal("a refused RestoreState changed the sketch state")
+			}
+		})
+	}
+	if err := comp.RestoreState(blob); err != nil {
+		t.Fatalf("the scheduler's own snapshot was refused: %v", err)
+	}
+}
+
+// TestReclusterPublishesOneClustering races /debug/selection's reader
+// against forced re-clusters: every read must see one clustering — a
+// label for each representative, and every listed member's
+// representative labelled with the member's cluster — never the new
+// index beside the old labels.
+func TestReclusterPublishesOneClustering(t *testing.T) {
+	const n, groups = 2000, 16
+	roster, sums, infos := newSynthRoster(PY, n, groups, 21)
+	s := NewScheduler(Config{Kind: PY, Rho: 0.5, Backend: SketchBackend}, sums)
+	s.Init(infos, stats.NewRNG(22))
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			st := s.SelectionState()
+			sk := st.Sketch
+			if len(sk.RepLabels) != sk.Representatives {
+				t.Errorf("read %d representatives with %d labels", sk.Representatives, len(sk.RepLabels))
+				return
+			}
+			for _, cs := range st.Clusters {
+				for _, m := range cs.Members {
+					if l := sk.RepLabels[sk.Assignments[m]]; l != cs.ID {
+						t.Errorf("client %d listed in cluster %d, its representative %d is labelled %d", m, cs.ID, sk.Assignments[m], l)
+						return
+					}
+				}
+			}
+		}
+	}()
+	// Group g moves wholesale onto group g+1's mix: the cluster it leaves
+	// empties and forces a re-cluster, every time.
+	for g := 0; g < 13; g++ {
+		reclusters := s.sk.reclusters
+		batch := map[int]Summary{}
+		for id, h := range roster.groupOf {
+			if h == g {
+				roster.groupOf[id] = g + 1
+				batch[id] = roster.draw(g + 1)
+			}
+		}
+		s.UpdateSummaries(batch)
+		if s.sk.reclusters != reclusters+1 {
+			t.Fatalf("move %d re-clustered %d times, want 1", g, s.sk.reclusters-reclusters)
+		}
+	}
+	close(done)
+	wg.Wait()
 }
 
 // TestDenseBackendHasNoSketchComponent: dense runs must not list the

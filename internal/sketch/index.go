@@ -37,6 +37,9 @@ type Index struct {
 	reps   []float64 // K·dim flat representative sketches, append-only
 	counts []int     // members currently assigned to each representative
 	assign []int     // client -> representative (-1 while unseen)
+	// peaks holds each representative's largest-magnitude coordinate, the
+	// one the search probes first; derived from reps, never serialized.
+	peaks []int
 }
 
 // Metric is a custom dissimilarity over encoded vectors, for callers
@@ -88,11 +91,25 @@ func (x *Index) Count(r int) int { return x.counts[r] }
 // never been observed.
 func (x *Index) Assignment(c int) int { return x.assign[c] }
 
-// Nearest scans the representatives for the one closest to sk and
-// returns its id and distance on the [0,1] sketch scale. It allocates
-// nothing — the steady-state assignment cost is one O(K·Dim) scan.
+// Nearest finds the representative closest to sk and returns its id
+// and distance on the [0,1] sketch scale: the lowest id among the
+// minima, never a representative at NaN distance. It allocates nothing.
 // Returns (-1, +Inf) on an empty index.
-func (x *Index) Nearest(sk []float64) (rep int, dist float64) {
+//
+// hint is a representative to measure first, -1 for none. It only makes
+// the search cheaper, never different. On the default metric the hint's
+// squared distance becomes the bound; every other representative is
+// then scanned in ascending order and abandoned as soon as one term —
+// its peak coordinate's, probed first — or its partial sum exceeds the
+// best so far. That is exact: a sum of non-negative terms never falls
+// below a partial sum or below any one of its terms under IEEE
+// rounding, so an abandoned candidate could not have won or tied; a
+// survivor's sum is the same sequential sum DistanceSq computes; and an
+// exact tie goes to the lower id, which is the plain scan's first
+// minimum. A hint out of range, or one at NaN or +Inf distance, bounds
+// nothing and the scan starts unbounded. A custom Metric is not a sum
+// of non-negative terms, so it always takes the full scan.
+func (x *Index) Nearest(sk []float64, hint int) (rep int, dist float64) {
 	if x.metric != nil {
 		best, bestD := -1, math.Inf(1)
 		for r := 0; r < len(x.counts); r++ {
@@ -104,9 +121,23 @@ func (x *Index) Nearest(sk []float64) (rep int, dist float64) {
 		return best, bestD
 	}
 	best, bestSq := -1, math.Inf(1)
+	if hint >= 0 && hint < len(x.counts) {
+		if d := DistanceSq(x.Rep(hint), sk); d < bestSq {
+			best, bestSq = hint, d
+		}
+	}
+	skip := best
 	for r := 0; r < len(x.counts); r++ {
-		d := DistanceSq(x.reps[r*x.dim:(r+1)*x.dim], sk)
-		if d < bestSq {
+		if r == skip {
+			continue
+		}
+		rep := x.reps[r*x.dim : (r+1)*x.dim]
+		j := x.peaks[r]
+		if t := rep[j] - sk[j]; t*t > bestSq {
+			continue
+		}
+		d := distanceSqAbove(rep, sk, bestSq)
+		if d < bestSq || (d == bestSq && r < best) {
 			best, bestSq = r, d
 		}
 	}
@@ -131,21 +162,60 @@ func (x *Index) RepDistance(r1, r2 int) float64 {
 	return Distance(a, b)
 }
 
+// peakOf returns the index of v's largest-magnitude coordinate, the
+// lowest on a tie. For a candidate far from the query, that coordinate's
+// term alone usually exceeds the bound.
+func peakOf(v []float64) int {
+	j := 0
+	for i, a := range v {
+		if math.Abs(a) > math.Abs(v[j]) {
+			j = i
+		}
+	}
+	return j
+}
+
+// distanceSqAbove is DistanceSq that gives up once the running sum
+// exceeds bound: the result is then some partial sum > bound, otherwise
+// exactly DistanceSq(a, b).
+func distanceSqAbove(a, b []float64, bound float64) float64 {
+	b = b[:len(a)]
+	sum := 0.0
+	for i := range a {
+		d := a[i] - b[i]
+		sum += d * d
+		if sum > bound {
+			return sum
+		}
+	}
+	return sum
+}
+
 // Observe assigns client c to the nearest representative within the
 // attach radius, founding a new representative from a copy of sk when
 // none is close enough (or when the index is empty). It returns the
 // representative id and whether it was newly created. Re-observing a
 // client (a §IV-C summary update) moves its assignment and adjusts the
-// member counts.
+// member counts. The client's current representative is the search
+// hint (see ObserveFrom).
 func (x *Index) Observe(c int, sk []float64) (rep int, created bool) {
+	return x.ObserveFrom(c, sk, x.assign[c])
+}
+
+// ObserveFrom is Observe with the nearest-representative search
+// measured from hint first — a representative the caller expects sk to
+// be close to, or -1 for none. The hint changes the cost of the search,
+// never its result (see Nearest).
+func (x *Index) ObserveFrom(c int, sk []float64, hint int) (rep int, created bool) {
 	if len(sk) != x.dim {
 		panic(fmt.Sprintf("sketch: Observe sketch width %d, index width %d", len(sk), x.dim))
 	}
-	rep, dist := x.Nearest(sk)
+	rep, dist := x.Nearest(sk, hint)
 	if rep == -1 || dist > x.attach {
 		rep = len(x.counts)
 		x.reps = append(x.reps, sk...)
 		x.counts = append(x.counts, 0)
+		x.peaks = append(x.peaks, peakOf(sk))
 		created = true
 	}
 	if prev := x.assign[c]; prev >= 0 {
@@ -185,7 +255,10 @@ func (x *Index) Snapshot() ([]byte, error) {
 
 // Restore overwrites the index from a Snapshot payload. The index must
 // have been constructed over the same client count and sketch width as
-// the run that produced the snapshot.
+// the run that produced the snapshot. A payload the index could not
+// later route on — a non-positive or NaN radius, an assignment outside
+// [-1, K), or member counts that disagree with the assignments — is
+// refused, and the index is left as it was.
 func (x *Index) Restore(data []byte) error {
 	var st indexState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
@@ -200,6 +273,28 @@ func (x *Index) Restore(data []byte) error {
 	if len(st.Reps) != st.Dim*len(st.Counts) {
 		return fmt.Errorf("sketch: corrupt snapshot: %d rep floats for %d representatives of width %d",
 			len(st.Reps), len(st.Counts), st.Dim)
+	}
+	if !(st.Attach > 0) {
+		return fmt.Errorf("sketch: corrupt snapshot: attach radius %v", st.Attach)
+	}
+	k := len(st.Counts)
+	counts := make([]int, k)
+	for c, r := range st.Assign {
+		if r < -1 || r >= k {
+			return fmt.Errorf("sketch: corrupt snapshot: client %d assigned to representative %d of %d", c, r, k)
+		}
+		if r >= 0 {
+			counts[r]++
+		}
+	}
+	for r, n := range counts {
+		if st.Counts[r] != n {
+			return fmt.Errorf("sketch: corrupt snapshot: representative %d counts %d members, %d are assigned to it", r, st.Counts[r], n)
+		}
+	}
+	x.peaks = make([]int, k)
+	for r := range x.peaks {
+		x.peaks[r] = peakOf(st.Reps[r*st.Dim : (r+1)*st.Dim])
 	}
 	x.attach = st.Attach
 	x.reps = st.Reps

@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -124,7 +125,7 @@ func TestNearestZeroAlloc(t *testing.T) {
 		idx.Observe(c, sk)
 	}
 	probe := sketches[0]
-	if allocs := testing.AllocsPerRun(100, func() { idx.Nearest(probe) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { idx.Nearest(probe, -1) }); allocs != 0 {
 		t.Fatalf("Nearest allocated %v times per run, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(100, func() { idx.Observe(0, probe) }); allocs != 0 {
@@ -185,5 +186,114 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 	}
 	if err := NewIndex(11, 64, 0, nil).Restore(blob); err == nil {
 		t.Fatal("Restore accepted a snapshot with mismatched client count")
+	}
+}
+
+// restoreFixture is a valid snapshot state for a 6-client, width-4
+// index: two representatives, five clients assigned, one unseen.
+func restoreFixture() indexState {
+	return indexState{
+		Dim:    4,
+		Attach: DefaultAttachRadius,
+		Reps:   []float64{1, 0, 0, 0, 0, 0.6, 0.8, 0},
+		Counts: []int{3, 2},
+		Assign: []int{0, 1, 0, -1, 1, 0},
+	}
+}
+
+// TestRestoreRejectsCorrupt is the table of payloads Restore accepted
+// before and Observe then panicked on (or, for the radius, routed
+// nonsense with): each is refused, and the refusing index keeps its
+// state.
+func TestRestoreRejectsCorrupt(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(st *indexState)
+	}{
+		{"assignment past K", func(st *indexState) { st.Assign[2] = 2 }},
+		{"assignment below -1", func(st *indexState) { st.Assign[2] = -2 }},
+		{"count above assignments", func(st *indexState) { st.Counts[0] = 4 }},
+		{"count below assignments", func(st *indexState) { st.Counts[1] = 1 }},
+		{"negative count", func(st *indexState) { st.Counts[0], st.Assign[0], st.Assign[2], st.Assign[5] = -1, -1, -1, -1 }},
+		{"counts without representatives", func(st *indexState) { st.Reps, st.Counts = st.Reps[:4], st.Counts[:1] }},
+		{"zero radius", func(st *indexState) { st.Attach = 0 }},
+		{"NaN radius", func(st *indexState) { st.Attach = math.NaN() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			x := NewIndex(6, 4, 0, nil)
+			x.Observe(3, []float64{0, 0, 0, 1})
+			before, err := x.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := restoreFixture()
+			tc.edit(&st)
+			if err := x.Restore(encodeState(t, st)); err == nil {
+				t.Fatal("Restore accepted the payload")
+			}
+			if after, _ := x.Snapshot(); !bytes.Equal(after, before) {
+				t.Fatal("a refused Restore changed the index")
+			}
+		})
+	}
+	x := NewIndex(6, 4, 0, nil)
+	if err := x.Restore(encodeState(t, restoreFixture())); err != nil {
+		t.Fatalf("the valid fixture was refused: %v", err)
+	}
+}
+
+// FuzzIndexRestore feeds arbitrary bytes to Restore on a 6-client,
+// width-4 index and checks that whatever it accepts routes every client
+// without panicking, keeps the member counts equal to the assignments,
+// and survives a Snapshot → Restore round trip byte for byte.
+func FuzzIndexRestore(f *testing.F) {
+	for _, seed := range restoreSeeds(f) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		x := NewIndex(6, 4, 0, nil)
+		if err := x.Restore(data); err != nil {
+			return
+		}
+		for c := 0; c < x.NumClients(); c++ {
+			x.Observe(c, []float64{float64(c % 2), 0.5, float64(c) / 6, 0})
+			x.Nearest(x.Rep(c%x.Len()), c%(x.Len()+2)-1)
+		}
+		counts := make([]int, x.Len())
+		for c := 0; c < x.NumClients(); c++ {
+			counts[x.Assignment(c)]++
+		}
+		for r, n := range counts {
+			if x.Count(r) != n {
+				t.Fatalf("representative %d counts %d, %d clients are assigned to it", r, x.Count(r), n)
+			}
+		}
+		blob, err := x.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		y := NewIndex(6, 4, 0, nil)
+		if err := y.Restore(blob); err != nil {
+			t.Fatalf("an index's own snapshot was refused: %v", err)
+		}
+		if again, _ := y.Snapshot(); !bytes.Equal(again, blob) {
+			t.Fatal("snapshot changed across a round trip")
+		}
+	})
+}
+
+// restoreSeeds are the hand-made starting points, also committed under
+// testdata/fuzz/FuzzIndexRestore: the valid fixture, an index with no
+// representatives, and two corruptions the table test names.
+func restoreSeeds(t testing.TB) [][]byte {
+	empty := indexState{Dim: 4, Attach: DefaultAttachRadius, Assign: []int{-1, -1, -1, -1, -1, -1}}
+	pastK, miscounted := restoreFixture(), restoreFixture()
+	pastK.Assign[2] = 2
+	miscounted.Counts[1] = 1
+	return [][]byte{
+		encodeState(t, restoreFixture()),
+		encodeState(t, empty),
+		encodeState(t, pastK),
+		encodeState(t, miscounted),
 	}
 }
