@@ -1,9 +1,10 @@
 # Targets by kind. Gates: check (vet, fmt-check, build, race), test,
 # fingerprint, bench-guard. Smokes, one CI job each, none in tier-1:
 # resume-smoke, fleet-smoke, async-smoke, scale-smoke, shard-smoke and
-# fuzz-smoke — the home of every native fuzz target: the wire frame and
-# the sketch index's Restore today, ROADMAP 5(d)'s envelope / exposition
-# / snapshot targets as they land, one `go test -fuzz` line each.
+# fuzz-smoke — the home of every native fuzz target: the wire frame, the
+# shard hop's Report decode and the sketch index's Restore today, ROADMAP
+# 5(d)'s exposition / snapshot targets as they land, one `go test -fuzz`
+# line each.
 # Measurement: loc, deadcode, bench, scale-results.
 GO ?= go
 
@@ -129,32 +130,39 @@ scale-smoke:
 ## per-round root snapshots, then exits (the "crash"); leg 2 restarts
 ## the root process with -resume, the shards re-register, and the run
 ## continues from round 6 to 12 — cross-process root recovery through
-## the real wire protocol. Leg 3 drives the sharded scenario-matrix leg
-## via haccs-load (shard-wide storm + in-process root crash under
-## load); haccs-load exits nonzero if the leg fails.
+## the real wire protocol. Leg 3 runs the same hierarchy in async mode
+## for 6 cycles against a fresh checkpoint directory, so the shard-local
+## async driver's Report goes through the binary too. Leg 4 drives the
+## sharded scenario-matrix leg via haccs-load (shard-wide storm +
+## in-process root crash under load); haccs-load exits nonzero if the
+## leg fails.
 SHARDSMOKE := $(or $(TMPDIR),/tmp)/haccs-shard-smoke
-SHARD_FLAGS := -shards 2 -local-clients 80 -k 8 -param-dim 64 -seed 7 \
-	-checkpoint-dir $(SHARDSMOKE)/ckpt
+SHARD_FLAGS := -shards 2 -local-clients 80 -k 8 -param-dim 64 -seed 7
 shard-smoke:
 	rm -rf $(SHARDSMOKE) && mkdir -p $(SHARDSMOKE)
 	$(GO) build -o $(SHARDSMOKE)/haccs-root ./cmd/haccs-root
 	$(GO) build -o $(SHARDSMOKE)/haccs-load ./cmd/haccs-load
-	$(SHARDSMOKE)/haccs-root $(SHARD_FLAGS) -rounds 6
-	$(SHARDSMOKE)/haccs-root $(SHARD_FLAGS) -rounds 12 -resume \
+	$(SHARDSMOKE)/haccs-root $(SHARD_FLAGS) -checkpoint-dir $(SHARDSMOKE)/ckpt -rounds 6
+	$(SHARDSMOKE)/haccs-root $(SHARD_FLAGS) -checkpoint-dir $(SHARDSMOKE)/ckpt -rounds 12 -resume \
 		| tee $(SHARDSMOKE)/resumed.log
 	grep -q "resumed from checkpoint at round 6" $(SHARDSMOKE)/resumed.log
+	$(SHARDSMOKE)/haccs-root $(SHARD_FLAGS) -checkpoint-dir $(SHARDSMOKE)/async-ckpt -mode async -rounds 6
 	$(SHARDSMOKE)/haccs-load -clients 120 -k 12 -rounds 12 -scrape-every 3 \
 		-legs sharded -shards 2 -out $(SHARDSMOKE)/results -rev shard-smoke
 	test -s $(SHARDSMOKE)/results/shard-smoke.md
-	@echo "shard-smoke: root resume + sharded leg passed"
+	@echo "shard-smoke: root resume + async hierarchy + sharded leg passed"
 
 ## fuzz-smoke: five seconds of coverage-guided fuzzing per native fuzz
 ## target (go test -fuzz takes one target and one package per run). The
 ## committed seed corpora under testdata/fuzz already run as unit tests
 ## in tier-1; this target is what looks for new inputs. A failure writes
 ## its input under the package's testdata/fuzz — commit it with the fix.
+## A Report's seeds carry the whole envelope's gob type descriptors
+## (≈ 2.5 KB), and minimizing one new input would otherwise take the
+## default 60 s, so that line bounds minimization to 1 s.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime 5s ./internal/session
+	$(GO) test -run '^$$' -fuzz FuzzReportDecode -fuzztime 5s -fuzzminimizetime 1s ./internal/shard
 	$(GO) test -run '^$$' -fuzz FuzzIndexRestore -fuzztime 5s ./internal/sketch
 
 ## scale-results: the committed-results run — a 2000-client fleet over

@@ -32,7 +32,6 @@ import (
 
 	"haccs/internal/checkpoint"
 	"haccs/internal/fleet"
-	"haccs/internal/flnet"
 	"haccs/internal/loadgen"
 	"haccs/internal/rounds"
 	"haccs/internal/shard"
@@ -92,14 +91,13 @@ func run(f rootFlags, seed uint64) error {
 	// Self-contained mode: the whole hierarchy below the root runs
 	// in-process — shard coordinators over their ring slices, a routed
 	// synthetic fleet, and the uplink agents.
-	var local *localHierarchy
 	if f.LocalClients > 0 {
 		fleetReg = fleet.NewRegistry(f.LocalClients, fleet.Options{Metrics: reg})
-		local, err = startLocalHierarchy(f, seed, rootSrv.Addr())
+		local, err := loadgen.StartHierarchy(loadgen.FleetConfig{N: f.LocalClients, Seed: seed}, f.Shards, rootSrv.Addr())
 		if err != nil {
 			return err
 		}
-		defer local.stop()
+		defer local.Stop()
 	}
 
 	hellos, err := rootSrv.AcceptShards(f.Shards)
@@ -199,77 +197,4 @@ func run(f rootFlags, seed uint64) error {
 	fmt.Printf("haccs-root: done — %d clients across %d shards, clock %.1fs, model version %d\n",
 		total, len(hellos), root.Clock(), root.Driver().Version())
 	return nil
-}
-
-// localHierarchy is the in-process shard layer spawned by
-// -local-clients: flat coordinators over the ring partition, the
-// routed synthetic fleet, and the uplink agents.
-type localHierarchy struct {
-	servers []*flnet.Server
-	agents  []*shard.Agent
-	fl      *loadgen.Fleet
-}
-
-func startLocalHierarchy(f rootFlags, seed uint64, rootAddr string) (*localHierarchy, error) {
-	shardIDs := make([]int, f.Shards)
-	for s := range shardIDs {
-		shardIDs[s] = s
-	}
-	ring, err := shard.NewRing(shardIDs, 0)
-	if err != nil {
-		return nil, err
-	}
-	parts := ring.Partition(f.LocalClients)
-
-	lh := &localHierarchy{}
-	fail := func(err error) (*localHierarchy, error) {
-		lh.stop()
-		return nil, err
-	}
-	lh.servers = make([]*flnet.Server, f.Shards)
-	for s := range lh.servers {
-		if lh.servers[s], err = flnet.NewServer("127.0.0.1:0"); err != nil {
-			return fail(err)
-		}
-	}
-	fcfg := loadgen.FleetConfig{
-		N:     f.LocalClients,
-		Seed:  seed,
-		Route: func(id int) string { return lh.servers[ring.Owner(id)].Addr() },
-	}
-	if lh.fl, err = loadgen.StartFleet(fcfg, lh.servers[0].Addr()); err != nil {
-		return fail(err)
-	}
-	for s, srv := range lh.servers {
-		if _, err := srv.AcceptClients(len(parts[s])); err != nil {
-			return fail(fmt.Errorf("shard %d accept: %w", s, err))
-		}
-		srv.ServeReconnects()
-	}
-	lh.agents = make([]*shard.Agent, f.Shards)
-	for s, srv := range lh.servers {
-		agent, err := shard.NewAgent(shard.AgentConfig{ShardID: s, Root: rootAddr, Server: srv})
-		if err != nil {
-			return fail(fmt.Errorf("shard %d agent: %w", s, err))
-		}
-		lh.agents[s] = agent
-		go agent.Run()
-	}
-	return lh, nil
-}
-
-func (lh *localHierarchy) stop() {
-	for _, a := range lh.agents {
-		if a != nil {
-			a.Close()
-		}
-	}
-	if lh.fl != nil {
-		lh.fl.Stop()
-	}
-	for _, s := range lh.servers {
-		if s != nil {
-			s.Close()
-		}
-	}
 }

@@ -227,7 +227,7 @@ func featureBins(summaries []Summary) int {
 // reproduce the dense path's distances bit for bit.
 func (st *sketchState) encodeInto(dst []float64, s Summary) {
 	if s.Kind == PY {
-		writeAmplitude(st.amp, s.Label.Counts)
+		stats.AmplitudeInto(st.amp, s.Label.Counts)
 		st.sketcher.SketchInto(dst, st.amp)
 		return
 	}
@@ -243,35 +243,8 @@ func (st *sketchState) encodeInto(dst []float64, s Summary) {
 			continue
 		}
 		mass[c] = math.Max(0, h.Total())
-		writeAmplitude(st.amp, h.Counts)
+		stats.AmplitudeInto(st.amp, h.Counts)
 		st.sketcher.SketchInto(block, st.amp)
-	}
-}
-
-// writeAmplitude fills dst with √p where p is the positive-part
-// normalization of counts — the same vector Histogram.Amplitude
-// produces, computed into a caller-owned buffer (uniform when counts
-// carry no positive mass, mirroring Normalize).
-func writeAmplitude(dst, counts []float64) {
-	total := 0.0
-	for _, c := range counts {
-		if c > 0 {
-			total += c
-		}
-	}
-	if total <= 0 {
-		u := math.Sqrt(1 / float64(len(dst)))
-		for i := range dst {
-			dst[i] = u
-		}
-		return
-	}
-	for i, c := range counts {
-		if c > 0 {
-			dst[i] = math.Sqrt(c / total)
-		} else {
-			dst[i] = 0
-		}
 	}
 }
 

@@ -15,15 +15,15 @@ func TestEnvelopeCheck(t *testing.T) {
 	cases := []struct {
 		name string
 		env  Envelope
-		want EnvelopeErrorKind // "" = valid
+		want session.ErrorKind // "" = valid
 	}{
 		{"register only", Envelope{Register: reg}, ""},
 		{"reply only", Envelope{Reply: rep}, ""},
 		{"request only", Envelope{Request: &TrainRequest{}}, ""},
 		{"shutdown only", Envelope{Shutdown: &Shutdown{}}, ""},
-		{"empty", Envelope{}, ErrEmptyEnvelope},
-		{"two fields", Envelope{Register: reg, Reply: rep}, ErrAmbiguousEnvelope},
-		{"all fields", Envelope{Register: reg, Request: &TrainRequest{}, Reply: rep, Shutdown: &Shutdown{}}, ErrAmbiguousEnvelope},
+		{"empty", Envelope{}, session.ErrEmptyEnvelope},
+		{"two fields", Envelope{Register: reg, Reply: rep}, session.ErrAmbiguousEnvelope},
+		{"all fields", Envelope{Register: reg, Request: &TrainRequest{}, Reply: rep, Shutdown: &Shutdown{}}, session.ErrAmbiguousEnvelope},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -34,7 +34,7 @@ func TestEnvelopeCheck(t *testing.T) {
 				}
 				return
 			}
-			var ee *EnvelopeError
+			var ee *session.ProtocolError
 			if !errors.As(err, &ee) || ee.Kind != tc.want {
 				t.Fatalf("Check() = %v, want kind %s", err, tc.want)
 			}
@@ -47,13 +47,13 @@ func TestCheckReply(t *testing.T) {
 	cases := []struct {
 		name string
 		env  Envelope
-		want EnvelopeErrorKind // "" = valid
+		want session.ErrorKind // "" = valid
 	}{
 		{"valid", Envelope{Reply: ok}, ""},
-		{"empty", Envelope{}, ErrEmptyEnvelope},
-		{"ambiguous", Envelope{Reply: ok, Shutdown: &Shutdown{}}, ErrAmbiguousEnvelope},
-		{"register instead of reply", Envelope{Register: &Register{ClientID: 3}}, ErrUnexpectedMessage},
-		{"wrong round", Envelope{Reply: &TrainReply{ClientID: 3, Round: 6}}, ErrWrongRound},
+		{"empty", Envelope{}, session.ErrEmptyEnvelope},
+		{"ambiguous", Envelope{Reply: ok, Shutdown: &Shutdown{}}, session.ErrAmbiguousEnvelope},
+		{"register instead of reply", Envelope{Register: &Register{ClientID: 3}}, session.ErrUnexpectedMessage},
+		{"wrong round", Envelope{Reply: &TrainReply{ClientID: 3, Round: 6}}, session.ErrWrongRound},
 		{"wrong client", Envelope{Reply: &TrainReply{ClientID: 4, Round: 7}}, ErrWrongClient},
 	}
 	for _, tc := range cases {
@@ -65,12 +65,12 @@ func TestCheckReply(t *testing.T) {
 				}
 				return
 			}
-			var ee *EnvelopeError
+			var ee *session.ProtocolError
 			if !errors.As(err, &ee) || ee.Kind != tc.want {
 				t.Fatalf("checkReply err = %v, want kind %s", err, tc.want)
 			}
-			if ee.ClientID != 3 || ee.Round != 7 {
-				t.Fatalf("error context = client %d round %d, want 3/7", ee.ClientID, ee.Round)
+			if ee.PeerID != 3 || ee.Round != 7 {
+				t.Fatalf("error context = client %d round %d, want 3/7", ee.PeerID, ee.Round)
 			}
 		})
 	}
@@ -137,8 +137,8 @@ func TestDuplicateRegisterRejected(t *testing.T) {
 	dialRaw(t, srv.Addr()).register(t, 0)
 	// Second connection claims the same ClientID.
 	dialRaw(t, srv.Addr()).register(t, 0)
-	var ee *EnvelopeError
-	if err := <-errc; !errors.As(err, &ee) || ee.Kind != ErrDuplicateRegister || ee.ClientID != 0 {
+	var ee *session.ProtocolError
+	if err := <-errc; !errors.As(err, &ee) || ee.Kind != ErrDuplicateRegister || ee.PeerID != 0 {
 		t.Fatalf("AcceptClients err = %v, want ErrDuplicateRegister for client 0", err)
 	}
 }
@@ -147,11 +147,11 @@ func TestMalformedRegistrationRejected(t *testing.T) {
 	cases := []struct {
 		name string
 		env  Envelope
-		want EnvelopeErrorKind
+		want session.ErrorKind
 	}{
-		{"empty envelope", Envelope{}, ErrEmptyEnvelope},
-		{"ambiguous envelope", Envelope{Register: &Register{}, Shutdown: &Shutdown{}}, ErrAmbiguousEnvelope},
-		{"reply instead of register", Envelope{Reply: &TrainReply{}}, ErrUnexpectedMessage},
+		{"empty envelope", Envelope{}, session.ErrEmptyEnvelope},
+		{"ambiguous envelope", Envelope{Register: &Register{}, Shutdown: &Shutdown{}}, session.ErrAmbiguousEnvelope},
+		{"reply instead of register", Envelope{Reply: &TrainReply{}}, session.ErrUnexpectedMessage},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -165,7 +165,7 @@ func TestMalformedRegistrationRejected(t *testing.T) {
 			if err := raw.enc.Encode(tc.env); err != nil {
 				t.Fatal(err)
 			}
-			var ee *EnvelopeError
+			var ee *session.ProtocolError
 			if err := <-errc; !errors.As(err, &ee) || ee.Kind != tc.want {
 				t.Fatalf("AcceptClients err = %v, want kind %s", err, tc.want)
 			}
@@ -180,21 +180,21 @@ func TestMisbehavingRepliesDropSession(t *testing.T) {
 	cases := []struct {
 		name  string
 		reply func(req *TrainRequest) Envelope
-		want  EnvelopeErrorKind
+		want  session.ErrorKind
 	}{
-		{"empty envelope", func(*TrainRequest) Envelope { return Envelope{} }, ErrEmptyEnvelope},
+		{"empty envelope", func(*TrainRequest) Envelope { return Envelope{} }, session.ErrEmptyEnvelope},
 		{"ambiguous envelope", func(req *TrainRequest) Envelope {
 			return Envelope{
 				Reply:    &TrainReply{ClientID: 0, Round: req.Round},
 				Shutdown: &Shutdown{},
 			}
-		}, ErrAmbiguousEnvelope},
+		}, session.ErrAmbiguousEnvelope},
 		{"register instead of reply", func(*TrainRequest) Envelope {
 			return Envelope{Register: &Register{ClientID: 0}}
-		}, ErrUnexpectedMessage},
+		}, session.ErrUnexpectedMessage},
 		{"wrong round", func(req *TrainRequest) Envelope {
 			return Envelope{Reply: &TrainReply{ClientID: 0, Round: req.Round + 1}}
-		}, ErrWrongRound},
+		}, session.ErrWrongRound},
 		{"wrong client", func(req *TrainRequest) Envelope {
 			return Envelope{Reply: &TrainReply{ClientID: 9, Round: req.Round}}
 		}, ErrWrongClient},
@@ -221,7 +221,7 @@ func TestMisbehavingRepliesDropSession(t *testing.T) {
 			}()
 			_, err = srv.Train(0, 4, []float64{1}, telemetry.SpanContext{})
 			<-done
-			var ee *EnvelopeError
+			var ee *session.ProtocolError
 			if !errors.As(err, &ee) || ee.Kind != tc.want {
 				t.Fatalf("Train err = %v, want kind %s", err, tc.want)
 			}
@@ -234,7 +234,7 @@ func TestMisbehavingRepliesDropSession(t *testing.T) {
 }
 
 func TestEnvelopeErrorMessage(t *testing.T) {
-	err := envelopeErr(ErrWrongRound, 3, 7, "reply for round 6")
+	err := hop.Err(session.ErrWrongRound, 3, 7, "reply for round 6")
 	want := "flnet: wrong_round (client 3, round 7): reply for round 6"
 	if err.Error() != want {
 		t.Fatalf("Error() = %q, want %q", err.Error(), want)

@@ -50,7 +50,7 @@ type TrainRequest struct {
 	// Trace is the coordinator's per-client train span context, so the
 	// client's local-train span can parent under the coordinator's round
 	// span tree. Zero when span tracing is off; a half-set context is a
-	// protocol violation the client rejects as *EnvelopeError.
+	// protocol violation the client rejects as *session.ProtocolError.
 	Trace telemetry.SpanContext
 }
 
@@ -184,7 +184,7 @@ func (c *Client) Serve(conn net.Conn) (rounds int, err error) {
 			return rounds, nil
 		case env.Request != nil:
 			if !env.Request.Trace.Valid() {
-				return rounds, envelopeErr(ErrBadTraceContext, c.Reg.ClientID, env.Request.Round,
+				return rounds, hop.Err(ErrBadTraceContext, c.Reg.ClientID, env.Request.Round,
 					"half-set span context on TrainRequest")
 			}
 			start := time.Now()
@@ -223,7 +223,7 @@ func (c *Client) Serve(conn net.Conn) (rounds int, err error) {
 			}
 			rounds++
 		default:
-			return rounds, envelopeErr(ErrUnexpectedMessage, c.Reg.ClientID, -1,
+			return rounds, hop.Err(session.ErrUnexpectedMessage, c.Reg.ClientID, -1,
 				"client expects TrainRequest or Shutdown")
 		}
 	}
@@ -240,7 +240,7 @@ type Server struct {
 
 // NewServer listens on addr (use "127.0.0.1:0" for an ephemeral port).
 func NewServer(addr string) (*Server, error) {
-	sess, err := session.Listen("flnet", addr, readRegister)
+	sess, err := session.Listen(hop.Name, addr, readRegister)
 	if err != nil {
 		return nil, err
 	}
@@ -258,7 +258,7 @@ func readRegister(dec *session.Codec) (int, Register, error) {
 		return 0, Register{}, err
 	}
 	if env.Register == nil {
-		return 0, Register{}, envelopeErr(ErrUnexpectedMessage, -1, -1, "expected Register as first message")
+		return 0, Register{}, hop.Err(session.ErrUnexpectedMessage, -1, -1, "expected Register as first message")
 	}
 	return env.Register.ClientID, *env.Register, nil
 }
@@ -281,7 +281,7 @@ func (s *Server) EnableTelemetry(reg *telemetry.Registry, _ telemetry.Tracer, ri
 // fails) and returns their registrations. A malformed first message, a
 // dialer that stays silent past the handshake timeout, or a Register
 // for an already-registered ClientID closes that connection and fails
-// the accept loop (with a typed *EnvelopeError for protocol violations).
+// the accept loop (with a typed *session.ProtocolError for protocol violations).
 func (s *Server) AcceptClients(n int) ([]Register, error) {
 	regs := make([]Register, 0, n)
 	for len(regs) < n {
@@ -290,7 +290,7 @@ func (s *Server) AcceptClients(n int) ([]Register, error) {
 			return regs, err
 		}
 		if !s.sess.Seat(c, false) {
-			return regs, envelopeErr(ErrDuplicateRegister, c.ID, -1, "client already registered")
+			return regs, hop.Err(ErrDuplicateRegister, c.ID, -1, "client already registered")
 		}
 		s.seated(c)
 		regs = append(regs, c.Hello)
@@ -359,7 +359,7 @@ func (s *Server) Registrations() []Register { return s.sess.Peers() }
 // reply's piggybacked span (if any) is validated against it. Any
 // failure — connection error, EOF, malformed or mismatched reply —
 // drops the session so a dead or misbehaving client cannot wedge later
-// rounds, and returns the error (typed *EnvelopeError for protocol
+// rounds, and returns the error (typed *session.ProtocolError for protocol
 // violations) for the driver to record as a client failure.
 //
 // The returned TrainReply.Params aliases the session's receive buffer:
@@ -377,10 +377,10 @@ func (s *Server) Train(clientID, round int, params []float64, sc telemetry.SpanC
 	if err != nil {
 		switch {
 		case err == session.ErrNoSession:
-			err = envelopeErr(ErrNotRegistered, clientID, round, "no live session")
+			err = hop.Err(ErrNotRegistered, clientID, round, "no live session")
 		case errors.Is(err, session.ErrBadVector):
 			// Refused on its announced length, before any of it was read.
-			err = envelopeErr(ErrBadUpdate, clientID, round, err.Error())
+			err = hop.Err(ErrBadUpdate, clientID, round, err.Error())
 		}
 		s.publishSessions()
 		return TrainReply{}, err

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"haccs/internal/session"
 	"haccs/internal/telemetry"
 )
 
@@ -130,7 +131,7 @@ func TestMultipleRoundsSameClients(t *testing.T) {
 func TestTrainUnknownClient(t *testing.T) {
 	srv, _, wg := startCluster(t, 1)
 	_, err := srv.Train(99, 0, []float64{1}, noTrace)
-	var ee *EnvelopeError
+	var ee *session.ProtocolError
 	if !errors.As(err, &ee) || ee.Kind != ErrNotRegistered {
 		t.Errorf("err = %v, want ErrNotRegistered", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"haccs/internal/fleet"
+	"haccs/internal/session"
 	"haccs/internal/telemetry"
 )
 
@@ -35,8 +36,8 @@ func TestCheckClientStats(t *testing.T) {
 			}
 			continue
 		}
-		var ee *EnvelopeError
-		if !errors.As(err, &ee) || ee.Kind != ErrBadClientStats || ee.ClientID != 3 || ee.Round != 7 {
+		var ee *session.ProtocolError
+		if !errors.As(err, &ee) || ee.Kind != ErrBadClientStats || ee.PeerID != 3 || ee.Round != 7 {
 			t.Errorf("%s: err = %v, want ErrBadClientStats for client 3 round 7", c.name, err)
 		}
 	}
@@ -81,7 +82,7 @@ func TestMalformedStatsDropSession(t *testing.T) {
 			}()
 			_, err = srv.Train(0, 4, []float64{1}, telemetry.SpanContext{})
 			<-done
-			var ee *EnvelopeError
+			var ee *session.ProtocolError
 			if !errors.As(err, &ee) || ee.Kind != ErrBadClientStats {
 				t.Fatalf("Train err = %v, want ErrBadClientStats", err)
 			}

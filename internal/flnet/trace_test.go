@@ -55,7 +55,7 @@ func TestEnvelopeTraceContextRoundTrip(t *testing.T) {
 }
 
 // TestCheckWireSpan covers every rejection path of the reply-span
-// validation as *EnvelopeError with the dedicated kind.
+// validation as *session.ProtocolError with the dedicated kind.
 func TestCheckWireSpan(t *testing.T) {
 	sc := telemetry.SpanContext{TraceID: 0xaa, SpanID: 0xbb}
 	good := WireSpan{Name: "client_train", TraceID: 0xaa, SpanID: 0xcc, ParentID: 0xbb, DurSec: 0.5}
@@ -85,12 +85,12 @@ func TestCheckWireSpan(t *testing.T) {
 				}
 				return
 			}
-			var ee *EnvelopeError
+			var ee *session.ProtocolError
 			if !errors.As(err, &ee) || ee.Kind != ErrBadTraceContext {
 				t.Fatalf("checkWireSpan = %v, want ErrBadTraceContext", err)
 			}
-			if ee.ClientID != 3 || ee.Round != 7 {
-				t.Fatalf("error context = client %d round %d", ee.ClientID, ee.Round)
+			if ee.PeerID != 3 || ee.Round != 7 {
+				t.Fatalf("error context = client %d round %d", ee.PeerID, ee.Round)
 			}
 		})
 	}
@@ -148,7 +148,7 @@ func TestMisbehavingSpanDropsSession(t *testing.T) {
 		}()
 		_, err = srv.Train(0, 4, []float64{1}, sc)
 		<-done
-		var ee *EnvelopeError
+		var ee *session.ProtocolError
 		if !errors.As(err, &ee) || ee.Kind != ErrBadTraceContext {
 			t.Fatalf("Train err = %v, want ErrBadTraceContext", err)
 		}
@@ -201,7 +201,7 @@ func TestClientRejectsHalfSetContext(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	var ee *EnvelopeError
+	var ee *session.ProtocolError
 	if err := <-done; !errors.As(err, &ee) || ee.Kind != ErrBadTraceContext {
 		t.Fatalf("client exit = %v, want ErrBadTraceContext", err)
 	}

@@ -5,6 +5,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"haccs/internal/session"
 )
 
 // TestBadUpdateDropsSession feeds Server.Train replies that are
@@ -57,8 +59,8 @@ func TestBadUpdateDropsSession(t *testing.T) {
 				}
 				return
 			}
-			var ee *EnvelopeError
-			if !errors.As(err, &ee) || ee.Kind != ErrBadUpdate || ee.ClientID != 0 || ee.Round != 4 {
+			var ee *session.ProtocolError
+			if !errors.As(err, &ee) || ee.Kind != ErrBadUpdate || ee.PeerID != 0 || ee.Round != 4 {
 				t.Fatalf("Train err = %v, want bad_update for client 0 round 4", err)
 			}
 			if _, err := srv.Train(0, 5, []float64{0, 0}, noTrace); !errors.As(err, &ee) || ee.Kind != ErrNotRegistered {

@@ -204,8 +204,8 @@ func TestHostileAnnouncerCostsOneTypedError(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	_, err = srv.Train(0, 4, []float64{0, 0}, noTrace)
 	runtime.ReadMemStats(&after)
-	var ee *EnvelopeError
-	if !errors.As(err, &ee) || ee.Kind != ErrBadUpdate || ee.ClientID != 0 || ee.Round != 4 {
+	var ee *session.ProtocolError
+	if !errors.As(err, &ee) || ee.Kind != ErrBadUpdate || ee.PeerID != 0 || ee.Round != 4 {
 		t.Fatalf("Train err = %v, want bad_update for client 0 round 4", err)
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {

@@ -361,10 +361,3 @@ func summarize(res *LegResult, base, final scrapePoint, env *envelope) {
 	res.GCPauseP99 = env.max("haccs_runtime_gc_pause_p99_seconds")
 	res.SchedP99 = env.max("haccs_runtime_sched_latency_p99_seconds")
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

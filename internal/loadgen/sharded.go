@@ -3,6 +3,7 @@ package loadgen
 import (
 	"fmt"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -51,80 +52,34 @@ func runShardedLeg(cfg MatrixConfig, leg Leg) (LegResult, error) {
 	defer rc.Stop()
 	fleetReg := fleet.NewRegistry(cfg.Fleet.N, fleet.Options{Metrics: reg})
 
-	shardIDs := make([]int, leg.Shards)
-	for s := range shardIDs {
-		shardIDs[s] = s
-	}
-	ring, err := shard.NewRing(shardIDs, 0)
+	rootSrv, err := shard.NewRootServer("127.0.0.1:0")
 	if err != nil {
 		return res, err
 	}
-	parts := ring.Partition(cfg.Fleet.N)
-
-	// One flat coordinator per shard, each owning its ring slice.
-	servers := make([]*flnet.Server, leg.Shards)
-	for s := range servers {
-		if servers[s], err = flnet.NewServer("127.0.0.1:0"); err != nil {
-			return res, err
-		}
-		defer servers[s].Close()
-	}
-
-	fcfg := cfg.Fleet
-	fcfg.Route = func(id int) string { return servers[ring.Owner(id)].Addr() }
-	fl, err := StartFleet(fcfg, servers[0].Addr())
+	defer func() { rootSrv.Shutdown() }()
+	h, err := StartHierarchy(cfg.Fleet, leg.Shards, rootSrv.Addr())
 	if err != nil {
 		return res, err
 	}
-	defer fl.Stop()
-	for s, srv := range servers {
-		if _, err := srv.AcceptClients(len(parts[s])); err != nil {
-			return res, fmt.Errorf("shard %d accept: %w", s, err)
-		}
-		srv.ServeReconnects()
-	}
+	defer h.Stop()
 
 	// The root's observability endpoint rebinds after a crash, and its
 	// /debug/shards view needs the current Root, so the handlers read
 	// through an atomic pointer.
 	var rootPtr atomic.Pointer[shard.Root]
-	bootRoot := func(addr string) (*shard.RootServer, string, error) {
-		rootSrv, err := shard.NewRootServer(addr)
-		if err != nil {
-			return nil, "", err
-		}
-		httpAddr, err := rootSrv.EnableTelemetry(reg, nil, nil, "127.0.0.1:0",
-			telemetry.WithEndpoint("/debug/fleet", shard.FleetHandler(fleetReg, ring.Owner)),
+	observe := func(srv *shard.RootServer) (string, error) {
+		return srv.EnableTelemetry(reg, nil, nil, "127.0.0.1:0",
+			telemetry.WithEndpoint("/debug/fleet", shard.FleetHandler(fleetReg, h.ring.Owner)),
 			telemetry.WithEndpoint("/debug/shards", shard.StatusHandler(func() []rounds.ShardStatus {
 				if r := rootPtr.Load(); r != nil {
 					return r.ShardStatuses()
 				}
 				return nil
 			})))
-		if err != nil {
-			rootSrv.Shutdown()
-			return nil, "", err
-		}
-		return rootSrv, httpAddr, nil
 	}
-	rootSrv, httpAddr, err := bootRoot("127.0.0.1:0")
+	httpAddr, err := observe(rootSrv)
 	if err != nil {
 		return res, err
-	}
-	defer func() { rootSrv.Shutdown() }()
-
-	agents := make([]*shard.Agent, leg.Shards)
-	for s, srv := range servers {
-		agents[s], err = shard.NewAgent(shard.AgentConfig{
-			ShardID: s,
-			Root:    rootSrv.Addr(),
-			Server:  srv,
-		})
-		if err != nil {
-			return res, fmt.Errorf("shard %d agent: %w", s, err)
-		}
-		go agents[s].Run()
-		defer agents[s].Close()
 	}
 	if _, err := rootSrv.AcceptShards(leg.Shards); err != nil {
 		return res, err
@@ -180,7 +135,7 @@ func runShardedLeg(cfg MatrixConfig, leg Leg) (LegResult, error) {
 	for r := 0; r < leg.Rounds; r++ {
 		if r == stormAt {
 			reconnectsAtStorm = env.points[len(env.points)-1].value("haccs_net_reconnects_total")
-			res.StormKilled = fl.StormIDs(parts[0])
+			res.StormKilled = h.fleet.StormIDs(h.parts[0])
 			stormStart = time.Now()
 		}
 		if r == crashAt {
@@ -190,8 +145,12 @@ func runShardedLeg(cfg MatrixConfig, leg Leg) (LegResult, error) {
 			}
 			// Rebind the same address so the shard agents' redial loops
 			// land on the restarted root.
-			rootSrv, httpAddr, err = bootRoot(addr)
+			restarted, err := shard.NewRootServer(addr)
 			if err != nil {
+				return res, fmt.Errorf("root restart: %w", err)
+			}
+			rootSrv = restarted
+			if httpAddr, err = observe(rootSrv); err != nil {
 				return res, fmt.Errorf("root restart: %w", err)
 			}
 			if _, err := rootSrv.AcceptShards(leg.Shards); err != nil {
@@ -246,4 +205,83 @@ func runShardedLeg(cfg MatrixConfig, leg Leg) (LegResult, error) {
 		(!leg.Crash || res.CrashResumedFrom >= 0) &&
 		(res.StormKilled == 0 || res.StormRecoverySec >= 0)
 	return res, nil
+}
+
+// Hierarchy is an in-process shard tier: one flnet coordinator per
+// shard over its consistent-hash slice of a synthetic fleet, each
+// uplinked to a root by a running agent.
+type Hierarchy struct {
+	ring    *shard.Ring
+	parts   [][]int // parts[s]: the client IDs shard s owns
+	servers []*flnet.Server
+	fleet   *Fleet
+	agents  []*shard.Agent
+	running sync.WaitGroup // the agents' Run loops
+}
+
+// StartHierarchy builds the tier below the root listening at rootAddr:
+// the ring over shard IDs 0..shards-1 and its partition of the fcfg.N
+// clients, one flnet server per shard, the fleet routed to its owners
+// (fcfg.Route is replaced), every slice accepted with reconnects
+// served, and one running agent per shard. The root accepts the
+// agents' Hellos itself. On error everything started is stopped.
+func StartHierarchy(fcfg FleetConfig, shards int, rootAddr string) (*Hierarchy, error) {
+	ids := make([]int, shards)
+	for s := range ids {
+		ids[s] = s
+	}
+	ring, err := shard.NewRing(ids, 0)
+	if err != nil {
+		return nil, err
+	}
+	h := &Hierarchy{ring: ring, parts: ring.Partition(fcfg.N), servers: make([]*flnet.Server, shards)}
+	fail := func(err error) (*Hierarchy, error) {
+		h.Stop()
+		return nil, err
+	}
+	for s := range h.servers {
+		if h.servers[s], err = flnet.NewServer("127.0.0.1:0"); err != nil {
+			return fail(err)
+		}
+	}
+	fcfg.Route = func(id int) string { return h.servers[ring.Owner(id)].Addr() }
+	if h.fleet, err = StartFleet(fcfg, h.servers[0].Addr()); err != nil {
+		return fail(err)
+	}
+	for s, srv := range h.servers {
+		if _, err := srv.AcceptClients(len(h.parts[s])); err != nil {
+			return fail(fmt.Errorf("shard %d accept: %w", s, err))
+		}
+		srv.ServeReconnects()
+	}
+	for s, srv := range h.servers {
+		agent, err := shard.NewAgent(shard.AgentConfig{ShardID: s, Root: rootAddr, Server: srv})
+		if err != nil {
+			return fail(fmt.Errorf("shard %d agent: %w", s, err))
+		}
+		h.agents = append(h.agents, agent)
+		h.running.Add(1)
+		go func() {
+			defer h.running.Done()
+			agent.Run()
+		}()
+	}
+	return h, nil
+}
+
+// Stop closes the agents and waits for their Run loops to return, then
+// stops the fleet and closes the shard servers.
+func (h *Hierarchy) Stop() {
+	for _, a := range h.agents {
+		a.Close()
+	}
+	h.running.Wait()
+	if h.fleet != nil {
+		h.fleet.Stop()
+	}
+	for _, s := range h.servers {
+		if s != nil {
+			s.Close()
+		}
+	}
 }

@@ -34,6 +34,8 @@ type ShardClient struct {
 }
 
 // ShardCmd is one root→shard work order (one root scheduling cycle).
+// internal/shard sends it over the wire as is, Params as the frame's
+// raw vector trailer.
 type ShardCmd struct {
 	// Round is the root round/cycle index.
 	Round int
@@ -50,7 +52,9 @@ type ShardCmd struct {
 	Version int
 }
 
-// ShardReport is one shard's reply to a ShardCmd.
+// ShardReport is one shard's reply to a ShardCmd. internal/shard sends
+// it over the wire as is, beside the shard/round echo the root
+// validates, Partial as the frame's raw vector trailer.
 type ShardReport struct {
 	// Partial is the unnormalized sample-weighted partial aggregate:
 	// sync Σ n_r·w_r over the shard's reporters, async the shard's
@@ -61,7 +65,8 @@ type ShardReport struct {
 	Samples int
 	// Reporters carries per-reporter metadata (loss, samples, summary,
 	// stats) in the shard's selection order; Params fields are nil —
-	// only the partial sum crosses the tree.
+	// only the partial sum crosses the tree, and the root refuses a
+	// report whose reporter carries parameters.
 	Reporters []Result
 	// Cut are the shard-owned selected clients discarded at the
 	// deadline (sync; the root validates them against its own latency

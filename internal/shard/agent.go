@@ -3,7 +3,6 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"sort"
 	"sync"
@@ -18,10 +17,10 @@ import (
 	"haccs/internal/telemetry"
 )
 
-// Defaults for the agent's sketch representatives. Every shard in a
-// deployment must use the same sketch geometry and seed, or the root's
-// cross-shard clustering compares incomparable vectors; these defaults
-// make the zero-config case consistent.
+// The geometry and seed of the agent's sketch representatives. Every
+// shard in a deployment must use the same ones, or the root's
+// cross-shard clustering compares incomparable vectors, so they are
+// constants rather than options.
 const (
 	DefaultSketchDim  = 32
 	DefaultSketchSeed = 0x5ac1d
@@ -45,12 +44,6 @@ type AgentConfig struct {
 	Metrics *telemetry.Registry
 	// Tracer receives the shard-local round events (async mode).
 	Tracer telemetry.Tracer
-	// SketchDim/SketchSeed/AttachRadius shape the label-distribution
-	// representatives shipped in the Hello (zero values select the
-	// shared defaults). All shards must agree on dim and seed.
-	SketchDim    int
-	SketchSeed   uint64
-	AttachRadius float64
 	// StrategySeed seeds the async local uniform selection stream
 	// (derived per shard, so equal seeds across shards do not correlate).
 	StrategySeed uint64
@@ -121,12 +114,6 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	if cfg.RedialFor <= 0 {
 		cfg.RedialFor = 30 * time.Second
 	}
-	if cfg.SketchDim <= 0 {
-		cfg.SketchDim = DefaultSketchDim
-	}
-	if cfg.SketchSeed == 0 {
-		cfg.SketchSeed = DefaultSketchSeed
-	}
 	regs := cfg.Server.Registrations()
 	if len(regs) == 0 {
 		return nil, errors.New("shard: agent owns no registered clients")
@@ -144,7 +131,7 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 		a.roster[i] = rounds.ShardClient{ID: r.ClientID, Latency: r.LatencyEstimate}
 		a.latency[r.ClientID] = r.LatencyEstimate
 	}
-	reps, counts, dim := buildReps(regs, cfg.SketchDim, cfg.SketchSeed, cfg.AttachRadius)
+	reps, counts, dim := buildReps(regs)
 	a.hello = Hello{
 		ShardID:   cfg.ShardID,
 		Clients:   a.roster,
@@ -165,16 +152,16 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 // their member counts. Clients without label counts attach to a zero
 // histogram's uniform amplitude, so the shard still announces one
 // representative.
-func buildReps(regs []flnet.Register, dim int, seed uint64, attach float64) ([][]float64, []int, int) {
-	sk := sketch.New(sketch.Config{Dim: dim, Seed: seed})
-	idx := sketch.NewIndex(len(regs), sk.Dim(), attach, nil)
+func buildReps(regs []flnet.Register) ([][]float64, []int, int) {
+	sk := sketch.New(sketch.Config{Dim: DefaultSketchDim, Seed: DefaultSketchSeed})
+	idx := sketch.NewIndex(len(regs), sk.Dim(), sketch.DefaultAttachRadius, nil)
 	var amp []float64
 	for i, r := range regs {
-		if len(amp) < max(len(r.LabelCounts), 1) {
-			amp = make([]float64, max(len(r.LabelCounts), 1))
-		}
 		bins := max(len(r.LabelCounts), 1)
-		writeAmplitude(amp[:bins], r.LabelCounts)
+		if len(amp) < bins {
+			amp = make([]float64, bins)
+		}
+		stats.AmplitudeInto(amp[:bins], r.LabelCounts)
 		idx.Observe(i, sk.Sketch(amp[:bins]))
 	}
 	reps := make([][]float64, idx.Len())
@@ -184,32 +171,6 @@ func buildReps(regs []flnet.Register, dim int, seed uint64, attach float64) ([][
 		counts[r] = idx.Count(r)
 	}
 	return reps, counts, sk.Dim()
-}
-
-// writeAmplitude fills dst with √p where p is the positive-part
-// normalization of counts, uniform when counts carry no positive mass
-// (mirroring stats.Histogram.Amplitude).
-func writeAmplitude(dst, counts []float64) {
-	total := 0.0
-	for _, c := range counts {
-		if c > 0 {
-			total += c
-		}
-	}
-	if total <= 0 {
-		u := math.Sqrt(1 / float64(len(dst)))
-		for i := range dst {
-			dst[i] = u
-		}
-		return
-	}
-	for i := range dst {
-		c := 0.0
-		if i < len(counts) && counts[i] > 0 {
-			c = counts[i]
-		}
-		dst[i] = math.Sqrt(c / total)
-	}
 }
 
 // Close stops the agent: the current root connection is torn down and
@@ -298,7 +259,7 @@ func (a *Agent) serve(conn net.Conn) error {
 		return nil
 	}
 	if env.Ack == nil {
-		return protoErr(ErrUnexpectedMessage, a.cfg.ShardID, -1, "expected Ack after Hello")
+		return hop.Err(session.ErrUnexpectedMessage, a.cfg.ShardID, -1, "expected Ack after Hello")
 	}
 	a.ack = *env.Ack
 	a.acked = true
@@ -319,7 +280,7 @@ func (a *Agent) serve(conn net.Conn) error {
 				return fmt.Errorf("shard %d: report: %w", a.cfg.ShardID, err)
 			}
 		default:
-			return protoErr(ErrUnexpectedMessage, a.cfg.ShardID, -1, "expected Cmd or Bye")
+			return hop.Err(session.ErrUnexpectedMessage, a.cfg.ShardID, -1, "expected Cmd or Bye")
 		}
 	}
 }
@@ -335,7 +296,7 @@ func (a *Agent) partialBuf(n int) []float64 {
 }
 
 // exec runs one root work order and builds the report.
-func (a *Agent) exec(cmd *Cmd) *Report {
+func (a *Agent) exec(cmd *rounds.ShardCmd) *Report {
 	if a.ack.Mode == string(rounds.ModeAsync) {
 		return a.execAsync(cmd)
 	}
@@ -348,7 +309,7 @@ func (a *Agent) exec(cmd *Cmd) *Report {
 // root applies (rounds.SyncOutcome) to split selected into
 // reporters/cut/failed and sums the reporters' updates into the
 // unnormalized partial Σ n_r·w_r.
-func (a *Agent) execSync(cmd *Cmd) *Report {
+func (a *Agent) execSync(cmd *rounds.ShardCmd) *Report {
 	sel := cmd.Selected
 	replies := make([]flnet.TrainReply, len(sel))
 	failed := make([]bool, len(sel))
@@ -369,17 +330,15 @@ func (a *Agent) execSync(cmd *Cmd) *Report {
 
 	var out rounds.SyncOutcome
 	out.Resolve(sel, func(id int) float64 { return a.latency[id] }, a.ack.Deadline, failed, nil)
-	rep := &Report{
-		ShardID:    a.cfg.ShardID,
-		Round:      cmd.Round,
+	rep := &Report{ShardID: a.cfg.ShardID, Round: cmd.Round, ShardReport: rounds.ShardReport{
 		Sessions:   a.cfg.Server.Sessions(),
 		Reconnects: a.cfg.Server.Reconnects(),
 		Cut:        out.Cut,
 		Failed:     out.Failed,
-	}
+	}}
 	for _, i := range out.Reporters {
 		r := &replies[i]
-		rep.Reporters = append(rep.Reporters, WireResult{
+		rep.Reporters = append(rep.Reporters, rounds.Result{
 			ClientID:   sel[i],
 			NumSamples: r.NumSamples,
 			Loss:       r.Loss,
@@ -403,14 +362,12 @@ func (a *Agent) execSync(cmd *Cmd) *Report {
 // then one AsyncDriver round runs over the shard's clients and the
 // resulting local model delta ships upward with the flushed reporters'
 // metadata.
-func (a *Agent) execAsync(cmd *Cmd) *Report {
-	rep := &Report{
-		ShardID:     a.cfg.ShardID,
-		Round:       cmd.Round,
+func (a *Agent) execAsync(cmd *rounds.ShardCmd) *Report {
+	rep := &Report{ShardID: a.cfg.ShardID, Round: cmd.Round, ShardReport: rounds.ShardReport{
 		Sessions:    a.cfg.Server.Sessions(),
 		Reconnects:  a.cfg.Server.Reconnects(),
 		BaseVersion: a.baseVersion,
-	}
+	}}
 	if a.local == nil {
 		// The driver is built on the root's first resync push: the model
 		// dimension arrives with the parameters, and the root always
@@ -456,7 +413,7 @@ func (a *Agent) execAsync(cmd *Cmd) *Report {
 		if n <= 0 {
 			n = 1
 		}
-		rep.Reporters = append(rep.Reporters, WireResult{
+		rep.Reporters = append(rep.Reporters, rounds.Result{
 			ClientID:   a.globalIDs[local],
 			NumSamples: n,
 			Loss:       out.Losses[i],

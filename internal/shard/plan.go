@@ -21,7 +21,7 @@ import (
 // Shards that ship no representatives (or disagree on sketch
 // geometry) degrade the plan to client-count-proportional
 // apportionment, which is the correct weight under homogeneity.
-func PlanBudgets(hellos []Hello, k int, attachRadius float64) []int {
+func PlanBudgets(hellos []Hello, k int) []int {
 	budgets := make([]int, len(hellos))
 	if k <= 0 || len(hellos) == 0 {
 		return budgets
@@ -36,7 +36,7 @@ func PlanBudgets(hellos []Hello, k int, attachRadius float64) []int {
 		k = total
 	}
 
-	weights := clusterWeights(hellos, attachRadius)
+	weights := clusterWeights(hellos)
 	if weights == nil {
 		// Degenerate geometry: weight by roster size.
 		weights = make([]float64, len(hellos))
@@ -51,7 +51,7 @@ func PlanBudgets(hellos []Hello, k int, attachRadius float64) []int {
 // clusterWeights computes each shard's share of the budget from a
 // global ε-net over all shards' representatives, or nil when the
 // representatives are unusable (absent or with mismatched dims).
-func clusterWeights(hellos []Hello, attachRadius float64) []float64 {
+func clusterWeights(hellos []Hello) []float64 {
 	dim, reps := 0, 0
 	for _, h := range hellos {
 		if len(h.Reps) == 0 {
@@ -65,7 +65,7 @@ func clusterWeights(hellos []Hello, attachRadius float64) []float64 {
 		}
 		reps += len(h.Reps)
 	}
-	idx := sketch.NewIndex(reps, dim, attachRadius, nil)
+	idx := sketch.NewIndex(reps, dim, sketch.DefaultAttachRadius, nil)
 	// Pseudo-client c enumerates (shard, rep) pairs in shard order;
 	// cluster[c] is its global cluster, pop[g] the client mass in g.
 	cluster := make([]int, reps)

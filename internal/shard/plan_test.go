@@ -30,7 +30,7 @@ func TestPlanBudgetsEqualClusterShare(t *testing.T) {
 		mkHello(0, 20, [][]float64{oneHot(0), oneHot(1)}, []int{10, 10}),
 		mkHello(1, 80, [][]float64{oneHot(2)}, []int{80}),
 	}
-	got := PlanBudgets(hellos, 6, 0)
+	got := PlanBudgets(hellos, 6)
 	// Three global clusters, two owned solely by shard 0: weights 2/3
 	// vs 1/3 -> budgets 4 and 2.
 	if got[0] != 4 || got[1] != 2 {
@@ -45,7 +45,7 @@ func TestPlanBudgetsSharedCluster(t *testing.T) {
 		mkHello(0, 30, [][]float64{oneHot(0)}, []int{30}),
 		mkHello(1, 10, [][]float64{oneHot(0)}, []int{10}),
 	}
-	got := PlanBudgets(hellos, 8, 0)
+	got := PlanBudgets(hellos, 8)
 	if got[0] != 6 || got[1] != 2 {
 		t.Errorf("budgets = %v, want [6 2]", got)
 	}
@@ -59,7 +59,7 @@ func TestPlanBudgetsSumAndCap(t *testing.T) {
 		mkHello(1, 50, [][]float64{oneHot(2)}, []int{50}),
 	}
 	for _, k := range []int{1, 3, 10, 52, 100} {
-		got := PlanBudgets(hellos, k, 0)
+		got := PlanBudgets(hellos, k)
 		sum := 0
 		for i, b := range got {
 			sum += b
@@ -84,7 +84,7 @@ func TestPlanBudgetsFallback(t *testing.T) {
 		mkHello(0, 30, nil, nil),
 		mkHello(1, 10, nil, nil),
 	}
-	got := PlanBudgets(hellos, 4, 0)
+	got := PlanBudgets(hellos, 4)
 	if got[0] != 3 || got[1] != 1 {
 		t.Errorf("budgets = %v, want [3 1]", got)
 	}
@@ -98,8 +98,8 @@ func TestPlanBudgetsDeterministic(t *testing.T) {
 		mkHello(1, 9, [][]float64{oneHot(1)}, []int{9}),
 		mkHello(2, 5, [][]float64{oneHot(3)}, []int{5}),
 	}
-	a := PlanBudgets(hellos, 10, 0)
-	b := PlanBudgets(hellos, 10, 0)
+	a := PlanBudgets(hellos, 10)
+	b := PlanBudgets(hellos, 10)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("plan not deterministic: %v vs %v", a, b)

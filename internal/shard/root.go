@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -60,7 +61,7 @@ func readHello(dec *session.Codec) (int, Hello, error) {
 		return 0, Hello{}, err
 	}
 	if env.Hello == nil {
-		return 0, Hello{}, protoErr(ErrUnexpectedMessage, -1, -1, "expected Hello as first message")
+		return 0, Hello{}, hop.Err(session.ErrUnexpectedMessage, -1, -1, "expected Hello as first message")
 	}
 	if err := env.Hello.check(); err != nil {
 		return 0, Hello{}, err
@@ -88,7 +89,7 @@ func (s *RootServer) EnableTelemetry(reg *telemetry.Registry, _ telemetry.Tracer
 // every shard's representatives, so NewRoot computes it over the full
 // set and sends the Acks then. A malformed Hello, a dialer that stays
 // silent past the handshake timeout, or a duplicate shard ID closes
-// that connection and fails the accept (with a typed *ProtocolError
+// that connection and fails the accept (with a typed *session.ProtocolError
 // for protocol violations).
 func (s *RootServer) AcceptShards(n int) ([]Hello, error) {
 	for s.sess.Len() < n {
@@ -97,7 +98,7 @@ func (s *RootServer) AcceptShards(n int) ([]Hello, error) {
 			return nil, err
 		}
 		if !s.sess.Seat(c, false) {
-			return nil, protoErr(ErrDuplicateShard, c.ID, -1, "shard already connected")
+			return nil, hop.Err(ErrDuplicateShard, c.ID, -1, "shard already connected")
 		}
 		s.mu.Lock()
 		s.hellos[c.ID] = c.Hello
@@ -166,7 +167,7 @@ func (s *RootServer) admit(c *session.Conn[Hello]) {
 	s.mu.Lock()
 	known, seen := s.hellos[c.ID]
 	s.mu.Unlock()
-	if !seen || !sameRoster(known.Clients, c.Hello.Clients) {
+	if !seen || !slices.Equal(known.Clients, c.Hello.Clients) {
 		// An unknown shard mid-run, or a shard trying to change its
 		// slice: refuse (the typed error is advisory — the agent will
 		// keep redialing and keep being refused, which is the correct
@@ -175,7 +176,7 @@ func (s *RootServer) admit(c *session.Conn[Hello]) {
 		if !seen {
 			kind = ErrNotConnected
 		}
-		c.Reject(Envelope{Bye: &Bye{Reason: protoErr(kind, c.ID, -1, "reconnect refused").Error()}})
+		c.Reject(Envelope{Bye: &Bye{Reason: hop.Err(kind, c.ID, -1, "reconnect refused").Error()}})
 		return
 	}
 	if !s.sess.Seat(c, true) {
@@ -197,7 +198,7 @@ func (s *RootServer) ShardReconnects() int { return s.sess.Reconnects() }
 // through ServeReconnects) and surfaces to the driver as a whole-shard
 // round failure. The returned Report's Partial aliases the session's
 // receive buffer: it is valid until the next exec for the same shard.
-func (s *RootServer) exec(shardID int, cmd Cmd) (*Report, error) {
+func (s *RootServer) exec(shardID int, cmd rounds.ShardCmd) (*Report, error) {
 	s.mu.Lock()
 	dim := s.dim
 	s.mu.Unlock()
@@ -209,10 +210,10 @@ func (s *RootServer) exec(shardID int, cmd Cmd) (*Report, error) {
 	})
 	switch {
 	case err == session.ErrNoSession:
-		err = protoErr(ErrNotConnected, shardID, cmd.Round, "no live session")
+		err = hop.Err(ErrNotConnected, shardID, cmd.Round, "no live session")
 	case errors.Is(err, session.ErrBadVector):
 		// Refused on its announced length, before any of it was read.
-		err = protoErr(ErrBadReport, shardID, cmd.Round, err.Error())
+		err = hop.Err(ErrBadReport, shardID, cmd.Round, err.Error())
 	}
 	return rep, err
 }
@@ -238,8 +239,8 @@ func (s *RootServer) Abort() error { return s.sess.Teardown(nil) }
 
 // RootConfig parameterizes the hierarchical root runtime. It mirrors
 // flnet.CoordinatorConfig with the hierarchical additions: the async
-// resync cadence, the shard-local buffer size pushed down in the Acks,
-// and the sketch attach radius of the θ-budget plan.
+// resync cadence and the shard-local buffer size pushed down in the
+// Acks.
 type RootConfig struct {
 	// ClientsPerRound is the global selection budget k. In async mode
 	// it is apportioned across shards as their local θ budgets.
@@ -280,9 +281,6 @@ type RootConfig struct {
 	CheckpointEvery int
 	// Arch stamps the model component of snapshots.
 	Arch nn.Arch
-	// AttachRadius is the ε of the root's representative clustering for
-	// the θ-budget plan (0 selects the sketch default).
-	AttachRadius float64
 }
 
 // Root drives hierarchical federated rounds over connected shard
@@ -317,16 +315,11 @@ func (p *rootProxy) Clients() []rounds.ShardClient { return p.clients }
 // the next Exec on this proxy (see RootServer.exec); cmd.Params is only
 // read.
 func (p *rootProxy) Exec(cmd rounds.ShardCmd) (*rounds.ShardReport, error) {
-	rep, err := p.srv.exec(p.id, Cmd{
-		Round:    cmd.Round,
-		Params:   cmd.Params,
-		Selected: cmd.Selected,
-		Version:  cmd.Version,
-	})
+	rep, err := p.srv.exec(p.id, cmd)
 	if err != nil {
 		return nil, err
 	}
-	return toShardReport(rep), nil
+	return &rep.ShardReport, nil
 }
 
 // NewRoot builds the hierarchical runtime over the server's accepted
@@ -345,7 +338,7 @@ func NewRoot(srv *RootServer, cfg RootConfig, strategy rounds.Strategy, initial 
 	if mode == "" {
 		mode = rounds.ModeSync
 	}
-	budgets := PlanBudgets(hellos, cfg.ClientsPerRound, cfg.AttachRadius)
+	budgets := PlanBudgets(hellos, cfg.ClientsPerRound)
 	proxies := make([]rounds.ShardProxy, len(hellos))
 	for i, h := range hellos {
 		proxies[i] = &rootProxy{srv: srv, id: h.ShardID, clients: h.Clients}

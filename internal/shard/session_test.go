@@ -66,9 +66,9 @@ func newTestRoot(t *testing.T) *RootServer {
 	return srv
 }
 
-func wantKind(t *testing.T, err error, kind ProtocolErrorKind) *ProtocolError {
+func wantKind(t *testing.T, err error, kind session.ErrorKind) *session.ProtocolError {
 	t.Helper()
-	var pe *ProtocolError
+	var pe *session.ProtocolError
 	if !errors.As(err, &pe) || pe.Kind != kind {
 		t.Fatalf("err = %v, want kind %q", err, kind)
 	}
@@ -83,8 +83,8 @@ func TestAcceptShardsRejectsDuplicateShard(t *testing.T) {
 	second.send(t, Envelope{Hello: ptr(validHello(0))})
 
 	_, err := srv.AcceptShards(2)
-	if pe := wantKind(t, err, ErrDuplicateShard); pe.ShardID != 0 {
-		t.Errorf("duplicate reported for shard %d", pe.ShardID)
+	if pe := wantKind(t, err, ErrDuplicateShard); pe.PeerID != 0 {
+		t.Errorf("duplicate reported for shard %d", pe.PeerID)
 	}
 	second.expectClosed(t)
 	if srv.Sessions() != 1 {
@@ -96,12 +96,12 @@ func TestAcceptShardsRejectsBadFirstFrame(t *testing.T) {
 	cases := []struct {
 		name  string
 		frame any
-		kind  ProtocolErrorKind // "" = an untyped decode error
+		kind  session.ErrorKind // "" = an untyped decode error
 	}{
 		{name: "not an envelope", frame: "garbage"},
-		{name: "empty envelope", frame: Envelope{}, kind: ErrEmptyEnvelope},
-		{name: "ambiguous envelope", frame: Envelope{Hello: ptr(validHello(1)), Bye: &Bye{}}, kind: ErrAmbiguousEnvelope},
-		{name: "not a hello", frame: Envelope{Report: &Report{}}, kind: ErrUnexpectedMessage},
+		{name: "empty envelope", frame: Envelope{}, kind: session.ErrEmptyEnvelope},
+		{name: "ambiguous envelope", frame: Envelope{Hello: ptr(validHello(1)), Bye: &Bye{}}, kind: session.ErrAmbiguousEnvelope},
+		{name: "not a hello", frame: Envelope{Report: &Report{}}, kind: session.ErrUnexpectedMessage},
 		{name: "hello failing check", frame: Envelope{Hello: &Hello{ShardID: 1}}, kind: ErrBadHello},
 	}
 	for _, tc := range cases {
@@ -125,9 +125,9 @@ func TestAcceptShardsRejectsBadFirstFrame(t *testing.T) {
 
 func TestExecToUnknownShardIsNotConnected(t *testing.T) {
 	srv := newTestRoot(t)
-	_, err := srv.exec(5, Cmd{Round: 2})
-	if pe := wantKind(t, err, ErrNotConnected); pe.ShardID != 5 || pe.Round != 2 {
-		t.Errorf("error names shard %d round %d", pe.ShardID, pe.Round)
+	_, err := srv.exec(5, rounds.ShardCmd{Round: 2})
+	if pe := wantKind(t, err, ErrNotConnected); pe.PeerID != 5 || pe.Round != 2 {
+		t.Errorf("error names shard %d round %d", pe.PeerID, pe.Round)
 	}
 }
 
@@ -152,15 +152,15 @@ func TestWrongRoundReportDropsShardSession(t *testing.T) {
 	go answer(bad, 0, 1)
 	go answer(good, 1, 0)
 
-	_, err := srv.exec(0, Cmd{Round: 3})
-	if pe := wantKind(t, err, ErrWrongRound); pe.ShardID != 0 || pe.Round != 3 {
-		t.Errorf("error names shard %d round %d", pe.ShardID, pe.Round)
+	_, err := srv.exec(0, rounds.ShardCmd{Round: 3})
+	if pe := wantKind(t, err, session.ErrWrongRound); pe.PeerID != 0 || pe.Round != 3 {
+		t.Errorf("error names shard %d round %d", pe.PeerID, pe.Round)
 	}
 	bad.expectClosed(t)
-	_, err = srv.exec(0, Cmd{Round: 4})
+	_, err = srv.exec(0, rounds.ShardCmd{Round: 4})
 	wantKind(t, err, ErrNotConnected)
 
-	if _, err := srv.exec(1, Cmd{Round: 3}); err != nil {
+	if _, err := srv.exec(1, rounds.ShardCmd{Round: 3}); err != nil {
 		t.Errorf("the other shard's session was disturbed: %v", err)
 	}
 	if srv.Sessions() != 1 {
@@ -188,27 +188,27 @@ func TestWrongDimensionPartialIsBadReport(t *testing.T) {
 	answer := func(s *rawShard, shardID, floats int) {
 		var env Envelope
 		if s.dec.Decode(&env) == nil && env.Cmd != nil {
-			s.enc.Encode(Envelope{Report: &Report{ShardID: shardID, Round: env.Cmd.Round, Partial: make([]float64, floats)}})
+			s.enc.Encode(Envelope{Report: &Report{ShardID: shardID, Round: env.Cmd.Round, ShardReport: rounds.ShardReport{Partial: make([]float64, floats)}}})
 		}
 	}
 	go answer(bad, 0, dim+1)
 	go answer(good, 1, dim)
 
-	_, err := srv.exec(0, Cmd{Round: 3, Params: make([]float64, dim)})
-	if pe := wantKind(t, err, ErrBadReport); pe.ShardID != 0 || pe.Round != 3 {
-		t.Errorf("error names shard %d round %d", pe.ShardID, pe.Round)
+	_, err := srv.exec(0, rounds.ShardCmd{Round: 3, Params: make([]float64, dim)})
+	if pe := wantKind(t, err, ErrBadReport); pe.PeerID != 0 || pe.Round != 3 {
+		t.Errorf("error names shard %d round %d", pe.PeerID, pe.Round)
 	}
 	bad.expectClosed(t)
-	_, err = srv.exec(0, Cmd{Round: 4})
+	_, err = srv.exec(0, rounds.ShardCmd{Round: 4})
 	wantKind(t, err, ErrNotConnected)
 
-	rep, err := srv.exec(1, Cmd{Round: 3})
+	rep, err := srv.exec(1, rounds.ShardCmd{Round: 3})
 	if err != nil || len(rep.Partial) != dim {
 		t.Errorf("the other shard's exchange: %d floats, err %v", len(rep.Partial), err)
 	}
 	// An empty partial — a shard with nothing to contribute — is admitted.
 	go answer(good, 1, 0)
-	if rep, err = srv.exec(1, Cmd{Round: 4}); err != nil || rep.Partial != nil {
+	if rep, err = srv.exec(1, rounds.ShardCmd{Round: 4}); err != nil || rep.Partial != nil {
 		t.Errorf("empty partial: %v, err %v", rep, err)
 	}
 	if srv.Sessions() != 1 {
@@ -220,8 +220,12 @@ func TestWrongDimensionPartialIsBadReport(t *testing.T) {
 // the gob part of the frame is the same size at every dimension.
 func TestVectorsNeverReachGob(t *testing.T) {
 	for name, with := range map[string]func(vec []float64) Envelope{
-		"cmd":    func(vec []float64) Envelope { return Envelope{Cmd: &Cmd{Round: 1, Version: 2, Params: vec}} },
-		"report": func(vec []float64) Envelope { return Envelope{Report: &Report{Round: 1, Samples: 3, Partial: vec}} },
+		"cmd": func(vec []float64) Envelope {
+			return Envelope{Cmd: &rounds.ShardCmd{Round: 1, Version: 2, Params: vec}}
+		},
+		"report": func(vec []float64) Envelope {
+			return Envelope{Report: &Report{Round: 1, ShardReport: rounds.ShardReport{Samples: 3, Partial: vec}}}
+		},
 	} {
 		gobPart := -1
 		for _, dim := range []int{0, 1, 10000} {

@@ -1,34 +1,38 @@
 package shard
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	"haccs/internal/rounds"
+	"haccs/internal/session"
 )
 
 func TestEnvelopeCheck(t *testing.T) {
-	var kind ProtocolErrorKind
-	get := func(e Envelope) ProtocolErrorKind {
+	var kind session.ErrorKind
+	get := func(e Envelope) session.ErrorKind {
 		err := e.Check()
 		if err == nil {
 			return ""
 		}
-		var pe *ProtocolError
+		var pe *session.ProtocolError
 		if !errors.As(err, &pe) {
-			t.Fatalf("error %v is not a *ProtocolError", err)
+			t.Fatalf("error %v is not a *session.ProtocolError", err)
 		}
 		return pe.Kind
 	}
-	if kind = get(Envelope{}); kind != ErrEmptyEnvelope {
+	if kind = get(Envelope{}); kind != session.ErrEmptyEnvelope {
 		t.Errorf("empty envelope -> %q", kind)
 	}
-	if kind = get(Envelope{Hello: &Hello{}, Bye: &Bye{}}); kind != ErrAmbiguousEnvelope {
+	if kind = get(Envelope{Hello: &Hello{}, Bye: &Bye{}}); kind != session.ErrAmbiguousEnvelope {
 		t.Errorf("two-field envelope -> %q", kind)
 	}
-	if err := (&Envelope{Cmd: &Cmd{}}).Check(); err != nil {
+	if err := (&Envelope{Cmd: &rounds.ShardCmd{}}).Check(); err != nil {
 		t.Errorf("single-field envelope rejected: %v", err)
 	}
 }
@@ -72,11 +76,10 @@ func TestHelloCheck(t *testing.T) {
 
 func TestCheckReport(t *testing.T) {
 	good := func() *Report {
-		return &Report{
-			ShardID: 3, Round: 7,
+		return &Report{ShardID: 3, Round: 7, ShardReport: rounds.ShardReport{
 			Partial: []float64{1, 2}, Samples: 2,
-			Reporters: []WireResult{{ClientID: 5, NumSamples: 2, Loss: 0.5}},
-		}
+			Reporters: []rounds.Result{{ClientID: 5, NumSamples: 2, Loss: 0.5}},
+		}}
 	}
 	if _, err := checkReport(&Envelope{Report: good()}, 3, 7); err != nil {
 		t.Fatalf("valid report rejected: %v", err)
@@ -84,17 +87,18 @@ func TestCheckReport(t *testing.T) {
 	cases := []struct {
 		name   string
 		env    Envelope
-		kind   ProtocolErrorKind
+		kind   session.ErrorKind
 		mutate func(r *Report)
 	}{
-		{name: "not a report", env: Envelope{Hello: &Hello{}}, kind: ErrUnexpectedMessage},
-		{name: "empty envelope", env: Envelope{}, kind: ErrEmptyEnvelope},
+		{name: "not a report", env: Envelope{Hello: &Hello{}}, kind: session.ErrUnexpectedMessage},
+		{name: "empty envelope", env: Envelope{}, kind: session.ErrEmptyEnvelope},
 		{name: "wrong shard", kind: ErrWrongShard, mutate: func(r *Report) { r.ShardID = 4 }},
-		{name: "wrong round", kind: ErrWrongRound, mutate: func(r *Report) { r.Round = 8 }},
+		{name: "wrong round", kind: session.ErrWrongRound, mutate: func(r *Report) { r.Round = 8 }},
 		{name: "negative samples", kind: ErrBadReport, mutate: func(r *Report) { r.Samples = -1 }},
 		{name: "nan partial", kind: ErrBadReport, mutate: func(r *Report) { r.Partial[0] = math.NaN() }},
 		{name: "zero-sample reporter", kind: ErrBadReport, mutate: func(r *Report) { r.Reporters[0].NumSamples = 0 }},
 		{name: "nan clock", kind: ErrBadReport, mutate: func(r *Report) { r.LocalClock = math.NaN() }},
+		{name: "reporter with params", kind: ErrBadReport, mutate: func(r *Report) { r.Reporters[0].Params = []float64{1} }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -105,26 +109,91 @@ func TestCheckReport(t *testing.T) {
 				env = Envelope{Report: rep}
 			}
 			_, err := checkReport(&env, 3, 7)
-			var pe *ProtocolError
+			var pe *session.ProtocolError
 			if !errors.As(err, &pe) || pe.Kind != tc.kind {
 				t.Fatalf("err = %v, want kind %q", err, tc.kind)
 			}
 			// Every violation names the session and round it happened on,
 			// including the envelope-union ones Check itself cannot know.
-			if pe.ShardID != 3 || pe.Round != 7 {
-				t.Errorf("error stamped shard %d round %d, want 3 and 7", pe.ShardID, pe.Round)
+			if pe.PeerID != 3 || pe.Round != 7 {
+				t.Errorf("error stamped shard %d round %d, want 3 and 7", pe.PeerID, pe.Round)
 			}
 		})
 	}
 }
 
+// FuzzReportDecode feeds arbitrary bytes through the root's receive
+// path for a Report — Codec.Decode, then checkReport — and checks that
+// it never panics and that every refusal is a *session.ProtocolError
+// stamped with the session's shard and round.
+func FuzzReportDecode(f *testing.F) {
+	for _, seed := range reportSeeds(f) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if !fillsTrailer(data) {
+			return
+		}
+		var env Envelope
+		if session.NewCodec(bytes.NewBuffer(data)).Decode(&env) != nil {
+			return
+		}
+		if _, err := checkReport(&env, 3, 7); err != nil {
+			pe, ok := err.(*session.ProtocolError)
+			if !ok || pe.PeerID != 3 || pe.Round != 7 {
+				t.Fatalf("checkReport error %v is not a protocol error stamped shard 3, round 7", err)
+			}
+		}
+	})
+}
+
+// reportSeeds are the hand-made starting points, also committed under
+// testdata/fuzz/FuzzReportDecode: a valid report, one whose reporter
+// carries parameters, an empty envelope, and two messages in one.
+func reportSeeds(t testing.TB) [][]byte {
+	valid := &Report{ShardID: 3, Round: 7, ShardReport: rounds.ShardReport{
+		Partial: []float64{1, 2}, Samples: 2,
+		Reporters: []rounds.Result{{ClientID: 5, NumSamples: 2, Loss: 0.5, Summary: []float64{1, 1}}},
+		Cut:       []int{6}, Failed: []int{8}, Sessions: 4,
+	}}
+	withParams := *valid
+	withParams.Reporters = []rounds.Result{{ClientID: 5, NumSamples: 2, Loss: 0.5, Params: []float64{9}}}
+	var seeds [][]byte
+	for _, env := range []Envelope{{Report: valid}, {Report: &withParams}, {}, {Report: valid, Bye: &Bye{}}} {
+		var b bytes.Buffer
+		if err := session.NewCodec(&b).Encode(env); err != nil {
+			t.Fatal(err)
+		}
+		seeds = append(seeds, b.Bytes())
+	}
+	return seeds
+}
+
+// fillsTrailer reports whether the vector trailer the first message of
+// data announces, if any, fits in the bytes that follow it. Decode
+// sizes its buffer from the announced count (up to session.MaxVector
+// floats) before reading, so the fuzz target skips inputs that would
+// allocate for a vector they cannot carry.
+func fillsTrailer(data []byte) bool {
+	r := bytes.NewReader(data)
+	var env Envelope
+	if gob.NewDecoder(r).Decode(&env) != nil || env.Vector() == nil {
+		return true
+	}
+	var count uint32
+	if binary.Read(r, binary.LittleEndian, &count) != nil {
+		return true
+	}
+	return uint64(count) <= uint64(r.Len()/8)
+}
+
 func TestProtocolErrorFormat(t *testing.T) {
-	e := protoErr(ErrWrongRound, 2, 5, "report for round 9")
+	e := hop.Err(session.ErrWrongRound, 2, 5, "report for round 9")
 	want := "shard: wrong_round (shard 2, round 5): report for round 9"
 	if e.Error() != want {
 		t.Errorf("Error() = %q, want %q", e.Error(), want)
 	}
-	if msg := protoErr(ErrEmptyEnvelope, -1, -1, "").Error(); !strings.HasPrefix(msg, "shard: empty_envelope") {
+	if msg := hop.Err(session.ErrEmptyEnvelope, -1, -1, "").Error(); !strings.HasPrefix(msg, "shard: empty_envelope") {
 		t.Errorf("anonymous error = %q", msg)
 	}
 }

@@ -119,11 +119,41 @@ func (h *Histogram) Normalize() []float64 {
 // comparison removes the per-pair normalize+sqrt work that dominates a
 // dense distance-matrix build.
 func (h *Histogram) Amplitude() []float64 {
-	a := h.Normalize()
-	for i, p := range a {
-		a[i] = math.Sqrt(p)
-	}
+	a := make([]float64, len(h.Counts))
+	AmplitudeInto(a, h.Counts)
 	return a
+}
+
+// AmplitudeInto writes the amplitude of counts into dst without
+// allocating: √(c/total) over the positive part of counts, a count of
+// zero for every i ≥ len(counts), and the uniform √(1/len(dst)) when no
+// count is positive — Normalize's arithmetic, so the result is bit for
+// bit what Amplitude returns for the same counts padded to len(dst).
+func AmplitudeInto(dst, counts []float64) {
+	total := 0.0
+	for _, c := range counts {
+		if c > 0 {
+			total += c
+		}
+	}
+	if total <= 0 {
+		u := math.Sqrt(1 / float64(len(dst)))
+		for i := range dst {
+			dst[i] = u
+		}
+		return
+	}
+	// Sparse histograms are the common case: a bin without mass skips
+	// the divide and square root (√(0/total) is +0 anyway).
+	n := min(len(counts), len(dst))
+	for i, c := range counts[:n] {
+		if c > 0 {
+			dst[i] = math.Sqrt(c / total)
+		} else {
+			dst[i] = 0
+		}
+	}
+	clear(dst[n:])
 }
 
 // Clone returns a deep copy.

@@ -70,7 +70,7 @@ func (sc SpanContext) Zero() bool { return sc.TraceID == 0 && sc.SpanID == 0 }
 
 // Valid reports whether the context is well-formed: either fully zero
 // (tracing off) or fully populated. A half-set context is a protocol
-// error — flnet rejects it as an *EnvelopeError.
+// error — flnet rejects it as a *session.ProtocolError.
 func (sc SpanContext) Valid() bool {
 	return sc.Zero() || (sc.TraceID != 0 && sc.SpanID != 0)
 }
