@@ -2,9 +2,9 @@
 # fingerprint, bench-guard. Smokes, one CI job each, none in tier-1:
 # resume-smoke, fleet-smoke, async-smoke, scale-smoke, shard-smoke and
 # fuzz-smoke — the home of every native fuzz target: the wire frame, the
-# shard hop's Report decode and the sketch index's Restore today, ROADMAP
-# 5(d)'s exposition / snapshot targets as they land, one `go test -fuzz`
-# line each.
+# shard hop's Report decode, the sketch index's Restore and a stored
+# snapshot's decode today, ROADMAP 5(d)'s exposition target when it lands,
+# one `go test -fuzz` line each.
 # Measurement: loc, deadcode, bench, scale-results.
 GO ?= go
 
@@ -157,13 +157,14 @@ shard-smoke:
 ## committed seed corpora under testdata/fuzz already run as unit tests
 ## in tier-1; this target is what looks for new inputs. A failure writes
 ## its input under the package's testdata/fuzz — commit it with the fix.
-## A Report's seeds carry the whole envelope's gob type descriptors
-## (≈ 2.5 KB), and minimizing one new input would otherwise take the
-## default 60 s, so that line bounds minimization to 1 s.
+## A Report's or a snapshot's seeds carry whole gob type descriptors
+## (≈ 2 KB), and minimizing one new input would otherwise take the
+## default 60 s, so those lines bound minimization to 1 s.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime 5s ./internal/session
 	$(GO) test -run '^$$' -fuzz FuzzReportDecode -fuzztime 5s -fuzzminimizetime 1s ./internal/shard
 	$(GO) test -run '^$$' -fuzz FuzzIndexRestore -fuzztime 5s ./internal/sketch
+	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 5s -fuzzminimizetime 1s ./internal/checkpoint
 
 ## scale-results: the committed-results run — a 2000-client fleet over
 ## the full matrix, writing tests/results/scale/<rev>.md for the

@@ -22,9 +22,9 @@ import (
 	"fmt"
 )
 
-// FormatVersion is the snapshot format version this build writes and
-// the only one it accepts on decode.
-const FormatVersion = 1
+// FormatVersion is the snapshot format version this build writes. Decode
+// also reads version 1, whose model payload was gob, and upgrades it.
+const FormatVersion = 2
 
 // Snapshotter is implemented by every stateful layer that participates
 // in checkpointing. SnapshotState serializes the component's mutable
@@ -130,14 +130,23 @@ func (s *Snapshot) Encode() ([]byte, error) {
 }
 
 // Decode parses a gob-encoded snapshot and validates its format
-// version.
+// version. A version 1 snapshot comes back in the current form, so every
+// Snapshotter reads one form.
 func Decode(data []byte) (*Snapshot, error) {
-	var snap Snapshot
+	// gob sizes a nil map by the count the stream announces; one that
+	// exists only grows with the entries actually present.
+	snap := Snapshot{Components: map[string][]byte{}}
 	if err := DecodeGob("checkpoint: snapshot", data, &snap); err != nil {
 		return nil, err
 	}
-	if snap.Version != FormatVersion {
-		return nil, fmt.Errorf("checkpoint: snapshot format version %d, this build reads %d", snap.Version, FormatVersion)
+	switch snap.Version {
+	case FormatVersion:
+	case 1:
+		if err := upgradeV1(&snap); err != nil {
+			return nil, err
+		}
+	default:
+		return nil, fmt.Errorf("checkpoint: snapshot format version %d, this build reads 1 and %d", snap.Version, FormatVersion)
 	}
 	return &snap, nil
 }

@@ -12,6 +12,11 @@ import (
 // manifestName is the store's index file inside the directory.
 const manifestName = "MANIFEST.json"
 
+// manifestVersion versions the manifest's own JSON layout, which is
+// independent of the snapshot FormatVersion: a store a version 1 build
+// wrote opens as is.
+const manifestVersion = 1
+
 // ErrNoSnapshot is returned by LoadLatest and Load when the store holds
 // no (usable) snapshot: an empty or never-written directory, or a
 // manifest whose every entry failed verification.
@@ -79,15 +84,15 @@ func NewStore(dir string, retain int) (*Store, error) {
 	data, err := os.ReadFile(filepath.Join(dir, manifestName))
 	switch {
 	case errors.Is(err, os.ErrNotExist):
-		s.man = manifest{Version: FormatVersion}
+		s.man = manifest{Version: manifestVersion}
 	case err != nil:
 		return nil, fmt.Errorf("checkpoint: read manifest: %w", err)
 	default:
 		if err := json.Unmarshal(data, &s.man); err != nil {
 			return nil, fmt.Errorf("checkpoint: parse manifest: %w", err)
 		}
-		if s.man.Version != FormatVersion {
-			return nil, fmt.Errorf("checkpoint: manifest version %d, this build reads %d", s.man.Version, FormatVersion)
+		if s.man.Version != manifestVersion {
+			return nil, fmt.Errorf("checkpoint: manifest version %d, this build reads %d", s.man.Version, manifestVersion)
 		}
 	}
 	return s, nil

@@ -59,6 +59,40 @@ func (a Arch) Build(rng *stats.RNG) *Network {
 	}
 }
 
+// Equal reports whether two specs describe the same architecture; a nil
+// and an empty Hidden are the same (gob decodes an empty slice as nil).
+func (a Arch) Equal(b Arch) bool {
+	if a.Kind != b.Kind || a.In != b.In || a.Channels != b.Channels ||
+		a.Height != b.Height || a.Width != b.Width || a.Classes != b.Classes ||
+		a.ConvFilters != b.ConvFilters || len(a.Hidden) != len(b.Hidden) {
+		return false
+	}
+	for i := range a.Hidden {
+		if a.Hidden[i] != b.Hidden[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// ArchMismatchError reports a checkpoint whose architecture stamp or
+// parameter count does not match what the caller expects. Match with
+// errors.As.
+type ArchMismatchError struct {
+	Got, Want Arch
+	// GotParams/WantParams are filled when the architectures matched
+	// but the stored vector has the wrong length (a checkpoint written
+	// by an incompatible build, or silent truncation upstream).
+	GotParams, WantParams int
+}
+
+func (e *ArchMismatchError) Error() string {
+	if e.WantParams > 0 && e.GotParams != e.WantParams {
+		return fmt.Sprintf("nn: checkpoint has %d params, architecture needs %d", e.GotParams, e.WantParams)
+	}
+	return fmt.Sprintf("nn: checkpoint architecture %+v does not match expected %+v", e.Got, e.Want)
+}
+
 // NewMLP builds a multilayer perceptron with ReLU activations:
 // in -> hidden[0] -> ... -> hidden[n-1] -> classes.
 func NewMLP(in int, hidden []int, classes int, rng *stats.RNG) *Network {

@@ -305,6 +305,26 @@ func TestArchBuildUnknownPanics(t *testing.T) {
 	Arch{Kind: "transformer"}.Build(stats.NewRNG(1))
 }
 
+func TestArchEqual(t *testing.T) {
+	a := Arch{Kind: "mlp", In: 4, Hidden: []int{3, 2}, Classes: 2}
+	if !a.Equal(a) {
+		t.Error("identical archs unequal")
+	}
+	b := a
+	b.Hidden = []int{3, 9}
+	if a.Equal(b) {
+		t.Error("different hidden sizes equal")
+	}
+	c := a
+	c.Kind = "lenet"
+	if a.Equal(c) {
+		t.Error("different kinds equal")
+	}
+	if d := (Arch{Kind: "mlp", In: 4, Classes: 2}); !d.Equal(Arch{Kind: "mlp", In: 4, Hidden: []int{}, Classes: 2}) {
+		t.Error("nil and empty Hidden unequal")
+	}
+}
+
 func TestBuildDeterministicFromSeed(t *testing.T) {
 	a := Arch{Kind: "mlp", In: 6, Hidden: []int{4}, Classes: 2}
 	n1 := a.Build(stats.NewRNG(77))

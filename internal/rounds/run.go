@@ -64,7 +64,7 @@ func NewRun(runner Runner, cfg Config, strategy Strategy, arch nn.Arch, store *c
 		driver = "driver_hier"
 	}
 	comps := append(own,
-		checkpoint.Component{Name: "model", S: checkpoint.Model{Arch: arch, Params: runner.Global, SetParams: runner.SetGlobal}},
+		checkpoint.Component{Name: checkpoint.ModelComponent, S: checkpoint.Model{Arch: arch, Params: runner.Global, SetParams: runner.SetGlobal}},
 		checkpoint.Component{Name: driver, S: runner},
 	)
 	if s, ok := strategy.(checkpoint.Snapshotter); ok {

@@ -149,15 +149,30 @@ func appendVector(b []byte, vec []float64) []byte {
 	return b
 }
 
+// CountError is the ErrBadVector of a pinned decode (DecodeDim): the
+// announced count was neither 0 nor the pinned dimension. Nothing of the
+// payload was read or allocated.
+type CountError struct {
+	Count uint32
+	Dim   int
+}
+
+func (e *CountError) Error() string {
+	return fmt.Sprintf("%v: %d floats announced, want 0 or %d", ErrBadVector, e.Count, e.Dim)
+}
+
+func (e *CountError) Unwrap() error { return ErrBadVector }
+
 // Decode receives the next message into msg (a pointer), admitting a
 // vector of up to MaxVector floats; see the Codec doc for how long the
 // vector stays valid.
-func (c *Codec) Decode(msg any) error { return c.decode(msg, -1) }
+func (c *Codec) Decode(msg any) error { return c.DecodeDim(msg, -1) }
 
-// decode is Decode with the admitted vector length pinned: with dim >= 0
-// the announced count must be 0 or dim. The count is checked before the
-// buffer grows and before any payload byte is read.
-func (c *Codec) decode(msg any, dim int) error {
+// DecodeDim is Decode with the admitted vector length pinned: with
+// dim >= 0 the announced count must be 0 or dim, else a *CountError. The
+// count is checked after the control part is decoded into msg, and
+// before the buffer grows or any payload byte is read.
+func (c *Codec) DecodeDim(msg any, dim int) error {
 	if err := c.dec.Decode(msg); err != nil {
 		return err
 	}
@@ -178,7 +193,7 @@ func (c *Codec) decode(msg any, dim int) error {
 	case count == 0:
 		return nil
 	case dim >= 0 && uint64(count) != uint64(dim):
-		return fmt.Errorf("%w: %d floats announced, want 0 or %d", ErrBadVector, count, dim)
+		return &CountError{Count: count, Dim: dim}
 	case count > MaxVector:
 		return fmt.Errorf("%w: %d floats announced, at most %d", ErrBadVector, count, MaxVector)
 	}

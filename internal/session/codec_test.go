@@ -259,7 +259,7 @@ func TestCastAndPortablePathsAgree(t *testing.T) {
 	if !sameBits(portable, vec) {
 		t.Error("portable read path changed bits")
 	}
-	// Whichever path this host takes in decode.
+	// Whichever path this host takes in DecodeDim.
 	var env envelope
 	if err := decoderOver(encodeAll(t, envelope{Carrier: &carrier{Vec: vec}})[0]).Decode(&env); err != nil {
 		t.Fatal(err)
@@ -336,10 +336,14 @@ func TestDecodeRefusals(t *testing.T) {
 			c := NewCodec(&oneShot{t: t, data: withCount(tc.count)})
 			var env envelope
 			before := totalAlloc()
-			err := c.decode(&env, tc.dim)
+			err := c.DecodeDim(&env, tc.dim)
 			grew := totalAlloc() - before
 			if !errors.Is(err, ErrBadVector) {
 				t.Fatalf("err = %v, want ErrBadVector", err)
+			}
+			var ce *CountError
+			if pinned := tc.dim >= 0; errors.As(err, &ce) != pinned || pinned && (ce.Count != tc.count || ce.Dim != tc.dim) {
+				t.Errorf("err = %#v, want a *CountError carrying %d and %d exactly when pinned", err, tc.count, tc.dim)
 			}
 			if grew > 1<<16 { // gob compiling its decoder is ≈ 8 KiB; one ceiling-sized vector is 512 MiB
 				t.Errorf("refusing %d floats allocated %d bytes", tc.count, grew)
@@ -353,7 +357,7 @@ func TestDecodeRefusals(t *testing.T) {
 	t.Run("admitted when pinned", func(t *testing.T) {
 		for _, stream := range [][]byte{good, withCount(0)} {
 			var env envelope
-			if err := decoderOver(stream).decode(&env, 3); err != nil {
+			if err := decoderOver(stream).DecodeDim(&env, 3); err != nil {
 				t.Errorf("decode pinned to 3: %v", err)
 			}
 		}
@@ -403,7 +407,7 @@ func FuzzFrameDecode(f *testing.F) {
 		dec := decoderOver(data)
 		for {
 			var env envelope
-			if err := dec.decode(&env, dim); err != nil {
+			if err := dec.DecodeDim(&env, dim); err != nil {
 				return
 			}
 			if env.Carrier == nil {
@@ -415,7 +419,7 @@ func FuzzFrameDecode(f *testing.F) {
 			}
 			want := slices.Clone(vec)
 			var again envelope
-			if err := decoderOver(encodeAll(t, env)[0]).decode(&again, dim); err != nil {
+			if err := decoderOver(encodeAll(t, env)[0]).DecodeDim(&again, dim); err != nil {
 				t.Fatalf("re-encoded message refused: %v", err)
 			}
 			if again.Carrier.Seq != env.Carrier.Seq || !sameBits(again.Carrier.Vec, want) {

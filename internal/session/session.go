@@ -264,7 +264,7 @@ func (s *Server[H]) Exchange(id int, req, reply any, dim int, check func() error
 	if err != nil {
 		return err
 	}
-	if err = c.codec.decode(reply, dim); err != nil {
+	if err = c.codec.DecodeDim(reply, dim); err != nil {
 		err = fmt.Errorf("%s: receive from peer %d: %w", s.name, id, err)
 	} else {
 		err = check()
