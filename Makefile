@@ -2,9 +2,10 @@
 # fingerprint, bench-guard. Smokes, one CI job each, none in tier-1:
 # resume-smoke, fleet-smoke, async-smoke, scale-smoke, shard-smoke and
 # fuzz-smoke — the home of every native fuzz target: the wire frame, the
-# shard hop's Report decode, the sketch index's Restore and a stored
-# snapshot's decode today, ROADMAP 5(d)'s exposition target when it lands,
-# one `go test -fuzz` line each.
+# shard hop's Report decode, the sketch index's Restore, a stored
+# snapshot's decode and the direct convolution against its reference
+# today, ROADMAP 5(d)'s exposition target when it lands, one
+# `go test -fuzz` line each.
 # Measurement: loc, deadcode, bench, scale-results.
 GO ?= go
 
@@ -165,6 +166,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReportDecode -fuzztime 5s -fuzzminimizetime 1s ./internal/shard
 	$(GO) test -run '^$$' -fuzz FuzzIndexRestore -fuzztime 5s ./internal/sketch
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 5s -fuzzminimizetime 1s ./internal/checkpoint
+	$(GO) test -run '^$$' -fuzz FuzzConv2DMatchesRef -fuzztime 5s ./internal/nn
 
 ## scale-results: the committed-results run — a 2000-client fleet over
 ## the full matrix, writing tests/results/scale/<rev>.md for the

@@ -9,15 +9,15 @@ import (
 )
 
 // Conv2D is a 2-D convolution over inputs laid out as flattened C×H×W
-// rows of a (batch × C*H*W) tensor. The whole minibatch is unrolled into
-// one im2col matrix so each Forward issues a single
-// (F × C·K·K) · (C·K·K × batch·outH·outW) GEMM instead of one small GEMM
-// per image, and every intermediate lives in a layer-owned scratch arena,
-// so steady-state passes allocate nothing.
+// rows of a (batch × C*H*W) tensor. It convolves each image in place,
+// through the direct kernels of internal/tensor, without building a
+// column matrix; a padded layer convolves a zero-bordered copy. Every
+// intermediate lives in a layer-owned scratch arena, so steady-state
+// passes allocate nothing.
 //
 // The per-element floating-point accumulation order is identical to the
-// per-image formulation (see Conv2DRef), so both produce bit-equal
-// outputs and gradients.
+// per-image im2col formulation (see Conv2DRef), so both produce
+// bit-equal outputs and gradients.
 type Conv2D struct {
 	Geom    tensor.ConvGeom
 	Filters int
@@ -25,8 +25,8 @@ type Conv2D struct {
 	W, B   *tensor.Dense
 	dW, dB *tensor.Dense
 
-	arena    tensor.Scratch
-	lastCols *tensor.Dense // batched im2col matrix, arena-owned
+	arena tensor.Scratch
+	lastX *tensor.Dense // last Forward's input, zero-padded when Geom.Pad > 0
 
 	params, grads []*tensor.Dense // lazily built Params/Grads views
 }
@@ -58,86 +58,55 @@ func (c *Conv2D) OutSize() int { return c.Filters * c.Geom.OutHeight() * c.Geom.
 func (c *Conv2D) InSize() int { return c.Geom.Channels * c.Geom.Height * c.Geom.Width }
 
 // Forward implements Layer. The output is arena-owned and valid until
-// this layer's next Forward.
+// this layer's next Forward. The layer keeps x (or its padded copy) for
+// Backward, so x must not change in between.
 func (c *Conv2D) Forward(x *tensor.Dense) *tensor.Dense {
-	batch := x.Rows()
 	if x.Cols() != c.InSize() {
 		panic(fmt.Sprintf("nn: Conv2D input width %d, want %d", x.Cols(), c.InSize()))
 	}
-	outHW := c.Geom.OutHeight() * c.Geom.OutWidth()
-	width := batch * outHW
-	cols := c.arena.Dense2D("cols", c.Geom.ColRows(), width)
-	tensor.Im2ColBatchedInto(cols, x, c.Geom)
-	c.lastCols = cols
-	prod := c.arena.Dense2D("prod", c.Filters, width)
-	tensor.MatMulInto(prod, c.W, cols) // one GEMM convolves the whole batch
-	// Scatter (F × batch·outHW) into per-image rows, adding the bias.
-	y := c.arena.Dense2D("y", batch, c.OutSize())
-	for b := 0; b < batch; b++ {
-		dst := y.Row(b)
-		for f := 0; f < c.Filters; f++ {
-			bias := c.B.Data[f]
-			src := prod.Data[f*width+b*outHW : f*width+(b+1)*outHW]
-			out := dst[f*outHW : (f+1)*outHW]
-			for i, v := range src {
-				out[i] = v + bias
-			}
-		}
+	g := c.Geom.Padded()
+	if c.Geom.Pad > 0 {
+		xp := c.arena.Dense2D("xpad", x.Rows(), g.Channels*g.Height*g.Width)
+		tensor.PadInto(xp, x, c.Geom)
+		x = xp
 	}
+	c.lastX = x
+	y := c.arena.Dense2D("y", x.Rows(), c.OutSize())
+	tensor.ConvForwardInto(y, x, c.W, c.B.Data, g, &c.arena)
 	return y
 }
 
 // Backward implements Layer. The returned gradient is arena-owned and
 // valid until this layer's next Backward.
 func (c *Conv2D) Backward(gradOut *tensor.Dense) *tensor.Dense {
-	g := c.accumulateGrads(gradOut)
-	// dCols = Wᵀ · g, scattered back to image space.
-	dcols := c.arena.Dense2D("dcols", c.Geom.ColRows(), g.Cols())
-	tensor.MatMulTransAInto(dcols, c.W, g)
+	c.backwardParams(gradOut)
 	gradIn := c.arena.Dense2D("gradin", gradOut.Rows(), c.InSize())
-	tensor.Col2ImBatchedInto(gradIn, dcols, c.Geom)
+	tensor.ConvInputGradInto(gradIn, gradOut, c.W, c.Geom, &c.arena)
 	return gradIn
 }
 
-// backwardParams is Backward without the input gradient.
-func (c *Conv2D) backwardParams(gradOut *tensor.Dense) { c.accumulateGrads(gradOut) }
-
-// accumulateGrads adds this batch's dW and dB and returns gradOut
-// gathered into the (F × batch·outHW) im2col column layout.
-func (c *Conv2D) accumulateGrads(gradOut *tensor.Dense) *tensor.Dense {
-	if c.lastCols == nil {
+// backwardParams is Backward without the input gradient: it adds this
+// batch's dW and dB.
+func (c *Conv2D) backwardParams(gradOut *tensor.Dense) {
+	if c.lastX == nil {
 		panic("nn: Conv2D.Backward before Forward")
 	}
-	batch := gradOut.Rows()
-	outHW := c.Geom.OutHeight() * c.Geom.OutWidth()
-	width := batch * outHW
-	if c.lastCols.Cols() != width {
+	if gradOut.Rows() != c.lastX.Rows() {
 		panic("nn: Conv2D.Backward batch mismatch with last Forward")
 	}
-	// Gather per-image (F × outHW) gradients into one (F × batch·outHW)
-	// matrix matching the im2col column layout.
-	g := c.arena.Dense2D("g", c.Filters, width)
-	for b := 0; b < batch; b++ {
-		src := gradOut.Row(b)
+	tensor.ConvWeightGradAdd(c.dW, gradOut, c.lastX, c.Geom.Padded(), &c.arena)
+	// dB += per-image row sums of gradOut, images in ascending order.
+	outHW := c.Geom.OutHeight() * c.Geom.OutWidth()
+	for b := 0; b < gradOut.Rows(); b++ {
+		row := gradOut.Row(b)
 		for f := 0; f < c.Filters; f++ {
-			copy(g.Data[f*width+b*outHW:f*width+(b+1)*outHW], src[f*outHW:(f+1)*outHW])
-		}
-	}
-	// dW += g · colsᵀ, summed image by image (chunk = outHW) so the
-	// accumulation order matches the per-image reference bit for bit.
-	tensor.AddMatMulTransBChunked(c.dW, g, c.lastCols, outHW)
-	// dB += per-image row sums of g, images in ascending order.
-	for f := 0; f < c.Filters; f++ {
-		row := g.Data[f*width : (f+1)*width]
-		for b := 0; b < batch; b++ {
 			s := 0.0
-			for _, v := range row[b*outHW : (b+1)*outHW] {
+			for _, v := range row[f*outHW : (f+1)*outHW] {
 				s += v
 			}
 			c.dB.Data[f] += s
 		}
 	}
-	return g
 }
 
 // Params implements Layer.

@@ -10,7 +10,7 @@ import (
 
 // Conv2DRef is the per-image reference implementation of Conv2D: one
 // im2col and one GEMM per image, allocating every intermediate. It is
-// retained as the correctness oracle for the batched layer — identity
+// retained as the correctness oracle for the direct layer — identity
 // tests assert that Conv2D matches it bit for bit on outputs and
 // gradients — and is not used on any hot path.
 type Conv2DRef struct {

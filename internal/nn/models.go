@@ -13,7 +13,7 @@ import (
 type Arch struct {
 	// Kind selects the family: "mlp", "lenet", or "lenet-ref" (the
 	// same LeNet built on the per-image Conv2DRef oracle layers, used
-	// by regression tests that pin the batched conv to the reference).
+	// by regression tests that pin the direct conv to the reference).
 	Kind string
 	// Input geometry. For "mlp", In is the flat feature count and the
 	// image fields are ignored. For "lenet", Channels/Height/Width
@@ -127,7 +127,7 @@ func NewLeNet(channels, height, width, classes, f1, f2 int, rng *stats.RNG) *Net
 // NewLeNetRef is NewLeNet built on Conv2DRef, the per-image reference
 // convolution. Both constructors share buildLeNet and draw from the RNG
 // in the same order, so with equal seeds the two networks start from
-// bit-identical parameters — the precondition for the batched-vs-
+// bit-identical parameters — the precondition for the direct-vs-
 // reference training regression tests.
 func NewLeNetRef(channels, height, width, classes, f1, f2 int, rng *stats.RNG) *Network {
 	conv := func(g tensor.ConvGeom, f int, rng *stats.RNG) Layer { return NewConv2DRef(g, f, rng) }

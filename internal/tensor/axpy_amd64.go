@@ -78,18 +78,71 @@ func axpy1(o, bp []float64, v float64) {
 	axpy1generic(o, bp, v)
 }
 
+// convfwd8avx2 and convfwd4avx2 are convRowsGeneric for stride 1 over
+// eight or four columns.
+//
 //go:noescape
-func dot4x4chunkedavx2(d *float64, ldd int, a, b *float64, ld, k, chunk int)
+func convfwd8avx2(y *float64, ldy, nf int, w *float64, np int, x *float64, off *int, bias *float64, rows, xs, ys int)
 
-func dot4x4Chunked(d []float64, ldd int, a, b []float64, ld, k, chunk int) {
-	if useAVX2 {
-		// The kernel reads and writes exactly what the generic loop
-		// indexes; these checks are its bounds.
-		_, _, _ = d[3*ldd+3], a[3*ld+k-1], b[3*ld+k-1]
-		dot4x4chunkedavx2(&d[0], ldd, &a[0], &b[0], ld, k, chunk)
+//go:noescape
+func convfwd4avx2(y *float64, ldy, nf int, w *float64, np int, x *float64, off *int, bias *float64, rows, xs, ys int)
+
+func convRows(y []float64, ldy, nf int, w, x []float64, off []int, bias []float64, rows, n, xs, xc, ys int) {
+	if !useAVX2 || xc != 1 || n < 4 {
+		convRowsGeneric(y, ldy, nf, w, x, off, bias, rows, n, xs, xc, ys)
 		return
 	}
-	dot4x4ChunkedGeneric(d, ldd, a, b, ld, k, chunk)
+	// The kernels read and write exactly what the generic loop indexes
+	// (off ascends, so its last entry is the farthest read); these
+	// checks are their bounds.
+	np := len(off)
+	_, _, _, _ = y[(nf-1)*ldy+(rows-1)*ys+n-1], x[off[np-1]+(rows-1)*xs+n-1], w[4*np-1], bias[3]
+	c := 0
+	for ; c+8 <= n; c += 8 {
+		convfwd8avx2(&y[c], ldy, nf, &w[0], np, &x[c], &off[0], &bias[0], rows, xs, ys)
+	}
+	if c+4 <= n {
+		convfwd4avx2(&y[c], ldy, nf, &w[0], np, &x[c], &off[0], &bias[0], rows, xs, ys)
+		c += 4
+	}
+	if c < n { // a ragged tail recomputes the last four columns
+		convfwd4avx2(&y[n-4], ldy, nf, &w[0], np, &x[n-4], &off[0], &bias[0], rows, xs, ys)
+	}
+}
+
+// convcolsavx2 is convColsGeneric over four columns and 4·blocks rows.
+//
+//go:noescape
+func convcolsavx2(d *float64, ldd int, w *float64, ldw int, gp *float64, ldg, nf, blocks int)
+
+func convCols(d []float64, ldd int, w []float64, ldw int, g []float64, ldg, nf, np, n int) {
+	if !useAVX2 || np < 4 || n < 4 {
+		convColsGeneric(d, ldd, w, ldw, g, ldg, nf, np, n)
+		return
+	}
+	_, _, _ = d[(np-1)*ldd+n-1], w[(nf-1)*ldw+np-1], g[(nf-1)*ldg+n-1]
+	for j := 0; j < n; j += 4 {
+		j = min(j, n-4) // a ragged tail recomputes the last four columns
+		convcolsavx2(&d[j], ldd, &w[0], ldw, &g[j], ldg, nf, np/4)
+		if np%4 != 0 { // and a ragged last block the last four rows
+			convcolsavx2(&d[(np-4)*ldd+j], ldd, &w[np-4], ldw, &g[j], ldg, nf, 1)
+		}
+	}
+}
+
+// convgrad4avx2 is convGrad4Generic for stride 1; rowSkip = xs − outW.
+//
+//go:noescape
+func convgrad4avx2(d, gp, x *float64, off *int, batch, outH, outW, rowSkip, chw int)
+
+func convGrad4(d, g, x []float64, off []int, batch, outH, outW, xs, xc, chw int) {
+	if !useAVX2 || xc != 1 {
+		convGrad4Generic(d, g, x, off, batch, outH, outW, xs, xc, chw)
+		return
+	}
+	far := max(off[0], off[1], off[2], off[3])
+	_, _, _ = d[15], g[batch*outH*outW*4-1], x[(batch-1)*chw+far+(outH-1)*xs+outW-1]
+	convgrad4avx2(&d[0], &g[0], &x[0], &off[0], batch, outH, outW, xs-outW, chw)
 }
 
 //go:noescape

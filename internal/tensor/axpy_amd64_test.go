@@ -18,19 +18,6 @@ func fillSpecial(data []float64, salt uint64) {
 	}
 }
 
-func mustBits(t *testing.T, got, want []float64, what string) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: length %d != %d", what, len(got), len(want))
-	}
-	for i := range got {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("%s: element %d = %v (%#x), want %v (%#x)", what, i,
-				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
-		}
-	}
-}
-
 // withAVX2 runs fn with the vector kernels forced on or off.
 func withAVX2(t *testing.T, on bool, fn func()) {
 	t.Helper()
@@ -68,58 +55,119 @@ func TestAVX2AxpyMatchesGeneric(t *testing.T) {
 	}
 }
 
-// TestAVX2Dot4x4MatchesGeneric does the same for the chunked 4×4 dot
-// kernel behind the conv weight gradient: ragged k, chunk 1, chunks that
-// do not divide k, row strides wider than k.
+// TestAVX2Dot4x4MatchesGeneric does the same for the 4×4 weight-gradient
+// block: ragged output rows and widths down to one, one to three images,
+// rows of the image wider than the output, offsets in any order.
 func TestAVX2Dot4x4MatchesGeneric(t *testing.T) {
-	for k := 1; k <= 23; k++ {
-		for _, chunk := range []int{1, 2, 3, 5, k, k + 4} {
-			for _, pad := range []int{0, 3} {
-				ld, ldd := k+pad, 4+pad
-				a, b := make([]float64, 3*ld+k), make([]float64, 3*ld+k)
-				fillSpecial(a, uint64(k))
-				fillSpecial(b, uint64(k+chunk))
-				want := make([]float64, 3*ldd+4)
-				fillSpecial(want, uint64(chunk))
+	for outW := 1; outW <= 13; outW++ {
+		for _, outH := range []int{1, 2, 5} {
+			for _, batch := range []int{1, 3} {
+				xs := outW + 3
+				chw := 2*xs*outH + 7
+				off := []int{xs*outH + 5, 0, 3, 1}
+				x := make([]float64, batch*chw)
+				fillSpecial(x, uint64(outW*outH))
+				g := make([]float64, batch*outH*outW*4)
+				fillSpecial(g, uint64(outW+batch))
+				want := make([]float64, 16)
+				fillSpecial(want, uint64(outH))
 				got := append([]float64(nil), want...)
-				dot4x4ChunkedGeneric(want, ldd, a, b, ld, k, chunk)
-				withAVX2(t, true, func() { dot4x4Chunked(got, ldd, a, b, ld, k, chunk) })
-				mustBits(t, got, want, "dot4x4")
+				convGrad4Generic(want, g, x, off, batch, outH, outW, xs, 1, chw)
+				withAVX2(t, true, func() { convGrad4(got, g, x, off, batch, outH, outW, xs, 1, chw) })
+				mustBits(t, got, want, "convGrad4")
 			}
 		}
 	}
 }
 
-// TestAVX2ChunkedProductMatchesScalar runs the whole conv weight-gradient
-// kernel with the vector path on and off — ragged row and column counts,
-// chunk 1, all-zero weights — and requires identical bits.
-func TestAVX2ChunkedProductMatchesScalar(t *testing.T) {
-	for _, tc := range []struct{ m, n, k, chunk int }{
-		{4, 75, 4 * 144, 144}, // sim_tta conv1
-		{8, 100, 32 * 4, 4},   // sim_tta conv2
-		{5, 7, 23, 10},
-		{9, 6, 40, 1},
-		{4, 5, 9, 9},
-		{3, 3, 8, 3},
-	} {
-		for _, zeroA := range []bool{false, true} {
-			a, b := New(tc.m, tc.k), New(tc.n, tc.k)
-			if !zeroA {
-				fillSpecial(a.Data, uint64(tc.k))
+// TestAVX2ConvRowsMatchesGeneric covers the forward kernels: widths that
+// take the 8- and 4-column blocks and a recomputed ragged tail, one to
+// four live filters, one and several output rows, short and long p.
+func TestAVX2ConvRowsMatchesGeneric(t *testing.T) {
+	for n := 4; n <= 21; n++ {
+		for nf := 1; nf <= 4; nf++ {
+			for _, np := range []int{1, 7} {
+				const rows, ldy = 3, 80
+				xs := n + 2
+				off := make([]int, np)
+				for p := range off {
+					off[p] = p * 3
+				}
+				x := make([]float64, off[np-1]+(rows-1)*xs+n)
+				fillSpecial(x, uint64(n*nf))
+				w := make([]float64, 4*np)
+				fillSpecial(w, uint64(np+nf))
+				bias := []float64{0.5, -1, math.Copysign(0, -1), 3}
+				want := make([]float64, (nf-1)*ldy+(rows-1)*n+n)
+				fill(want, 7)
+				got := append([]float64(nil), want...)
+				convRowsGeneric(want, ldy, nf, w, x, off, bias, rows, n, xs, 1, n)
+				withAVX2(t, true, func() { convRows(got, ldy, nf, w, x, off, bias, rows, n, xs, 1, n) })
+				mustBits(t, got, want, "convRows")
 			}
-			fillSpecial(b.Data, uint64(tc.n))
-			want := New(tc.m, tc.n)
-			fill(want.Data, 4)
-			got := want.Clone()
-			withAVX2(t, false, func() { AddMatMulTransBChunked(want, a, b, tc.chunk) })
-			withAVX2(t, true, func() { AddMatMulTransBChunked(got, a, b, tc.chunk) })
-			mustBits(t, got.Data, want.Data, "AddMatMulTransBChunked")
 		}
+	}
+}
+
+// TestAVX2ConvColsMatchesGeneric covers the column-gradient kernel: row
+// and column counts on and off a multiple of four, one and several
+// filters.
+func TestAVX2ConvColsMatchesGeneric(t *testing.T) {
+	for np := 4; np <= 11; np++ {
+		for n := 4; n <= 9; n++ {
+			for _, nf := range []int{1, 8} {
+				ldw, ldg := np+1, n+2
+				w := make([]float64, nf*ldw)
+				fillSpecial(w, uint64(np))
+				g := make([]float64, nf*ldg)
+				fillSpecial(g, uint64(n+nf))
+				want := make([]float64, np*n)
+				fill(want, 3)
+				got := append([]float64(nil), want...)
+				convColsGeneric(want, n, w, ldw, g, ldg, nf, np, n)
+				withAVX2(t, true, func() { convCols(got, n, w, ldw, g, ldg, nf, np, n) })
+				mustBits(t, got, want, "convCols")
+			}
+		}
+	}
+}
+
+// TestAVX2ChunkedProductMatchesScalar runs the three direct convolution
+// drivers with the vector path on and off over the weight-gradient
+// shapes — sim_tta's layers, ragged panels and blocks, stride 2, padding,
+// an all-zero gradient — and requires identical bits.
+func TestAVX2ChunkedProductMatchesScalar(t *testing.T) {
+	for ci, tc := range gradCases {
+		x, gradOut := gradInputs(tc.g, tc.f, tc.batch, tc.zeroGrads, uint64(ci))
+		fillSpecial(x.Data, uint64(ci))
+		x = padBatch(x, tc.g)
+		g := tc.g.Padded()
+		w := New(tc.f, g.ColRows())
+		fillSpecial(w.Data, uint64(tc.f))
+		bias := make([]float64, tc.f)
+		fill(bias, 2)
+		run := func(on bool) (y, dw, dx *Dense) {
+			var s Scratch
+			y, dw, dx = New(x.Rows(), gradOut.Cols()), New(tc.f, g.ColRows()), New(x.Rows(), tc.g.imageSize())
+			fill(dw.Data, 4)
+			withAVX2(t, on, func() {
+				ConvForwardInto(y, x, w, bias, g, &s)
+				ConvWeightGradAdd(dw, gradOut, x, g, &s)
+				ConvInputGradInto(dx, gradOut, w, tc.g, &s)
+			})
+			return y, dw, dx
+		}
+		wantY, wantDW, wantDX := run(false)
+		gotY, gotDW, gotDX := run(true)
+		mustBits(t, gotY.Data, wantY.Data, "ConvForwardInto")
+		mustBits(t, gotDW.Data, wantDW.Data, "ConvWeightGradAdd")
+		mustBits(t, gotDX.Data, wantDX.Data, "ConvInputGradInto")
 	}
 }
 
 // TestAVX2CopyRowsMatchesGeneric covers the strided row copy behind
-// im2col: ragged span lengths and row counts, strides wider than spans.
+// im2col, padding and the wide forward's gather: ragged span lengths and
+// row counts, strides wider than spans.
 func TestAVX2CopyRowsMatchesGeneric(t *testing.T) {
 	for n := 1; n <= 13; n++ {
 		for _, rows := range []int{1, 2, 5} {

@@ -1,8 +1,9 @@
 package tensor
 
 // Scalar reference implementations of the microkernels behind the
-// matrix and im2col kernels: saxpy, the chunked 4×4 dot block and the
-// strided row copy. On amd64 these are the fallback for the AVX2
+// matrix and convolution kernels: saxpy, the strided row copy, and the
+// direct convolution's forward rows, 4×4 weight-gradient block and
+// column-gradient block. On amd64 these are the fallback for the AVX2
 // versions in axpy_amd64.s; elsewhere they are the only implementation.
 // The vector path performs the same IEEE multiply and add per element,
 // only several lanes at a time, so both produce bit-identical output —
@@ -43,30 +44,68 @@ func copyRowsGeneric(dst, src []float64, rows, n, dstStride, srcStride int) {
 	}
 }
 
-// dot4x4ChunkedGeneric accumulates the 4×4 block d[i*ldd+j] of a chunked
-// a·bᵀ product: a and b each hold four rows of stride ld and length k,
-// and for every chunk [c0, min(c0+chunk, k)) in ascending order each
-// element's dot product over the chunk is formed from +0 in ascending p
-// and then added into d.
-func dot4x4ChunkedGeneric(d []float64, ldd int, a, b []float64, ld, k, chunk int) {
-	for c0 := 0; c0 < k; c0 += chunk {
-		c1 := min(c0+chunk, k)
-		b0, b1, b2, b3 := b[c0:c1], b[ld+c0:ld+c1], b[2*ld+c0:2*ld+c1], b[3*ld+c0:3*ld+c1]
-		for i := 0; i < 4; i++ {
-			ai := a[i*ld+c0 : i*ld+c1]
-			_, _, _, _ = b0[len(ai)-1], b1[len(ai)-1], b2[len(ai)-1], b3[len(ai)-1]
-			var s0, s1, s2, s3 float64
-			for p, av := range ai {
-				s0 += av * b0[p]
-				s1 += av * b1[p]
-				s2 += av * b2[p]
-				s3 += av * b3[p]
+// convRowsGeneric is the direct forward over one panel of four filters
+// (w is np × 4, see packPanels): for each of the first nf filters i,
+// rows r and columns c < n, it writes
+//
+//	y[i*ldy + r*ys + c] = (+0 + Σ_p↑ w[4p+i]·x[off[p] + r*xs + c*xc]) + bias[i].
+func convRowsGeneric(y []float64, ldy, nf int, w, x []float64, off []int, bias []float64, rows, n, xs, xc, ys int) {
+	for i := 0; i < nf; i++ {
+		for r := 0; r < rows; r++ {
+			out := y[i*ldy+r*ys : i*ldy+r*ys+n]
+			for c := range out {
+				pos := r*xs + c*xc
+				s := 0.0
+				for p, o := range off {
+					s += w[4*p+i] * x[o+pos]
+				}
+				out[c] = s + bias[i]
 			}
-			di := d[i*ldd : i*ldd+4]
-			di[0] += s0
-			di[1] += s1
-			di[2] += s2
-			di[3] += s3
+		}
+	}
+}
+
+// convColsGeneric writes the column gradient d = wᵀ·g of one image for
+// rows p < np and columns j < n: each
+//
+//	d[p*ldd + j] = +0 + Σ_f↑ w[f*ldw + p]·g[f*ldg + j], f < nf,
+//
+// in MatMulTransA's order.
+func convColsGeneric(d []float64, ldd int, w []float64, ldw int, g []float64, ldg, nf, np, n int) {
+	for p := 0; p < np; p++ {
+		row := d[p*ldd : p*ldd+n]
+		for j := range row {
+			s := 0.0
+			for f := 0; f < nf; f++ {
+				s += w[f*ldw+p] * g[f*ldg+j]
+			}
+			row[j] = s
+		}
+	}
+}
+
+// convGrad4Generic is the direct weight gradient of one 4 × 4 block: d
+// holds four im2col rows (at image offsets off[0..3]) of four filters'
+// accumulators, d[4k+i], and g one panel of four filters' output
+// gradients, batch × outH·outW × 4. For each image in order, each
+// element's sum over ascending output position of g·x is formed from +0
+// and added into d.
+func convGrad4Generic(d, g, x []float64, off []int, batch, outH, outW, xs, xc, chw int) {
+	outHW := outH * outW
+	for k, o := range off[:4] {
+		for i := 0; i < 4; i++ {
+			acc := d[4*k+i]
+			for b := 0; b < batch; b++ {
+				img, gb := x[b*chw+o:], g[b*outHW*4+i:]
+				s := 0.0
+				for oy := 0; oy < outH; oy++ {
+					for ox := 0; ox < outW; ox++ {
+						s += gb[4*(oy*outW+ox)] * img[oy*xs+ox*xc]
+					}
+				}
+				acc += s
+			}
+			d[4*k+i] = acc
 		}
 	}
 }

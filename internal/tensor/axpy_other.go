@@ -14,6 +14,14 @@ func copyRows(dst, src []float64, rows, n, dstStride, srcStride int) {
 	copyRowsGeneric(dst, src, rows, n, dstStride, srcStride)
 }
 
-func dot4x4Chunked(d []float64, ldd int, a, b []float64, ld, k, chunk int) {
-	dot4x4ChunkedGeneric(d, ldd, a, b, ld, k, chunk)
+func convRows(y []float64, ldy, nf int, w, x []float64, off []int, bias []float64, rows, n, xs, xc, ys int) {
+	convRowsGeneric(y, ldy, nf, w, x, off, bias, rows, n, xs, xc, ys)
+}
+
+func convCols(d []float64, ldd int, w []float64, ldw int, g []float64, ldg, nf, np, n int) {
+	convColsGeneric(d, ldd, w, ldw, g, ldg, nf, np, n)
+}
+
+func convGrad4(d, g, x []float64, off []int, batch, outH, outW, xs, xc, chw int) {
+	convGrad4Generic(d, g, x, off, batch, outH, outW, xs, xc, chw)
 }

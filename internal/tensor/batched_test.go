@@ -1,7 +1,7 @@
 package tensor
 
 import (
-	"runtime"
+	"math"
 	"testing"
 )
 
@@ -12,6 +12,21 @@ func fill(data []float64, salt uint64) {
 	for i := range data {
 		s = s*6364136223846793005 + 1442695040888963407
 		data[i] = float64(int64(s>>33)%2000-1000) / 997
+	}
+}
+
+// mustBits requires got and want to have the same IEEE-754 bits, so ±0
+// and NaN positions count too.
+func mustBits(t *testing.T, got, want []float64, what string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d != %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: element %d = %v (%#x), want %v (%#x)", what, i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
 	}
 }
 
@@ -75,21 +90,46 @@ var convGeoms = []ConvGeom{
 	{Channels: 1, Height: 6, Width: 6, Kernel: 2, Stride: 2, Pad: 0},
 }
 
+// padBatch returns x's images zero-padded for g (x itself when g has
+// no padding), the input the direct kernels read.
+func padBatch(x *Dense, g ConvGeom) *Dense {
+	if g.Pad == 0 {
+		return x
+	}
+	p := g.Padded()
+	xp := New(x.Rows(), p.imageSize())
+	PadInto(xp, x, g)
+	return xp
+}
+
+// TestIm2ColBatchedMatchesPerImage pins the direct forward, which reads
+// each image of a batch in place instead of unrolling it, to what the
+// unroll gave: per image, MatMul(w, Im2Col(x_b)) plus the bias, bit for
+// bit. Padded geometries go through PadInto; the filter counts fill one
+// panel of four, part of one, and one and a half.
 func TestIm2ColBatchedMatchesPerImage(t *testing.T) {
 	const batch = 3
-	for _, g := range convGeoms {
-		chw := g.Channels * g.Height * g.Width
+	for gi, g := range convGeoms {
 		outHW := g.OutHeight() * g.OutWidth()
-		x := New(batch, chw)
-		fill(x.Data, uint64(g.Kernel*100+g.Pad*10+g.Stride))
-		cols := New(g.ColRows(), batch*outHW)
-		fill(cols.Data, 99) // pre-soil: every element must be overwritten
-		Im2ColBatchedInto(cols, x, g)
-		for b := 0; b < batch; b++ {
-			ref := Im2Col(x.Row(b), g)
-			for r := 0; r < g.ColRows(); r++ {
-				got := cols.Data[r*batch*outHW+b*outHW : r*batch*outHW+(b+1)*outHW]
-				mustExact(t, got, ref.Data[r*outHW:(r+1)*outHW], "im2col batched")
+		for _, f := range []int{1, 4, 6} {
+			x := New(batch, g.imageSize())
+			fill(x.Data, uint64(g.Kernel*100+g.Pad*10+g.Stride))
+			w := New(f, g.ColRows())
+			fill(w.Data, uint64(gi+f))
+			bias := make([]float64, f)
+			fill(bias, uint64(f))
+			y := New(batch, f*outHW)
+			fill(y.Data, 99) // pre-soil: every element must be overwritten
+			var s Scratch
+			ConvForwardInto(y, padBatch(x, g), w, bias, g.Padded(), &s)
+			for b := 0; b < batch; b++ {
+				ref := MatMul(w, Im2Col(x.Row(b), g))
+				for i := 0; i < f; i++ {
+					for j := range ref.Row(i) {
+						ref.Row(i)[j] += bias[i]
+					}
+				}
+				mustBits(t, y.Row(b), ref.Data, "direct forward")
 			}
 		}
 	}
@@ -107,23 +147,27 @@ func TestIm2ColIntoMatchesIm2Col(t *testing.T) {
 	}
 }
 
+// TestCol2ImBatchedMatchesPerImage pins the direct input gradient to
+// the per-image reference, Col2Im(MatMulTransA(w, gradOut_b)), bit for
+// bit: padded and strided geometries, filter counts on and off a
+// multiple of four.
 func TestCol2ImBatchedMatchesPerImage(t *testing.T) {
 	const batch = 3
-	for _, g := range convGeoms {
+	for gi, g := range convGeoms {
 		outHW := g.OutHeight() * g.OutWidth()
-		chw := g.Channels * g.Height * g.Width
-		cols := New(g.ColRows(), batch*outHW)
-		fill(cols.Data, uint64(g.Kernel))
-		dst := New(batch, chw)
-		fill(dst.Data, 5) // must be fully overwritten
-		Col2ImBatchedInto(dst, cols, g)
-		for b := 0; b < batch; b++ {
-			// Extract image b's column block and run the single-image path.
-			one := New(g.ColRows(), outHW)
-			for r := 0; r < g.ColRows(); r++ {
-				copy(one.Data[r*outHW:(r+1)*outHW], cols.Data[r*batch*outHW+b*outHW:r*batch*outHW+(b+1)*outHW])
+		for _, f := range []int{1, 4, 6} {
+			w := New(f, g.ColRows())
+			fill(w.Data, uint64(gi+f))
+			gradOut := New(batch, f*outHW)
+			fill(gradOut.Data, uint64(g.Kernel))
+			dx := New(batch, g.imageSize())
+			fill(dx.Data, 5) // must be fully overwritten
+			var s Scratch
+			ConvInputGradInto(dx, gradOut, w, g, &s)
+			for b := 0; b < batch; b++ {
+				ref := Col2Im(MatMulTransA(w, FromSlice(gradOut.Row(b), f, outHW)), g)
+				mustBits(t, dx.Row(b), ref, "direct input gradient")
 			}
-			mustExact(t, dst.Row(b), Col2Im(one, g), "col2im batched")
 		}
 	}
 }
@@ -161,55 +205,57 @@ func TestMatMulTransAIntoMatchesAlloc(t *testing.T) {
 	mustExact(t, got.Data, want.Data, "MatMulTransAInto")
 }
 
-// TestAddMatMulTransBChunkedMatchesPerChunk checks the chunked kernel
-// against its defining decomposition: one MatMulTransB per inner-dim
-// chunk, each product added into the accumulator — the per-image weight
-// gradient pattern the batched convolution relies on. Results must be
-// bit-exact, including a tail chunk that does not divide k evenly, and
-// output shapes the 4×4 blocks do not tile.
+// gradCases are the weight-gradient shapes: sim_tta's two layers, C·K·K
+// and filter counts that do not fill the kernel's 4 × 4 blocks, strided
+// and padded geometries, and an all-zero gradient.
+var gradCases = []struct {
+	g         ConvGeom
+	f, batch  int
+	zeroGrads bool
+}{
+	{ConvGeom{Channels: 3, Height: 16, Width: 16, Kernel: 5, Stride: 1}, 4, 4, false}, // sim_tta conv1
+	{ConvGeom{Channels: 4, Height: 6, Width: 6, Kernel: 5, Stride: 1}, 8, 4, false},   // sim_tta conv2: outW 2
+	{ConvGeom{Channels: 2, Height: 7, Width: 9, Kernel: 3, Stride: 1}, 5, 3, false},   // C·K·K = 18
+	{ConvGeom{Channels: 1, Height: 5, Width: 5, Kernel: 3, Stride: 1}, 3, 2, false},   // F < 4
+	{ConvGeom{Channels: 2, Height: 9, Width: 7, Kernel: 3, Stride: 2, Pad: 1}, 6, 3, false},
+	{ConvGeom{Channels: 1, Height: 4, Width: 7, Kernel: 1, Stride: 1}, 2, 2, false}, // C·K·K = 1
+	{ConvGeom{Channels: 3, Height: 8, Width: 8, Kernel: 3, Stride: 1, Pad: 2}, 7, 3, true},
+}
+
+// gradInputs builds a case's images and output gradient.
+func gradInputs(g ConvGeom, f, batch int, zeroGrads bool, salt uint64) (x, gradOut *Dense) {
+	x = New(batch, g.imageSize())
+	fill(x.Data, salt)
+	gradOut = New(batch, f*g.OutHeight()*g.OutWidth())
+	if !zeroGrads {
+		fill(gradOut.Data, salt+1)
+	}
+	return x, gradOut
+}
+
+// TestAddMatMulTransBChunkedMatchesPerChunk checks the direct weight
+// gradient against its defining decomposition, one chunk per image:
+// MatMulTransB(gradOut_b, Im2Col(x_b)) added into dw in image order.
+// Results must be bit-exact, onto a dw that already holds values.
 func TestAddMatMulTransBChunkedMatchesPerChunk(t *testing.T) {
-	for _, tc := range []struct {
-		m, n, k, chunk int
-		zeroA          bool
-	}{
-		{6, 75, 4 * 49, 49, false},   // conv dW shape: chunk = outHW divides k
-		{5, 7, 23, 10, false},        // ragged tail chunk
-		{1, 3, 8, 8, false},          // single chunk = plain MatMulTransB
-		{3, 9, 40, 1, false},         // element-at-a-time chunks
-		{4, 75, 4 * 144, 144, false}, // sim_tta conv1 dW: n % 4 = 3
-		{8, 100, 32 * 4, 4, false},   // sim_tta conv2 dW
-		{7, 3, 11, 4, false},         // fewer than four columns
-		{9, 6, 40, 1, true},          // all-zero weights, chunk 1
-		{5, 13, 17, 5, true},
-	} {
-		a, b := New(tc.m, tc.k), New(tc.n, tc.k)
-		if !tc.zeroA {
-			fill(a.Data, uint64(tc.k))
-		}
-		fill(b.Data, uint64(tc.k+1))
-		want := New(tc.m, tc.n)
+	for ci, tc := range gradCases {
+		x, gradOut := gradInputs(tc.g, tc.f, tc.batch, tc.zeroGrads, uint64(ci))
+		want := New(tc.f, tc.g.ColRows())
 		fill(want.Data, 8) // both sides accumulate onto identical garbage
 		got := want.Clone()
-		for c0 := 0; c0 < tc.k; c0 += tc.chunk {
-			c1 := min(c0+tc.chunk, tc.k)
-			ac, bc := New(tc.m, c1-c0), New(tc.n, c1-c0)
-			for i := 0; i < tc.m; i++ {
-				copy(ac.Data[i*(c1-c0):], a.Data[i*tc.k+c0:i*tc.k+c1])
-			}
-			for j := 0; j < tc.n; j++ {
-				copy(bc.Data[j*(c1-c0):], b.Data[j*tc.k+c0:j*tc.k+c1])
-			}
-			want.Add(MatMulTransB(ac, bc))
+		outHW := tc.g.OutHeight() * tc.g.OutWidth()
+		for b := 0; b < tc.batch; b++ {
+			want.Add(MatMulTransB(FromSlice(gradOut.Row(b), tc.f, outHW), Im2Col(x.Row(b), tc.g)))
 		}
-		AddMatMulTransBChunked(got, a, b, tc.chunk)
-		mustExact(t, got.Data, want.Data, "AddMatMulTransBChunked")
+		var s Scratch
+		ConvWeightGradAdd(got, gradOut, padBatch(x, tc.g), tc.g.Padded(), &s)
+		mustBits(t, got.Data, want.Data, "direct weight gradient")
 	}
 }
 
-// TestGemmColumnBandedMatchesSerial pushes a wide-and-short product (the
-// batched im2col shape) over the parallel threshold so the column-banded
-// pool path runs, and requires bit-exact agreement with the serial
-// kernel.
+// TestGemmColumnBandedMatchesSerial pushes a wide-and-short product
+// over the parallel threshold so the column-banded pool path runs, and
+// requires bit-exact agreement with the serial kernel.
 func TestGemmColumnBandedMatchesSerial(t *testing.T) {
 	a, b := New(6, 80), New(80, 1024) // 6·80·1024 ≈ 491k madds > threshold
 	fill(a.Data, 21)
@@ -222,6 +268,9 @@ func TestGemmColumnBandedMatchesSerial(t *testing.T) {
 }
 
 // TestGemmRowBandedMatchesSerial does the same for the row-banded path.
+// Then zero weights meet NaN and ±Inf: each row's result must not depend
+// on whether a band split puts it in a 4-row block or among the leftover
+// rows, for matMulRowsCols and for matMulTransARange.
 func TestGemmRowBandedMatchesSerial(t *testing.T) {
 	a, b := New(128, 64), New(64, 128)
 	fill(a.Data, 31)
@@ -231,6 +280,39 @@ func TestGemmRowBandedMatchesSerial(t *testing.T) {
 	want := New(128, 128)
 	matMulRowsCols(want, a, b, 0, 128, 0, 128)
 	mustExact(t, got.Data, want.Data, "row-banded gemm")
+
+	nonFinite := func(b *Dense, p int) {
+		b.Set(p, 0, math.NaN())
+		b.Set(p, 1, math.Inf(1))
+		b.Set(p, 2, math.Inf(-1))
+	}
+	a, b = New(6, 5), New(5, 9)
+	fill(a.Data, 33)
+	fill(b.Data, 34)
+	a.Set(1, 2, 0) // in the 4-row block of [0, 6), a leftover row of [0, 3)
+	a.Set(4, 2, 0)
+	nonFinite(b, 2)
+	whole, split := New(6, 9), New(6, 9)
+	matMulRowsCols(whole, a, b, 0, 6, 0, 9)
+	matMulRowsCols(split, a, b, 0, 3, 0, 9)
+	matMulRowsCols(split, a, b, 3, 6, 0, 9)
+	mustBits(t, split.Data, whole.Data, "gemm bands with zero weights against NaN/Inf")
+	if !math.IsNaN(whole.At(1, 0)) {
+		t.Fatalf("0·NaN was skipped: out[1][0] = %v", whole.At(1, 0))
+	}
+
+	at := New(5, 6) // matMulTransARange's output rows are columns of a
+	fill(at.Data, 35)
+	at.Set(2, 1, 0)
+	at.Set(2, 4, 0)
+	whole, split = New(6, 9), New(6, 9)
+	matMulTransARange(whole, at, b, 0, 6)
+	matMulTransARange(split, at, b, 0, 3)
+	matMulTransARange(split, at, b, 3, 6)
+	mustBits(t, split.Data, whole.Data, "transA bands with zero weights against NaN/Inf")
+	if !math.IsNaN(whole.At(1, 0)) {
+		t.Fatalf("0·NaN was skipped: transA out[1][0] = %v", whole.At(1, 0))
+	}
 }
 
 // naiveIm2Col is im2col from its definition, one element at a time:
@@ -257,9 +339,9 @@ func naiveIm2Col(x *Dense, g ConvGeom) *Dense {
 	return cols
 }
 
-// TestIm2ColMatchesNaive pins the batched im2col, whose stride-1 path
-// moves whole spans per image, to the element-by-element definition on
-// output widths that are and are not multiples of four.
+// TestIm2ColMatchesNaive pins im2col, whose stride-1 path moves whole
+// spans, to the element-by-element definition on output widths that are
+// and are not multiples of four.
 func TestIm2ColMatchesNaive(t *testing.T) {
 	geoms := append([]ConvGeom{
 		{Channels: 3, Height: 16, Width: 16, Kernel: 5, Stride: 1}, // sim_tta conv1: spans of 12
@@ -271,24 +353,37 @@ func TestIm2ColMatchesNaive(t *testing.T) {
 		const batch = 3
 		x := New(batch, g.Channels*g.Height*g.Width)
 		fill(x.Data, uint64(gi))
-		got := New(g.ColRows(), batch*g.OutHeight()*g.OutWidth())
-		fill(got.Data, 77) // every element must be overwritten
-		Im2ColBatchedInto(got, x, g)
-		mustExact(t, got.Data, naiveIm2Col(x, g).Data, "im2col")
+		outHW := g.OutHeight() * g.OutWidth()
+		want := naiveIm2Col(x, g)
+		got := New(g.ColRows(), outHW)
+		for b := 0; b < batch; b++ {
+			fill(got.Data, 77) // every element must be overwritten
+			Im2ColInto(got, x.Row(b), g)
+			for r := 0; r < g.ColRows(); r++ {
+				mustExact(t, got.Row(r), want.Row(r)[b*outHW:(b+1)*outHW], "im2col")
+			}
+		}
 	}
 }
 
-// TestAddMatMulTransBChunkedBandedMatchesSerial pushes the chunked
-// product over the parallel threshold, where the pool bands it by 4-row
-// group, and requires bit-exact agreement with the serial kernel.
+// TestAddMatMulTransBChunkedBandedMatchesSerial splits the batch. The
+// weight gradient adds each image's partial sums in image order, so
+// adding images [0, 2) and then [2, batch) in two calls must give the
+// bits of one call over the whole batch.
 func TestAddMatMulTransBChunkedBandedMatchesSerial(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	a, b := New(14, 1200), New(50, 1200) // 14·50·1200 = 840k madds > threshold
-	fill(a.Data, 41)
-	fill(b.Data, 42)
-	got := New(14, 50)
-	AddMatMulTransBChunked(got, a, b, 30)
-	want := New(14, 50)
-	addMatMulTransBChunkedRange(want, a, b, 30, 0, 14)
-	mustExact(t, got.Data, want.Data, "banded chunked product")
+	for ci, tc := range gradCases {
+		const batch = 5
+		x, gradOut := gradInputs(tc.g, tc.f, batch, tc.zeroGrads, uint64(40+ci))
+		x = padBatch(x, tc.g)
+		g := tc.g.Padded()
+		want := New(tc.f, g.ColRows())
+		fill(want.Data, 41)
+		got := want.Clone()
+		var s Scratch
+		ConvWeightGradAdd(want, gradOut, x, g, &s)
+		rows := func(d *Dense, lo, hi int) *Dense { return FromSlice(d.Data[lo*d.Cols():hi*d.Cols()], hi-lo, d.Cols()) }
+		ConvWeightGradAdd(got, rows(gradOut, 0, 2), rows(x, 0, 2), g, &s)
+		ConvWeightGradAdd(got, rows(gradOut, 2, batch), rows(x, 2, batch), g, &s)
+		mustBits(t, got.Data, want.Data, "weight gradient over a split batch")
+	}
 }

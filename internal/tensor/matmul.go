@@ -9,13 +9,20 @@ const parallelThreshold = 64 * 64 * 64
 
 // All kernels in this file keep one invariant: the order in which
 // products are accumulated into any single output element is the
-// ascending inner-dimension order of the plain three-loop formulation.
+// ascending inner-dimension order of the plain three-loop formulation,
+// and every product is added — none is skipped for a zero weight.
 // Register blocking widens how many output rows or columns share one
 // streamed pass, and the pool bands disjoint output regions — neither
 // changes any element's own accumulation order. Floating-point results
 // are therefore bit-identical across block widths, band splits and
-// worker counts, which is what lets the batched convolution promise
-// exact equality with its per-image reference.
+// worker counts, NaN and ±Inf operands included.
+//
+// A skip rule would break that: 0·Inf and 0·NaN are NaN, so whether a
+// zero weight's product reaches an output would depend on which path
+// (a 4-row block or a leftover row) the band split gave its row. For
+// finite operands adding the ±0 product is a no-op: every accumulator
+// starts at +0, a sum is −0 only when both addends are −0, so no
+// accumulator is ever −0, and x + ±0 = x for any other x.
 
 // MatMul returns a × b for 2-D tensors, using a cache-blocked ikj loop
 // order and, for large products, parallelism across row or column bands
@@ -46,8 +53,8 @@ func MatMulInto(dst, a, b *Dense) {
 
 // gemm accumulates out += a × b, choosing serial execution for small
 // products and row- or column-banded pool execution for large ones.
-// Wide-and-short products (the batched im2col GEMM is filters × huge-n)
-// band across columns so every worker still gets a full share.
+// Wide-and-short products (few rows, many columns) band across columns
+// so every worker still gets a full share.
 func gemm(out, a, b *Dense) {
 	m, k := a.Shape[0], a.Shape[1]
 	n := b.Shape[1]
@@ -90,22 +97,14 @@ func matMulRowsCols(out, a, b *Dense, lo, hi, cLo, cHi int) {
 			o2 := out.Data[(i+2)*n+j0 : (i+2)*n+j1]
 			o3 := out.Data[(i+3)*n+j0 : (i+3)*n+j1]
 			for p := 0; p < k; p++ {
-				v0, v1, v2, v3 := a0[p], a1[p], a2[p], a3[p]
-				if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
-					continue
-				}
-				axpy4(o0, o1, o2, o3, b.Data[p*n+j0:p*n+j1], v0, v1, v2, v3)
+				axpy4(o0, o1, o2, o3, b.Data[p*n+j0:p*n+j1], a0[p], a1[p], a2[p], a3[p])
 			}
 		}
 		for ; i < hi; i++ {
 			ai := a.Data[i*k : (i+1)*k]
 			oi := out.Data[i*n+j0 : i*n+j1]
 			for p := 0; p < k; p++ {
-				aip := ai[p]
-				if aip == 0 {
-					continue
-				}
-				axpy1(oi, b.Data[p*n+j0:p*n+j1], aip)
+				axpy1(oi, b.Data[p*n+j0:p*n+j1], ai[p])
 			}
 		}
 	}
@@ -185,105 +184,6 @@ func matMulTransBRange(out, a, b *Dense, lo, hi int) {
 	}
 }
 
-// AddMatMulTransBChunked accumulates dst += a × bᵀ with the inner
-// dimension summed in consecutive chunks of the given length: each chunk
-// is reduced into its own partial sum before being added to dst. With
-// chunk = outH·outW this reproduces, bit for bit, the accumulation order
-// of a per-image weight-gradient loop (one MatMulTransB per image added
-// into dst), which is what keeps the batched convolution backward pass
-// exactly equal to the per-image reference.
-func AddMatMulTransBChunked(dst, a, b *Dense, chunk int) {
-	a.must2D()
-	b.must2D()
-	dst.must2D()
-	if a.Shape[1] != b.Shape[1] || dst.Shape[0] != a.Shape[0] || dst.Shape[1] != b.Shape[0] {
-		panic("tensor: AddMatMulTransBChunked shape mismatch")
-	}
-	if chunk <= 0 {
-		panic("tensor: AddMatMulTransBChunked chunk must be positive")
-	}
-	m, k := a.Shape[0], a.Shape[1]
-	n := b.Shape[0]
-	groups := (m + 3) / 4 // bands split rows on 4-row block boundaries
-	if m*n*k < parallelThreshold || runtime.GOMAXPROCS(0) <= 1 || groups == 1 {
-		addMatMulTransBChunkedRange(dst, a, b, chunk, 0, m)
-		return
-	}
-	parallelBands(kernelTask{op: opChunkAcc, out: dst, a: a, b: b, chunk: chunk}, groups)
-}
-
-// addMatMulTransBChunkedRange accumulates output rows [lo, hi). Rows go
-// four at a time through dot4x4Chunked, one 4×4 output block per call,
-// each block carried across every chunk; a ragged last column block
-// re-runs the final four columns and puts back the ones already done.
-// Leftover rows take the scalar loop below, which walks chunks
-// outermost so one chunk-slice of b is reused across the rows. Either
-// way each element's chunk partial sums are formed and added in the
-// same order, matching the per-image reference exactly.
-func addMatMulTransBChunkedRange(dst, a, b *Dense, chunk, lo, hi int) {
-	k := a.Shape[1]
-	n := b.Shape[0]
-	if n >= 4 && k > 0 {
-		for ; lo+4 <= hi; lo += 4 {
-			d := dst.Data[lo*n:]
-			ai := a.Data[lo*k:]
-			j := 0
-			for ; j+4 <= n; j += 4 {
-				dot4x4Chunked(d[j:], n, ai, b.Data[j*k:], k, k, chunk)
-			}
-			if j == n {
-				continue
-			}
-			var kept [4][3]float64
-			redo := j - (n - 4) // columns of the last block already final
-			for r := range kept {
-				copy(kept[r][:redo], d[r*n+n-4:])
-			}
-			dot4x4Chunked(d[n-4:], n, ai, b.Data[(n-4)*k:], k, k, chunk)
-			for r := range kept {
-				copy(d[r*n+n-4:r*n+n-4+redo], kept[r][:redo])
-			}
-		}
-	}
-	for c0 := 0; c0 < k; c0 += chunk {
-		c1 := min(c0+chunk, k)
-		w := c1 - c0
-		for i := lo; i < hi; i++ {
-			ai := a.Data[i*k+c0 : i*k+c1]
-			di := dst.Data[i*n : (i+1)*n]
-			j := 0
-			for ; j+4 <= n; j += 4 {
-				b0 := b.Data[j*k+c0 : j*k+c1]
-				b1 := b.Data[(j+1)*k+c0 : (j+1)*k+c1]
-				b2 := b.Data[(j+2)*k+c0 : (j+2)*k+c1]
-				b3 := b.Data[(j+3)*k+c0 : (j+3)*k+c1]
-				var s0, s1, s2, s3 float64
-				if w > 0 {
-					_, _, _, _ = b0[w-1], b1[w-1], b2[w-1], b3[w-1]
-				}
-				for p, av := range ai {
-					s0 += av * b0[p]
-					s1 += av * b1[p]
-					s2 += av * b2[p]
-					s3 += av * b3[p]
-				}
-				di[j] += s0
-				di[j+1] += s1
-				di[j+2] += s2
-				di[j+3] += s3
-			}
-			for ; j < n; j++ {
-				bj := b.Data[j*k+c0 : j*k+c1]
-				s := 0.0
-				for p, av := range ai {
-					s += av * bj[p]
-				}
-				di[j] += s
-			}
-		}
-	}
-}
-
 // MatMulTransA returns aᵀ × b without materializing the transpose; this
 // is the (k×m)ᵀ·(k×n) pattern of dense-layer weight gradients.
 func MatMulTransA(a, b *Dense) *Dense {
@@ -337,21 +237,13 @@ func matMulTransARange(out, a, b *Dense, lo, hi int) {
 			o3 := out.Data[(i+3)*n+j0 : (i+3)*n+j1]
 			for p := 0; p < ka; p++ {
 				base := p * m
-				v0, v1, v2, v3 := a.Data[base+i], a.Data[base+i+1], a.Data[base+i+2], a.Data[base+i+3]
-				if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
-					continue
-				}
-				axpy4(o0, o1, o2, o3, b.Data[p*n+j0:p*n+j1], v0, v1, v2, v3)
+				axpy4(o0, o1, o2, o3, b.Data[p*n+j0:p*n+j1], a.Data[base+i], a.Data[base+i+1], a.Data[base+i+2], a.Data[base+i+3])
 			}
 		}
 		for ; i < hi; i++ {
 			oi := out.Data[i*n+j0 : i*n+j1]
 			for p := 0; p < ka; p++ {
-				av := a.Data[p*m+i]
-				if av == 0 {
-					continue
-				}
-				axpy1(oi, b.Data[p*n+j0:p*n+j1], av)
+				axpy1(oi, b.Data[p*n+j0:p*n+j1], a.Data[p*m+i])
 			}
 		}
 	}

@@ -24,22 +24,15 @@ const (
 	opMatMulCols
 	opTransB
 	opTransA
-	opChunkAcc
-	opIm2Col
-	opCol2Im
 )
 
 // kernelTask is one band of one kernel invocation. lo/hi select the band
-// along the op's banded dimension (rows, columns or images); chunk and
-// geom carry the extra operands of the chunked-accumulate and im2col /
-// col2im ops.
+// along the op's banded dimension (rows or columns).
 type kernelTask struct {
 	op     kernelOp
 	out    *Dense
 	a, b   *Dense
 	lo, hi int
-	chunk  int
-	geom   ConvGeom
 	wg     *sync.WaitGroup
 }
 
@@ -76,12 +69,6 @@ func runKernel(t kernelTask) {
 		matMulTransBRange(t.out, t.a, t.b, t.lo, t.hi)
 	case opTransA:
 		matMulTransARange(t.out, t.a, t.b, t.lo, t.hi)
-	case opChunkAcc: // banded by 4-row group
-		addMatMulTransBChunkedRange(t.out, t.a, t.b, t.chunk, 4*t.lo, min(4*t.hi, t.out.Shape[0]))
-	case opIm2Col:
-		im2ColBatchedRange(t.out, t.a, t.geom, t.lo, t.hi)
-	case opCol2Im:
-		col2ImBatchedRange(t.out, t.a, t.geom, t.lo, t.hi)
 	}
 }
 
