@@ -67,8 +67,6 @@ func main() {
 		asyncCheck  = flag.Bool("async-check", false, "after the run, self-scrape /metrics and /debug/selection and fail unless the async staleness histogram and buffer state were published (requires -mode async and -metrics-addr; smoke-test hook)")
 		pprof       = flag.Bool("pprof", false, "also mount net/http/pprof under /debug/pprof/ on -metrics-addr")
 		metricsHold = flag.Duration("metrics-hold", 0, "keep the metrics endpoint up this long after the run finishes")
-		statsdAddr  = flag.String("statsd-addr", "", "flush metrics to this UDP statsd endpoint")
-		statsdEvery = flag.Duration("statsd-interval", 10*time.Second, "statsd flush interval")
 	)
 	flag.Parse()
 
@@ -117,7 +115,7 @@ func main() {
 		jsonl  *telemetry.JSONLSink
 		ring   *telemetry.RingSink
 	)
-	if *jsonlPath != "" || *metricsAddr != "" || *statsdAddr != "" {
+	if *jsonlPath != "" || *metricsAddr != "" {
 		reg = telemetry.NewRegistry()
 	}
 	if *jsonlPath != "" {
@@ -206,14 +204,6 @@ func main() {
 				time.Sleep(*metricsHold)
 			}()
 		}
-	}
-	if *statsdAddr != "" {
-		sd, err := telemetry.NewStatsd(*statsdAddr, "haccs")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer sd.Start(reg, *statsdEvery)()
 	}
 	if jsonl != nil {
 		defer func() {

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math"
 	"os"
+	"runtime"
 	"testing"
 
 	"haccs/internal/fl"
@@ -71,8 +72,14 @@ var goldenCases = []goldenCase{
 	},
 }
 
-// goldenRun builds the canonical determinism workload and runs it.
-func goldenRun(t *testing.T, stratIdx int, withDropout bool) *fl.Result {
+// coreCounts are the (GOMAXPROCS, Parallelism) pairs every golden case
+// runs at. Each pair must reproduce the same constants: the bits may not
+// depend on the core count or on how many clients train at once.
+var coreCounts = []struct{ procs, parallelism int }{{1, 1}, {4, 1}, {4, 2}, {4, 6}}
+
+// goldenRun builds the canonical determinism workload and runs it with
+// parallelism client workers (0 = GOMAXPROCS).
+func goldenRun(t *testing.T, stratIdx int, withDropout bool, parallelism int) *fl.Result {
 	t.Helper()
 	const seed = 424242
 	w := buildStandardWorkload("cifar", 10, Quick, seed)
@@ -88,7 +95,9 @@ func goldenRun(t *testing.T, stratIdx int, withDropout bool) *fl.Result {
 		}
 	}
 	s := buildStrategyForRun(w, stratIdx, 0, 0.75, seed)
-	return fl.NewEngine(ec.ToFL(w, seed), w.Clients, s).Run()
+	cfg := ec.ToFL(w, seed)
+	cfg.Parallelism = parallelism
+	return fl.NewEngine(cfg, w.Clients, s).Run()
 }
 
 func paramsHash(params []float64) uint64 {
@@ -108,44 +117,54 @@ func paramsHash(params []float64) uint64 {
 // the engine, now an adapter over internal/rounds, must reproduce the
 // seed engine's trajectory bit-for-bit on a fixed seed and config —
 // with and without dropout, for both a stateless strategy (random) and
-// the loss-feedback HACCS scheduler.
+// the loss-feedback HACCS scheduler, at every pair in coreCounts.
 func TestDriverMatchesSeedTrajectory(t *testing.T) {
 	for _, gc := range goldenCases {
 		t.Run(gc.name, func(t *testing.T) {
-			res := goldenRun(t, gc.stratIdx, gc.dropout)
-			if got := math.Float64bits(res.Clock); got != gc.clock {
-				t.Errorf("clock bits = %#x, want %#x (%v vs %v)",
-					got, gc.clock, res.Clock, math.Float64frombits(gc.clock))
-			}
-			if got := paramsHash(res.FinalParams); got != gc.params {
-				t.Errorf("final params hash = %#x, want %#x", got, gc.params)
-			}
-			if len(res.History) != len(gc.history) {
-				t.Fatalf("history has %d points, want %d", len(res.History), len(gc.history))
-			}
-			for i, p := range res.History {
-				want := gc.history[i]
-				if p.Round != want.Round {
-					t.Errorf("history[%d].Round = %d, want %d", i, p.Round, want.Round)
-				}
-				if got := math.Float64bits(p.Time); got != want.Time {
-					t.Errorf("history[%d].Time bits = %#x, want %#x", i, got, want.Time)
-				}
-				if got := math.Float64bits(p.Acc); got != want.Acc {
-					t.Errorf("history[%d].Acc bits = %#x, want %#x", i, got, want.Acc)
-				}
-				if got := math.Float64bits(p.Loss); got != want.Loss {
-					t.Errorf("history[%d].Loss bits = %#x, want %#x", i, got, want.Loss)
-				}
-			}
-			sel := 0
-			for _, s := range res.Selected {
-				sel += len(s)
-			}
-			if sel != gc.selected {
-				t.Errorf("total selections = %d, want %d", sel, gc.selected)
+			for _, cc := range coreCounts {
+				t.Run(fmt.Sprintf("procs%d_par%d", cc.procs, cc.parallelism), func(t *testing.T) {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(cc.procs))
+					checkGolden(t, gc, goldenRun(t, gc.stratIdx, gc.dropout, cc.parallelism))
+				})
 			}
 		})
+	}
+}
+
+// checkGolden compares one run against its golden case, bit for bit.
+func checkGolden(t *testing.T, gc goldenCase, res *fl.Result) {
+	t.Helper()
+	if got := math.Float64bits(res.Clock); got != gc.clock {
+		t.Errorf("clock bits = %#x, want %#x (%v vs %v)",
+			got, gc.clock, res.Clock, math.Float64frombits(gc.clock))
+	}
+	if got := paramsHash(res.FinalParams); got != gc.params {
+		t.Errorf("final params hash = %#x, want %#x", got, gc.params)
+	}
+	if len(res.History) != len(gc.history) {
+		t.Fatalf("history has %d points, want %d", len(res.History), len(gc.history))
+	}
+	for i, p := range res.History {
+		want := gc.history[i]
+		if p.Round != want.Round {
+			t.Errorf("history[%d].Round = %d, want %d", i, p.Round, want.Round)
+		}
+		if got := math.Float64bits(p.Time); got != want.Time {
+			t.Errorf("history[%d].Time bits = %#x, want %#x", i, got, want.Time)
+		}
+		if got := math.Float64bits(p.Acc); got != want.Acc {
+			t.Errorf("history[%d].Acc bits = %#x, want %#x", i, got, want.Acc)
+		}
+		if got := math.Float64bits(p.Loss); got != want.Loss {
+			t.Errorf("history[%d].Loss bits = %#x, want %#x", i, got, want.Loss)
+		}
+	}
+	sel := 0
+	for _, s := range res.Selected {
+		sel += len(s)
+	}
+	if sel != gc.selected {
+		t.Errorf("total selections = %d, want %d", sel, gc.selected)
 	}
 }
 
@@ -161,7 +180,7 @@ func TestPrintGolden(t *testing.T) {
 		idx     int
 		dropout bool
 	}{{"random", 0, false}, {"haccs-py", 3, true}} {
-		res := goldenRun(t, tc.idx, tc.dropout)
+		res := goldenRun(t, tc.idx, tc.dropout, 0)
 		fmt.Printf("=== %s\n", tc.name)
 		fmt.Printf("clock: %#x\n", math.Float64bits(res.Clock))
 		fmt.Printf("paramsHash: %#x\n", paramsHash(res.FinalParams))

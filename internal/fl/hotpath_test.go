@@ -1,6 +1,8 @@
 package fl
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -152,9 +154,11 @@ func buildConvClients(t testing.TB, n, samples int, seed uint64) []*Client {
 // for the batched convolution rewrite: two engines that differ only in
 // conv implementation ("lenet" batched vs "lenet-ref" per-image) must
 // produce bit-identical global parameter vectors after three federated
-// rounds — local training, aggregation and selection included.
+// rounds — local training, aggregation and selection included. The
+// "lenet" leg runs at every (GOMAXPROCS, Parallelism) pair of
+// experiments.TestDriverMatchesSeedTrajectory against one reference run.
 func TestEngineBatchedConvMatchesReference(t *testing.T) {
-	run := func(kind string) *Result {
+	run := func(kind string, parallelism int) *Result {
 		clients := buildConvClients(t, 6, 30, 23)
 		cfg := Config{
 			Arch:                nn.Arch{Kind: kind, Channels: 1, Height: 16, Width: 16, Classes: 4, ConvFilters: [2]int{2, 3}},
@@ -163,23 +167,28 @@ func TestEngineBatchedConvMatchesReference(t *testing.T) {
 			ClientsPerRound:     3,
 			MaxRounds:           3,
 			PerSampleComputeSec: 0.001,
-			Parallelism:         2,
+			Parallelism:         parallelism,
 		}
 		strategy := &fixedStrategy{order: [][]int{{0, 1, 2}, {3, 4, 5}, {1, 3, 5}}}
 		return NewEngine(cfg, clients, strategy).Run()
 	}
-	batched := run("lenet")
-	ref := run("lenet-ref")
-	if len(batched.FinalParams) != len(ref.FinalParams) {
-		t.Fatalf("parameter count %d != %d", len(batched.FinalParams), len(ref.FinalParams))
-	}
-	for i := range ref.FinalParams {
-		if batched.FinalParams[i] != ref.FinalParams[i] {
-			t.Fatalf("global param %d = %v (batched) vs %v (reference); not bit-identical",
-				i, batched.FinalParams[i], ref.FinalParams[i])
-		}
-	}
-	if batched.FinalAccuracy() != ref.FinalAccuracy() {
-		t.Fatalf("final accuracy %v != %v", batched.FinalAccuracy(), ref.FinalAccuracy())
+	ref := run("lenet-ref", 2)
+	for _, cc := range []struct{ procs, parallelism int }{{1, 1}, {4, 1}, {4, 2}, {4, 6}} {
+		t.Run(fmt.Sprintf("procs%d_par%d", cc.procs, cc.parallelism), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(cc.procs))
+			batched := run("lenet", cc.parallelism)
+			if len(batched.FinalParams) != len(ref.FinalParams) {
+				t.Fatalf("parameter count %d != %d", len(batched.FinalParams), len(ref.FinalParams))
+			}
+			for i := range ref.FinalParams {
+				if batched.FinalParams[i] != ref.FinalParams[i] {
+					t.Fatalf("global param %d = %v (batched) vs %v (reference); not bit-identical",
+						i, batched.FinalParams[i], ref.FinalParams[i])
+				}
+			}
+			if batched.FinalAccuracy() != ref.FinalAccuracy() {
+				t.Fatalf("final accuracy %v != %v", batched.FinalAccuracy(), ref.FinalAccuracy())
+			}
+		})
 	}
 }

@@ -24,8 +24,8 @@ func simShapeNet() (*Network, *tensor.Dense, []int) {
 	return net, x, y
 }
 
-// singleThread runs the benchmark the way sim_tta runs, on one
-// processor, so the kernels take their serial paths.
+// singleThread pins GOMAXPROCS=1, the setting every benchmark workload
+// runs at, so the probe's numbers compare with sim_tta's.
 func singleThread(b *testing.B) {
 	prev := runtime.GOMAXPROCS(1)
 	b.Cleanup(func() { runtime.GOMAXPROCS(prev) })

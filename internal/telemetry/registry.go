@@ -1,7 +1,7 @@
 // Package telemetry is the live observability layer for the HACCS
 // stack: a dependency-free, concurrency-safe metrics registry
 // (counters, gauges, fixed-bucket histograms) plus a structured
-// round-trace event stream with pluggable sinks (JSONL, statsd,
+// round-trace event stream with pluggable sinks (JSONL,
 // in-memory, HTTP). The simulation engine, the HACCS scheduler, the
 // clustering substrate and the flnet coordinator all record into it;
 // everything is optional and nil-safe, so uninstrumented runs pay

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"bytes"
 	"errors"
-	"strings"
 	"testing"
 )
 
@@ -129,53 +128,5 @@ func TestJSONLSinkCloseCloserError(t *testing.T) {
 	}
 	if d.closed {
 		t.Error("second Close re-closed the destination")
-	}
-}
-
-// TestStatsdDroppedFlushes checks a failed UDP write is counted — in
-// Dropped(), in the registry self-metric — and returned as an error.
-func TestStatsdDroppedFlushes(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("haccs_rounds_total", "").Inc()
-
-	d := &failingDest{writeErr: errors.New("network unreachable")}
-	sd := NewStatsdConn(d, "haccs")
-	if err := sd.Flush(reg); err == nil {
-		t.Fatal("Flush over a failing conn returned nil")
-	}
-	if got := sd.Dropped(); got != 1 {
-		t.Errorf("Dropped() = %d, want 1", got)
-	}
-	if v := reg.Counter("haccs_statsd_dropped_flushes_total", "").Value(); v != 1 {
-		t.Errorf("self-metric = %v, want 1", v)
-	}
-
-	// Recovery: the connection heals, the next flush succeeds and the
-	// loss stays visible (the self-metric delta rides along).
-	d.writeErr = nil
-	reg.Counter("haccs_rounds_total", "").Inc()
-	if err := sd.Flush(reg); err != nil {
-		t.Fatalf("healed flush: %v", err)
-	}
-	if got := sd.Dropped(); got != 1 {
-		t.Errorf("Dropped() after recovery = %d, want 1", got)
-	}
-}
-
-// TestStatsdDroppedSelfMetricLine checks the self-metric actually
-// renders into the statsd stream on the flush after a loss.
-func TestStatsdDroppedSelfMetricLine(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("haccs_rounds_total", "").Inc()
-	d := &failingDest{writeErr: errors.New("boom")}
-	sd := NewStatsdConn(d, "")
-	_ = sd.Flush(reg)
-
-	var sb strings.Builder
-	if err := sd.EmitTo(&sb, reg); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "haccs_statsd_dropped_flushes_total:1|c\n") {
-		t.Errorf("dropped-flush self-metric missing from stream:\n%s", sb.String())
 	}
 }

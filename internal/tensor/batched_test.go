@@ -253,65 +253,63 @@ func TestAddMatMulTransBChunkedMatchesPerChunk(t *testing.T) {
 	}
 }
 
-// TestGemmColumnBandedMatchesSerial pushes a wide-and-short product
-// over the parallel threshold so the column-banded pool path runs, and
-// requires bit-exact agreement with the serial kernel.
+// TestGemmColumnBandedMatchesSerial runs a wide-and-short product, the
+// shape a column split once served, and requires the bits of the plain
+// three-loop product.
 func TestGemmColumnBandedMatchesSerial(t *testing.T) {
-	a, b := New(6, 80), New(80, 1024) // 6·80·1024 ≈ 491k madds > threshold
+	a, b := New(6, 80), New(80, 1024)
 	fill(a.Data, 21)
 	fill(b.Data, 22)
 	got := New(6, 1024)
 	MatMulInto(got, a, b)
-	want := New(6, 1024)
-	matMulRowsCols(want, a, b, 0, 6, 0, 1024)
-	mustExact(t, got.Data, want.Data, "column-banded gemm")
+	mustBits(t, got.Data, naiveMatMul(a, b).Data, "wide-and-short gemm")
 }
 
-// TestGemmRowBandedMatchesSerial does the same for the row-banded path.
-// Then zero weights meet NaN and ±Inf: each row's result must not depend
-// on whether a band split puts it in a 4-row block or among the leftover
-// rows, for matMulRowsCols and for matMulTransARange.
+// TestGemmRowBandedMatchesSerial does the same for a square product.
+// Then zero weights meet NaN and ±Inf: a row's bits must not depend on
+// whether it sits in a 4-row block or among the leftover rows. Rows 3–5
+// of a 6-row product (row 3 in the block of rows 0–3) must equal the same
+// rows computed as a 3-row product, for MatMulInto and MatMulTransAInto.
 func TestGemmRowBandedMatchesSerial(t *testing.T) {
 	a, b := New(128, 64), New(64, 128)
 	fill(a.Data, 31)
 	fill(b.Data, 32)
 	got := New(128, 128)
 	MatMulInto(got, a, b)
-	want := New(128, 128)
-	matMulRowsCols(want, a, b, 0, 128, 0, 128)
-	mustExact(t, got.Data, want.Data, "row-banded gemm")
+	mustBits(t, got.Data, naiveMatMul(a, b).Data, "square gemm")
 
-	nonFinite := func(b *Dense, p int) {
-		b.Set(p, 0, math.NaN())
-		b.Set(p, 1, math.Inf(1))
-		b.Set(p, 2, math.Inf(-1))
-	}
-	a, b = New(6, 5), New(5, 9)
-	fill(a.Data, 33)
+	b = New(5, 9)
 	fill(b.Data, 34)
-	a.Set(1, 2, 0) // in the 4-row block of [0, 6), a leftover row of [0, 3)
+	b.Set(2, 0, math.NaN())
+	b.Set(2, 1, math.Inf(1))
+	b.Set(2, 2, math.Inf(-1))
+
+	a = New(6, 5)
+	fill(a.Data, 33)
+	a.Set(3, 2, 0) // in the 4-row block of the 6-row product, a leftover of the 3-row one
 	a.Set(4, 2, 0)
-	nonFinite(b, 2)
-	whole, split := New(6, 9), New(6, 9)
-	matMulRowsCols(whole, a, b, 0, 6, 0, 9)
-	matMulRowsCols(split, a, b, 0, 3, 0, 9)
-	matMulRowsCols(split, a, b, 3, 6, 0, 9)
-	mustBits(t, split.Data, whole.Data, "gemm bands with zero weights against NaN/Inf")
-	if !math.IsNaN(whole.At(1, 0)) {
-		t.Fatalf("0·NaN was skipped: out[1][0] = %v", whole.At(1, 0))
+	whole, tail := New(6, 9), New(3, 9)
+	MatMulInto(whole, a, b)
+	MatMulInto(tail, FromSlice(a.Data[3*5:], 3, 5), b)
+	mustBits(t, tail.Data, whole.Data[3*9:], "gemm rows 3–5 with zero weights against NaN/Inf")
+	if !math.IsNaN(whole.At(3, 0)) {
+		t.Fatalf("0·NaN was skipped: out[3][0] = %v", whole.At(3, 0))
 	}
 
-	at := New(5, 6) // matMulTransARange's output rows are columns of a
+	at := New(5, 6) // the output rows of aᵀ × b are columns of a
 	fill(at.Data, 35)
-	at.Set(2, 1, 0)
+	at.Set(2, 3, 0)
 	at.Set(2, 4, 0)
-	whole, split = New(6, 9), New(6, 9)
-	matMulTransARange(whole, at, b, 0, 6)
-	matMulTransARange(split, at, b, 0, 3)
-	matMulTransARange(split, at, b, 3, 6)
-	mustBits(t, split.Data, whole.Data, "transA bands with zero weights against NaN/Inf")
-	if !math.IsNaN(whole.At(1, 0)) {
-		t.Fatalf("0·NaN was skipped: transA out[1][0] = %v", whole.At(1, 0))
+	atTail := New(5, 3)
+	for p := 0; p < 5; p++ {
+		copy(atTail.Row(p), at.Row(p)[3:])
+	}
+	whole, tail = New(6, 9), New(3, 9)
+	MatMulTransAInto(whole, at, b)
+	MatMulTransAInto(tail, atTail, b)
+	mustBits(t, tail.Data, whole.Data[3*9:], "transA rows 3–5 with zero weights against NaN/Inf")
+	if !math.IsNaN(whole.At(3, 0)) {
+		t.Fatalf("0·NaN was skipped: transA out[3][0] = %v", whole.At(3, 0))
 	}
 }
 

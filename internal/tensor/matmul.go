@@ -1,32 +1,25 @@
 package tensor
 
-import "runtime"
-
-// parallelThreshold is the minimum number of multiply-adds before a
-// matrix kernel fans work out to the worker pool; below it the
-// synchronization overhead dominates.
-const parallelThreshold = 64 * 64 * 64
-
-// All kernels in this file keep one invariant: the order in which
-// products are accumulated into any single output element is the
-// ascending inner-dimension order of the plain three-loop formulation,
-// and every product is added — none is skipped for a zero weight.
-// Register blocking widens how many output rows or columns share one
-// streamed pass, and the pool bands disjoint output regions — neither
-// changes any element's own accumulation order. Floating-point results
-// are therefore bit-identical across block widths, band splits and
-// worker counts, NaN and ±Inf operands included.
+// Each entry point in this file runs one serial kernel on the calling
+// goroutine; the parallelism of training is fl's client workers, one
+// GEMM per worker at a time. Every kernel keeps one invariant: the
+// order in which products are accumulated into any single output
+// element is the ascending inner-dimension order of the plain
+// three-loop formulation, and every product is added — none is skipped
+// for a zero weight. Register blocking widens how many output rows or
+// columns share one streamed pass without changing any element's own
+// accumulation order, so the results are bit-identical to the
+// three-loop kernel, NaN and ±Inf operands included.
 //
 // A skip rule would break that: 0·Inf and 0·NaN are NaN, so whether a
-// zero weight's product reaches an output would depend on which path
-// (a 4-row block or a leftover row) the band split gave its row. For
-// finite operands adding the ±0 product is a no-op: every accumulator
-// starts at +0, a sum is −0 only when both addends are −0, so no
-// accumulator is ever −0, and x + ±0 = x for any other x.
+// zero weight's product reaches an output would depend on whether its
+// row sits in a 4-row block or among the leftover rows. For finite
+// operands adding the ±0 product is a no-op: every accumulator starts
+// at +0, a sum is −0 only when both addends are −0, so no accumulator
+// is ever −0, and x + ±0 = x for any other x.
 
 // MatMul returns a × b for 2-D tensors, using a cache-blocked ikj loop
-// order and, for large products, parallelism across row or column bands
-// of the worker pool.
+// order.
 func MatMul(a, b *Dense) *Dense {
 	a.must2D()
 	b.must2D()
@@ -34,7 +27,7 @@ func MatMul(a, b *Dense) *Dense {
 		panic("tensor: MatMul inner dimension mismatch")
 	}
 	out := New(a.Shape[0], b.Shape[1])
-	gemm(out, a, b)
+	matMulKernel(out, a, b)
 	return out
 }
 
@@ -48,25 +41,7 @@ func MatMulInto(dst, a, b *Dense) {
 		panic("tensor: MatMulInto shape mismatch")
 	}
 	dst.Zero()
-	gemm(dst, a, b)
-}
-
-// gemm accumulates out += a × b, choosing serial execution for small
-// products and row- or column-banded pool execution for large ones.
-// Wide-and-short products (few rows, many columns) band across columns
-// so every worker still gets a full share.
-func gemm(out, a, b *Dense) {
-	m, k := a.Shape[0], a.Shape[1]
-	n := b.Shape[1]
-	if m*n*k < parallelThreshold || runtime.GOMAXPROCS(0) <= 1 {
-		matMulRowsCols(out, a, b, 0, m, 0, n)
-		return
-	}
-	if m >= 2*runtime.GOMAXPROCS(0) || n < 4*m {
-		parallelBands(kernelTask{op: opMatMulRows, out: out, a: a, b: b}, m)
-	} else {
-		parallelBands(kernelTask{op: opMatMulCols, out: out, a: a, b: b}, n)
-	}
+	matMulKernel(dst, a, b)
 }
 
 // gemmColTile is the column-tile width of the accumulating kernels:
@@ -74,20 +49,19 @@ func gemm(out, a, b *Dense) {
 // streamed b-row tile stay resident in L1 across the whole k loop.
 const gemmColTile = 512
 
-// matMulRowsCols accumulates out[lo:hi, cLo:cHi) += a × b restricted to
-// the given row and column bands. Columns are tiled so each output tile
-// is touched once per call rather than once per k-iteration, and rows
-// are processed four at a time so each streamed b-row tile feeds four
-// output rows per pass. Per output element the k-loop still accumulates
-// in ascending order, so results are bit-identical to the scalar
-// three-loop kernel.
-func matMulRowsCols(out, a, b *Dense, lo, hi, cLo, cHi int) {
-	k := a.Shape[1]
+// matMulKernel accumulates out += a × b. Columns are tiled so each
+// output tile is touched once per call rather than once per
+// k-iteration, and rows are processed four at a time so each streamed
+// b-row tile feeds four output rows per pass. Per output element the
+// k-loop still accumulates in ascending order, so results are
+// bit-identical to the scalar three-loop kernel.
+func matMulKernel(out, a, b *Dense) {
+	m, k := a.Shape[0], a.Shape[1]
 	n := b.Shape[1]
-	for j0 := cLo; j0 < cHi; j0 += gemmColTile {
-		j1 := min(j0+gemmColTile, cHi)
-		i := lo
-		for ; i+4 <= hi; i += 4 {
+	for j0 := 0; j0 < n; j0 += gemmColTile {
+		j1 := min(j0+gemmColTile, n)
+		i := 0
+		for ; i+4 <= m; i += 4 {
 			a0 := a.Data[i*k : (i+1)*k]
 			a1 := a.Data[(i+1)*k : (i+2)*k]
 			a2 := a.Data[(i+2)*k : (i+3)*k]
@@ -100,7 +74,7 @@ func matMulRowsCols(out, a, b *Dense, lo, hi, cLo, cHi int) {
 				axpy4(o0, o1, o2, o3, b.Data[p*n+j0:p*n+j1], a0[p], a1[p], a2[p], a3[p])
 			}
 		}
-		for ; i < hi; i++ {
+		for ; i < m; i++ {
 			ai := a.Data[i*k : (i+1)*k]
 			oi := out.Data[i*n+j0 : i*n+j1]
 			for p := 0; p < k; p++ {
@@ -119,7 +93,7 @@ func MatMulTransB(a, b *Dense) *Dense {
 		panic("tensor: MatMulTransB inner dimension mismatch")
 	}
 	out := New(a.Shape[0], b.Shape[0])
-	transB(out, a, b)
+	matMulTransBKernel(out, a, b)
 	return out
 }
 
@@ -133,26 +107,16 @@ func MatMulTransBInto(dst, a, b *Dense) {
 	if a.Shape[1] != b.Shape[1] || dst.Shape[0] != a.Shape[0] || dst.Shape[1] != b.Shape[0] {
 		panic("tensor: MatMulTransBInto shape mismatch")
 	}
-	transB(dst, a, b)
+	matMulTransBKernel(dst, a, b)
 }
 
-func transB(out, a, b *Dense) {
+// matMulTransBKernel writes every output row as dot products, visiting
+// four rows of b per pass over a's row so the a-side stream is
+// amortized.
+func matMulTransBKernel(out, a, b *Dense) {
 	m, k := a.Shape[0], a.Shape[1]
 	n := b.Shape[0]
-	if m*n*k < parallelThreshold || runtime.GOMAXPROCS(0) <= 1 || m == 1 {
-		matMulTransBRange(out, a, b, 0, m)
-		return
-	}
-	parallelBands(kernelTask{op: opTransB, out: out, a: a, b: b}, m)
-}
-
-// matMulTransBRange writes output rows [lo, hi) as dot products,
-// visiting four rows of b per pass over a's row so the a-side stream is
-// amortized.
-func matMulTransBRange(out, a, b *Dense, lo, hi int) {
-	k := a.Shape[1]
-	n := b.Shape[0]
-	for i := lo; i < hi; i++ {
+	for i := 0; i < m; i++ {
 		ai := a.Data[i*k : (i+1)*k]
 		oi := out.Data[i*n : (i+1)*n]
 		j := 0
@@ -193,7 +157,7 @@ func MatMulTransA(a, b *Dense) *Dense {
 		panic("tensor: MatMulTransA inner dimension mismatch")
 	}
 	out := New(a.Shape[1], b.Shape[1])
-	transA(out, a, b)
+	matMulTransAKernel(out, a, b)
 	return out
 }
 
@@ -207,30 +171,21 @@ func MatMulTransAInto(dst, a, b *Dense) {
 		panic("tensor: MatMulTransAInto shape mismatch")
 	}
 	dst.Zero()
-	transA(dst, a, b)
+	matMulTransAKernel(dst, a, b)
 }
 
-func transA(out, a, b *Dense) {
-	ka, m := a.Shape[0], a.Shape[1]
-	n := b.Shape[1]
-	if m*n*ka < parallelThreshold || runtime.GOMAXPROCS(0) <= 1 || m == 1 {
-		matMulTransARange(out, a, b, 0, m)
-		return
-	}
-	parallelBands(kernelTask{op: opTransA, out: out, a: a, b: b}, m)
-}
-
-// matMulTransARange accumulates output rows [lo, hi) (columns of a)
-// with the same tiled row-major structure as matMulRowsCols, reading a
-// column-wise; per output element the ka-loop accumulates in ascending
-// order, identical to the rank-1 formulation.
-func matMulTransARange(out, a, b *Dense, lo, hi int) {
+// matMulTransAKernel accumulates out += aᵀ × b, whose output rows are
+// columns of a, with the same tiled row-major structure as
+// matMulKernel, reading a column-wise; per output element the
+// ka-loop accumulates in ascending order, identical to the rank-1
+// formulation.
+func matMulTransAKernel(out, a, b *Dense) {
 	ka, m := a.Shape[0], a.Shape[1]
 	n := b.Shape[1]
 	for j0 := 0; j0 < n; j0 += gemmColTile {
 		j1 := min(j0+gemmColTile, n)
-		i := lo
-		for ; i+4 <= hi; i += 4 {
+		i := 0
+		for ; i+4 <= m; i += 4 {
 			o0 := out.Data[i*n+j0 : i*n+j1]
 			o1 := out.Data[(i+1)*n+j0 : (i+1)*n+j1]
 			o2 := out.Data[(i+2)*n+j0 : (i+2)*n+j1]
@@ -240,7 +195,7 @@ func matMulTransARange(out, a, b *Dense, lo, hi int) {
 				axpy4(o0, o1, o2, o3, b.Data[p*n+j0:p*n+j1], a.Data[base+i], a.Data[base+i+1], a.Data[base+i+2], a.Data[base+i+3])
 			}
 		}
-		for ; i < hi; i++ {
+		for ; i < m; i++ {
 			oi := out.Data[i*n+j0 : i*n+j1]
 			for p := 0; p < ka; p++ {
 				axpy1(oi, b.Data[p*n+j0:p*n+j1], a.Data[p*m+i])
