@@ -28,7 +28,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sync/atomic"
 
 	"haccs/internal/checkpoint"
 	"haccs/internal/fleet"
@@ -117,35 +116,10 @@ func run(f rootFlags, seed uint64) error {
 			return err
 		}
 	}
-	// The observability handlers come up before the Root exists (the
-	// endpoint serves during the shard handshake), so they read it
-	// through an atomic pointer.
-	var rootPtr atomic.Pointer[shard.Root]
+	// The endpoint serves /debug/shards and /debug/fleet?shard= from
+	// the server itself, so it can come up before the Root exists.
 	if f.HTTP != "" {
-		owner := map[int]int{}
-		for _, h := range hellos {
-			for _, c := range h.Clients {
-				owner[c.ID] = h.ShardID
-			}
-		}
-		ownerID := func(clientID int) int {
-			if s, ok := owner[clientID]; ok {
-				return s
-			}
-			return -1
-		}
-		opts := []telemetry.ServeOption{
-			telemetry.WithEndpoint("/debug/shards", shard.StatusHandler(func() []rounds.ShardStatus {
-				if r := rootPtr.Load(); r != nil {
-					return r.ShardStatuses()
-				}
-				return nil
-			})),
-		}
-		if fleetReg != nil {
-			opts = append(opts, telemetry.WithEndpoint("/debug/fleet", shard.FleetHandler(fleetReg, ownerID)))
-		}
-		bound, err := rootSrv.EnableTelemetry(reg, nil, nil, f.HTTP, opts...)
+		bound, err := rootSrv.EnableTelemetry(reg, f.HTTP, fleetReg)
 		if err != nil {
 			return err
 		}
@@ -176,7 +150,6 @@ func run(f rootFlags, seed uint64) error {
 	if err != nil {
 		return err
 	}
-	rootPtr.Store(root)
 
 	if f.Resume {
 		snap, err := store.LoadLatest()

@@ -16,19 +16,24 @@ import (
 // descending).
 func Handler(r *Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		st := r.State()
-		if req.URL.Query().Get("format") == "table" {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			WriteTable(w, st, req.URL.Query().Get("sort"))
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(st); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
+		Serve(w, req, r.State())
 	})
+}
+
+// Serve writes st as Handler does — JSON, or the table under
+// ?format=table — for handlers that filter a State before rendering it.
+func Serve(w http.ResponseWriter, req *http.Request, st State) {
+	if req.URL.Query().Get("format") == "table" {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		WriteTable(w, st, req.URL.Query().Get("sort"))
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(st); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	}
 }
 
 // clientSortKeys maps a ?sort= value to the comparison key; metric

@@ -82,15 +82,21 @@ type CoordinatorConfig struct {
 // the driver's own and persists a checkpoint on cadence.
 type Coordinator struct{ *rounds.Run }
 
-// netTransport adapts the Server's registered sessions to the round
-// driver. Parallelism is the roster size so every push in a round goes
-// out concurrently — the network, not a worker pool, is the bottleneck.
-type netTransport struct {
-	proxies []rounds.Proxy
-}
+// Transport serves a fixed set of client proxies to the round driver.
+// Parallelism is the roster size so every push in a round goes out
+// concurrently — the network, not a worker pool, is the bottleneck.
+type Transport []rounds.Proxy
 
-func (t netTransport) Proxies() []rounds.Proxy { return t.proxies }
-func (t netTransport) Parallelism() int        { return len(t.proxies) }
+func (t Transport) Proxies() []rounds.Proxy { return t }
+func (t Transport) Parallelism() int        { return len(t) }
+
+// Proxy returns the round-driver endpoint for the registered client
+// reg: it trains through Train and reports reg's latency estimate.
+// spans, when non-nil, records the client's own local-train span
+// shipped back on each reply.
+func (s *Server) Proxy(reg Register, spans *telemetry.SpanTracer) rounds.Proxy {
+	return &netProxy{srv: s, id: reg.ClientID, latency: reg.LatencyEstimate, spans: spans}
+}
 
 // netProxy trains one remote client through the Server's single-client
 // exchange. Train errors (disconnect, protocol violation) surface to
@@ -135,7 +141,7 @@ func NewCoordinator(srv *Server, cfg CoordinatorConfig, strategy rounds.Strategy
 	if len(regs) == 0 {
 		return nil, fmt.Errorf("flnet: no registered clients")
 	}
-	proxies := make([]rounds.Proxy, len(regs))
+	proxies := make(Transport, len(regs))
 	for _, r := range regs {
 		if r.ClientID < 0 || r.ClientID >= len(regs) {
 			return nil, fmt.Errorf("flnet: client ID %d outside dense range [0,%d)", r.ClientID, len(regs))
@@ -143,7 +149,7 @@ func NewCoordinator(srv *Server, cfg CoordinatorConfig, strategy rounds.Strategy
 		if proxies[r.ClientID] != nil {
 			return nil, fmt.Errorf("flnet: duplicate client ID %d in roster", r.ClientID)
 		}
-		proxies[r.ClientID] = &netProxy{srv: srv, id: r.ClientID, latency: r.LatencyEstimate, spans: cfg.Spans}
+		proxies[r.ClientID] = srv.Proxy(r, cfg.Spans)
 	}
 	rcfg := rounds.Config{
 		ClientsPerRound: cfg.ClientsPerRound,
@@ -157,7 +163,7 @@ func NewCoordinator(srv *Server, cfg CoordinatorConfig, strategy rounds.Strategy
 	}
 	// The coordinator receives user-supplied configuration, so an
 	// invalid one is returned as the typed rounds error, not a panic.
-	driver, err := rounds.NewRunner(cfg.Mode, rcfg, cfg.Async, netTransport{proxies}, strategy, initial)
+	driver, err := rounds.NewRunner(cfg.Mode, rcfg, cfg.Async, proxies, strategy, initial)
 	if err != nil {
 		return nil, fmt.Errorf("flnet: %w", err)
 	}

@@ -270,10 +270,10 @@ func (s *Server) Addr() string { return s.sess.Addr() }
 // session gauges and the reconnect counter) and, when httpAddr is
 // non-empty, mounts the /metrics and /debug/trace endpoints on it (see
 // session.Server.EnableTelemetry). The server itself emits no trace
-// events, so the tracer argument is unused: coordinator events come
-// from the CoordinatorConfig's Tracer (combine the ring into that one
-// when the tail endpoint should see them). Call before AcceptClients.
-func (s *Server) EnableTelemetry(reg *telemetry.Registry, _ telemetry.Tracer, ring *telemetry.RingSink, httpAddr string, opts ...telemetry.ServeOption) (string, error) {
+// events: coordinator events come from the CoordinatorConfig's Tracer
+// (combine the ring into that one when the tail endpoint should see
+// them). Call before AcceptClients.
+func (s *Server) EnableTelemetry(reg *telemetry.Registry, ring *telemetry.RingSink, httpAddr string, opts ...telemetry.ServeOption) (string, error) {
 	return s.sess.EnableTelemetry(reg, ring, httpAddr, opts...)
 }
 

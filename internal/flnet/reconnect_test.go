@@ -26,7 +26,7 @@ func TestServeReconnectsReadmitsDroppedClient(t *testing.T) {
 	}
 	defer srv.Close()
 	reg := telemetry.NewRegistry()
-	if _, err := srv.EnableTelemetry(reg, nil, nil, ""); err != nil {
+	if _, err := srv.EnableTelemetry(reg, nil, ""); err != nil {
 		t.Fatalf("telemetry: %v", err)
 	}
 

@@ -22,7 +22,7 @@ func TestCoordinatorTelemetryEndpoint(t *testing.T) {
 	}
 	reg := telemetry.NewRegistry()
 	ring := telemetry.NewRingSink(64)
-	addr, err := srv.EnableTelemetry(reg, ring, ring, "127.0.0.1:0")
+	addr, err := srv.EnableTelemetry(reg, ring, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestShutdownLeavesNoGoroutines(t *testing.T) {
 		}
 		reg := telemetry.NewRegistry()
 		ring := telemetry.NewRingSink(16)
-		if _, err := srv.EnableTelemetry(reg, ring, ring, "127.0.0.1:0"); err != nil {
+		if _, err := srv.EnableTelemetry(reg, ring, "127.0.0.1:0"); err != nil {
 			t.Fatal(err)
 		}
 		coord, err := NewCoordinator(srv, CoordinatorConfig{

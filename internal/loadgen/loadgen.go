@@ -94,30 +94,11 @@ func StartFleet(cfg FleetConfig, addr string) (*Fleet, error) {
 // the crash+resume leg moves the fleet to the restarted server's port.
 func (f *Fleet) SetTarget(addr string) { f.target.Store(addr) }
 
-// Storm abruptly closes up to n live client connections — a staged
-// reconnect storm. The victims' serve loops fail, back off, and
-// redial. Returns the number of connections actually closed.
-func (f *Fleet) Storm(n int) int {
-	f.mu.Lock()
-	victims := make([]net.Conn, 0, n)
-	for _, c := range f.conns {
-		if len(victims) >= n {
-			break
-		}
-		victims = append(victims, c)
-	}
-	f.mu.Unlock()
-	for _, c := range victims {
-		c.Close()
-	}
-	return len(victims)
-}
-
-// StormIDs abruptly closes the live connections of exactly the given
-// clients — the sharded legs use it to storm one shard's slice while
-// the rest of the fleet stays seated. Returns the number of
-// connections actually closed (clients mid-redial have none).
-func (f *Fleet) StormIDs(ids []int) int {
+// Storm abruptly closes the live connections of exactly the given
+// clients — a staged reconnect storm. The victims' serve loops fail,
+// back off, and redial. Returns the number of connections actually
+// closed (clients mid-redial have none).
+func (f *Fleet) Storm(ids []int) int {
 	f.mu.Lock()
 	victims := make([]net.Conn, 0, len(ids))
 	for _, id := range ids {

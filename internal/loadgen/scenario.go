@@ -31,9 +31,9 @@ type Leg struct {
 	// (must be 0 for async legs; the heavy-tail latency model makes it
 	// bite).
 	Deadline float64
-	// StormFraction, when positive, kills that fraction of live
-	// connections halfway through the leg and requires the fleet to
-	// reconnect.
+	// StormFraction, when positive, kills the connections of the first
+	// ⌊StormFraction·N⌋ client IDs halfway through the leg and requires
+	// the fleet to reconnect.
 	StormFraction float64
 	// Crash, when true, aborts the coordinator halfway through the
 	// leg (no Shutdown envelopes — a process-death simulation) and
@@ -62,9 +62,6 @@ type MatrixConfig struct {
 	// CheckpointDir backs crash legs' checkpoint stores (one subdir
 	// per leg). Required when any leg has Crash set.
 	CheckpointDir string
-	// RuntimeSample is the RuntimeCollector interval (default 1s; the
-	// harness also samples synchronously before every scrape).
-	RuntimeSample time.Duration
 }
 
 func (c MatrixConfig) withDefaults() MatrixConfig {
@@ -146,64 +143,40 @@ func RunMatrix(cfg MatrixConfig, legs []Leg) ([]LegResult, error) {
 	return results, nil
 }
 
-// RunLeg runs one scenario end to end: boot a coordinator with
-// telemetry and fleet endpoints, launch the fleet, drive the rounds
-// (injecting the leg's storm or crash), scrape throughout, and fold
-// the scrapes into a LegResult.
+// RunLeg runs one scenario end to end: boot the leg's topology — a
+// flat coordinator, or a root over leg.Shards shard coordinators —
+// with its telemetry and fleet endpoints, launch the fleet, drive the
+// rounds (injecting the leg's storm or crash), scrape throughout, and
+// fold the scrapes into a LegResult.
 func RunLeg(cfg MatrixConfig, leg Leg) (LegResult, error) {
 	cfg = cfg.withDefaults()
-	if leg.Shards > 1 {
-		return runShardedLeg(cfg, leg)
-	}
 	res := LegResult{Name: leg.Name, Clients: cfg.Fleet.N, Rounds: leg.Rounds, CrashResumedFrom: -1, StormRecoverySec: -1}
 	if leg.Mode == rounds.ModeAsync && leg.Deadline != 0 {
 		return res, fmt.Errorf("async leg cannot carry a deadline")
 	}
-
-	reg := telemetry.NewRegistry()
-	rc := telemetry.NewRuntimeCollector(reg, cfg.RuntimeSample)
-	rc.Start()
-	defer rc.Stop()
-	fleetReg := fleet.NewRegistry(cfg.Fleet.N, fleet.Options{Metrics: reg})
-
-	srv, httpAddr, err := bootServer(reg, fleetReg)
-	if err != nil {
-		return res, err
-	}
-	defer func() { srv.Close() }()
-
-	fl, err := StartFleet(cfg.Fleet, srv.Addr())
-	if err != nil {
-		return res, err
-	}
-	defer fl.Stop()
-	if _, err := srv.AcceptClients(cfg.Fleet.N); err != nil {
-		return res, fmt.Errorf("accept: %w", err)
-	}
-	srv.ServeReconnects()
-
 	var store *checkpoint.Store
 	if leg.Crash {
 		if cfg.CheckpointDir == "" {
 			return res, fmt.Errorf("crash leg needs MatrixConfig.CheckpointDir")
 		}
-		store, err = checkpoint.NewStore(filepath.Join(cfg.CheckpointDir, leg.Name), 2)
-		if err != nil {
+		var err error
+		if store, err = checkpoint.NewStore(filepath.Join(cfg.CheckpointDir, leg.Name), 2); err != nil {
 			return res, err
 		}
 	}
-	ccfg := flnet.CoordinatorConfig{
-		ClientsPerRound: leg.K,
-		Deadline:        leg.Deadline,
-		Mode:            leg.Mode,
-		Async:           leg.Async,
-		Metrics:         reg,
-		Fleet:           fleetReg,
-		Checkpoint:      store,
-		CheckpointEvery: 1,
+
+	reg := telemetry.NewRegistry()
+	rc := telemetry.NewRuntimeCollector(reg, 0)
+	rc.Start()
+	defer rc.Stop()
+	le := legEnv{cfg: cfg, leg: leg, reg: reg, fleetReg: fleet.NewRegistry(cfg.Fleet.N, fleet.Options{Metrics: reg}), store: store}
+	var topo topology = &flatTopology{legEnv: le}
+	if leg.Shards > 1 {
+		topo = &shardedTopology{legEnv: le, addr: "127.0.0.1:0"}
+		res.Shards = leg.Shards
 	}
-	strategySeed := stats.DeriveSeed(cfg.Fleet.Seed, 0x5e1ec7)
-	coord, err := flnet.NewCoordinator(srv, ccfg, NewUniformStrategy(strategySeed), make([]float64, cfg.ParamDim))
+	defer topo.stop()
+	run, httpAddr, err := topo.up()
 	if err != nil {
 		return res, err
 	}
@@ -227,12 +200,12 @@ func RunLeg(cfg MatrixConfig, leg Leg) (LegResult, error) {
 		return res, fmt.Errorf("baseline scrape failed: %s", res.ScrapeErrors[len(res.ScrapeErrors)-1])
 	}
 
-	stormAt, crashAt := -1, -1
-	if leg.StormFraction > 0 {
-		stormAt = leg.Rounds / 2
+	stormAt, crashAt := topo.faults(leg.Rounds)
+	if leg.StormFraction <= 0 {
+		stormAt = -1
 	}
-	if leg.Crash {
-		crashAt = leg.Rounds / 2
+	if !leg.Crash {
+		crashAt = -1
 	}
 	var stormStart time.Time
 	var reconnectsAtStorm float64
@@ -240,21 +213,21 @@ func RunLeg(cfg MatrixConfig, leg Leg) (LegResult, error) {
 	start := time.Now()
 	for r := 0; r < leg.Rounds; r++ {
 		if r == stormAt {
-			reconnectsAtStorm, _ = env.points[len(env.points)-1].e.Value("haccs_net_reconnects_total")
-			res.StormKilled = fl.Storm(int(leg.StormFraction * float64(cfg.Fleet.N)))
+			reconnectsAtStorm = env.points[len(env.points)-1].value("haccs_net_reconnects_total")
+			res.StormKilled = topo.storm()
 			stormStart = time.Now()
 		}
 		if r == crashAt {
-			coord, srv, scraper, err = crashAndResume(cfg, ccfg, strategySeed, srv, reg, fleetReg, fl, store)
-			if err != nil {
+			if run, httpAddr, err = crashAndRestore(topo, store); err != nil {
 				return res, fmt.Errorf("crash+resume at round %d: %w", r, err)
 			}
-			res.CrashResumedFrom = coord.NextRound()
+			scraper = NewScraper(httpAddr)
+			res.CrashResumedFrom = run.NextRound()
 			if res.CrashResumedFrom != r {
 				res.Notes = append(res.Notes, fmt.Sprintf("resumed from round %d, expected %d", res.CrashResumedFrom, r))
 			}
 		}
-		coord.RunRound(r)
+		run.RunRound(r)
 		// Scrape on cadence; during storm recovery scrape every round
 		// so the recovery time is tight.
 		if r%cfg.ScrapeEvery == 0 || (res.StormKilled > 0 && res.StormRecoverySec < 0) {
@@ -286,58 +259,140 @@ func RunLeg(cfg MatrixConfig, leg Leg) (LegResult, error) {
 	return res, nil
 }
 
-// bootServer builds a coordinator server with its observability
-// endpoint (/metrics plus /debug/fleet) on an ephemeral port.
-func bootServer(reg *telemetry.Registry, fleetReg *fleet.Registry) (*flnet.Server, string, error) {
-	srv, err := flnet.NewServer("127.0.0.1:0")
-	if err != nil {
-		return nil, "", err
-	}
-	httpAddr, err := srv.EnableTelemetry(reg, nil, nil, "127.0.0.1:0",
-		telemetry.WithEndpoint("/debug/fleet", fleet.Handler(fleetReg)))
-	if err != nil {
-		srv.Close()
-		return nil, "", err
-	}
-	return srv, httpAddr, nil
-}
-
-// crashAndResume is the PR-5 restart recipe under load: abort the
-// server (no farewells — clients see a dead coordinator), bring up a
-// fresh one, point the fleet at it, wait for every client to
-// re-register, rebuild the strategy and coordinator, and restore the
-// latest snapshot. The telemetry and fleet registries carry across the
-// crash (fleet state is additionally a checkpoint component, restored
+// crashAndRestore is the restart recipe under load: abort the
+// coordinator side (no farewells — its peers see it die), bring it up
+// again over the still-running fleet, and restore the latest snapshot.
+// The telemetry and fleet registries carry across the crash (fleet
+// state is additionally a checkpoint component, restored
 // bit-identically).
-func crashAndResume(cfg MatrixConfig, ccfg flnet.CoordinatorConfig, strategySeed uint64, old *flnet.Server, reg *telemetry.Registry, fleetReg *fleet.Registry, fl *Fleet, store *checkpoint.Store) (*flnet.Coordinator, *flnet.Server, *Scraper, error) {
-	if err := old.Abort(); err != nil {
-		return nil, nil, nil, fmt.Errorf("abort: %w", err)
+func crashAndRestore(topo topology, store *checkpoint.Store) (coordinator, string, error) {
+	if err := topo.abort(); err != nil {
+		return nil, "", fmt.Errorf("abort: %w", err)
 	}
-	srv, httpAddr, err := bootServer(reg, fleetReg)
+	run, httpAddr, err := topo.up()
 	if err != nil {
-		return nil, nil, nil, err
-	}
-	fl.SetTarget(srv.Addr())
-	if _, err := srv.AcceptClients(cfg.Fleet.N); err != nil {
-		srv.Close()
-		return nil, nil, nil, fmt.Errorf("re-accept: %w", err)
-	}
-	srv.ServeReconnects()
-	coord, err := flnet.NewCoordinator(srv, ccfg, NewUniformStrategy(strategySeed), make([]float64, cfg.ParamDim))
-	if err != nil {
-		srv.Close()
-		return nil, nil, nil, err
+		return nil, "", err
 	}
 	snap, err := store.LoadLatest()
 	if err != nil {
-		srv.Close()
-		return nil, nil, nil, fmt.Errorf("load snapshot: %w", err)
+		return nil, "", fmt.Errorf("load snapshot: %w", err)
 	}
-	if err := coord.Restore(snap); err != nil {
-		srv.Close()
-		return nil, nil, nil, fmt.Errorf("restore: %w", err)
+	if err := run.Restore(snap); err != nil {
+		return nil, "", fmt.Errorf("restore: %w", err)
 	}
-	return coord, srv, NewScraper(httpAddr), nil
+	return run, httpAddr, nil
+}
+
+// topology is the coordinator side a leg runs on, together with the
+// fleet it serves: flat (one flnet coordinator) or sharded (a root
+// aggregator over shard coordinators). RunLeg drives either through
+// the same loop, scrapes and summary.
+type topology interface {
+	// up brings the coordinator side up — the first time together with
+	// the fleet, after abort over the running fleet — and returns its
+	// round runtime and observability address.
+	up() (coordinator, string, error)
+	// abort kills the coordinator side without farewells: a crash.
+	abort() error
+	// storm closes the leg's storm victims' connections and returns
+	// how many it closed.
+	storm() int
+	// faults places the storm and the crash in a leg of n rounds.
+	faults(n int) (stormAt, crashAt int)
+	// stop tears down everything up started.
+	stop()
+}
+
+// coordinator is the round runtime a topology builds:
+// *flnet.Coordinator or *shard.Root.
+type coordinator interface {
+	RunRound(round int) rounds.Outcome
+	Restore(snap *checkpoint.Snapshot) error
+	NextRound() int
+}
+
+// legEnv is what every topology builds its runtime from: the leg, the
+// registries that outlive a crash, and the checkpoint store.
+type legEnv struct {
+	cfg      MatrixConfig
+	leg      Leg
+	reg      *telemetry.Registry
+	fleetReg *fleet.Registry
+	store    *checkpoint.Store
+}
+
+// strategy is the leg's selector, seeded the same on every (re)build.
+func (e *legEnv) strategy() rounds.Strategy {
+	return NewUniformStrategy(stats.DeriveSeed(e.cfg.Fleet.Seed, 0x5e1ec7))
+}
+
+// flatTopology is one flnet coordinator over the whole fleet. The storm
+// and the crash both land halfway; a restarted coordinator binds a new
+// port and the fleet is pointed at it.
+type flatTopology struct {
+	legEnv
+	srv *flnet.Server
+	fl  *Fleet
+}
+
+func (t *flatTopology) up() (coordinator, string, error) {
+	var err error
+	if t.srv, err = flnet.NewServer("127.0.0.1:0"); err != nil {
+		return nil, "", err
+	}
+	httpAddr, err := t.srv.EnableTelemetry(t.reg, nil, "127.0.0.1:0",
+		telemetry.WithEndpoint("/debug/fleet", fleet.Handler(t.fleetReg)))
+	if err != nil {
+		return nil, "", err
+	}
+	if t.fl == nil {
+		if t.fl, err = StartFleet(t.cfg.Fleet, t.srv.Addr()); err != nil {
+			return nil, "", err
+		}
+	} else {
+		t.fl.SetTarget(t.srv.Addr())
+	}
+	if _, err := t.srv.AcceptClients(t.cfg.Fleet.N); err != nil {
+		return nil, "", fmt.Errorf("accept: %w", err)
+	}
+	t.srv.ServeReconnects()
+	coord, err := flnet.NewCoordinator(t.srv, flnet.CoordinatorConfig{
+		ClientsPerRound: t.leg.K,
+		Deadline:        t.leg.Deadline,
+		Mode:            t.leg.Mode,
+		Async:           t.leg.Async,
+		Metrics:         t.reg,
+		Fleet:           t.fleetReg,
+		Checkpoint:      t.store,
+		CheckpointEvery: 1,
+	}, t.strategy(), make([]float64, t.cfg.ParamDim))
+	if err != nil {
+		return nil, "", err
+	}
+	return coord, httpAddr, nil
+}
+
+func (t *flatTopology) abort() error { return t.srv.Abort() }
+
+// storm closes the connections of the first ⌊StormFraction·N⌋ client
+// IDs.
+func (t *flatTopology) storm() int {
+	ids := make([]int, int(t.leg.StormFraction*float64(t.cfg.Fleet.N)))
+	for i := range ids {
+		ids[i] = i
+	}
+	return t.fl.Storm(ids)
+}
+
+func (t *flatTopology) faults(n int) (int, int) { return n / 2, n / 2 }
+
+func (t *flatTopology) stop() {
+	if t.fl != nil {
+		t.fl.Stop()
+	}
+	if t.srv != nil {
+		t.srv.Close()
+	}
 }
 
 // summarize folds the scrape series into the result's headline
@@ -360,4 +415,7 @@ func summarize(res *LegResult, base, final scrapePoint, env *envelope) {
 	res.GoroutinesMax = env.max("haccs_runtime_goroutines")
 	res.GCPauseP99 = env.max("haccs_runtime_gc_pause_p99_seconds")
 	res.SchedP99 = env.max("haccs_runtime_sched_latency_p99_seconds")
+	// Root series: absent on a flat leg, so these read 0 there.
+	res.ShardReconnects = final.value("haccs_root_shard_reconnects_total") - base.value("haccs_root_shard_reconnects_total")
+	res.RootAggP99 = final.value("haccs_root_aggregate_seconds", [2]string{"quantile", "0.99"})
 }

@@ -333,6 +333,11 @@ func (c *roundCore) credit(id int, r Result, staleness int) {
 	c.taus = append(c.taus, staleness)
 }
 
+// Reports returns the updates credited in the last round, in credit
+// order — the order of the Outcome's Reporters. The slice, and the
+// Summary and Stats it carries, are valid until the next round.
+func (c *roundCore) Reports() []Result { return c.reps }
+
 // fail records clients whose transport died: they are dead — excluded
 // from availability from now on — and counted and traced as failed.
 func (c *roundCore) fail(round int, ids []int) {

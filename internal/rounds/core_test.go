@@ -38,6 +38,11 @@ func TestSyncOutcomeRule(t *testing.T) {
 			reporters: []int{0, 1}, roundTime: 3,
 		},
 		{
+			name:     "latency equal to the deadline: a reporter, not a cut",
+			selected: []int{0, 2}, deadline: 3,
+			reporters: []int{0, 1}, roundTime: 3,
+		},
+		{
 			name:     "failure without a deadline: the missing client's expected reply time",
 			selected: []int{0, 4, 1}, failed: []bool{false, true, false},
 			reporters: []int{0, 2}, failedIDs: []int{4}, roundTime: 20,

@@ -349,14 +349,6 @@ func NewHierDriver(cfg Config, hier HierConfig, shards []ShardProxy, strategy St
 // Version returns the root model version — aggregations applied so far.
 func (d *HierDriver) Version() int { return d.version }
 
-// Owner returns the shard slot owning a client, or -1 if out of range.
-func (d *HierDriver) Owner(id int) int {
-	if id < 0 || id >= len(d.owner) {
-		return -1
-	}
-	return d.owner[id]
-}
-
 // ShardStatuses returns the per-shard view after the last completed
 // round, in shard slot order. The slice is freshly allocated.
 func (d *HierDriver) ShardStatuses() []ShardStatus {

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"haccs/internal/fleet"
 	"haccs/internal/flnet"
 	"haccs/internal/rounds"
 	"haccs/internal/session"
@@ -67,6 +66,9 @@ type Agent struct {
 	roster  []rounds.ShardClient
 	latency map[int]float64
 	hello   Hello
+	// proxies train the roster's clients through the server, in roster
+	// order — the async local driver's dense client index.
+	proxies flnet.Transport
 
 	mu     sync.Mutex
 	conn   net.Conn
@@ -84,17 +86,6 @@ type Agent struct {
 	localRound  int
 	baseVersion int
 	prev        []float64
-	globalIDs   []int // local dense index -> global ID
-	lastResults []asyncResult
-}
-
-// asyncResult is the per-client metadata the local async transport
-// captured at the client's last training exchange, consumed when the
-// buffered update flushes.
-type asyncResult struct {
-	samples int
-	summary []float64
-	stats   *fleet.ClientStats
 }
 
 // NewAgent builds the agent over an already-seated shard server: the
@@ -123,6 +114,7 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 		cfg:     cfg,
 		roster:  make([]rounds.ShardClient, len(regs)),
 		latency: make(map[int]float64, len(regs)),
+		proxies: make(flnet.Transport, len(regs)),
 	}
 	for i, r := range regs {
 		if r.ClientID < 0 {
@@ -130,6 +122,7 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 		}
 		a.roster[i] = rounds.ShardClient{ID: r.ClientID, Latency: r.LatencyEstimate}
 		a.latency[r.ClientID] = r.LatencyEstimate
+		a.proxies[i] = cfg.Server.Proxy(r, nil)
 	}
 	reps, counts, dim := buildReps(regs)
 	a.hello = Hello{
@@ -394,10 +387,10 @@ func (a *Agent) execAsync(cmd *rounds.ShardCmd) *Report {
 	a.localRound++
 	rep.LocalClock = a.local.Clock()
 	for _, local := range out.Failed {
-		rep.Failed = append(rep.Failed, a.globalIDs[local])
+		rep.Failed = append(rep.Failed, a.roster[local].ID)
 	}
 	for _, local := range out.Cut {
-		rep.Cut = append(rep.Cut, a.globalIDs[local])
+		rep.Cut = append(rep.Cut, a.roster[local].ID)
 	}
 	if !out.Aggregated {
 		return rep
@@ -407,38 +400,20 @@ func (a *Agent) execAsync(cmd *rounds.ShardCmd) *Report {
 		delta[i] = v - a.prev[i]
 	}
 	rep.Partial = delta
-	for i, local := range out.Reporters {
-		last := a.lastResults[local]
-		n := last.samples
-		if n <= 0 {
-			n = 1
-		}
-		rep.Reporters = append(rep.Reporters, rounds.Result{
-			ClientID:   a.globalIDs[local],
-			NumSamples: n,
-			Loss:       out.Losses[i],
-			Summary:    last.summary,
-			Stats:      last.stats,
-		})
-		rep.Samples += n
+	for _, r := range a.local.Reports() {
+		r.ClientID = a.roster[r.ClientID].ID
+		rep.Reporters = append(rep.Reporters, r)
+		rep.Samples += r.NumSamples
 	}
 	return rep
 }
 
-// buildLocalDriver assembles the async local runtime: a dense local
-// index over the shard's global IDs, proxies that train through the
-// local flnet server while capturing per-client metadata for the
-// flush, a derived-seed uniform strategy under the root's θ budget,
-// and the shared buffered async driver over a dim-wide model.
+// buildLocalDriver assembles the async local runtime: the roster's
+// flnet proxies under a dense local index, a derived-seed uniform
+// strategy under the root's θ budget, and the shared buffered async
+// driver over a dim-wide model.
 func (a *Agent) buildLocalDriver(dim int) error {
 	m := len(a.roster)
-	a.globalIDs = make([]int, m)
-	a.lastResults = make([]asyncResult, m)
-	proxies := make([]rounds.Proxy, m)
-	for i, c := range a.roster {
-		a.globalIDs[i] = c.ID
-		proxies[i] = &localProxy{agent: a, local: i, global: c.ID, latency: c.Latency}
-	}
 	budget := a.ack.Budget
 	if budget < 1 {
 		budget = 1
@@ -459,43 +434,7 @@ func (a *Agent) buildLocalDriver(dim int) error {
 		return fmt.Errorf("shard %d: local async driver: %w", a.cfg.ShardID, err)
 	}
 	seed := stats.DeriveSeed(a.cfg.StrategySeed, uint64(a.cfg.ShardID))
-	a.local = rounds.NewAsyncDriver(cfg, acfg, localTransport{proxies}, rounds.NewUniformStrategy(seed), make([]float64, dim))
+	a.local = rounds.NewAsyncDriver(cfg, acfg, a.proxies, rounds.NewUniformStrategy(seed), make([]float64, dim))
 	a.prev = make([]float64, dim)
 	return nil
 }
-
-// localTransport adapts the shard's client sessions to the local async
-// driver.
-type localTransport struct{ proxies []rounds.Proxy }
-
-func (t localTransport) Proxies() []rounds.Proxy { return t.proxies }
-func (t localTransport) Parallelism() int        { return len(t.proxies) }
-
-// localProxy trains one shard-owned client through the flnet server,
-// capturing the reply metadata for the next flush report.
-type localProxy struct {
-	agent   *Agent
-	local   int
-	global  int
-	latency float64
-}
-
-func (p *localProxy) Train(round, worker, slot int, params []float64, sc telemetry.SpanContext) (rounds.Result, error) {
-	reply, err := p.agent.cfg.Server.Train(p.global, round, params, sc)
-	if err != nil {
-		return rounds.Result{}, err
-	}
-	p.agent.lastResults[p.local] = asyncResult{
-		samples: reply.NumSamples,
-		summary: reply.UpdatedLabelCounts,
-		stats:   reply.Stats,
-	}
-	return rounds.Result{
-		ClientID:   p.local,
-		Params:     reply.Params,
-		NumSamples: reply.NumSamples,
-		Loss:       reply.Loss,
-	}, nil
-}
-
-func (p *localProxy) Latency() float64 { return p.latency }

@@ -1,10 +1,13 @@
 package shard
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 
 	"haccs/internal/checkpoint"
@@ -38,6 +41,9 @@ type RootServer struct {
 	// dim is the model dimension, the only non-zero length a Report's
 	// partial may announce; 0 until the plan is set.
 	dim int
+	// statuses is the /debug/shards view the Root publishes at every
+	// round boundary, so the handler never reads the driver mid-round.
+	statuses []rounds.ShardStatus
 }
 
 // NewRootServer listens on addr (use "127.0.0.1:0" for an ephemeral
@@ -73,14 +79,61 @@ func readHello(dec *session.Codec) (int, Hello, error) {
 func (s *RootServer) Addr() string { return s.sess.Addr() }
 
 // EnableTelemetry attaches a metrics registry (the shard-reconnect
-// counter) and, when httpAddr is non-empty, mounts /metrics and
-// /debug/trace on it, plus the endpoints passed as options — the root
-// adds /debug/shards and the shard-filtered /debug/fleet (see
-// session.Server.EnableTelemetry). The server itself emits no trace
-// events, so the tracer argument is unused: the root's events come
-// from the RootConfig's Tracer.
-func (s *RootServer) EnableTelemetry(reg *telemetry.Registry, _ telemetry.Tracer, ring *telemetry.RingSink, httpAddr string, opts ...telemetry.ServeOption) (string, error) {
-	return s.sess.EnableTelemetry(reg, ring, httpAddr, opts...)
+// counter) and, when httpAddr is non-empty, serves the root's
+// observability endpoint there: /metrics and /debug/trace (see
+// session.Server.EnableTelemetry), /debug/shards — the per-shard
+// statuses the Root publishes at each round boundary — and, when
+// fleetReg is non-nil, /debug/fleet over the merged fleet registry.
+// The root's trace events come from the RootConfig's Tracer.
+func (s *RootServer) EnableTelemetry(reg *telemetry.Registry, httpAddr string, fleetReg *fleet.Registry) (string, error) {
+	opts := []telemetry.ServeOption{telemetry.WithEndpoint("/debug/shards", http.HandlerFunc(s.serveShards))}
+	if fleetReg != nil {
+		opts = append(opts, telemetry.WithEndpoint("/debug/fleet", s.fleetHandler(fleetReg)))
+	}
+	return s.sess.EnableTelemetry(reg, nil, httpAddr, opts...)
+}
+
+// serveShards writes the published shard statuses as indented JSON.
+func (s *RootServer) serveShards(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(s.shardStatuses()); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	}
+}
+
+// fleetHandler serves reg like fleet.Handler, plus ?shard=<id>: only
+// the clients in that shard's Hello roster are kept. The fleet-wide
+// aggregates (rounds, clock, fairness) stay global — they describe the
+// run, not the slice.
+func (s *RootServer) fleetHandler(reg *fleet.Registry) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		st := reg.State()
+		if q := req.URL.Query().Get("shard"); q != "" {
+			id, err := strconv.Atoi(q)
+			if err != nil {
+				http.Error(w, "shard: ?shard= must be an integer shard ID", http.StatusBadRequest)
+				return
+			}
+			s.mu.Lock()
+			roster := s.hellos[id].Clients
+			s.mu.Unlock()
+			owned := make(map[int]bool, len(roster))
+			for _, c := range roster {
+				owned[c.ID] = true
+			}
+			st.Clients = slices.DeleteFunc(st.Clients, func(c fleet.ClientHealth) bool { return !owned[c.ID] })
+		}
+		fleet.Serve(w, req, st)
+	})
+}
+
+// shardStatuses returns a copy of the last published view.
+func (s *RootServer) shardStatuses() []rounds.ShardStatus {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return slices.Clone(s.statuses)
 }
 
 // AcceptShards blocks until n distinct shards have said Hello (or an
@@ -294,11 +347,6 @@ type Root struct {
 	reg    *telemetry.Registry
 
 	budgets map[int]int
-
-	// statuses is the /debug/shards view, refreshed at every round
-	// boundary so the handler never reads the driver mid-round.
-	mu       sync.Mutex
-	statuses []rounds.ShardStatus
 }
 
 // rootProxy adapts one shard session to the hierarchical driver.
@@ -358,13 +406,13 @@ func NewRoot(srv *RootServer, cfg RootConfig, strategy rounds.Strategy, initial 
 		return nil, fmt.Errorf("shard: %w", err)
 	}
 	r := &Root{
-		srv:      srv,
-		driver:   driver,
-		Run:      rounds.NewRun(driver, rcfg, strategy, cfg.Arch, cfg.Checkpoint, cfg.CheckpointEvery),
-		reg:      cfg.Metrics,
-		budgets:  make(map[int]int, len(hellos)),
-		statuses: driver.ShardStatuses(),
+		srv:     srv,
+		driver:  driver,
+		Run:     rounds.NewRun(driver, rcfg, strategy, cfg.Arch, cfg.Checkpoint, cfg.CheckpointEvery),
+		reg:     cfg.Metrics,
+		budgets: make(map[int]int, len(hellos)),
 	}
+	r.refreshStatuses()
 	acks := make(map[int]Ack, len(hellos))
 	for i, h := range hellos {
 		r.budgets[h.ShardID] = budgets[i]
@@ -416,26 +464,18 @@ func (r *Root) RunRound(round int) rounds.Outcome {
 	return out
 }
 
+// refreshStatuses publishes the driver's shard view to the server.
 func (r *Root) refreshStatuses() {
 	st := r.driver.ShardStatuses()
-	r.mu.Lock()
-	r.statuses = st
-	r.mu.Unlock()
+	r.srv.mu.Lock()
+	r.srv.statuses = st
+	r.srv.mu.Unlock()
 }
 
 // ShardStatuses returns the per-shard view after the last completed
-// round. Safe to call concurrently with RunRound (it reads the copy
-// refreshed at each round boundary), which is what the /debug/shards
-// handler does.
-func (r *Root) ShardStatuses() []rounds.ShardStatus {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]rounds.ShardStatus(nil), r.statuses...)
-}
-
-// Owner returns the shard slot owning a client (see
-// rounds.HierDriver.Owner); used by the shard-filtered fleet view.
-func (r *Root) Owner(clientID int) int { return r.driver.Owner(clientID) }
+// round, as /debug/shards serves it. Safe to call concurrently with
+// RunRound: it reads the copy published at each round boundary.
+func (r *Root) ShardStatuses() []rounds.ShardStatus { return r.srv.shardStatuses() }
 
 // Driver exposes the underlying hierarchical runtime.
 func (r *Root) Driver() *rounds.HierDriver { return r.driver }

@@ -1,14 +1,19 @@
 package shard
 
 import (
+	"encoding/json"
 	"net"
+	"net/http"
+	"slices"
 	"testing"
 	"time"
 
 	"haccs/internal/checkpoint"
+	"haccs/internal/fleet"
 	"haccs/internal/flnet"
 	"haccs/internal/rounds"
 	"haccs/internal/session"
+	"haccs/internal/telemetry"
 )
 
 // intTrainer returns the deterministic integer trainer used across the
@@ -389,5 +394,76 @@ func TestAsyncOverTCP(t *testing.T) {
 			t.Errorf("shard %d base version %d lags version %d past the resync cadence",
 				st.ID, st.BaseVersion, root.Driver().Version())
 		}
+	}
+}
+
+// TestRootDebugEndpoints reads the root's own debug surface after one
+// sync round over two three-client shards: /debug/shards lists both,
+// and /debug/fleet?shard= keeps one shard's clients while the
+// fleet-wide aggregates stay global.
+func TestRootDebugEndpoints(t *testing.T) {
+	rootSrv, err := NewRootServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rootSrv.Shutdown() })
+	fleetReg := fleet.NewRegistry(6, fleet.Options{})
+	httpAddr, err := rootSrv.EnableTelemetry(telemetry.NewRegistry(), "127.0.0.1:0", fleetReg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	startAgent(t, 0, []int{0, 2, 4}, testDim, rootSrv.Addr())
+	startAgent(t, 1, []int{1, 3, 5}, testDim, rootSrv.Addr())
+	if _, err := rootSrv.AcceptShards(2); err != nil {
+		t.Fatal(err)
+	}
+	rootSrv.ServeReconnects()
+	root, err := NewRoot(rootSrv, RootConfig{ClientsPerRound: 4, Fleet: fleetReg},
+		&fixedStrategy{[]int{0, 1, 2, 3, 4, 5}}, make([]float64, testDim))
+	if err != nil {
+		t.Fatal(err)
+	}
+	root.RunRound(0)
+
+	get := func(path string, into any) int {
+		t.Helper()
+		resp, err := http.Get("http://" + httpAddr + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode == http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+		}
+		return resp.StatusCode
+	}
+
+	var statuses []rounds.ShardStatus
+	if code := get("/debug/shards", &statuses); code != http.StatusOK {
+		t.Fatalf("/debug/shards: HTTP %d", code)
+	}
+	if len(statuses) != 2 || statuses[0].Clients != 3 || statuses[1].Clients != 3 {
+		t.Fatalf("/debug/shards = %+v", statuses)
+	}
+
+	var st fleet.State
+	if code := get("/debug/fleet?shard=1", &st); code != http.StatusOK {
+		t.Fatalf("/debug/fleet?shard=1: HTTP %d", code)
+	}
+	var ids []int
+	for _, c := range st.Clients {
+		ids = append(ids, c.ID)
+	}
+	if !slices.Equal(ids, []int{1, 3, 5}) {
+		t.Errorf("shard 1 clients = %v, want [1 3 5]", ids)
+	}
+	if st.Rounds != 1 {
+		t.Errorf("fleet-wide rounds = %d, want 1", st.Rounds)
+	}
+
+	if code := get("/debug/fleet?shard=x", &st); code != http.StatusBadRequest {
+		t.Errorf("/debug/fleet?shard=x: HTTP %d, want 400", code)
 	}
 }
