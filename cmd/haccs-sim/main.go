@@ -233,9 +233,8 @@ func main() {
 	}
 	if *dropout > 0 {
 		cfg.Dropout = simnet.TransientDropout{
-			Rate:   *dropout,
-			Seed:   stats.DeriveSeed(*seed, 13),
-			NewRNG: func(s uint64) interface{ Float64() float64 } { return stats.NewRNG(s) },
+			Rate: *dropout,
+			Seed: stats.DeriveSeed(*seed, 13),
 		}
 	}
 

@@ -46,9 +46,8 @@ func main() {
 	// The identical dropout schedule hits both strategies (the paper
 	// seeds its RNGs so the same devices drop for every strategy).
 	dropout := simnet.TransientDropout{
-		Rate:   dropoutRate,
-		Seed:   stats.DeriveSeed(seed, 5),
-		NewRNG: func(s uint64) interface{ Float64() float64 } { return stats.NewRNG(s) },
+		Rate: dropoutRate,
+		Seed: stats.DeriveSeed(seed, 5),
 	}
 	cfg := fl.Config{
 		Arch:                nn.Arch{Kind: "mlp", In: spec.FeatureDim(), Hidden: []int{32}, Classes: classes},

@@ -74,27 +74,11 @@ func GradientDistanceMatrix(grads [][]float64) *cluster.Matrix {
 	})
 }
 
-// ClusterGradients runs the server-side pipeline on gradient summaries:
-// OPTICS + silhouette extraction with noise singletonized, mirroring the
-// histogram path.
-func ClusterGradients(grads [][]float64, minPts int) []int {
-	if minPts <= 0 {
-		minPts = 2
-	}
-	m := GradientDistanceMatrix(grads)
-	res := cluster.OPTICS(m, minPts, math.Inf(1))
-	labels := res.ExtractBestSilhouette(m, pxyMinSilhouette)
-	next := 0
-	for _, l := range labels {
-		if l >= next {
-			next = l + 1
-		}
-	}
-	for i, l := range labels {
-		if l == cluster.Noise {
-			labels[i] = next
-			next++
-		}
-	}
+// ClusterGradients runs the server-side clustering step on gradient
+// summaries: clusterMatrix over their cosine distances at the P(X|y)
+// threshold, with noise singletonized, as on the histogram path.
+func ClusterGradients(grads [][]float64) []int {
+	labels, next, _ := clusterMatrix(nil, GradientDistanceMatrix(grads), pxyMinSilhouette)
+	singletonize(labels, next)
 	return labels
 }

@@ -99,7 +99,7 @@ func TestGradientSummariesClusterByMajority(t *testing.T) {
 			truth = append(truth, major)
 		}
 	}
-	labels := ClusterGradients(grads, 2)
+	labels := ClusterGradients(grads)
 	if cluster.NumClusters(labels) != 3 {
 		t.Fatalf("gradient clustering found %d clusters, want 3: %v", cluster.NumClusters(labels), labels)
 	}
@@ -114,7 +114,7 @@ func TestClusterGradientsSingletonizesNoise(t *testing.T) {
 		{1, 0.01, 0}, {1, -0.01, 0}, {1, 0, 0.01},
 		{-1, 0, 0},
 	}
-	labels := ClusterGradients(grads, 2)
+	labels := ClusterGradients(grads)
 	for i, l := range labels {
 		if l == cluster.Noise {
 			t.Fatalf("client %d left as noise", i)

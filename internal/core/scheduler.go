@@ -40,13 +40,6 @@ type Config struct {
 	// (eq. 7): high rho favours fast clusters, low rho favours
 	// high-loss clusters. The value must lie in [0, 1].
 	Rho float64
-	// MinPts is the OPTICS density parameter (default 2).
-	MinPts int
-	// EpsPrime is the reachability-plot extraction threshold; 0 selects
-	// automatic silhouette-scored extraction.
-	EpsPrime float64
-	// InitLoss seeds unknown client losses before first training.
-	InitLoss float64
 	// IntraCluster picks the device-within-cluster policy (default
 	// PickFastest, the published algorithm).
 	IntraCluster IntraClusterPolicy
@@ -66,38 +59,38 @@ type Config struct {
 	// Sketch parameterizes the sketch backend; ignored for
 	// DenseBackend. The zero value selects sensible defaults.
 	Sketch SketchOptions
-	// MinSilhouette is the structure threshold for automatic extraction
-	// (0 picks a kind-dependent default). P(y) distances are well spread
-	// and use cluster.DefaultMinSilhouette; P(X|y) distances live on a
-	// compressed scale — per-class Hellinger terms are averaged — so a
-	// lower threshold is needed, which also reproduces the paper's
-	// observation that P(X|y) "identified a few clusters even though the
-	// data was IID" (§V-D1).
-	MinSilhouette float64
 }
 
 func (c *Config) fillDefaults() {
 	if c.Rho < 0 || c.Rho > 1 {
 		panic(fmt.Sprintf("core: rho %v outside [0,1]", c.Rho))
 	}
-	if c.MinPts <= 0 {
-		c.MinPts = 2
-	}
-	if c.InitLoss <= 0 {
-		c.InitLoss = 2.3
-	}
-	if c.MinSilhouette <= 0 {
-		if c.Kind == PXY {
-			c.MinSilhouette = pxyMinSilhouette
-		} else {
-			c.MinSilhouette = cluster.DefaultMinSilhouette
-		}
-	}
 }
 
-// pxyMinSilhouette is the default structure threshold for P(X|y)
-// summaries (see Config.MinSilhouette).
+// Algorithm 1's fixed parameters. minPts is the OPTICS density
+// parameter, and initLoss seeds every client's loss before it first
+// trains (≈ ln 10, an untrained model's cross-entropy over ten classes).
+const (
+	minPts   = 2
+	initLoss = 2.3
+)
+
+// pxyMinSilhouette is the structure threshold of the silhouette-scored
+// extraction for P(X|y) summaries and gradient summaries. P(y) distances
+// are well spread and use cluster.DefaultMinSilhouette; P(X|y) distances
+// live on a compressed scale — per-class Hellinger terms are averaged —
+// so a lower threshold is needed, which also reproduces the paper's
+// observation that P(X|y) "identified a few clusters even though the
+// data was IID" (§V-D1).
 const pxyMinSilhouette = 0.12
+
+// minSilhouette returns the structure threshold for a summary kind.
+func minSilhouette(k SummaryKind) float64 {
+	if k == PXY {
+		return pxyMinSilhouette
+	}
+	return cluster.DefaultMinSilhouette
+}
 
 // Scheduler is the HACCS client-selection strategy (Algorithm 1). It
 // clusters clients by summary distance once at initialization, then each
@@ -216,7 +209,7 @@ func (s *Scheduler) Init(clients []fl.ClientInfo, rng *stats.RNG) {
 	s.lastLoss = make([]float64, len(clients))
 	for _, c := range clients {
 		s.latency[c.ID] = c.Latency
-		s.lastLoss[c.ID] = s.cfg.InitLoss
+		s.lastLoss[c.ID] = initLoss
 	}
 	s.rankByLatency()
 	s.sel.picked = make([]bool, len(clients))
@@ -232,45 +225,80 @@ func (s *Scheduler) recluster() {
 	}
 	start := time.Now()
 	m := DistanceMatrix(s.summaries)
-	res := cluster.InstrumentedOPTICS(s.cfg.Metrics, m, s.cfg.MinPts, math.Inf(1))
-	var labels []int
-	if s.cfg.EpsPrime > 0 {
-		labels = res.ExtractDBSCAN(s.cfg.EpsPrime)
-	} else {
-		labels = res.ExtractBestSilhouette(m, s.cfg.MinSilhouette)
-	}
-	cluster.ObserveClusterCount(s.cfg.Metrics, "optics", labels)
-	// Noise points become singleton clusters: the paper values OPTICS
-	// precisely because it can refuse to force dissimilar clients into a
-	// cluster, but every device must remain schedulable, and a singleton
-	// preserves "each distinguishable distribution is represented".
-	next := 0
+	labels, next, res := clusterMatrix(s.cfg.Metrics, m, minSilhouette(s.cfg.Kind))
+	singletonize(labels, next)
+	s.mu.Lock()
+	s.publishLocked(labels, nil, m, res) // the dense UpdateSummaries does not keep the sums
+	n := len(s.clusters)
+	s.mu.Unlock()
+	s.reclustered(start, n)
+}
+
+// clusterMatrix is Algorithm 1's clustering step over a distance
+// matrix: OPTICS at minPts, the silhouette-scored cut of its
+// reachability plot (minSil is the score a cut must reach to count as
+// structure), and the cluster-count gauge.
+// It returns the labels, with noise still cluster.Noise, and one past
+// the largest cluster label — where singletonize starts numbering.
+func clusterMatrix(reg *telemetry.Registry, m *cluster.Matrix, minSil float64) (labels []int, next int, res *cluster.OPTICSResult) {
+	res = cluster.InstrumentedOPTICS(reg, m, minPts, math.Inf(1))
+	labels = res.ExtractBestSilhouette(m, minSil)
+	cluster.ObserveClusterCount(reg, "optics", labels)
 	for _, l := range labels {
-		if l >= next {
-			next = l + 1
-		}
+		next = max(next, l+1)
 	}
+	return labels, next, res
+}
+
+// singletonize turns every noise label into a singleton cluster of its
+// own, numbered from next up in index order, and returns the next free
+// label. The paper values OPTICS precisely because it can refuse to
+// force dissimilar clients into a cluster, but every device must remain
+// schedulable, and a singleton preserves "each distinguishable
+// distribution is represented".
+func singletonize(labels []int, next int) int {
 	for i, l := range labels {
 		if l == cluster.Noise {
 			labels[i] = next
 			next++
 		}
 	}
-	s.mu.Lock()
+	return next
+}
+
+// Cluster runs Algorithm 1's clustering on a summary set without a
+// scheduler — the distance matrix, clusterMatrix at the kind's
+// threshold, and singletonize — and returns each summary's cluster.
+func Cluster(summaries []Summary) []int {
+	labels, next, _ := clusterMatrix(nil, DistanceMatrix(summaries), minSilhouette(summaries[0].Kind))
+	singletonize(labels, next)
+	return labels
+}
+
+// publishLocked installs a clustering just computed: the labels, the
+// membership and running sums (prev as rebuildLocked takes it), fresh
+// drift baselines, and the distance summary, order and reachability of
+// the OPTICS run behind it. Both backends call it inside the one locked
+// section that publishes a re-clustering. Callers hold s.mu.
+func (s *Scheduler) publishLocked(labels, prev []int, m *cluster.Matrix, res *cluster.OPTICSResult) {
 	s.labels = labels
-	s.rebuildLocked(nil) // the dense UpdateSummaries does not keep the sums
+	s.rebuildLocked(prev)
 	s.setBaselinesLocked(s.captureBaselines())
 	s.distance = introspect.SummarizeDistances(m)
 	s.order = append([]int(nil), res.Order...)
 	s.reach = introspect.EncodeReachability(res.Reach)
-	s.mu.Unlock()
+}
+
+// reclustered reports a published re-clustering of n clusters that
+// began at start: the trace event and the cluster-count gauge.
+func (s *Scheduler) reclustered(start time.Time, n int) {
 	if s.cfg.Tracer != nil {
 		// Round -1: clustering happens at Init and on summary updates,
 		// outside any specific round.
-		s.cfg.Tracer.Emit(telemetry.Reclustered(-1, len(s.clusters), time.Since(start).Seconds()))
+		s.cfg.Tracer.Emit(telemetry.Reclustered(-1, n, time.Since(start).Seconds()))
 	}
 	if s.cfg.Metrics != nil {
-		s.cfg.Metrics.Gauge("haccs_clusters", "Schedulable clusters after noise singletonization.").Set(float64(len(s.clusters)))
+		s.cfg.Metrics.Gauge("haccs_clusters", "Schedulable clusters after noise singletonization.").Set(float64(n))
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -11,8 +10,6 @@ import (
 	"haccs/internal/cluster"
 	"haccs/internal/introspect"
 	"haccs/internal/sketch"
-	"haccs/internal/stats"
-	"haccs/internal/telemetry"
 )
 
 // ClusterBackend selects how the scheduler turns summaries into
@@ -66,18 +63,13 @@ func ParseClusterBackend(s string) (ClusterBackend, error) {
 const DefaultDriftThreshold = 0.1
 
 // SketchOptions parameterizes the sketch backend. The zero value is
-// fully usable: default sketch width, seed 0, the index's default
-// attach radius, and DefaultDriftThreshold.
+// fully usable: default sketch width, seed 0, and DefaultDriftThreshold.
 type SketchOptions struct {
 	// Dim is the sketch width (0 selects sketch.DefaultDim).
 	Dim int
 	// Seed drives the sketch projection; any fixed value is fine, equal
 	// values give bit-identical sketches.
 	Seed uint64
-	// AttachRadius is the sketch-space distance within which a client
-	// attaches to an existing representative (0 selects
-	// sketch.DefaultAttachRadius).
-	AttachRadius float64
 	// DriftThreshold triggers a full recluster when any cluster's
 	// label-centroid Hellinger drift exceeds it (0 selects
 	// DefaultDriftThreshold, negative disables drift reclustering).
@@ -93,34 +85,23 @@ const introspectAssignCap = 2048
 // fields are written on the round-driver loop under Scheduler.mu
 // (SelectionState and the checkpoint layer read them concurrently).
 //
-// Encoding per summary kind:
+// The index holds each client's summary through the encoder with a
+// sketcher (summary.go):
 //
 //   - P(y): the encoded vector is the sketch of the label amplitude
 //     √P(y) — width Dim, compared with the default Euclidean/√2 sketch
 //     distance, which is exactly Hellinger whenever the class count
 //     fits the sketch (the common case).
-//   - P(X|y): one sketch block of width blockDim per class (the
-//     sketched per-class amplitude √P(X|c)) followed by one clamped
-//     mass entry per class (-1 marks a class absent from the device).
-//     pxyMetric recombines the blocks with the same prevalence-weighted
-//     average the dense path computes — bit-identical to it when the
-//     feature bins fit the block, a low-error estimate otherwise. A
-//     flat joint embedding cannot express this metric (the weights
-//     depend on both endpoints), which is why the encoding keeps the
-//     per-class structure.
+//   - P(X|y): one sketched per-class amplitude √P(X|c) per block, then
+//     the per-class masses, compared with pxyMetric — bit-identical to
+//     the dense path when the feature bins fit the block, a low-error
+//     estimate otherwise.
 type sketchState struct {
-	sketcher *sketch.Sketcher
-	index    *sketch.Index
-	metric   sketch.Metric // nil for P(y); pxyMetric for P(X|y)
-	attach   float64       // resolved attach radius (kind-dependent default)
-	classes  int           // P(X|y): class count
-	// width is the encoded-vector width: Dim for P(y),
-	// classes·blockDim + classes for P(X|y).
-	width int
-	// amp and scratch are reusable buffers for the amplitude and
-	// encoded vector of one client — the steady-state assignment path
-	// allocates nothing.
-	amp     []float64
+	enc    *encoder
+	index  *sketch.Index
+	attach float64 // attach radius: sketch.DefaultAttachRadius for P(y), pxyAttachRadius for P(X|y)
+	// scratch is the reusable encoded vector of one client — the
+	// steady-state assignment path allocates nothing.
 	scratch []float64
 	// repLabels maps representative -> cluster label; representatives
 	// born after the last full recluster get fresh singleton labels.
@@ -131,41 +112,7 @@ type sketchState struct {
 	reclusters int
 }
 
-// pxyMetric computes, over two encoded P(X|y) vectors, the identical
-// prevalence-weighted average the dense path's Distance computes over
-// raw summaries (see weightedAverageHellinger): per-class Hellinger
-// distances weighted by the classes' clamped mass on the two clients,
-// classes present on only one side contributing the maximal distance 1.
-type pxyMetric struct {
-	classes  int
-	blockDim int
-}
-
-// Distance implements sketch.Metric without allocating.
-func (m pxyMetric) Distance(a, b []float64) float64 {
-	massA := a[m.classes*m.blockDim:]
-	massB := b[m.classes*m.blockDim:]
-	num, den := 0.0, 0.0
-	for c := 0; c < m.classes; c++ {
-		wa, wb := math.Max(0, massA[c]), math.Max(0, massB[c])
-		w := wa + wb
-		if w <= 0 {
-			continue
-		}
-		d := 1.0
-		if massA[c] >= 0 && massB[c] >= 0 {
-			d = stats.AmplitudeDistance(a[c*m.blockDim:(c+1)*m.blockDim], b[c*m.blockDim:(c+1)*m.blockDim])
-		}
-		num += w * d
-		den += w
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
-
-// pxyAttachRadius is the default attach radius on the P(X|y) metric.
+// pxyAttachRadius is the attach radius on the P(X|y) metric.
 // The prevalence-weighted average compresses distances relative to raw
 // Hellinger — per-class sampling noise is averaged down — so both
 // within-distribution spread and between-distribution separation sit
@@ -177,75 +124,15 @@ func (m pxyMetric) Distance(a, b []float64) float64 {
 // distributions the dense path separates.
 const pxyAttachRadius = 0.03
 
-// newSketchState sizes the buffers and picks the encoding from the
-// summary population.
+// newSketchState builds the sketching encoder for the summary
+// population and picks the kind's attach radius.
 func newSketchState(cfg Config, summaries []Summary) *sketchState {
-	st := &sketchState{attach: cfg.Sketch.AttachRadius}
-	if cfg.Kind == PY {
-		st.sketcher = sketch.New(sketch.Config{Dim: cfg.Sketch.Dim, Seed: cfg.Sketch.Seed})
-		st.width = st.sketcher.Dim()
-		st.amp = make([]float64, summaries[0].Label.Bins())
-	} else {
-		st.classes = len(summaries[0].Feature)
-		bins := featureBins(summaries)
-		// The per-class block defaults to the histogram resolution
-		// itself when that is no wider than a full sketch — the blocks
-		// embed exactly and the metric matches the dense path bit for
-		// bit; wider feature histograms compress into Dim-wide blocks.
-		dim := cfg.Sketch.Dim
-		if dim <= 0 && bins <= sketch.DefaultDim {
-			dim = bins
-		}
-		st.sketcher = sketch.New(sketch.Config{Dim: dim, Seed: cfg.Sketch.Seed})
-		st.metric = pxyMetric{classes: st.classes, blockDim: st.sketcher.Dim()}
-		st.width = st.classes*st.sketcher.Dim() + st.classes
-		st.amp = make([]float64, bins)
-		if st.attach <= 0 {
-			st.attach = pxyAttachRadius
-		}
+	st := &sketchState{enc: newEncoder(summaries, &cfg.Sketch), attach: sketch.DefaultAttachRadius}
+	if cfg.Kind == PXY {
+		st.attach = pxyAttachRadius
 	}
-	st.scratch = make([]float64, st.width)
+	st.scratch = make([]float64, st.enc.width)
 	return st
-}
-
-// featureBins returns the per-class histogram resolution shared by the
-// population's P(X|y) summaries.
-func featureBins(summaries []Summary) int {
-	for _, s := range summaries {
-		for _, h := range s.Feature {
-			if h != nil {
-				return h.Bins()
-			}
-		}
-	}
-	return DefaultFeatureBins
-}
-
-// encodeInto writes the summary's encoded vector into dst (width
-// st.width) without allocating. Clamping and empty-histogram fallbacks
-// mirror stats.Histogram.Normalize, so exactly-embedded encodings
-// reproduce the dense path's distances bit for bit.
-func (st *sketchState) encodeInto(dst []float64, s Summary) {
-	if s.Kind == PY {
-		stats.AmplitudeInto(st.amp, s.Label.Counts)
-		st.sketcher.SketchInto(dst, st.amp)
-		return
-	}
-	bd := st.sketcher.Dim()
-	mass := dst[st.classes*bd:]
-	for c, h := range s.Feature {
-		block := dst[c*bd : (c+1)*bd]
-		if h == nil {
-			for i := range block {
-				block[i] = 0
-			}
-			mass[c] = -1
-			continue
-		}
-		mass[c] = math.Max(0, h.Total())
-		stats.AmplitudeInto(st.amp, h.Counts)
-		st.sketcher.SketchInto(block, st.amp)
-	}
 }
 
 // observeLocked encodes client id's current summary and routes it
@@ -253,7 +140,7 @@ func (st *sketchState) encodeInto(dst []float64, s Summary) {
 // newly founded representatives. Callers hold Scheduler.mu.
 func (s *Scheduler) observeLocked(id int) (rep int, created bool) {
 	sk := s.sk
-	sk.encodeInto(sk.scratch, s.summaries[id])
+	sk.enc.encodeInto(sk.scratch, s.summaries[id])
 	rep, created = sk.index.Observe(id, sk.scratch)
 	if created {
 		sk.repLabels = append(sk.repLabels, sk.nextLabel)
@@ -284,7 +171,7 @@ func (s *Scheduler) reclusterSketch(carry bool) {
 	// The old index, which only this loop writes, supplies each search's
 	// hint: where the previous client from the same old representative
 	// landed. Hints change the cost of a search, never its result.
-	idx := sketch.NewIndex(n, sk.width, sk.attach, sk.metric)
+	idx := sketch.NewIndex(n, sk.enc.width, sk.attach, sk.enc.metric())
 	old := sk.index
 	var landed []int // old representative -> new representative of its latest client
 	if old != nil {
@@ -294,7 +181,7 @@ func (s *Scheduler) reclusterSketch(carry bool) {
 		}
 	}
 	for id := 0; id < n; id++ {
-		sk.encodeInto(sk.scratch, s.summaries[id])
+		sk.enc.encodeInto(sk.scratch, s.summaries[id])
 		from, hint := -1, -1
 		if old != nil {
 			if from = old.Assignment(id); from >= 0 {
@@ -324,13 +211,7 @@ func (s *Scheduler) reclusterSketch(carry bool) {
 	vrep := make([]int, 0, 2*k) // virtual point -> representative
 	first := make([]int, k)     // representative -> its first virtual point
 	for r := 0; r < k; r++ {
-		copies := idx.Count(r)
-		if copies > s.cfg.MinPts {
-			copies = s.cfg.MinPts
-		}
-		if copies < 1 {
-			copies = 1
-		}
+		copies := max(1, min(idx.Count(r), minPts))
 		first[r] = len(vrep)
 		for t := 0; t < copies; t++ {
 			vrep = append(vrep, r)
@@ -342,31 +223,15 @@ func (s *Scheduler) reclusterSketch(carry bool) {
 		}
 		return idx.RepDistance(vrep[i], vrep[j])
 	})
-	res := cluster.InstrumentedOPTICS(s.cfg.Metrics, m, s.cfg.MinPts, math.Inf(1))
-	var vlabels []int
-	if s.cfg.EpsPrime > 0 {
-		vlabels = res.ExtractDBSCAN(s.cfg.EpsPrime)
-	} else {
-		vlabels = res.ExtractBestSilhouette(m, s.cfg.MinSilhouette)
-	}
-	cluster.ObserveClusterCount(s.cfg.Metrics, "optics", vlabels)
+	vlabels, next, res := clusterMatrix(s.cfg.Metrics, m, minSilhouette(s.cfg.Kind))
 	// Collapse virtual copies back to representatives, then turn noise
-	// representatives into singleton clusters, exactly as noise clients
-	// are singletonized on the dense path.
+	// representatives into singleton clusters numbered after the largest
+	// virtual label, exactly as noise clients are on the dense path.
 	repLabels := make([]int, k)
-	next := 0
-	for _, l := range vlabels {
-		if l >= next {
-			next = l + 1
-		}
-	}
-	for r := 0; r < k; r++ {
+	for r := range repLabels {
 		repLabels[r] = vlabels[first[r]]
-		if repLabels[r] == cluster.Noise {
-			repLabels[r] = next
-			next++
-		}
 	}
+	next = singletonize(repLabels, next)
 	labels := make([]int, n)
 	for id := 0; id < n; id++ {
 		labels[id] = repLabels[idx.Assignment(id)]
@@ -376,27 +241,19 @@ func (s *Scheduler) reclusterSketch(carry bool) {
 		prev = s.labels
 	}
 
+	// The distance/reachability introspection describes the K
+	// representatives (the set OPTICS actually saw), not the N clients.
 	s.mu.Lock()
 	sk.index = idx
 	sk.repLabels = repLabels
 	sk.nextLabel = next
 	sk.reclusters++
-	s.labels = labels
-	s.rebuildLocked(prev)
-	s.setBaselinesLocked(s.captureBaselines())
-	// The distance/reachability introspection describes the K
-	// representatives (the set OPTICS actually saw), not the N clients.
-	s.distance = introspect.SummarizeDistances(m)
-	s.order = append([]int(nil), res.Order...)
-	s.reach = introspect.EncodeReachability(res.Reach)
+	s.publishLocked(labels, prev, m, res)
 	numClusters := len(s.clusters)
 	s.mu.Unlock()
 
-	if s.cfg.Tracer != nil {
-		s.cfg.Tracer.Emit(telemetry.Reclustered(-1, numClusters, time.Since(start).Seconds()))
-	}
+	s.reclustered(start, numClusters)
 	if s.cfg.Metrics != nil {
-		s.cfg.Metrics.Gauge("haccs_clusters", "Schedulable clusters after noise singletonization.").Set(float64(numClusters))
 		s.cfg.Metrics.Gauge("haccs_sketch_representatives", "Representatives backing the sketch clustering.").Set(float64(k))
 	}
 }
@@ -451,7 +308,7 @@ func (s *Scheduler) sketchSelectionStateLocked() *introspect.SketchState {
 		return nil
 	}
 	st := &introspect.SketchState{
-		Dim:             sk.sketcher.Dim(),
+		Dim:             sk.enc.block,
 		AttachRadius:    sk.index.AttachRadius(),
 		Representatives: sk.index.Len(),
 		RepLabels:       append([]int(nil), sk.repLabels...),
@@ -533,7 +390,7 @@ func (c sketchCheckpoint) RestoreState(data []byte) error {
 	// scheduler as it was, and refuse rep labels observeLocked could not
 	// route on: one label per representative, none negative, and the next
 	// label above all of them.
-	idx := sketch.NewIndex(s.sk.index.NumClients(), s.sk.width, s.sk.attach, s.sk.metric)
+	idx := sketch.NewIndex(s.sk.index.NumClients(), s.sk.enc.width, s.sk.attach, s.sk.enc.metric())
 	if err := idx.Restore(st.Index); err != nil {
 		return err
 	}

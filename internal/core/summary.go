@@ -12,6 +12,7 @@ import (
 
 	"haccs/internal/cluster"
 	"haccs/internal/dataset"
+	"haccs/internal/sketch"
 	"haccs/internal/stats"
 )
 
@@ -170,60 +171,146 @@ func weightedAverageHellinger(a, b []*stats.Histogram) float64 {
 	return num / den
 }
 
-// amplitudes caches the per-summary quantities every pairwise distance
-// needs, so the O(N²) matrix build pays the normalize+sqrt work O(N)
-// times instead of once per pair. For PY the single amplitude vector is
-// the whole story; for PXY the per-class amplitude vectors and clamped
-// class masses feed the prevalence-weighted average.
-type amplitudes struct {
+// encoder writes summaries as the flat vectors every distance in the
+// clustering step reads: the dense matrix, the sketch index and its
+// representative clustering alike. Each summary is one block per class
+// (P(y) has one) holding the amplitude √p of its histogram, followed,
+// for P(X|y), by one clamped mass entry per class (−1 marks a class
+// absent from the device). With a sketcher each amplitude is sketched
+// into its block; without one (the dense matrix) the block is the
+// amplitude itself, so distance reproduces Distance bit for bit.
+type encoder struct {
 	kind     SummaryKind
-	joint    []float64   // PY: √P(y)
-	perClass [][]float64 // PXY: per-class √P(X|c), nil where the class is absent
-	mass     []float64   // PXY: clamped per-class mass (the prevalence weights)
+	sketcher *sketch.Sketcher // nil: blocks are the amplitudes themselves
+	classes  int              // P(X|y): class count
+	block    int              // block width
+	width    int              // encoded vector width: block, or classes·(block+1)
+	amp      []float64        // one amplitude (histogram width); scratch when sketching
 }
 
-// summaryAmplitudes precomputes one amplitudes record per summary.
-func summaryAmplitudes(summaries []Summary) []amplitudes {
-	out := make([]amplitudes, len(summaries))
-	for i, s := range summaries {
-		out[i] = amplitudes{kind: s.Kind}
-		switch s.Kind {
-		case PY:
-			out[i].joint = s.Label.Amplitude()
-		case PXY:
-			out[i].perClass = make([][]float64, len(s.Feature))
-			out[i].mass = make([]float64, len(s.Feature))
-			for c, h := range s.Feature {
-				if h != nil {
-					out[i].perClass[c] = h.Amplitude()
-					out[i].mass[c] = math.Max(0, h.Total())
-				}
+// newEncoder sizes an encoder for the population's summary shape. A nil
+// sketch selects the exact encoding; otherwise its Dim and Seed drive
+// the sketcher. P(X|y)'s block defaults to the histogram resolution
+// itself when that is no wider than a full sketch, so its blocks embed
+// exactly and only wider feature histograms compress into Dim-wide
+// blocks.
+func newEncoder(summaries []Summary, sk *SketchOptions) *encoder {
+	e := &encoder{kind: summaries[0].Kind}
+	bins := 0
+	if e.kind == PY {
+		bins = summaries[0].Label.Bins()
+	} else {
+		e.classes = len(summaries[0].Feature)
+		bins = featureBins(summaries)
+	}
+	e.amp, e.block = make([]float64, bins), bins
+	if sk != nil {
+		dim := sk.Dim
+		if e.kind == PXY && dim <= 0 && bins <= sketch.DefaultDim {
+			dim = bins
+		}
+		e.sketcher = sketch.New(sketch.Config{Dim: dim, Seed: sk.Seed})
+		e.block = e.sketcher.Dim()
+	}
+	e.width = e.block
+	if e.kind == PXY {
+		e.width = e.classes * (e.block + 1)
+	}
+	return e
+}
+
+// featureBins returns the per-class histogram resolution shared by the
+// population's P(X|y) summaries.
+func featureBins(summaries []Summary) int {
+	for _, s := range summaries {
+		for _, h := range s.Feature {
+			if h != nil {
+				return h.Bins()
 			}
-		default:
-			panic("core: amplitudes on malformed summary")
 		}
 	}
-	return out
+	return DefaultFeatureBins
 }
 
-// distance computes the same value as Distance(a, b) — bit for bit, the
-// float64 operations are identical — from the precomputed amplitudes.
-func (a *amplitudes) distance(b *amplitudes) float64 {
-	if a.kind == PY {
-		return stats.AmplitudeDistance(a.joint, b.joint)
+// encodeInto writes the summary's encoded vector into dst (width
+// e.width). It allocates nothing, and panics on a summary whose kind,
+// class count or histogram width differs from the population's.
+func (e *encoder) encodeInto(dst []float64, s Summary) {
+	if s.Kind != e.kind {
+		panic("core: summary kind mismatch with the population")
 	}
-	if len(a.perClass) != len(b.perClass) {
+	if e.kind == PY {
+		e.blockInto(dst, s.Label)
+		return
+	}
+	if len(s.Feature) != e.classes {
 		panic("core: PXY summaries with different class counts")
 	}
+	mass := dst[e.classes*e.block:]
+	for c, h := range s.Feature {
+		block := dst[c*e.block : (c+1)*e.block]
+		if h == nil {
+			clear(block)
+			mass[c] = -1
+			continue
+		}
+		mass[c] = math.Max(0, h.Total())
+		e.blockInto(block, h)
+	}
+}
+
+// blockInto writes one histogram's amplitude, sketched when the encoder
+// sketches, into block.
+func (e *encoder) blockInto(block []float64, h *stats.Histogram) {
+	if len(h.Counts) != len(e.amp) {
+		panic(fmt.Sprintf("core: histogram of %d bins in a population of %d", len(h.Counts), len(e.amp)))
+	}
+	if e.sketcher == nil {
+		stats.AmplitudeInto(block, h.Counts)
+		return
+	}
+	stats.AmplitudeInto(e.amp, h.Counts)
+	e.sketcher.SketchInto(block, e.amp)
+}
+
+// metric is the distance over encoded vectors: nil for P(y), where the
+// sketch index's Euclidean/√2 default and the dense matrix's
+// stats.AmplitudeDistance run the same arithmetic, and pxyMetric for
+// P(X|y).
+func (e *encoder) metric() sketch.Metric {
+	if e.kind == PY {
+		return nil
+	}
+	return pxyMetric{classes: e.classes, blockDim: e.block}
+}
+
+// pxyMetric computes, over two encoded P(X|y) vectors, Distance's
+// prevalence-weighted average (see weightedAverageHellinger), in the
+// same float64 operations: per-class Hellinger distances weighted by
+// the classes' clamped mass on the two clients, a class present on only
+// one side contributing the maximal distance 1. An absent class's mass
+// of −1 clamps to weight 0. A flat joint embedding cannot express this
+// metric (the weights depend on both endpoints), which is why the
+// encoding keeps the per-class structure.
+type pxyMetric struct {
+	classes  int
+	blockDim int
+}
+
+// Distance implements sketch.Metric without allocating.
+func (m pxyMetric) Distance(a, b []float64) float64 {
+	massA := a[m.classes*m.blockDim:]
+	massB := b[m.classes*m.blockDim:]
 	num, den := 0.0, 0.0
-	for c := range a.perClass {
-		w := a.mass[c] + b.mass[c]
+	for c := 0; c < m.classes; c++ {
+		wa, wb := math.Max(0, massA[c]), math.Max(0, massB[c])
+		w := wa + wb
 		if w <= 0 {
 			continue
 		}
 		d := 1.0
-		if a.perClass[c] != nil && b.perClass[c] != nil {
-			d = stats.AmplitudeDistance(a.perClass[c], b.perClass[c])
+		if massA[c] >= 0 && massB[c] >= 0 {
+			d = stats.AmplitudeDistance(a[c*m.blockDim:(c+1)*m.blockDim], b[c*m.blockDim:(c+1)*m.blockDim])
 		}
 		num += w * d
 		den += w
@@ -235,14 +322,24 @@ func (a *amplitudes) distance(b *amplitudes) float64 {
 }
 
 // DistanceMatrix computes all pairwise summary distances — the server's
-// first step before clustering (Algorithm 1's distMatrix). Each client's
-// amplitude (√p) vectors are computed once and shared across all N−1
-// pairs they appear in; the pair loop itself is banded across workers by
-// cluster.FromFunc's strided rows.
+// first step before clustering (Algorithm 1's distMatrix). Each summary
+// is encoded once, exactly (no sketcher), and the encoding is shared
+// across all N−1 pairs it appears in; the pair loop itself is banded
+// across workers by cluster.FromFunc's strided rows. Every entry equals
+// Distance of the two summaries bit for bit.
 func DistanceMatrix(summaries []Summary) *cluster.Matrix {
-	pre := summaryAmplitudes(summaries)
+	e := newEncoder(summaries, nil)
+	dist := stats.AmplitudeDistance
+	if m := e.metric(); m != nil {
+		dist = m.Distance
+	}
+	w := e.width
+	vecs := make([]float64, len(summaries)*w)
+	for i, s := range summaries {
+		e.encodeInto(vecs[i*w:(i+1)*w], s)
+	}
 	return cluster.FromFunc(len(summaries), func(i, j int) float64 {
-		return pre[i].distance(&pre[j])
+		return dist(vecs[i*w:(i+1)*w], vecs[j*w:(j+1)*w])
 	})
 }
 

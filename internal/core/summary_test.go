@@ -160,22 +160,58 @@ func TestDistanceKindMismatchPanics(t *testing.T) {
 	Distance(Summarize(d, PY, 0), Summarize(d, PXY, 8))
 }
 
+// TestDistanceMatrixSymmetricBounded pins DistanceMatrix to the
+// reference Distance bit for bit, for both summary kinds, clean and
+// noised, with an all-negative histogram and absent classes in the
+// roster. 65 clients make 2080 pairs, past cluster.FromFunc's serial
+// threshold, so with more than one processor the rows are built in
+// bands.
 func TestDistanceMatrixSymmetricBounded(t *testing.T) {
-	var sums []Summary
-	for major := 0; major < 5; major++ {
-		sums = append(sums, Summarize(makeClientSet(t, major, 200), PY, 0))
+	var sets []*dataset.Dataset
+	for i := 0; i < 65; i++ {
+		sets = append(sets, makeClientSet(t, i%5, 40+i))
 	}
-	m := DistanceMatrix(sums)
-	for i := 0; i < m.Len(); i++ {
-		for j := 0; j < m.Len(); j++ {
-			d := m.At(i, j)
-			if d < 0 || d > 1 {
-				t.Fatalf("distance (%d,%d) = %v outside [0,1]", i, j, d)
+	for _, kind := range []SummaryKind{PY, PXY} {
+		for _, eps := range []float64{0, 1, 0.05} {
+			sums := BuildSummaries(sets, kind, 8, eps, stats.NewRNG(6))
+			if kind == PY {
+				sums[0].Label = &stats.Histogram{Counts: []float64{-1, -2, -0.5, -3, -1}}
+			} else {
+				// Every client lacks one of the five classes already
+				// (MajorityNoise draws four); client 1 loses another.
+				sums[0].Feature[0] = &stats.Histogram{Counts: []float64{-1, -2, -0.5, -3, -1, -4, -2, -1}}
+				sums[1].Feature[1] = nil
 			}
-			if math.Abs(d-m.At(j, i)) > 1e-15 {
-				t.Fatalf("asymmetric matrix")
+			m := DistanceMatrix(sums)
+			for i := range sums {
+				for j := range sums {
+					d := m.At(i, j)
+					if d < 0 || d > 1 {
+						t.Fatalf("%v eps=%v: distance (%d,%d) = %v outside [0,1]", kind, eps, i, j, d)
+					}
+					if want := Distance(sums[i], sums[j]); math.Float64bits(d) != math.Float64bits(want) {
+						t.Fatalf("%v eps=%v: matrix (%d,%d) = %v, Distance = %v", kind, eps, i, j, d, want)
+					}
+				}
 			}
 		}
+	}
+
+	// A histogram whose width differs from the population's panics.
+	for _, sums := range [][]Summary{
+		{{Kind: PY, Label: &stats.Histogram{Counts: []float64{1, 2, 3}}},
+			{Kind: PY, Label: &stats.Histogram{Counts: []float64{1, 2}}}},
+		{{Kind: PXY, Feature: []*stats.Histogram{{Counts: []float64{1, 2, 3}}, nil}},
+			{Kind: PXY, Feature: []*stats.Histogram{{Counts: []float64{1, 2}}, {Counts: []float64{4, 5, 6}}}}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%v: no panic on a width mismatch", sums[0].Kind)
+				}
+			}()
+			DistanceMatrix(sums)
+		}()
 	}
 }
 

@@ -58,7 +58,7 @@ func RunClusteringAblation(scale Scale, eps float64, seed uint64) *ClusteringAbl
 		DBSCANAcc:   map[float64]float64{},
 		GroundTruth: classes,
 	}
-	ab.OPTICSAcc = cluster.ExactRecovery(clusterLabelsFor(sums), plan.Group)
+	ab.OPTICSAcc = cluster.ExactRecovery(core.Cluster(sums), plan.Group)
 	for _, radius := range dbscanRadiusGrid {
 		labels := cluster.DBSCAN(m, radius, 2)
 		ab.DBSCANAcc[radius] = cluster.ExactRecovery(labels, plan.Group)

@@ -41,9 +41,8 @@ func asyncEngine(t *testing.T, stratIdx int, store *checkpoint.Store) (*fl.Engin
 	ec.EvalEvery = 2
 	ec.Record = true
 	ec.Dropout = simnet.TransientDropout{
-		Rate:   0.15,
-		Seed:   9,
-		NewRNG: func(s uint64) interface{ Float64() float64 } { return stats.NewRNG(s) },
+		Rate: 0.15,
+		Seed: 9,
 	}
 	cfg := ec.ToFL(w, asyncSeed)
 	cfg.Mode = rounds.ModeAsync

@@ -6,7 +6,6 @@ import (
 	"haccs/internal/core"
 	"haccs/internal/fl"
 	"haccs/internal/simnet"
-	"haccs/internal/stats"
 )
 
 // TestAllStrategiesConformance drives every selection strategy —
@@ -27,9 +26,8 @@ func TestAllStrategiesConformance(t *testing.T) {
 			ec.EvalEvery = 4
 			ec.Record = true
 			ec.Dropout = simnet.TransientDropout{
-				Rate:   0.25,
-				Seed:   7,
-				NewRNG: func(s uint64) interface{ Float64() float64 } { return stats.NewRNG(s) },
+				Rate: 0.25,
+				Seed: 7,
 			}
 			s := buildStrategyForRun(w, i, 0, 0.75, 99)
 			res := fl.NewEngine(ec.ToFL(w, 99), w.Clients, s).Run()

@@ -103,9 +103,8 @@ func RunFig6(scale Scale, seed uint64) *CompareReport {
 		// paper.
 		ecCopy := ec
 		ecCopy.Dropout = simnet.TransientDropout{
-			Rate:   0.10,
-			Seed:   stats.DeriveSeed(s, seedMisc+2),
-			NewRNG: func(x uint64) interface{ Float64() float64 } { return stats.NewRNG(x) },
+			Rate: 0.10,
+			Seed: stats.DeriveSeed(s, seedMisc+2),
 		}
 		return buildStandardWorkload("femnist", 20, scale, s), ecCopy
 	}

@@ -10,7 +10,6 @@ import (
 
 	"haccs/internal/fl"
 	"haccs/internal/simnet"
-	"haccs/internal/stats"
 )
 
 // The golden trajectories below were captured from the pre-refactor
@@ -89,9 +88,8 @@ func goldenRun(t *testing.T, stratIdx int, withDropout bool, parallelism int) *f
 	ec.Record = true
 	if withDropout {
 		ec.Dropout = simnet.TransientDropout{
-			Rate:   0.2,
-			Seed:   9,
-			NewRNG: func(s uint64) interface{ Float64() float64 } { return stats.NewRNG(s) },
+			Rate: 0.2,
+			Seed: 9,
 		}
 	}
 	s := buildStrategyForRun(w, stratIdx, 0, 0.75, seed)

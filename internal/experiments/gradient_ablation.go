@@ -49,7 +49,7 @@ func RunGradientAblation(scale Scale, seed uint64) *GradientAblation {
 
 	// P(y) reference clustering.
 	py := core.BuildSummaries(w.TrainSets, core.PY, 0, 0, stats.NewRNG(stats.DeriveSeed(seed, seedNoise)))
-	pyLabels := clusterLabelsFor(py)
+	pyLabels := core.Cluster(py)
 
 	// Gradient clustering at the initial global model.
 	model := w.Arch.Build(stats.NewRNG(stats.DeriveSeed(seed, seedEngine)))
@@ -59,7 +59,7 @@ func RunGradientAblation(scale Scale, seed uint64) *GradientAblation {
 	for i, d := range w.TrainSets {
 		grads0[i] = core.GradientSummary(scratch, params0, d)
 	}
-	labels0 := core.ClusterGradients(grads0, 2)
+	labels0 := core.ClusterGradients(grads0)
 
 	// Advance the global model with a plain random-selection run, then
 	// recompute gradient summaries at the new parameters.
@@ -71,7 +71,7 @@ func RunGradientAblation(scale Scale, seed uint64) *GradientAblation {
 	for i, d := range w.TrainSets {
 		gradsK[i] = core.GradientSummary(scratch, res.FinalParams, d)
 	}
-	labelsK := core.ClusterGradients(gradsK, 2)
+	labelsK := core.ClusterGradients(gradsK)
 
 	return &GradientAblation{
 		GradRecoveryRound0:  cluster.ExactRecovery(labels0, truth),

@@ -9,7 +9,6 @@ import (
 	"haccs/internal/fl"
 	"haccs/internal/fleet"
 	"haccs/internal/simnet"
-	"haccs/internal/stats"
 )
 
 // The resume suite is the checkpoint subsystem's acceptance gate: for
@@ -40,9 +39,8 @@ func resumeEngine(t *testing.T, stratIdx int, store *checkpoint.Store) (*fl.Engi
 	ec.EvalEvery = 2
 	ec.Record = true
 	ec.Dropout = simnet.TransientDropout{
-		Rate:   0.15,
-		Seed:   9,
-		NewRNG: func(s uint64) interface{ Float64() float64 } { return stats.NewRNG(s) },
+		Rate: 0.15,
+		Seed: 9,
 	}
 	cfg := ec.ToFL(w, resumeSeed)
 	cfg.RoundDeadline = 6 // cuts the slowest selected clients most rounds

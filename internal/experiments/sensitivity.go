@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"haccs/internal/cluster"
@@ -155,7 +154,7 @@ func RunFig8a(scale Scale, seed uint64) *Fig8aReport {
 			accs := make([]float64, trials)
 			for trial := 0; trial < trials; trial++ {
 				sums := core.BuildSummaries(sets, core.PY, 0, eps, noiseRNG)
-				labels := clusterLabelsFor(sums)
+				labels := core.Cluster(sums)
 				accs[trial] = cluster.ExactRecovery(labels, truth)
 			}
 			mean, hw := stats.MeanCI95(accs)
@@ -165,29 +164,6 @@ func RunFig8a(scale Scale, seed uint64) *Fig8aReport {
 		}
 	}
 	return report
-}
-
-// clusterLabelsFor runs the HACCS server-side clustering pipeline on a
-// summary set (distance matrix -> OPTICS -> auto extraction) without a
-// full scheduler.
-func clusterLabelsFor(sums []core.Summary) []int {
-	m := core.DistanceMatrix(sums)
-	res := cluster.OPTICS(m, 2, math.Inf(1))
-	labels := res.ExtractBestSilhouette(m, 0)
-	// Singletonize noise, mirroring the scheduler.
-	next := 0
-	for _, l := range labels {
-		if l >= next {
-			next = l + 1
-		}
-	}
-	for i, l := range labels {
-		if l == cluster.Noise {
-			labels[i] = next
-			next++
-		}
-	}
-	return labels
 }
 
 // Accuracy returns the mean clustering accuracy for an (eps, size) cell.

@@ -69,10 +69,6 @@ type Config struct {
 	// Metrics, when non-nil, receives engine-level counters, gauges and
 	// histograms (see DESIGN.md "Observability" for the name contract).
 	Metrics *telemetry.Registry
-	// OnSummary, when non-nil, receives refreshed client summaries
-	// piggybacked on training replies (unused by the simulated local
-	// transport today; part of the shared round-driver contract).
-	OnSummary func(clientID int, labelCounts []float64)
 	// Fleet, when non-nil, is the per-client health registry fed one
 	// observation per round by the driver (see internal/fleet). On the
 	// in-process transport its latency statistics are simulated virtual
@@ -264,7 +260,6 @@ func NewEngine(cfg Config, clients []*Client, strategy Strategy) *Engine {
 		Tracer:          cfg.Tracer,
 		Spans:           cfg.Spans,
 		Metrics:         cfg.Metrics,
-		OnSummary:       cfg.OnSummary,
 		Fleet:           cfg.Fleet,
 	}
 	// The engine's configuration is written by the experiment code, so

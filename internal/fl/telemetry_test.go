@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"haccs/internal/simnet"
-	"haccs/internal/stats"
 	"haccs/internal/telemetry"
 )
 
@@ -143,9 +142,8 @@ func TestRunDropoutEvents(t *testing.T) {
 	base.ClientsPerRound = 6
 	base.RecordSelections = true
 	base.Dropout = simnet.TransientDropout{
-		Rate:   0.3,
-		Seed:   99,
-		NewRNG: func(s uint64) interface{ Float64() float64 } { return stats.NewRNG(s) },
+		Rate: 0.3,
+		Seed: 99,
 	}
 
 	run := func(traced bool) (*Result, *telemetry.MemorySink) {

@@ -144,9 +144,6 @@ type Client struct {
 	// round; a non-nil return piggybacks a refreshed P(y) summary on the
 	// reply (§IV-C adaptation). Most clients leave it nil.
 	SummaryRefresh func(round int) []float64
-	// LocalEpochs, when positive, is reported in the per-round stats
-	// block as the number of local epochs the Trainer runs per request.
-	LocalEpochs int
 }
 
 // Run connects to the coordinator, registers, and serves training
@@ -200,7 +197,6 @@ func (c *Client) Serve(conn net.Conn) (rounds int, err error) {
 					TrainWallSec: wall,
 					Samples:      n,
 					Loss:         loss,
-					Epochs:       c.LocalEpochs,
 				},
 			}
 			if sc := env.Request.Trace; !sc.Zero() {

@@ -3,6 +3,8 @@ package simnet
 import (
 	"fmt"
 	"math"
+
+	"haccs/internal/stats"
 )
 
 // DropoutModel decides which clients are unavailable in a given epoch.
@@ -30,9 +32,6 @@ func (NoDropout) Unavailable(epoch, n int) []bool { return make([]bool, n) }
 type TransientDropout struct {
 	Rate float64
 	Seed uint64
-	// NewRNG constructs the per-epoch stream; injected so the package
-	// does not depend on stats directly.
-	NewRNG func(seed uint64) interface{ Float64() float64 }
 }
 
 // Unavailable implements DropoutModel.
@@ -40,7 +39,7 @@ func (t TransientDropout) Unavailable(epoch, n int) []bool {
 	if t.Rate < 0 || t.Rate > 1 {
 		panic("simnet: TransientDropout rate out of [0,1]")
 	}
-	r := t.NewRNG(t.Seed ^ (uint64(epoch)+1)*0x9e3779b97f4a7c15)
+	r := stats.NewRNG(t.Seed ^ (uint64(epoch)+1)*0x9e3779b97f4a7c15)
 	mask := make([]bool, n)
 	for i := range mask {
 		mask[i] = r.Float64() < t.Rate

@@ -3,15 +3,12 @@ package simnet
 import (
 	"strings"
 	"testing"
-
-	"haccs/internal/stats"
 )
 
 func transient(rate float64, seed uint64) TransientDropout {
 	return TransientDropout{
-		Rate:   rate,
-		Seed:   seed,
-		NewRNG: func(s uint64) interface{ Float64() float64 } { return stats.NewRNG(s) },
+		Rate: rate,
+		Seed: seed,
 	}
 }
 

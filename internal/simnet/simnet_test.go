@@ -140,12 +140,8 @@ func TestNoDropout(t *testing.T) {
 	}
 }
 
-func newRNGAdapter(seed uint64) interface{ Float64() float64 } {
-	return stats.NewRNG(seed)
-}
-
 func TestTransientDropoutRate(t *testing.T) {
-	d := TransientDropout{Rate: 0.1, Seed: 7, NewRNG: newRNGAdapter}
+	d := TransientDropout{Rate: 0.1, Seed: 7}
 	down := 0
 	epochs, n := 400, 50
 	for e := 0; e < epochs; e++ {
@@ -162,7 +158,7 @@ func TestTransientDropoutRate(t *testing.T) {
 }
 
 func TestTransientDropoutDeterministicPerEpoch(t *testing.T) {
-	d := TransientDropout{Rate: 0.3, Seed: 9, NewRNG: newRNGAdapter}
+	d := TransientDropout{Rate: 0.3, Seed: 9}
 	a := d.Unavailable(3, 20)
 	b := d.Unavailable(3, 20)
 	for i := range a {
@@ -190,7 +186,7 @@ func TestTransientDropoutBadRatePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	TransientDropout{Rate: 1.5, Seed: 1, NewRNG: newRNGAdapter}.Unavailable(0, 5)
+	TransientDropout{Rate: 1.5, Seed: 1}.Unavailable(0, 5)
 }
 
 func TestPermanentDropout(t *testing.T) {

@@ -111,24 +111,15 @@ func (h *Histogram) Normalize() []float64 {
 	return p
 }
 
-// Amplitude returns the histogram's Hellinger embedding: the element-wise
-// square root of its normalized probability vector. Amplitude vectors have
-// unit L2 norm (√p · √p = Σp = 1), so the Hellinger distance between two
-// histograms is exactly AmplitudeDistance of their amplitudes — computing
-// the amplitude once per histogram and reusing it across every pairwise
-// comparison removes the per-pair normalize+sqrt work that dominates a
-// dense distance-matrix build.
-func (h *Histogram) Amplitude() []float64 {
-	a := make([]float64, len(h.Counts))
-	AmplitudeInto(a, h.Counts)
-	return a
-}
-
-// AmplitudeInto writes the amplitude of counts into dst without
-// allocating: √(c/total) over the positive part of counts, a count of
-// zero for every i ≥ len(counts), and the uniform √(1/len(dst)) when no
-// count is positive — Normalize's arithmetic, so the result is bit for
-// bit what Amplitude returns for the same counts padded to len(dst).
+// AmplitudeInto writes the Hellinger embedding of counts into dst
+// without allocating: √ of Normalize over the counts padded with zeros
+// to len(dst), bit for bit — √(c/total) over the positive part of
+// counts, and the uniform √(1/len(dst)) when no count is positive.
+// Amplitude vectors have unit L2 norm (√p · √p = Σp = 1), so the
+// Hellinger distance between two histograms is exactly
+// AmplitudeDistance of their amplitudes; computing each amplitude once
+// removes the per-pair normalize+sqrt work from a dense distance-matrix
+// build.
 func AmplitudeInto(dst, counts []float64) {
 	total := 0.0
 	for _, c := range counts {
@@ -200,7 +191,7 @@ func HistogramHellinger(a, b *Histogram) float64 {
 }
 
 // AmplitudeDistance computes the Hellinger distance from two precomputed
-// amplitude vectors (see Histogram.Amplitude):
+// amplitude vectors (see AmplitudeInto):
 //
 //	H(p, q) = (1/sqrt(2)) * || sqrt(p) - sqrt(q) ||_2
 //
