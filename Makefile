@@ -6,10 +6,11 @@
 # snapshot's decode and the direct convolution against its reference
 # today, ROADMAP 5(d)'s exposition target when it lands, one
 # `go test -fuzz` line each.
-# Measurement: loc, deadcode, bench, scale-results.
+# Measurement: loc, deadcode, bench, scale-results. Test quality:
+# mutants, the committed mutation corpus (its own CI job).
 GO ?= go
 
-.PHONY: check vet fmt-check build test race fingerprint loc deadcode bench-guard bench resume-smoke fleet-smoke async-smoke scale-smoke shard-smoke fuzz-smoke scale-results
+.PHONY: check vet fmt-check build test race fingerprint loc deadcode mutants bench-guard bench resume-smoke fleet-smoke async-smoke scale-smoke shard-smoke fuzz-smoke scale-results
 
 ## check: the tier-1 gate — vet, gofmt, build, and the full test suite under -race.
 check: vet fmt-check build race
@@ -56,6 +57,15 @@ loc:
 ## down. The same test runs inside `go test ./...`.
 deadcode:
 	$(GO) test -count=1 -v -run TestDeadCode ./tests/deadcode
+
+## mutants: the mutation corpus (~40 s). Each row of
+## tests/mutants/mutants.txt swaps one source edit in with
+## `go test -overlay` (the checkout is never written) and names the tests
+## that must fail; a surviving mutant, an old text that no longer matches
+## exactly once, or a mutant that does not compile fails the target. The
+## `mutants` build tag keeps the runner out of `go test ./...`.
+mutants:
+	$(GO) test -tags mutants -count=1 -timeout 30m ./tests/mutants
 
 ## bench-guard: compile and run every benchmark exactly once so a broken
 ## benchmark fails CI without paying full measurement time.

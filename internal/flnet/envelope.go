@@ -39,6 +39,9 @@ const (
 	// FedAvg weight), or a NaN/Inf coordinate that would poison the
 	// global model for the rest of the run.
 	ErrBadUpdate session.ErrorKind = "bad_update"
+	// ErrBadRegister: a Register whose latency estimate is NaN, infinite
+	// or negative — a claim that could steer or collapse selection.
+	ErrBadRegister session.ErrorKind = "bad_register"
 )
 
 // Check validates the union invariant: exactly one field set.

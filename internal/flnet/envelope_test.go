@@ -2,7 +2,10 @@ package flnet
 
 import (
 	"errors"
+	"math"
 	"net"
+	"reflect"
+	"sort"
 	"testing"
 
 	"haccs/internal/session"
@@ -170,6 +173,49 @@ func TestMalformedRegistrationRejected(t *testing.T) {
 				t.Fatalf("AcceptClients err = %v, want kind %s", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestBadLatencyRegisterRefused checks that a Register declaring a NaN,
+// infinite or negative latency is refused at the handshake with
+// bad_register: the liar's connection drops and it never registers,
+// while the server goes on admitting honest clients.
+func TestBadLatencyRegisterRefused(t *testing.T) {
+	srv, err := NewServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for i, lat := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -5} {
+		id := 10 + i
+		errc := acceptAsync(srv, 1)
+		raw := dialRaw(t, srv.Addr())
+		reg := RegisterFromSummary(id, []float64{1}, nil, lat, 10)
+		if err := raw.enc.Encode(Envelope{Register: &reg}); err != nil {
+			t.Fatal(err)
+		}
+		var ee *session.ProtocolError
+		if err := <-errc; !errors.As(err, &ee) || ee.Kind != ErrBadRegister || ee.PeerID != id {
+			t.Fatalf("latency %v: AcceptClients err = %v, want bad_register for client %d", lat, err, id)
+		}
+		var env Envelope
+		if err := raw.dec.Decode(&env); err == nil {
+			t.Fatalf("latency %v: the refused connection is still open", lat)
+		}
+	}
+	errc := acceptAsync(srv, 2)
+	dialRaw(t, srv.Addr()).register(t, 0)
+	dialRaw(t, srv.Addr()).register(t, 1)
+	if err := <-errc; err != nil {
+		t.Fatalf("honest clients: %v", err)
+	}
+	var ids []int
+	for _, r := range srv.Registrations() {
+		ids = append(ids, r.ClientID)
+	}
+	sort.Ints(ids)
+	if !reflect.DeepEqual(ids, []int{0, 1}) {
+		t.Fatalf("registrations = %v, want the honest clients 0 and 1", ids)
 	}
 }
 

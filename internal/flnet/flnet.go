@@ -16,6 +16,7 @@ package flnet
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"time"
 
@@ -244,7 +245,8 @@ func NewServer(addr string) (*Server, error) {
 }
 
 // readRegister is the hop's handshake: the first frame on a connection
-// must be a well-formed envelope carrying a Register.
+// must be a well-formed envelope carrying a Register whose latency
+// estimate is finite and non-negative.
 func readRegister(dec *session.Codec) (int, Register, error) {
 	var env Envelope
 	if err := dec.Decode(&env); err != nil {
@@ -255,6 +257,9 @@ func readRegister(dec *session.Codec) (int, Register, error) {
 	}
 	if env.Register == nil {
 		return 0, Register{}, hop.Err(session.ErrUnexpectedMessage, -1, -1, "expected Register as first message")
+	}
+	if l := env.Register.LatencyEstimate; l < 0 || math.IsNaN(l) || math.IsInf(l, 0) {
+		return 0, Register{}, hop.Err(ErrBadRegister, env.Register.ClientID, -1, fmt.Sprintf("latency estimate %v", l))
 	}
 	return env.Register.ClientID, *env.Register, nil
 }

@@ -13,14 +13,14 @@ import (
 
 // roundCore is the round lifecycle every runtime shares, embedded by
 // Driver, AsyncDriver and HierDriver: begin (mask the unavailable,
-// select, validate) → fanOut (train the selection) → the driver's own
-// collect/aggregate policy, crediting each aggregated update → finish
-// (events, metrics, summary forwarding, loss feedback, fleet
-// observation). It owns the state those steps read and write — latency
-// table, dead mask, clock, global vector, model version — and the
-// buffers they reuse, so a steady-state round allocates nothing beyond
-// what the transport does. Invariant: every selected client ends its
-// round as exactly one of reported / cut / failed.
+// select, validate) → dispatch → the collect/aggregate policy (one
+// syncRound body for both sync runtimes), crediting each aggregated
+// update → finish (events, metrics, summary forwarding, loss feedback,
+// fleet observation). It owns the state those steps read and write —
+// latency table, dead mask, clock, global vector, model version — and
+// the buffers they reuse, so a steady-state round allocates nothing
+// beyond what the transport does. Invariant: every selected client ends
+// its round as exactly one of reported / cut / failed.
 type roundCore struct {
 	cfg      Config
 	strategy Strategy // nil only under an async hierarchical root
@@ -32,7 +32,7 @@ type roundCore struct {
 	latency []float64
 	global  []float64
 	clock   float64
-	version int // aggregations applied so far (async and hierarchical)
+	version int // aggregations applied so far
 	dead    []bool
 	met     *driverMetrics
 
@@ -42,7 +42,9 @@ type roundCore struct {
 	proxies     []Proxy
 	parallelism int
 	sink        func(slot int, res Result)
-	slotFailed  []bool // per selection slot: the transport died
+	slotFailed  []bool      // per selection slot: the transport died
+	results     []Result    // per selection slot: the sync leg's update
+	out         SyncOutcome // the sync round's outcome over the selection
 
 	available []bool
 	seen      []bool
@@ -110,6 +112,7 @@ func newRoundCore(cfg Config, strategy Strategy, latency, initial []float64, bar
 		dead:       make([]bool, n),
 		met:        newDriverMetrics(cfg.Metrics),
 		slotFailed: make([]bool, k),
+		results:    make([]Result, k),
 		available:  make([]bool, n),
 		seen:       make([]bool, n),
 		reps:       make([]Result, 0, k),
@@ -322,6 +325,54 @@ func (c *roundCore) fanOut(round int, selected []int, disp telemetry.Span) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// syncLeg is a sync runtime's part of syncRound. dispatch trains the
+// selection, fills c.results and c.slotFailed, and returns the slots
+// lost with their shard (nil if none can be); aggregate folds the
+// credited reporters (c.reps, maybe none) in after the clock advanced.
+type syncLeg interface {
+	dispatch(round int, selected []int, span telemetry.Span) (lost []bool)
+	aggregate(round int)
+}
+
+// syncRound is the one synchronous round (paper Fig. 2): select, push
+// the model through the leg, resolve the selection by the sync outcome
+// rule — stragglers cut at the deadline — credit the reporters, fold
+// them in through the leg, advance the clock, finish. Driver and the
+// sync HierDriver differ only in their leg.
+func (c *roundCore) syncRound(round int, leg syncLeg) Outcome {
+	root, selected := c.begin(round, nil, c.cfg.ClientsPerRound)
+	defer root.End()
+	if len(selected) == 0 {
+		return c.idle(round, root)
+	}
+	sp := root.Child("dispatch")
+	lost := leg.dispatch(round, selected, sp)
+	sp.End()
+
+	sp = root.Child("collect")
+	c.out.Resolve(selected, c.Latency, c.cfg.Deadline, c.slotFailed[:len(selected)], lost)
+	for _, slot := range c.out.Reporters {
+		c.credit(selected[slot], c.results[slot], 0)
+	}
+	sp.End()
+
+	sp = root.Child("aggregate")
+	aggregated := len(c.reps) > 0
+	c.clock += c.out.RoundTime
+	leg.aggregate(round)
+	if aggregated {
+		c.version++
+	}
+	sp.End()
+	return c.finish(round, root, Outcome{
+		Selected:     selected,
+		Cut:          c.out.Cut,
+		Failed:       c.out.Failed,
+		RoundVirtual: c.out.RoundTime,
+		Aggregated:   aggregated,
+	})
 }
 
 // credit records one update the policy folded into the global model:

@@ -147,11 +147,35 @@ func (s *rotateStrategy) Select(_ int, available []bool, k int) []int {
 }
 func (*rotateStrategy) Update(int, []int, []float64) {}
 
+// instantShard answers a sync command at once from reused buffers:
+// every selected client reports one sample, so the only allocations a
+// round makes are the root's own.
+type instantShard struct {
+	id      int
+	clients []ShardClient
+	rep     ShardReport
+}
+
+func (s *instantShard) ID() int                { return s.id }
+func (s *instantShard) Clients() []ShardClient { return s.clients }
+
+func (s *instantShard) Exec(cmd ShardCmd) (*ShardReport, error) {
+	s.rep.Reporters = s.rep.Reporters[:0]
+	for _, id := range cmd.Selected {
+		s.rep.Reporters = append(s.rep.Reporters, Result{ClientID: id, NumSamples: 1})
+	}
+	s.rep.Samples = len(cmd.Selected)
+	s.rep.Partial = append(s.rep.Partial[:0], cmd.Params...)
+	return &s.rep, nil
+}
+
 // TestRunRoundAllocs pins the steady-state allocations of one round
 // with every observer off: the shared fan-out's per-slot sink must not
 // cost more than the per-driver dispatch loops it replaced (readings of
 // the same harness at b7c8b32: Driver 5 and 19 allocs/round at
-// parallelism 1 and 8, AsyncDriver with BufferK 4 10 and 16).
+// parallelism 1 and 8, AsyncDriver with BufferK 4 10 and 16), and the
+// sharded sync round — two shards, the shared sync round over the shard
+// leg — no more than it did with its own body (7).
 func TestRunRoundAllocs(t *testing.T) {
 	transport := func(par int) fakeTransport {
 		proxies := make([]Proxy, 64)
@@ -181,5 +205,17 @@ func TestRunRoundAllocs(t *testing.T) {
 		if got := measure(NewAsyncDriver(cfg, AsyncConfig{BufferK: 4}, transport(tc.par), &rotateStrategy{}, make([]float64, 256))); got > tc.async {
 			t.Errorf("AsyncDriver parallelism %d: %v allocs/round, want <= %v", tc.par, got, tc.async)
 		}
+	}
+	shards := []ShardProxy{&instantShard{id: 0}, &instantShard{id: 1}}
+	for id := 0; id < 64; id++ {
+		s := shards[id%2].(*instantShard)
+		s.clients = append(s.clients, ShardClient{ID: id, Latency: 1})
+	}
+	hier, err := NewHierDriver(Config{ClientsPerRound: 8}, HierConfig{Mode: ModeSync}, shards, &rotateStrategy{}, make([]float64, 256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := measure(hier); got > 7 {
+		t.Errorf("sharded sync HierDriver: %v allocs/round, want <= 7", got)
 	}
 }

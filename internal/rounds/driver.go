@@ -86,13 +86,11 @@ type Outcome struct {
 }
 
 // Driver is the synchronous round runtime over one Transport: the
-// shared lifecycle (roundCore) with the barrier policy — collect by the
-// sync outcome rule, FedAvg over the reporters. It is not safe for
+// shared sync round (roundCore.syncRound) with the flat leg — fanOut to
+// every selected client, FedAvg over the reporters. It is not safe for
 // concurrent use; rounds run one at a time.
 type Driver struct {
 	roundCore
-	results []Result // per selection slot, filled by fanOut
-	out     SyncOutcome
 }
 
 // NewDriver builds a driver over the transport. initial is the global
@@ -103,10 +101,7 @@ func NewDriver(cfg Config, t Transport, strategy Strategy, initial []float64) *D
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	d := &Driver{
-		roundCore: newProxyCore(cfg, t, strategy, initial, true),
-		results:   make([]Result, cfg.ClientsPerRound),
-	}
+	d := &Driver{roundCore: newProxyCore(cfg, t, strategy, initial, true)}
 	d.sink = func(slot int, res Result) { d.results[slot] = res }
 	return d
 }
@@ -116,34 +111,17 @@ func NewDriver(cfg Config, t Transport, strategy Strategy, initial []float64) *D
 // FedAvg over the reporters, telemetry, summary forwarding, and loss
 // feedback to the strategy. With Config.Spans set, every phase is
 // timed under one round-rooted span tree.
-func (d *Driver) RunRound(round int) Outcome {
-	root, selected := d.begin(round, nil, d.cfg.ClientsPerRound)
-	defer root.End()
-	if len(selected) == 0 {
-		return d.idle(round, root)
-	}
-	sp := root.Child("dispatch")
-	d.fanOut(round, selected, sp)
-	sp.End()
+func (d *Driver) RunRound(round int) Outcome { return d.syncRound(round, d) }
 
-	sp = root.Child("collect")
-	d.out.Resolve(selected, d.Latency, d.cfg.Deadline, d.slotFailed[:len(selected)], nil)
-	for _, slot := range d.out.Reporters {
-		d.credit(selected[slot], d.results[slot], 0)
-	}
-	sp.End()
+// dispatch and aggregate are the flat leg: every selected client trains
+// in parallel, and FedAvg folds the reporters' parameters in.
+func (d *Driver) dispatch(round int, selected []int, span telemetry.Span) []bool {
+	d.fanOut(round, selected, span)
+	return nil
+}
 
-	sp = root.Child("aggregate")
+func (d *Driver) aggregate(int) {
 	if len(d.reps) > 0 {
 		FedAvgInto(d.global, d.reps)
 	}
-	d.clock += d.out.RoundTime
-	sp.End()
-	return d.finish(round, root, Outcome{
-		Selected:     selected,
-		Cut:          d.out.Cut,
-		Failed:       d.out.Failed,
-		RoundVirtual: d.out.RoundTime,
-		Aggregated:   len(d.reps) > 0,
-	})
 }

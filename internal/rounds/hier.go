@@ -221,8 +221,9 @@ func newHierMetrics(reg *telemetry.Registry) *hierMetrics {
 
 // HierDriver runs the root half of hierarchical FedAvg over shard
 // proxies: the shared lifecycle (roundCore) with shards in place of
-// clients — sync partitions the selection by owner and sums the shards'
-// partials, async folds the shards' flushes staleness-weighted. It
+// clients — sync is the shared sync round over the shard leg (one
+// command per owning shard, each report checked, the partials summed),
+// async folds the shards' flushes staleness-weighted. It
 // implements Runner, so the flat coordinator surface (checkpointing,
 // the round loop, /debug handlers) works unchanged. Like the flat
 // drivers it is not safe for concurrent use.
@@ -249,14 +250,13 @@ type HierDriver struct {
 	failures   []int
 
 	// Round-loop buffers, sized once and reused.
-	out      SyncOutcome // the round's outcome over the global selection
-	want     SyncOutcome // the root's expectation of one shard's report
-	slotLost []bool      // per selection slot: the owning shard was lost
-	perShard [][]int
-	cursor   []int
-	repBuf   []*ShardReport
-	errBuf   []error
-	scratch  []float64
+	want       SyncOutcome // the root's expectation of one shard's report
+	slotLost   []bool      // per selection slot: the owning shard was lost
+	perShard   [][]int     // each shard's slice of the selection
+	shardSlots [][]int     // and the global selection slots of its entries
+	repBuf     []*ShardReport
+	errBuf     []error
+	scratch    []float64
 
 	hmet *hierMetrics
 }
@@ -329,14 +329,14 @@ func NewHierDriver(cfg Config, hier HierConfig, shards []ShardProxy, strategy St
 		failures:    make([]int, len(shards)),
 		slotLost:    make([]bool, k),
 		perShard:    make([][]int, len(shards)),
-		cursor:      make([]int, len(shards)),
+		shardSlots:  make([][]int, len(shards)),
 		repBuf:      make([]*ShardReport, len(shards)),
 		errBuf:      make([]error, len(shards)),
 		scratch:     make([]float64, len(initial)),
 		hmet:        newHierMetrics(cfg.Metrics),
 	}
 	for i := range d.perShard {
-		d.perShard[i] = make([]int, 0, k)
+		d.perShard[i], d.shardSlots[i] = make([]int, 0, k), make([]int, 0, k)
 	}
 	if d.hmet != nil {
 		for slot := range shards {
@@ -376,125 +376,108 @@ func (d *HierDriver) RunRound(round int) Outcome {
 	if d.hier.Mode == ModeAsync {
 		return d.runAsync(round)
 	}
-	return d.runSync(round)
+	return d.syncRound(round, d)
 }
 
-func (d *HierDriver) runSync(round int) Outcome {
-	root, selected := d.begin(round, nil, d.cfg.ClientsPerRound)
-	defer root.End()
-	if len(selected) == 0 {
-		return d.idle(round, root)
+// dispatch is the shard leg's: one ShardCmd per owning shard, carrying
+// its slice of the selection in selection order. A checked report's
+// failed flags and reporters land in their global selection slots; a
+// shard whose round trip failed or whose report was refused is lost,
+// and its slots with it.
+func (d *HierDriver) dispatch(round int, selected []int, _ telemetry.Span) []bool {
+	for s := range d.perShard {
+		d.perShard[s], d.shardSlots[s] = d.perShard[s][:0], d.shardSlots[s][:0]
 	}
-	tracer := d.cfg.Tracer
-
-	// Partition the selection by owning shard, preserving global
-	// selection order within each shard.
-	for slot := range d.perShard {
-		d.perShard[slot] = d.perShard[slot][:0]
-	}
-	for _, id := range selected {
-		slot := d.owner[id]
-		d.perShard[slot] = append(d.perShard[slot], id)
-	}
-	sp := root.Child("dispatch")
-	d.exec(func(slot int) ShardCmd {
-		return ShardCmd{Round: round, Params: d.global, Selected: d.perShard[slot], Version: d.version}
-	}, func(slot int) bool { return len(d.perShard[slot]) > 0 })
-	sp.End()
-
-	// Collect: check each shard's report against the root's own view (a
-	// shard that fails the check is lost for the round, like one whose
-	// round trip failed), then apply the outcome rule to the global
-	// selection exactly as the flat driver does, drawing each reporter's
-	// metadata from its shard's report with a per-shard cursor.
-	sp = root.Child("collect")
-	failedSet := d.seen
-	clear(failedSet)
-	for slot := range d.shards {
-		if len(d.perShard[slot]) == 0 {
-			continue
-		}
-		if d.errBuf[slot] == nil {
-			d.errBuf[slot] = d.checkSyncReport(slot, d.repBuf[slot])
-		}
-		if d.errBuf[slot] != nil {
-			d.failures[slot]++
-			if d.hmet != nil {
-				d.hmet.shardFailures.With(d.labels[slot]).Inc()
-			}
-			if tracer != nil {
-				tracer.Emit(telemetry.ShardFailed(round, d.shards[slot].ID(), append([]int(nil), d.perShard[slot]...)))
-			}
-			continue
-		}
-		for _, id := range d.repBuf[slot].Failed {
-			failedSet[id] = true
-		}
-	}
-	failed, lost := d.slotFailed[:len(selected)], d.slotLost[:len(selected)]
 	for i, id := range selected {
-		failed[i] = failedSet[id]
-		lost[i] = d.errBuf[d.owner[id]] != nil
+		s := d.owner[id]
+		d.perShard[s] = append(d.perShard[s], id)
+		d.shardSlots[s] = append(d.shardSlots[s], i)
 	}
-	d.out.Resolve(selected, d.Latency, d.cfg.Deadline, failed, lost)
-	clear(d.cursor)
-	samples := 0
-	for _, i := range d.out.Reporters {
-		id := selected[i]
-		slot := d.owner[id]
-		r := d.repBuf[slot].Reporters[d.cursor[slot]]
-		d.cursor[slot]++
-		samples += r.NumSamples
-		if d.met != nil {
-			d.met.trainVirt.Observe(d.latency[id])
-		}
-		d.credit(id, r, 0)
-	}
-	sp.End()
+	d.exec(func(s int) ShardCmd {
+		return ShardCmd{Round: round, Params: d.global, Selected: d.perShard[s], Version: d.version}
+	}, func(s int) bool { return len(d.perShard[s]) > 0 })
 
-	// Aggregate: sum the shards' unnormalized partials and renormalize
-	// once by the total sample count — flat FedAvg, grouped by shard.
-	sp = root.Child("aggregate")
-	roundTime := d.out.RoundTime
-	aggregated := len(d.reps) > 0
-	aggStart := time.Now()
-	if aggregated {
+	failed, lost := d.slotFailed[:len(selected)], d.slotLost[:len(selected)]
+	for s, slots := range d.shardSlots {
+		if len(slots) == 0 {
+			continue
+		}
+		if d.errBuf[s] == nil {
+			d.errBuf[s] = d.checkSyncReport(s, d.repBuf[s])
+		}
+		if d.errBuf[s] != nil {
+			d.shardLost(round, s, d.perShard[s])
+			for _, g := range slots {
+				lost[g] = true
+			}
+			continue
+		}
+		for j, g := range slots {
+			lost[g], failed[g] = false, d.seen[j]
+			// As in fanOut: every client whose training returned.
+			if !failed[g] && d.met != nil {
+				d.met.trainVirt.Observe(d.latency[selected[g]])
+			}
+		}
+		for i, j := range d.want.Reporters {
+			d.results[slots[j]] = d.repBuf[s].Reporters[i]
+		}
+	}
+	return lost
+}
+
+// aggregate is the shard leg's: sum the live shards' unnormalized
+// partials and renormalize once by the total sample count — flat
+// FedAvg, grouped by shard. A checked report's weight is its credited
+// reporters' sum, so the total is theirs.
+func (d *HierDriver) aggregate(round int) {
+	start := time.Now()
+	merged, samples := 0, 0
+	if len(d.reps) > 0 {
 		clear(d.scratch)
-		merged := 0
-		for slot := range d.shards {
-			rep := d.repBuf[slot]
-			if d.errBuf[slot] != nil || rep == nil || rep.Samples == 0 {
+		for s, rep := range d.repBuf {
+			if d.errBuf[s] != nil || rep == nil || rep.Samples == 0 {
 				continue
 			}
 			for i, v := range rep.Partial {
 				d.scratch[i] += v
 			}
 			merged++
+			samples += rep.Samples
 		}
 		inv := float64(samples)
 		for i := range d.global {
 			d.global[i] = d.scratch[i] / inv
 		}
-		d.version++
-		if d.hmet != nil {
-			d.hmet.merges.Add(float64(merged))
-		}
-		if tracer != nil {
-			tracer.Emit(telemetry.ShardMerge(round, merged, samples, time.Since(aggStart).Seconds(), d.clock+roundTime))
-		}
 	}
+	d.recordMerge(round, merged, samples, start)
+}
+
+// shardLost records, for both modes, a shard lost for the round — its
+// round trip failed or the root refused its report — and the selected
+// clients lost with it (nil in async mode): /debug/shards, /metrics, trace.
+func (d *HierDriver) shardLost(round, slot int, clients []int) {
+	d.failures[slot]++
 	if d.hmet != nil {
-		d.hmet.rootAgg.Observe(time.Since(aggStart).Seconds())
+		d.hmet.shardFailures.With(d.labels[slot]).Inc()
 	}
-	d.clock += roundTime
-	sp.End()
-	return d.finish(round, root, Outcome{
-		Selected:     selected,
-		Cut:          d.out.Cut,
-		Failed:       d.out.Failed,
-		RoundVirtual: roundTime,
-		Aggregated:   aggregated,
-	})
+	if d.cfg.Tracer != nil {
+		d.cfg.Tracer.Emit(telemetry.ShardFailed(round, d.shards[slot].ID(), append([]int(nil), clients...)))
+	}
+}
+
+// recordMerge records, for both modes, one root merge begun at start —
+// shards partials or flushes (none in an empty round) behind samples
+// samples — in /metrics and, once the clock has advanced, the trace.
+func (d *HierDriver) recordMerge(round, shards, samples int, start time.Time) {
+	wall := time.Since(start).Seconds()
+	if d.hmet != nil {
+		d.hmet.rootAgg.Observe(wall)
+		d.hmet.merges.Add(float64(shards))
+	}
+	if shards > 0 && d.cfg.Tracer != nil {
+		d.cfg.Tracer.Emit(telemetry.ShardMerge(round, shards, samples, wall, d.clock))
+	}
 }
 
 // checkSyncReport validates one shard's sync report against the root's
@@ -511,9 +494,7 @@ func (d *HierDriver) checkSyncReport(slot int, rep *ShardReport) error {
 		return fmt.Errorf("rounds: shard %d returned no report", shard)
 	}
 	sel := d.perShard[slot]
-	// d.slotFailed is free until the global flags are computed after
-	// every shard has been checked.
-	failed := d.slotFailed[:len(sel)]
+	failed := d.seen[:len(sel)] // free once the selection is validated
 	next := 0
 	for i, id := range sel {
 		failed[i] = next < len(rep.Failed) && rep.Failed[next] == id
@@ -531,26 +512,31 @@ func (d *HierDriver) checkSyncReport(slot int, rep *ShardReport) error {
 	if len(rep.Reporters) != len(d.want.Reporters) {
 		return fmt.Errorf("rounds: shard %d reported %d reporters, root expected %d", shard, len(rep.Reporters), len(d.want.Reporters))
 	}
-	samples := 0
 	for i, s := range d.want.Reporters {
-		r := &rep.Reporters[i]
-		if r.ClientID != sel[s] {
-			return fmt.Errorf("rounds: shard %d reporter order disagrees at position %d (%d vs %d)", shard, i, r.ClientID, sel[s])
+		if id := rep.Reporters[i].ClientID; id != sel[s] {
+			return fmt.Errorf("rounds: shard %d reporter order disagrees at position %d (%d vs %d)", shard, i, id, sel[s])
 		}
+	}
+	return d.checkPartial(shard, rep)
+}
+
+// checkPartial checks what a sync and an async report share: every
+// reporter carries a positive sample count, and the partial carries
+// their sum as its weight and, when it has any, the model's dimension.
+func (d *HierDriver) checkPartial(shard int, rep *ShardReport) error {
+	samples := 0
+	for i := range rep.Reporters {
+		r := &rep.Reporters[i]
 		if r.NumSamples <= 0 {
 			return fmt.Errorf("rounds: shard %d reporter %d has non-positive sample count", shard, r.ClientID)
 		}
 		samples += r.NumSamples
 	}
-	if len(rep.Reporters) > 0 {
-		if len(rep.Partial) != len(d.global) {
-			return fmt.Errorf("rounds: shard %d partial dimension %d, model has %d", shard, len(rep.Partial), len(d.global))
-		}
-		if rep.Samples != samples {
-			return fmt.Errorf("rounds: shard %d partial weight %d, reporters sum to %d", shard, rep.Samples, samples)
-		}
-	} else if rep.Samples != 0 {
-		return fmt.Errorf("rounds: shard %d reported weight %d with no reporters", shard, rep.Samples)
+	if rep.Samples != samples {
+		return fmt.Errorf("rounds: shard %d partial weight %d, reporters sum to %d", shard, rep.Samples, samples)
+	}
+	if samples > 0 && len(rep.Partial) != len(d.global) {
+		return fmt.Errorf("rounds: shard %d partial dimension %d, model has %d", shard, len(rep.Partial), len(d.global))
 	}
 	return nil
 }
@@ -582,19 +568,12 @@ func (d *HierDriver) runAsync(round int) Outcome {
 	}
 	flushes := make([]flush, 0, len(d.shards))
 	var failed, cut []int
-	for slot := range d.shards {
-		if d.errBuf[slot] != nil {
-			d.failures[slot]++
-			if d.hmet != nil {
-				d.hmet.shardFailures.With(d.labels[slot]).Inc()
-			}
-			if tracer != nil {
-				tracer.Emit(telemetry.ShardFailed(round, d.shards[slot].ID(), nil))
-			}
-			continue
+	for slot, rep := range d.repBuf {
+		if d.errBuf[slot] == nil {
+			d.errBuf[slot] = d.checkAsyncReport(slot, rep)
 		}
-		rep := d.repBuf[slot]
-		if rep == nil {
+		if d.errBuf[slot] != nil {
+			d.shardLost(round, slot, nil)
 			continue
 		}
 		if resync {
@@ -602,17 +581,9 @@ func (d *HierDriver) runAsync(round int) Outcome {
 		}
 		d.lastClock[slot] = rep.LocalClock
 		tau := max(d.version-rep.BaseVersion, 0)
-		for _, id := range rep.Failed {
-			if id >= 0 && id < len(d.dead) {
-				failed = append(failed, id)
-			}
-		}
+		failed = append(failed, rep.Failed...)
 		cut = append(cut, rep.Cut...)
-		if rep.Samples <= 0 || len(rep.Reporters) == 0 {
-			continue
-		}
-		if len(rep.Partial) != len(d.global) || !d.ownsReporters(rep) {
-			d.failures[slot]++
+		if len(rep.Reporters) == 0 {
 			continue
 		}
 		if d.hier.Async.MaxStaleness > 0 && tau > d.hier.Async.MaxStaleness {
@@ -659,9 +630,6 @@ func (d *HierDriver) runAsync(round int) Outcome {
 			}
 		}
 		d.version++
-		if d.hmet != nil {
-			d.hmet.merges.Add(float64(len(flushes)))
-		}
 	}
 
 	// The root clock tracks the frontier of shard-local virtual time;
@@ -675,12 +643,7 @@ func (d *HierDriver) runAsync(round int) Outcome {
 	if d.clock == prev && !aggregated {
 		d.clock++
 	}
-	if d.hmet != nil {
-		d.hmet.rootAgg.Observe(time.Since(aggStart).Seconds())
-	}
-	if aggregated && tracer != nil {
-		tracer.Emit(telemetry.ShardMerge(round, len(flushes), samples, time.Since(aggStart).Seconds(), d.clock))
-	}
+	d.recordMerge(round, len(flushes), samples, aggStart)
 	sp.End()
 	return d.finish(round, root, Outcome{
 		Cut:          cut,
@@ -690,16 +653,34 @@ func (d *HierDriver) runAsync(round int) Outcome {
 	})
 }
 
-// ownsReporters reports whether every reporter of an async flush is a
-// roster client — the IDs arrive over the wire and index the latency
-// table and the strategy.
-func (d *HierDriver) ownsReporters(rep *ShardReport) bool {
-	for i := range rep.Reporters {
-		if id := rep.Reporters[i].ClientID; id < 0 || id >= len(d.latency) {
-			return false
+// checkAsyncReport validates one shard's async report before any of
+// it is applied: its local clock must be finite and non-negative (the
+// root clock rides it), every client it names — failed, stale-dropped
+// or reporting — must be a roster client this shard owns (the IDs
+// index the dead mask, the latency table, the strategy and the fleet
+// registry), and the partial must be weighted and dimensioned
+// consistently. A violation loses the shard for the cycle.
+func (d *HierDriver) checkAsyncReport(slot int, rep *ShardReport) error {
+	shard := d.shards[slot].ID()
+	if rep == nil {
+		return fmt.Errorf("rounds: shard %d returned no report", shard)
+	}
+	if c := rep.LocalClock; c < 0 || math.IsNaN(c) || math.IsInf(c, 0) {
+		return fmt.Errorf("rounds: shard %d local clock %v", shard, c)
+	}
+	for _, ids := range [2][]int{rep.Failed, rep.Cut} {
+		for _, id := range ids {
+			if id < 0 || id >= len(d.owner) || d.owner[id] != slot {
+				return fmt.Errorf("rounds: shard %d names client %d, which it does not own", shard, id)
+			}
 		}
 	}
-	return true
+	for i := range rep.Reporters {
+		if id := rep.Reporters[i].ClientID; id < 0 || id >= len(d.owner) || d.owner[id] != slot {
+			return fmt.Errorf("rounds: shard %d credits client %d, which it does not own", shard, id)
+		}
+	}
+	return d.checkPartial(shard, rep)
 }
 
 // exec fans one command out to every participating shard in parallel,

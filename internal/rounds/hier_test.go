@@ -2,9 +2,12 @@ package rounds
 
 import (
 	"errors"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
+	"haccs/internal/fleet"
 	"haccs/internal/telemetry"
 )
 
@@ -13,11 +16,15 @@ import (
 // power-of-two reporter count is exact dyadic-rational arithmetic and
 // the flat-vs-hierarchical comparison is bitwise.
 type hierTestProxy struct {
-	id  int
-	lat float64
+	id   int
+	lat  float64
+	down bool // every Train fails
 }
 
 func (p *hierTestProxy) Train(round, worker, slot int, params []float64, _ telemetry.SpanContext) (Result, error) {
+	if p.down {
+		return Result{}, errors.New("hier test client down")
+	}
 	out := make([]float64, len(params))
 	for i, v := range params {
 		out[i] = v + float64(p.id+1)
@@ -151,7 +158,9 @@ func TestHierMatchesFlatBitwise(t *testing.T) {
 // TestHierMatchesFlatWithCuts repeats the bitwise comparison with a
 // straggler deadline: clients 8 and 9 (latency 10 > deadline 5) are
 // cut on both paths, leaving power-of-two reporter counts so the
-// arithmetic stays exact.
+// arithmetic stays exact. The round metrics must read the same on both
+// sides too — per-client virtual latency included, which counts every
+// client whose training returned, cut stragglers with it.
 func TestHierMatchesFlatWithCuts(t *testing.T) {
 	lats := []float64{2, 2, 2, 2, 2, 2, 2, 2, 10, 10}
 	script := [][]int{
@@ -172,7 +181,8 @@ func TestHierMatchesFlatWithCuts(t *testing.T) {
 		byID[i] = p
 	}
 	const deadline = 5.0
-	flat := NewDriver(Config{ClientsPerRound: 4, Deadline: deadline},
+	flatReg, hierReg := telemetry.NewRegistry(), telemetry.NewRegistry()
+	flat := NewDriver(Config{ClientsPerRound: 4, Deadline: deadline, Metrics: flatReg},
 		hierTestTransport{proxies}, &scriptStrategy{selections: script}, make([]float64, 3))
 	shards := make([]ShardProxy, 2)
 	for slot := 0; slot < 2; slot++ {
@@ -185,7 +195,7 @@ func TestHierMatchesFlatWithCuts(t *testing.T) {
 		}
 		shards[slot] = fs
 	}
-	hier, err := NewHierDriver(Config{ClientsPerRound: 4, Deadline: deadline},
+	hier, err := NewHierDriver(Config{ClientsPerRound: 4, Deadline: deadline, Metrics: hierReg},
 		HierConfig{Mode: ModeSync}, shards, &scriptStrategy{selections: script}, make([]float64, 3))
 	if err != nil {
 		t.Fatal(err)
@@ -203,6 +213,24 @@ func TestHierMatchesFlatWithCuts(t *testing.T) {
 		}
 		if flat.Clock() != hier.Clock() {
 			t.Fatalf("round %d clock: flat %v hier %v", r, flat.Clock(), hier.Clock())
+		}
+	}
+	// Three rounds with cuts wait out the deadline, the clean one lasts
+	// for its slowest reporter.
+	if c := hier.Clock(); c != 3*deadline+2 {
+		t.Fatalf("clock = %v, want %v", c, 3*deadline+2)
+	}
+	for _, name := range []string{"haccs_client_virtual_latency_seconds", "haccs_round_virtual_seconds"} {
+		f := flatReg.Histogram(name, "", VirtualBuckets).Snapshot()
+		h := hierReg.Histogram(name, "", VirtualBuckets).Snapshot()
+		if f.Count != h.Count || f.Sum != h.Sum || f.Count == 0 {
+			t.Errorf("%s: flat count %d sum %v, hier count %d sum %v", name, f.Count, f.Sum, h.Count, h.Sum)
+		}
+	}
+	for _, name := range []string{"haccs_clients_straggler_cut_total", "haccs_rounds_total", "haccs_clients_selected_total"} {
+		f, h := flatReg.Counter(name, "").Value(), hierReg.Counter(name, "").Value()
+		if f != h || f == 0 {
+			t.Errorf("%s: flat %v, hier %v", name, f, h)
 		}
 	}
 }
@@ -266,36 +294,95 @@ func TestHierShardFailure(t *testing.T) {
 	}
 }
 
-// TestHierReportValidation checks that a shard disagreeing with the
-// root's deadline arithmetic is rejected as a whole-shard failure.
-func TestHierReportValidation(t *testing.T) {
-	n := 4
-	byID := make(map[int]*hierTestProxy, n)
-	for i := 0; i < n; i++ {
-		byID[i] = &hierTestProxy{id: i, lat: 2}
+// lyingShard applies lie to every report its shard returns.
+type lyingShard struct {
+	ShardProxy
+	lie func(*ShardReport)
+}
+
+func (s lyingShard) Exec(cmd ShardCmd) (*ShardReport, error) {
+	rep, err := s.ShardProxy.Exec(cmd)
+	if rep != nil && s.lie != nil {
+		s.lie(rep)
 	}
-	// Shard 1 lies about its cut set: deadline arithmetic mismatch.
-	lying := &fakeShard{id: 1, proxies: map[int]*hierTestProxy{}, deadline: 1}
-	honest := &fakeShard{id: 0, proxies: map[int]*hierTestProxy{}}
-	for id, p := range byID {
-		fs := honest
-		if id%2 == 1 {
-			fs = lying
+	return rep, err
+}
+
+// TestHierShardReportedFailure checks that a client its shard reports
+// failed is failed at the root too — marked dead and not credited —
+// exactly as the flat driver treats a dead transport.
+func TestHierShardReportedFailure(t *testing.T) {
+	script := [][]int{{0, 1, 2, 3}}
+	flat, hier := buildHierFixture(t, 4, []float64{2}, 0, script, 2)
+	hier.shards[1].(*fakeShard).proxies[3].down = true // shared with the flat driver
+	fo, ho := flat.RunRound(0), hier.RunRound(0)
+	for _, o := range []Outcome{fo, ho} {
+		if !reflect.DeepEqual(o.Failed, []int{3}) || !reflect.DeepEqual(o.Reporters, []int{0, 1, 2}) {
+			t.Fatalf("failed %v reporters %v, want failed [3] reporters [0 1 2]", o.Failed, o.Reporters)
 		}
-		fs.proxies[id] = p
-		fs.clients = append(fs.clients, ShardClient{ID: id, Latency: p.lat})
 	}
-	hier, err := NewHierDriver(Config{ClientsPerRound: 4},
-		HierConfig{Mode: ModeSync}, []ShardProxy{honest, lying},
-		&scriptStrategy{selections: [][]int{{0, 1, 2, 3}}}, make([]float64, 2))
-	if err != nil {
-		t.Fatal(err)
+	if !flat.Dead(3) || !hier.Dead(3) {
+		t.Fatalf("client 3 dead: flat %v hier %v, want both", flat.Dead(3), hier.Dead(3))
 	}
-	o := hier.RunRound(0)
-	// The lying shard's clients (1, 3) are cut; the honest shard's
-	// reporters (0, 2) aggregate.
-	if len(o.Cut) != 2 || len(o.Reporters) != 2 {
-		t.Fatalf("cut %v reporters %v", o.Cut, o.Reporters)
+	if !reflect.DeepEqual(flat.Global(), hier.Global()) {
+		t.Fatalf("global: flat %v hier %v", flat.Global(), hier.Global())
+	}
+}
+
+// TestHierReportValidation checks that a shard whose sync report
+// disagrees with the root's own view is lost for the round: its
+// selected clients are cut (and stay alive), the honest shard
+// aggregates alone, and the liar's failure count reads 1. Each row
+// tells one lie; the other checks would pass it.
+func TestHierReportValidation(t *testing.T) {
+	cases := []struct {
+		name     string
+		deadline float64 // the liar's, where the root has none
+		lie      func(*ShardReport)
+	}{
+		{"deadline arithmetic", 1, nil},
+		{"an extra cut client", 0, func(r *ShardReport) { r.Cut = append(r.Cut, 5) }},
+		{"partial weight off the reporters' sum", 0, func(r *ShardReport) { r.Samples++ }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// Clients 0-5: even IDs on the honest shard, odd on the liar;
+			// 0-3 are selected.
+			honest := &fakeShard{id: 0, proxies: map[int]*hierTestProxy{}}
+			lying := &fakeShard{id: 1, proxies: map[int]*hierTestProxy{}, deadline: tc.deadline}
+			for id := 0; id < 6; id++ {
+				fs := honest
+				if id%2 == 1 {
+					fs = lying
+				}
+				fs.proxies[id] = &hierTestProxy{id: id, lat: 2}
+				fs.clients = append(fs.clients, ShardClient{ID: id, Latency: 2})
+			}
+			hier, err := NewHierDriver(Config{ClientsPerRound: 4},
+				HierConfig{Mode: ModeSync}, []ShardProxy{honest, lyingShard{lying, tc.lie}},
+				&scriptStrategy{selections: [][]int{{0, 1, 2, 3}}}, make([]float64, 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := hier.RunRound(0)
+			if !reflect.DeepEqual(o.Reporters, []int{0, 2}) || !reflect.DeepEqual(o.Cut, []int{1, 3}) || len(o.Failed) != 0 {
+				t.Fatalf("reporters %v cut %v failed %v, want reporters [0 2] cut [1 3]", o.Reporters, o.Cut, o.Failed)
+			}
+			// Clients 0 and 2 train to params+1 and params+3.
+			for i, v := range hier.Global() {
+				if v != 2 {
+					t.Fatalf("global[%d] = %v, want 2 (the honest shard alone)", i, v)
+				}
+			}
+			if f := hier.ShardStatuses()[1].Failures; f != 1 {
+				t.Fatalf("liar failures = %d, want 1", f)
+			}
+			for id := 0; id < 6; id++ {
+				if hier.Dead(id) {
+					t.Fatalf("client %d marked dead", id)
+				}
+			}
+		})
 	}
 }
 
@@ -472,4 +559,85 @@ func (s *staleShard) Exec(cmd ShardCmd) (*ShardReport, error) {
 		rep.BaseVersion = cmd.Version - 10
 	}
 	return rep, err
+}
+
+// TestHierAsyncStalenessDiscount checks that the root discounts a
+// shard's flush by its staleness, (1+τ)^-α: a shard ten versions behind
+// weighs 1/11 of a fresh one, not the same.
+func TestHierAsyncStalenessDiscount(t *testing.T) {
+	fresh := &asyncFakeShard{id: 0, clients: []ShardClient{{ID: 0, Latency: 1}}, delta: 2}
+	stale := &staleShard{asyncFakeShard{id: 1, clients: []ShardClient{{ID: 1, Latency: 1}}, delta: 100}}
+	d, err := NewHierDriver(Config{ClientsPerRound: 2},
+		HierConfig{Mode: ModeAsync, Async: AsyncConfig{StalenessExponent: 1}},
+		[]ShardProxy{fresh, stale}, nil, []float64{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.RunRound(0)
+	want := (2 + 100.0/11) / (1 + 1.0/11)
+	if g := d.Global()[0]; math.Abs(g-want) > 1e-12 {
+		t.Fatalf("global = %v, want %v (the stale delta discounted by 1/11)", g, want)
+	}
+}
+
+// TestHierAsyncReportValidation feeds an async root that keeps a fleet
+// registry (as cmd/haccs-root does) one lie per row. The lying shard's
+// report must be refused whole: the root does not panic, the liar's
+// failure count and haccs_shard_failures_total both read 1, no client
+// is marked dead, the liar's base and clock do not advance, the root
+// clock follows the honest shard alone, and the honest shard's flush
+// merges alone.
+func TestHierAsyncReportValidation(t *testing.T) {
+	cases := []struct {
+		name string
+		lie  func(*ShardReport)
+	}{
+		{"cut client outside the roster", func(r *ShardReport) { r.Cut = []int{7} }},
+		{"negative cut client", func(r *ShardReport) { r.Cut = []int{-1} }},
+		{"failed client of another shard", func(r *ShardReport) { r.Failed = []int{0} }},
+		{"failed client outside the roster", func(r *ShardReport) { r.Failed = []int{2} }},
+		{"reporter of another shard", func(r *ShardReport) { r.Reporters[0].ClientID = 0 }},
+		{"weight off the reporters' sum", func(r *ShardReport) { r.Samples++ }},
+		{"partial of the wrong dimension", func(r *ShardReport) { r.Partial = []float64{1, 2} }},
+		{"infinite local clock", func(r *ShardReport) { r.LocalClock = math.Inf(1) }},
+		{"NaN local clock", func(r *ShardReport) { r.LocalClock = math.NaN() }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := telemetry.NewRegistry()
+			honest := &asyncFakeShard{id: 0, clients: []ShardClient{{ID: 0, Latency: 1}}, delta: 2}
+			liar := &asyncFakeShard{id: 1, clients: []ShardClient{{ID: 1, Latency: 1}}, delta: 4}
+			d, err := NewHierDriver(Config{ClientsPerRound: 2, Metrics: reg, Fleet: fleet.NewRegistry(2, fleet.Options{})},
+				HierConfig{Mode: ModeAsync, Async: AsyncConfig{StalenessExponent: 1}},
+				[]ShardProxy{honest, lyingShard{liar, tc.lie}}, nil, []float64{0})
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := d.RunRound(0)
+			if !reflect.DeepEqual(o.Reporters, []int{0}) || len(o.Cut)+len(o.Failed) != 0 {
+				t.Fatalf("reporters %v cut %v failed %v, want the honest client 0 alone", o.Reporters, o.Cut, o.Failed)
+			}
+			if g := d.Global()[0]; g != 2 {
+				t.Fatalf("global = %v, want 2 (the honest flush alone)", g)
+			}
+			st := d.ShardStatuses()[1]
+			if st.Failures != 1 {
+				t.Fatalf("liar failures = %d, want 1", st.Failures)
+			}
+			if got := reg.CounterVec("haccs_shard_failures_total", "", "shard").With("1").Value(); got != 1 {
+				t.Fatalf("haccs_shard_failures_total{shard=1} = %v, want 1", got)
+			}
+			if st.LocalClock != 0 || st.BaseVersion != 0 {
+				t.Fatalf("liar clock/base advanced to %v/%d", st.LocalClock, st.BaseVersion)
+			}
+			if c := d.Clock(); c != 1 {
+				t.Fatalf("root clock = %v, want 1 (the honest shard's)", c)
+			}
+			for id := 0; id < 2; id++ {
+				if d.Dead(id) {
+					t.Fatalf("client %d marked dead", id)
+				}
+			}
+		})
+	}
 }
