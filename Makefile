@@ -3,9 +3,9 @@
 # resume-smoke, fleet-smoke, async-smoke, scale-smoke, shard-smoke and
 # fuzz-smoke — the home of every native fuzz target: the wire frame, the
 # shard hop's Report decode, the sketch index's Restore, a stored
-# snapshot's decode and the direct convolution against its reference
-# today, ROADMAP 5(d)'s exposition target when it lands, one
-# `go test -fuzz` line each.
+# snapshot's decode, the direct convolution against its reference and
+# the blocked FedAvg against the per-result loop today, ROADMAP 5(d)'s
+# exposition target when it lands, one `go test -fuzz` line each.
 # Measurement: loc, deadcode, bench, scale-results. Test quality:
 # mutants, the committed mutation corpus (its own CI job).
 GO ?= go
@@ -177,6 +177,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzIndexRestore -fuzztime 5s ./internal/sketch
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 5s -fuzzminimizetime 1s ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz FuzzConv2DMatchesRef -fuzztime 5s ./internal/nn
+	$(GO) test -run '^$$' -fuzz FuzzFedAvgMatchesNaive -fuzztime 5s ./internal/rounds
 
 ## scale-results: the committed-results run — a 2000-client fleet over
 ## the full matrix, writing tests/results/scale/<rev>.md for the

@@ -46,9 +46,11 @@ type modelFrame struct {
 // Vector implements session.Vectored.
 func (f *modelFrame) Vector() *[]float64 { return &f.Params }
 
-// frameSink keeps the one Write a Codec makes per message: the codec's
-// send frame itself, which a codec used for one message never reuses, so
-// the payload is not copied a second time.
+// frameSink keeps the one Write a Codec makes per message to a writer
+// that is not a TCP connection: the codec's send frame itself, the whole
+// message assembled with one copy of the parameters' in-memory image (a
+// loop on a big-endian host). A codec used for one message never reuses
+// that frame, so the payload is not copied a second time.
 type frameSink struct{ frame []byte }
 
 func (s *frameSink) Write(p []byte) (int, error) { s.frame = p; return len(p), nil }

@@ -2,6 +2,7 @@ package flnet
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"net"
 	"reflect"
@@ -130,22 +131,83 @@ func acceptAsync(srv *Server, n int) chan error {
 	return errc
 }
 
-func TestDuplicateRegisterRejected(t *testing.T) {
+// refusedCount reads haccs_net_registrations_refused_total{kind}.
+func refusedCount(reg *telemetry.Registry, kind session.ErrorKind) float64 {
+	for _, smp := range reg.Snapshot() {
+		if smp.Name == "haccs_net_registrations_refused_total" && smp.LabelValue == string(kind) {
+			return smp.Value
+		}
+	}
+	return 0
+}
+
+// countingServer is a server with a registry attached, so its refusals
+// are counted.
+func countingServer(t *testing.T) (*Server, *telemetry.Registry) {
+	t.Helper()
 	srv, err := NewServer("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	errc := acceptAsync(srv, 2)
-	dialRaw(t, srv.Addr()).register(t, 0)
-	// Second connection claims the same ClientID.
-	dialRaw(t, srv.Addr()).register(t, 0)
-	var ee *session.ProtocolError
-	if err := <-errc; !errors.As(err, &ee) || ee.Kind != ErrDuplicateRegister || ee.PeerID != 0 {
-		t.Fatalf("AcceptClients err = %v, want ErrDuplicateRegister for client 0", err)
+	t.Cleanup(func() { srv.Close() })
+	reg := telemetry.NewRegistry()
+	if _, err := srv.EnableTelemetry(reg, nil, ""); err != nil {
+		t.Fatal(err)
+	}
+	return srv, reg
+}
+
+// expectClosed fails unless the server has closed the raw connection.
+func (r *rawSession) expectClosed(t *testing.T, what string) {
+	t.Helper()
+	var env Envelope
+	if err := r.dec.Decode(&env); err == nil {
+		t.Fatalf("%s: the refused connection is still open (got %+v)", what, env)
 	}
 }
 
+// expectHonest registers the honest clients dial and checks that the
+// pending AcceptClients then returns nil with exactly the IDs want
+// seated. Its return orders every refusal it counted before the
+// caller's reads.
+func expectHonest(t *testing.T, srv *Server, errc chan error, dial []int, want ...int) {
+	t.Helper()
+	for _, id := range dial {
+		dialRaw(t, srv.Addr()).register(t, id)
+	}
+	if err := <-errc; err != nil {
+		t.Fatalf("AcceptClients after the refusals: %v, want nil", err)
+	}
+	var got []int
+	for _, r := range srv.Registrations() {
+		got = append(got, r.ClientID)
+	}
+	sort.Ints(got)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("registrations = %v, want the honest clients %v", got, want)
+	}
+}
+
+// TestDuplicateRegisterRejected: a second Register for a seated ClientID
+// is closed and counted as duplicate_register, and AcceptClients goes on
+// to seat the honest clients behind it.
+func TestDuplicateRegisterRejected(t *testing.T) {
+	srv, reg := countingServer(t)
+	errc := acceptAsync(srv, 2)
+	dialRaw(t, srv.Addr()).register(t, 0)
+	// Second connection claims the same ClientID.
+	liar := dialRaw(t, srv.Addr())
+	liar.register(t, 0)
+	liar.expectClosed(t, "duplicate of client 0")
+	expectHonest(t, srv, errc, []int{1}, 0, 1)
+	if got := refusedCount(reg, ErrDuplicateRegister); got != 1 {
+		t.Fatalf("refused{kind=duplicate_register} = %v, want 1", got)
+	}
+}
+
+// TestMalformedRegistrationRejected: a first frame that is not one
+// well-formed Register is closed and counted under its protocol kind,
+// and AcceptClients goes on to seat the honest client behind it.
 func TestMalformedRegistrationRejected(t *testing.T) {
 	cases := []struct {
 		name string
@@ -158,19 +220,16 @@ func TestMalformedRegistrationRejected(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			srv, err := NewServer("127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Close()
+			srv, reg := countingServer(t)
 			errc := acceptAsync(srv, 1)
 			raw := dialRaw(t, srv.Addr())
 			if err := raw.enc.Encode(tc.env); err != nil {
 				t.Fatal(err)
 			}
-			var ee *session.ProtocolError
-			if err := <-errc; !errors.As(err, &ee) || ee.Kind != tc.want {
-				t.Fatalf("AcceptClients err = %v, want kind %s", err, tc.want)
+			raw.expectClosed(t, tc.name)
+			expectHonest(t, srv, errc, []int{3}, 3)
+			if got := refusedCount(reg, tc.want); got != 1 {
+				t.Fatalf("refused{kind=%s} = %v, want 1", tc.want, got)
 			}
 		})
 	}
@@ -178,44 +237,24 @@ func TestMalformedRegistrationRejected(t *testing.T) {
 
 // TestBadLatencyRegisterRefused checks that a Register declaring a NaN,
 // infinite or negative latency is refused at the handshake with
-// bad_register: the liar's connection drops and it never registers,
-// while the server goes on admitting honest clients.
+// bad_register: the liar's connection drops, it is counted, and it never
+// registers, while the same AcceptClients call goes on admitting honest
+// clients.
 func TestBadLatencyRegisterRefused(t *testing.T) {
-	srv, err := NewServer("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	for i, lat := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -5} {
-		id := 10 + i
-		errc := acceptAsync(srv, 1)
+	srv, reg := countingServer(t)
+	errc := acceptAsync(srv, 2)
+	lats := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -5}
+	for i, lat := range lats {
 		raw := dialRaw(t, srv.Addr())
-		reg := RegisterFromSummary(id, []float64{1}, nil, lat, 10)
-		if err := raw.enc.Encode(Envelope{Register: &reg}); err != nil {
+		r := RegisterFromSummary(10+i, []float64{1}, nil, lat, 10)
+		if err := raw.enc.Encode(Envelope{Register: &r}); err != nil {
 			t.Fatal(err)
 		}
-		var ee *session.ProtocolError
-		if err := <-errc; !errors.As(err, &ee) || ee.Kind != ErrBadRegister || ee.PeerID != id {
-			t.Fatalf("latency %v: AcceptClients err = %v, want bad_register for client %d", lat, err, id)
-		}
-		var env Envelope
-		if err := raw.dec.Decode(&env); err == nil {
-			t.Fatalf("latency %v: the refused connection is still open", lat)
-		}
+		raw.expectClosed(t, fmt.Sprintf("latency %v", lat))
 	}
-	errc := acceptAsync(srv, 2)
-	dialRaw(t, srv.Addr()).register(t, 0)
-	dialRaw(t, srv.Addr()).register(t, 1)
-	if err := <-errc; err != nil {
-		t.Fatalf("honest clients: %v", err)
-	}
-	var ids []int
-	for _, r := range srv.Registrations() {
-		ids = append(ids, r.ClientID)
-	}
-	sort.Ints(ids)
-	if !reflect.DeepEqual(ids, []int{0, 1}) {
-		t.Fatalf("registrations = %v, want the honest clients 0 and 1", ids)
+	expectHonest(t, srv, errc, []int{0, 1}, 0, 1)
+	if got := refusedCount(reg, ErrBadRegister); got != float64(len(lats)) {
+		t.Fatalf("refused{kind=bad_register} = %v, want %d", got, len(lats))
 	}
 }
 

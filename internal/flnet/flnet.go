@@ -278,25 +278,48 @@ func (s *Server) EnableTelemetry(reg *telemetry.Registry, ring *telemetry.RingSi
 	return s.sess.EnableTelemetry(reg, ring, httpAddr, opts...)
 }
 
-// AcceptClients blocks until n clients have registered (or an accept
-// fails) and returns their registrations. A malformed first message, a
-// dialer that stays silent past the handshake timeout, or a Register
-// for an already-registered ClientID closes that connection and fails
-// the accept loop (with a typed *session.ProtocolError for protocol violations).
+// AcceptClients blocks until n clients have registered and returns
+// their registrations; only a failure of the listener itself ends it
+// early. A dialer refused at registration — a malformed first message,
+// silence past the handshake timeout, a bad_register, or a Register for
+// an already-registered ClientID — has its connection closed and is
+// counted in haccs_net_registrations_refused_total{kind}, and the
+// accept goes on: one liar cannot fail a fleet's start-up.
 func (s *Server) AcceptClients(n int) ([]Register, error) {
 	regs := make([]Register, 0, n)
 	for len(regs) < n {
 		c, err := s.sess.Accept()
-		if err != nil {
+		if errors.Is(err, session.ErrListener) {
 			return regs, err
 		}
+		if err != nil {
+			s.refused(err)
+			continue
+		}
 		if !s.sess.Seat(c, false) {
-			return regs, hop.Err(ErrDuplicateRegister, c.ID, -1, "client already registered")
+			s.refused(hop.Err(ErrDuplicateRegister, c.ID, -1, "client already registered"))
+			continue
 		}
 		s.seated(c)
 		regs = append(regs, c.Hello)
 	}
 	return regs, nil
+}
+
+// refused counts a registration AcceptClients turned away under the
+// protocol error's kind, or "handshake" for a first frame that never
+// arrived whole (silence, EOF, undecodable bytes).
+func (s *Server) refused(err error) {
+	reg := s.sess.Registry()
+	if reg == nil {
+		return
+	}
+	kind := "handshake"
+	var pe *session.ProtocolError
+	if errors.As(err, &pe) {
+		kind = string(pe.Kind)
+	}
+	reg.CounterVec("haccs_net_registrations_refused_total", "Connections refused at registration by the initial accept, by kind.", "kind").With(kind).Inc()
 }
 
 // ServeReconnects starts a background accept loop that re-admits

@@ -2,6 +2,7 @@ package flnet
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -67,6 +68,45 @@ func TestBadUpdateDropsSession(t *testing.T) {
 				t.Fatalf("post-violation Train err = %v, want not_registered", err)
 			}
 		})
+	}
+}
+
+// TestCheckUpdateFiniteness: the branch-free scan refuses a NaN or ±Inf
+// wherever it sits — first, last, inside a four-float group or in the
+// tail the groups leave — with the text naming the first bad coordinate,
+// and accepts every finite value, however extreme.
+func TestCheckUpdateFiniteness(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, c := range []struct{ dim, at int }{
+			{1, 0}, {4, 0}, {4, 3}, {8, 0}, {8, 5}, {8, 7}, // no tail
+			{5, 4}, {7, 4}, {7, 5}, {7, 6}, {4099, 4098}, // in the tail, the last one included
+		} {
+			params := make([]float64, c.dim)
+			for i := range params {
+				params[i] = float64(i) - 1.5
+			}
+			params[c.at] = bad
+			if c.at+1 < c.dim {
+				params[c.dim-1] = math.NaN() // a later bad coordinate is not the one named
+			}
+			err := checkUpdate(&TrainReply{ClientID: 2, Round: 5, Params: params, NumSamples: 1}, c.dim)
+			var ee *session.ProtocolError
+			want := fmt.Sprintf("update coordinate %d is %v", c.at, bad)
+			if !errors.As(err, &ee) || ee.Kind != ErrBadUpdate || ee.Detail != want || ee.PeerID != 2 || ee.Round != 5 {
+				t.Errorf("%v at %d of %d: err = %v, want bad_update %q", bad, c.at, c.dim, err, want)
+			}
+		}
+	}
+	finite := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.Float64frombits(0x000fffffffffffff), math.MaxFloat64, -math.MaxFloat64}
+	for dim := 1; dim <= 2*len(finite)+1; dim++ {
+		params := make([]float64, dim)
+		for i := range params {
+			params[i] = finite[i%len(finite)]
+		}
+		if err := checkUpdate(&TrainReply{Params: params, NumSamples: 1}, dim); err != nil {
+			t.Errorf("finite update of %d coordinates refused: %v", dim, err)
+		}
 	}
 }
 

@@ -86,6 +86,12 @@ func FedAvg(results []Result) []float64 {
 	return out
 }
 
+// fedAvgBlock is how many coordinates of dst FedAvgInto finishes at a
+// time: 2 048 floats, 16 KiB, so the block stays in the L1 data cache
+// while every result's slice of it streams past, instead of one
+// read-modify-write sweep of the whole of dst per result.
+const fedAvgBlock = 2048
+
 // FedAvgInto is FedAvg written into a caller-owned vector (the driver
 // reuses its global vector across rounds). dst must have the parameter
 // dimension and must not alias any result's Params; it is overwritten.
@@ -109,13 +115,15 @@ func FedAvgInto(dst []float64, results []Result) {
 		}
 		total += r.NumSamples
 	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	for _, r := range results {
-		w := float64(r.NumSamples) / float64(total)
-		for i, v := range r.Params {
-			dst[i] += w * v
+	for lo := 0; lo < dim; lo += fedAvgBlock {
+		blk := dst[lo:min(lo+fedAvgBlock, dim)]
+		clear(blk)
+		for _, r := range results {
+			w := float64(r.NumSamples) / float64(total)
+			p := r.Params[lo : lo+len(blk)]
+			for i, v := range p {
+				blk[i] += w * v
+			}
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"slices"
 	"sync"
 	"unsafe"
@@ -22,9 +23,12 @@ import (
 // flight is of a kind that carries one (Vectored.Vector non-nil), and is
 // then always present, count 0 standing for a nil vector. Messages of
 // the other kinds are plain gob, byte for byte. The vector never passes
-// through gob in either direction: it is written from the caller's slice
-// into the connection's send frame with one loop, and read off the
-// socket straight into the connection's receive buffer.
+// through gob in either direction. On a little-endian host a []float64's
+// memory is the payload, so a send over a TCP connection hands the
+// kernel the frame (gob part and count) and the caller's own vector as
+// one vectored write, and the receive side reads off the socket straight
+// into the connection's receive buffer. Any other writer gets the
+// message assembled in the codec's send frame and written at once.
 //
 // Both ends of both hops ship from this module; there is no negotiation
 // and no tolerance for a vector inside the gob part, so peers of mixed
@@ -71,22 +75,30 @@ func (f *frame) Write(p []byte) (int, error) {
 //
 // Buffer lifetime: a received vector aliases a buffer the Codec owns and
 // reuses, so it is valid until the next message is received on the same
-// connection. Each end keeps one receive buffer and one send frame, both
-// grown once to the model dimension; steady state allocates nothing
-// proportional to it.
+// connection. Each end keeps one receive buffer, grown once to the model
+// dimension, and one send frame, which holds only the gob part and the
+// count where the vector leaves from the caller's slice (a TCP
+// connection on a little-endian host) and the whole message elsewhere;
+// steady state allocates nothing proportional to the dimension.
 type Codec struct {
-	w   io.Writer
-	wmu sync.Mutex    // held across one Encode
-	r   *bufio.Reader // the only reader of the connection: gob uses an io.ByteReader as is, so nothing reads past the control message
-	enc *gob.Encoder  // into out
-	dec *gob.Decoder  // from r
-	out frame
-	vec []float64
+	w    io.Writer
+	tcp  *net.TCPConn  // w, when a vector can leave straight from the caller's slice; else nil
+	wmu  sync.Mutex    // held across one Encode
+	r    *bufio.Reader // the only reader of the connection: gob uses an io.ByteReader as is, so nothing reads past the control message
+	enc  *gob.Encoder  // into out
+	dec  *gob.Decoder  // from r
+	out  frame
+	iov  [2][]byte   // frame and payload of one vectored write; cleared after it
+	bufs net.Buffers // iov as the writev argument, a field so that passing it allocates nothing
+	vec  []float64
 }
 
 // NewCodec returns the codec of one connection.
 func NewCodec(conn io.ReadWriter) *Codec {
 	c := &Codec{w: conn, r: bufio.NewReader(conn)}
+	if tc, ok := conn.(*net.TCPConn); ok && littleEndian {
+		c.tcp = tc
+	}
 	c.enc = gob.NewEncoder(&c.out)
 	c.dec = gob.NewDecoder(c.r)
 	return c
@@ -100,9 +112,13 @@ func vectorSlot(msg any) *[]float64 {
 }
 
 // Encode sends msg — control part and, for a vector-bearing kind, the
-// trailer — in a single Write. The vector's slot is nil while gob runs
-// and restored before Encode returns, so one message must not be encoded
-// from two goroutines at once (the vector itself is only read).
+// trailer. Over a TCP connection on a little-endian host the vector's
+// bytes go to the kernel from the caller's slice, in one writev with the
+// frame; any other writer gets the assembled message in a single Write.
+// Either way a vector over MaxVector is refused before a byte is written.
+// The vector's slot is nil while gob runs and restored before Encode
+// returns, so one message must not be encoded from two goroutines at
+// once (the vector itself is only read).
 func (c *Codec) Encode(msg any) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
@@ -112,30 +128,63 @@ func (c *Codec) Encode(msg any) error {
 		if err := c.enc.Encode(msg); err != nil {
 			return err
 		}
-	} else {
-		vec := *slot
-		if len(vec) > MaxVector {
-			return fmt.Errorf("%w: %d floats to send, at most %d", ErrBadVector, len(vec), MaxVector)
-		}
-		*slot = nil
-		err := c.enc.Encode(msg)
-		*slot = vec
-		if err != nil {
-			return err
-		}
-		c.out = appendVector(c.out, vec)
+		_, err := c.w.Write(c.out)
+		return err
 	}
-	_, err := c.w.Write(c.out)
+	vec := *slot
+	if len(vec) > MaxVector {
+		return fmt.Errorf("%w: %d floats to send, at most %d", ErrBadVector, len(vec), MaxVector)
+	}
+	*slot = nil
+	err := c.enc.Encode(msg)
+	*slot = vec
+	if err != nil {
+		return err
+	}
+	if c.tcp != nil {
+		c.out = binary.LittleEndian.AppendUint32(c.out, uint32(len(vec)))
+		return c.writeVectored(vec)
+	}
+	c.out = appendVector(c.out, vec)
+	_, err = c.w.Write(c.out)
 	return err
 }
 
-// appendVector appends the trailer for vec. The loop is the only copy
-// the send side makes, and it is byte-order independent.
+// writeVectored writes the frame and then vec's in-memory image, which
+// is its little-endian payload, as one net.Buffers write: a writev, so
+// the payload is not copied before the kernel's own copy. The buffers
+// are cleared afterwards, so the codec never pins a caller's vector.
+func (c *Codec) writeVectored(vec []float64) error {
+	c.iov = [2][]byte{c.out, floatBytes(vec)}
+	c.bufs = c.iov[:]
+	_, err := c.bufs.WriteTo(c.tcp)
+	c.iov, c.bufs = [2][]byte{}, nil
+	return err
+}
+
+// floatBytes is vec's memory as bytes: its wire payload on a
+// little-endian host.
+func floatBytes(vec []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vec))), 8*len(vec))
+}
+
+// appendVector appends the trailer for vec: on a little-endian host one
+// copy of its in-memory image, elsewhere the portable loop.
 func appendVector(b []byte, vec []float64) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(vec)))
+	if littleEndian {
+		return append(b, floatBytes(vec)...)
+	}
+	return appendVectorPortable(b, vec)
+}
+
+// appendVectorPortable appends vec's little-endian payload whatever the
+// host's byte order — the send path of a host that is not little-endian,
+// and the reference the in-memory image is tested against.
+func appendVectorPortable(b []byte, vec []float64) []byte {
 	n := len(b)
-	b = slices.Grow(b, 4+8*len(vec))[:n+4+8*len(vec)]
-	binary.LittleEndian.PutUint32(b[n:], uint32(len(vec)))
-	p := b[n+4:]
+	b = slices.Grow(b, 8*len(vec))[:n+8*len(vec)]
+	p := b[n:]
 	for ; len(vec) >= 4; vec, p = vec[4:], p[32:] {
 		q := p[:32:32] // one bounds check for four stores
 		binary.LittleEndian.PutUint64(q, math.Float64bits(vec[0]))
@@ -203,7 +252,7 @@ func (c *Codec) DecodeDim(msg any, dim int) error {
 	}
 	vec := c.vec[:n]
 	if littleEndian {
-		_, err = io.ReadFull(c.r, unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vec))), 8*n))
+		_, err = io.ReadFull(c.r, floatBytes(vec))
 	} else {
 		err = readVectorPortable(c.r, vec)
 	}

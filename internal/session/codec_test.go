@@ -230,26 +230,28 @@ func TestConcurrentEncodesStayWhole(t *testing.T) {
 	}
 }
 
-// TestCastAndPortablePathsAgree: the payload the send loop writes is the
-// little-endian image of the floats, and the read-in-place path and the
-// portable path turn it back into the same bits.
+// TestCastAndPortablePathsAgree: the portable send loop writes the
+// little-endian image of the floats, which on a little-endian host is
+// their memory (what the cast paths send and read in place), and the
+// read-in-place path and the portable read path turn it back into the
+// same bits.
 func TestCastAndPortablePathsAgree(t *testing.T) {
 	vec := append(append([]float64(nil), awkward...), make([]float64, 1500)...)
 	for i := len(awkward); i < len(vec); i++ {
 		vec[i] = math.Float64frombits(0x9e3779b97f4a7c15 * uint64(i))
 	}
-	trailer := appendVector(nil, vec)
-	payload := trailer[4:]
+	payload := appendVectorPortable(nil, vec)
 	for i, v := range vec {
 		if got := binary.LittleEndian.Uint64(payload[8*i:]); got != math.Float64bits(v) {
 			t.Fatalf("float %d written as %016x, want %016x", i, got, math.Float64bits(v))
 		}
 	}
-	if littleEndian {
-		image := unsafe.Slice((*byte)(unsafe.Pointer(&vec[0])), 8*len(vec))
-		if !bytes.Equal(payload, image) {
-			t.Error("send loop and the in-memory image disagree on a little-endian host")
-		}
+	if littleEndian && !bytes.Equal(payload, floatBytes(vec)) {
+		t.Error("send loop and the in-memory image disagree on a little-endian host")
+	}
+	// Whichever path this host takes in appendVector.
+	if trailer := appendVector(nil, vec); !bytes.Equal(trailer[4:], payload) {
+		t.Error("appendVector and the portable send loop disagree")
 	}
 
 	portable := make([]float64, len(vec))
@@ -269,6 +271,188 @@ func TestCastAndPortablePathsAgree(t *testing.T) {
 	}
 	if err := readVectorPortable(decoderOver(payload[:len(payload)-3]).r, portable); err == nil {
 		t.Error("portable path accepted a truncated payload")
+	}
+}
+
+// tcpPair returns the two ends of one loopback TCP connection.
+func tcpPair(t *testing.T) (net.Conn, net.Conn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			t.Error(err)
+		}
+		accepted <- c
+	}()
+	a, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := <-accepted
+	if b == nil {
+		t.FailNow()
+	}
+	t.Cleanup(func() { a.Close(); b.Close() })
+	return a, b
+}
+
+// patterned is a vector of n floats that cycles through the awkward bit
+// patterns and fills the rest with distinct ones.
+func patterned(n int) []float64 {
+	vec := make([]float64, n)
+	for i := range vec {
+		if i < len(awkward) {
+			vec[i] = awkward[i]
+		} else {
+			vec[i] = math.Float64frombits(0x9e3779b97f4a7c15 * uint64(i))
+		}
+	}
+	return vec
+}
+
+// TestVectoredSendMatchesFrame: what a codec over a TCP connection puts
+// on the wire — the vector straight from the caller's slice where the
+// host allows — is byte for byte the stream the assembled path writes
+// into a bytes.Buffer, message after message, and nothing more.
+func TestVectoredSendMatchesFrame(t *testing.T) {
+	msgs := []any{envelope{Note: &note{Text: "first"}}}
+	for i, n := range []int{-1, 0, 1, 4096, 65536} {
+		var vec []float64
+		if n >= 0 {
+			vec = patterned(n)
+		}
+		msgs = append(msgs, envelope{Carrier: &carrier{Seq: i, Vec: vec}})
+	}
+	msgs = append(msgs, envelope{Note: &note{Text: "last"}})
+
+	var want bytes.Buffer
+	assembled := NewCodec(&want)
+	for i, m := range msgs {
+		if err := assembled.Encode(m); err != nil {
+			t.Fatalf("assembled message %d: %v", i, err)
+		}
+	}
+
+	a, b := tcpPair(t)
+	sender := NewCodec(a)
+	if littleEndian && sender.tcp == nil {
+		t.Fatal("a codec over a TCP connection on a little-endian host does not send vectored")
+	}
+	got := make(chan []byte, 1)
+	go func() {
+		wire, err := io.ReadAll(b)
+		if err != nil {
+			t.Error(err)
+		}
+		got <- wire
+	}()
+	for i, m := range msgs {
+		if err := sender.Encode(m); err != nil {
+			t.Fatalf("TCP message %d: %v", i, err)
+		}
+		if sender.iov[0] != nil || sender.iov[1] != nil || sender.bufs != nil {
+			t.Fatalf("message %d: the codec still holds the vectored write's buffers", i)
+		}
+	}
+	if sender.tcp != nil && cap(sender.out) >= 8*65536 {
+		t.Errorf("the TCP send frame grew to %d bytes: the vector was copied into it", cap(sender.out))
+	}
+	a.Close()
+	if wire := <-got; !bytes.Equal(wire, want.Bytes()) {
+		t.Fatalf("TCP stream of %d bytes differs from the assembled stream of %d", len(wire), want.Len())
+	}
+}
+
+// TestEchoOfReceiveBufferRoundTrips: a peer that sends back the vector
+// it just received — a slice of its own receive buffer — hands the
+// caller the same bits, whichever send path each end takes.
+func TestEchoOfReceiveBufferRoundTrips(t *testing.T) {
+	a, b := tcpPair(t)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		peer := NewCodec(b)
+		for {
+			var env envelope
+			if peer.Decode(&env) != nil || peer.Encode(env) != nil {
+				return
+			}
+		}
+	}()
+	c := NewCodec(a)
+	for i, n := range []int{3, 4096, 65536, 1, 4096} {
+		want := patterned(n)
+		if err := c.Encode(envelope{Carrier: &carrier{Seq: i, Vec: want}}); err != nil {
+			t.Fatal(err)
+		}
+		var env envelope
+		if err := c.Decode(&env); err != nil {
+			t.Fatalf("echo %d: %v", i, err)
+		}
+		if env.Carrier.Seq != i || !sameBits(env.Carrier.Vec, want) {
+			t.Fatalf("echo %d of %d floats came back changed", i, n)
+		}
+	}
+	a.Close()
+	<-done
+}
+
+// TestOversizedVectorRefusedBeforeWrite: a vector over MaxVector is
+// refused before any byte leaves, on the assembled and the TCP path, and
+// the stream stays usable.
+func TestOversizedVectorRefusedBeforeWrite(t *testing.T) {
+	// A slice header claiming MaxVector+1 floats over one: the refusal
+	// must come from the length alone, before any of them is read.
+	type sliceHeader struct {
+		data     unsafe.Pointer
+		len, cap int
+	}
+	var one float64
+	huge := *(*[]float64)(unsafe.Pointer(&sliceHeader{unsafe.Pointer(&one), MaxVector + 1, MaxVector + 1}))
+	msg := envelope{Carrier: &carrier{Vec: huge}}
+
+	p := &pipe{}
+	if err := NewCodec(p).Encode(msg); !errors.Is(err, ErrBadVector) || len(p.writes) != 0 {
+		t.Errorf("assembled path: err %v after %d writes, want ErrBadVector and none", err, len(p.writes))
+	}
+
+	a, b := tcpPair(t)
+	c := NewCodec(a)
+	if err := c.Encode(msg); !errors.Is(err, ErrBadVector) {
+		t.Fatalf("TCP path: err %v, want ErrBadVector", err)
+	}
+	if err := c.Encode(envelope{Carrier: &carrier{Seq: 9, Vec: []float64{1}}}); err != nil {
+		t.Fatal(err)
+	}
+	var env envelope
+	if err := NewCodec(b).Decode(&env); err != nil || env.Carrier == nil || env.Carrier.Seq != 9 {
+		t.Fatalf("first message after the refusal: %+v, %v", env.Carrier, err)
+	}
+}
+
+// TestTCPEncodeAllocatesNothing: a steady-state send of a vector-bearing
+// message over TCP allocates nothing — the vectored write's argument is
+// the codec's own field.
+func TestTCPEncodeAllocatesNothing(t *testing.T) {
+	a, b := tcpPair(t)
+	go io.Copy(io.Discard, b)
+	c := NewCodec(a)
+	var msg any = envelope{Carrier: &carrier{Seq: 1, Vec: patterned(4096)}}
+	if err := c.Encode(msg); err != nil { // gob sends its type descriptors once
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := c.Encode(msg); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Encode over TCP: %v allocations a message, want 0", n)
 	}
 }
 

@@ -37,6 +37,11 @@ var handshakeTimeout = 5 * time.Second
 // translate it into their own typed error.
 var ErrNoSession = errors.New("session: no live session")
 
+// ErrListener marks an Accept that failed on the listener itself
+// (closed, or out of descriptors) rather than on one dialer's
+// handshake, so a hop can keep accepting past a refused dialer.
+var ErrListener = errors.New("listener failed")
+
 // Conn is one peer's session: the handshake record it announced itself
 // with and the codec bound to its connection.
 type Conn[H any] struct {
@@ -123,11 +128,12 @@ func (s *Server[H]) Registry() *telemetry.Registry {
 // Accept blocks for the next connection and runs its handshake. The
 // returned Conn is not seated yet: the hop applies its admission policy
 // and calls Seat or Reject. A failed handshake closes the connection
-// and returns hello's error.
+// and returns hello's error; a failed listener returns an error that
+// wraps ErrListener.
 func (s *Server[H]) Accept() (*Conn[H], error) {
 	conn, err := s.ln.Accept()
 	if err != nil {
-		return nil, fmt.Errorf("%s: accept: %w", s.name, err)
+		return nil, fmt.Errorf("%s: accept: %w: %w", s.name, ErrListener, err)
 	}
 	return s.handshake(conn)
 }
