@@ -58,12 +58,14 @@ loc:
 deadcode:
 	$(GO) test -count=1 -v -run TestDeadCode ./tests/deadcode
 
-## mutants: the mutation corpus (~40 s). Each row of
+## mutants: the mutation corpus (≈ 50 s on a 2-vCPU host). Each row of
 ## tests/mutants/mutants.txt swaps one source edit in with
 ## `go test -overlay` (the checkout is never written) and names the tests
 ## that must fail; a surviving mutant, an old text that no longer matches
-## exactly once, or a mutant that does not compile fails the target. The
-## `mutants` build tag keeps the runner out of `go test ./...`.
+## exactly once, or a mutant that does not compile fails the target. A
+## row's tests get two minutes; one that hangs is reported as killed by
+## timeout, with its output. The `mutants` build tag keeps the runner
+## out of `go test ./...`.
 mutants:
 	$(GO) test -tags mutants -count=1 -timeout 30m ./tests/mutants
 

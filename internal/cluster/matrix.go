@@ -136,8 +136,10 @@ func NumClusters(labels []int) int {
 	return len(seen)
 }
 
-// Members returns the point indices of each cluster, indexed by cluster
-// label (labels are assumed to be 0..k-1 as produced by DBSCAN/OPTICS).
+// Members returns the point indices of each cluster, ascending, indexed
+// by cluster label (labels are assumed to be 0..k-1 as produced by
+// DBSCAN/OPTICS); a label without points gets nil. The lists are carved
+// out of one backing array, each capped at its length.
 func Members(labels []int) [][]int {
 	k := 0
 	for _, l := range labels {
@@ -145,7 +147,22 @@ func Members(labels []int) [][]int {
 			k = l + 1
 		}
 	}
+	counts := make([]int, k)
+	total := 0
+	for _, l := range labels {
+		if l != Noise {
+			counts[l]++
+			total++
+		}
+	}
 	out := make([][]int, k)
+	flat, off := make([]int, total), 0
+	for l, c := range counts {
+		if c > 0 {
+			out[l] = flat[off : off : off+c]
+			off += c
+		}
+	}
 	for i, l := range labels {
 		if l != Noise {
 			out[l] = append(out[l], i)

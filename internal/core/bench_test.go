@@ -12,34 +12,55 @@ import (
 // clients in 20 label groups on the sketch backend; one iteration is a
 // Select of k = 64, the loss feedback, one fleet Registry.ObserveRound
 // and an UpdateSummaries of 200 re-reports that keep every client in its
-// cluster. `make bench-guard` runs it once; run it with -benchmem before
-// and after a selector change for a local number ahead of the 20 s
-// benchmark.
+// cluster. It runs under two availability regimes: "available", every
+// client up every round (select_scale's), and "transient", a fresh 10 %
+// dropout mask every round (the paper's §V-C regime, Fig 5's rate), so
+// that no two consecutive rounds see the same mask. The masks are drawn
+// before the timer starts. `make bench-guard` runs it once; run it with
+// -benchmem before and after a selector change for a local number ahead
+// of the 20 s benchmark.
 func BenchmarkSelectRound(b *testing.B) {
-	const n, groups, k, batch = 20000, 20, 64, 200
-	roster, sums, infos := newSynthRoster(PY, n, groups, 1)
-	s := NewScheduler(Config{Kind: PY, Rho: 0.5, Backend: SketchBackend, Sketch: SketchOptions{Dim: 16}}, sums)
-	s.Init(infos, stats.NewRNG(2))
-	reg := fleet.NewRegistry(n, fleet.Options{Source: s})
-	batches := make([]map[int]Summary, n/batch)
-	for i := range batches {
-		batches[i] = make(map[int]Summary, batch)
-		for id := i * batch; id < (i+1)*batch; id++ {
-			batches[i][id] = roster.draw(roster.groupOf[id])
+	const n, groups, k, batch, rate = 20000, 20, 64, 200, 0.10
+	gen := stats.NewRNG(3)
+	transient := make([][]bool, 16)
+	for i := range transient {
+		transient[i] = make([]bool, n)
+		for id := range transient[i] {
+			transient[i][id] = gen.Float64() >= rate
 		}
 	}
-	avail := allAvailable(n)
-	losses := make([]float64, k)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sel := s.Select(i, avail, k)
-		for j, id := range sel {
-			losses[j] = 2.3 / (1 + float64(i)/1000) * (1 + float64(id%7)/10)
-		}
-		s.Update(i, sel, losses[:len(sel)])
-		reg.ObserveRound(fleet.RoundObservation{Round: i, Selected: sel})
-		s.UpdateSummaries(batches[i%len(batches)])
+	for _, regime := range []struct {
+		name  string
+		masks [][]bool
+	}{
+		{"available", [][]bool{allAvailable(n)}},
+		{"transient", transient},
+	} {
+		b.Run(regime.name, func(b *testing.B) {
+			roster, sums, infos := newSynthRoster(PY, n, groups, 1)
+			s := NewScheduler(Config{Kind: PY, Rho: 0.5, Backend: SketchBackend, Sketch: SketchOptions{Dim: 16}}, sums)
+			s.Init(infos, stats.NewRNG(2))
+			reg := fleet.NewRegistry(n, fleet.Options{Source: s})
+			batches := make([]map[int]Summary, n/batch)
+			for i := range batches {
+				batches[i] = make(map[int]Summary, batch)
+				for id := i * batch; id < (i+1)*batch; id++ {
+					batches[i][id] = roster.draw(roster.groupOf[id])
+				}
+			}
+			losses := make([]float64, k)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sel := s.Select(i, regime.masks[i%len(regime.masks)], k)
+				for j, id := range sel {
+					losses[j] = 2.3 / (1 + float64(i)/1000) * (1 + float64(id%7)/10)
+				}
+				s.Update(i, sel, losses[:len(sel)])
+				reg.ObserveRound(fleet.RoundObservation{Round: i, Selected: sel})
+				s.UpdateSummaries(batches[i%len(batches)])
+			}
+		})
 	}
 }
 

@@ -130,12 +130,12 @@ func (s *Scheduler) driftOf(i int) float64 {
 	return stats.Hellinger(s.centroidBuf, base)
 }
 
-// rankByLatency fills s.latRank: each client's position in the roster
-// ordered by (latency, ID). Latencies are fixed at Init, so every
-// latency-ordered member list is a filter of this one order. A NaN
-// latency sorts last, only so that the order is total: Select does not
-// consult it for a cluster in which a NaN-latency member is available
-// (see pickWithin).
+// rankByLatency fills s.latOrder, the roster ordered by (latency, ID),
+// and s.latRank, each client's position in it. Latencies are fixed at
+// Init, so every latency-ordered member list is a filter of this one
+// order. A NaN latency sorts last, only so that the order is total:
+// Select does not consult it for a cluster in which a NaN-latency
+// member is available (see pickWithin).
 func (s *Scheduler) rankByLatency() {
 	order := make([]int, len(s.latency))
 	for id := range order {
@@ -152,6 +152,7 @@ func (s *Scheduler) rankByLatency() {
 		}
 		return a < b
 	})
+	s.latOrder = order
 	s.latRank = make([]int, len(order))
 	for r, id := range order {
 		s.latRank[id] = r
@@ -172,19 +173,15 @@ func (s *Scheduler) rebuildLocked(prev []int) {
 
 	// Latency order: walk the roster by rank and deal each client to its
 	// cluster's list, all lists carved out of one backing array.
-	order := make([]int, len(s.labels))
-	for id, r := range s.latRank {
-		order[r] = id
-	}
 	s.byLat = make([][]int, n)
-	flat, off := make([]int, len(order)), 0
+	flat, off := make([]int, len(s.latOrder)), 0
 	for i, members := range s.clusters {
 		if m := len(members); m > 0 {
 			s.byLat[i] = flat[off : off : off+m]
 			off += m
 		}
 	}
-	for _, id := range order {
+	for _, id := range s.latOrder {
 		l := s.labels[id]
 		s.byLat[l] = append(s.byLat[l], id)
 	}

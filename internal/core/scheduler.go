@@ -1,11 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
+	"unsafe"
 
 	"haccs/internal/cluster"
 	"haccs/internal/fl"
@@ -116,7 +119,8 @@ type Scheduler struct {
 	clusters [][]int
 	byLat    [][]int
 	version  uint64
-	latRank  []int // client -> position in the roster's (latency, ID) order
+	latOrder []int // the roster in (latency, ID) order
+	latRank  []int // client -> position in latOrder
 
 	// sk holds the sketch backend's working state (nil on the dense
 	// backend and before the first reclusterSketch).
@@ -410,6 +414,89 @@ type selectScratch struct {
 	picked            []bool // per client; cleared before Select returns
 	candIDs           []int  // PickWeighted candidates
 	candW             []float64
+	sums              clusterSums
+}
+
+// clusterSums caches, per cluster, what clusterWeights reads besides the
+// losses: the ascending list of available members, their latency sum
+// and their count. Latencies are fixed after Init and membership only
+// changes when version is bumped, so the cache holds while version and
+// the availability mask are those it was built from; the mask is kept
+// as a copy and compared byte for byte each Select. It is built only
+// when a mask comes back unchanged, so a mask that changes every round
+// (transient dropout) costs one compare and one copy on top of the
+// member walk, not a rebuild. Losses move every round and are never
+// cached.
+type clusterSums struct {
+	version uint64 // the membership version mask was seen at; 0 = none yet
+	mask    []bool
+	built   bool    // avail, lat and cnt hold for version and mask
+	avail   [][]int // the member list itself when every member is available
+	ids     []int   // backing array of the other avail lists
+	lat     []float64
+	cnt     []int
+}
+
+// hit reports whether s's membership and the mask available are those
+// the cache last saw, building it on the first repeat. On a miss it
+// remembers them and the caller walks the members.
+func (c *clusterSums) hit(s *Scheduler, available []bool) bool {
+	if c.version == s.version && bytes.Equal(boolBytes(c.mask), boolBytes(available)) {
+		if !c.built {
+			c.build(s, available)
+		}
+		return true
+	}
+	c.version, c.built = s.version, false
+	c.mask = append(c.mask[:0], available...)
+	return false
+}
+
+// build fills every cluster's latency sum and count with one walk over
+// the members, then lists the available members of each cluster that
+// has one down. An all-available roster allocates no list.
+func (c *clusterSums) build(s *Scheduler, available []bool) {
+	n := len(s.clusters)
+	c.built = true
+	c.avail = slices.Grow(c.avail[:0], n)[:n]
+	c.lat = slices.Grow(c.lat[:0], n)[:n]
+	c.cnt = slices.Grow(c.cnt[:0], n)[:n]
+	listed := 0
+	for i, members := range s.clusters {
+		sumLat, cnt := 0.0, 0
+		for _, id := range members {
+			if available[id] {
+				sumLat += s.latency[id]
+				cnt++
+			}
+		}
+		c.lat[i], c.cnt[i] = sumLat, cnt
+		if cnt < len(members) {
+			listed += cnt
+		}
+	}
+	// Sized first so that no append below moves the lists already
+	// carved out of it.
+	ids := slices.Grow(c.ids[:0], listed)
+	for i, members := range s.clusters {
+		if c.cnt[i] == len(members) {
+			c.avail[i] = members
+			continue
+		}
+		start := len(ids)
+		for _, id := range members {
+			if available[id] {
+				ids = append(ids, id)
+			}
+		}
+		c.avail[i] = ids[start:len(ids):len(ids)]
+	}
+	c.ids = ids
+}
+
+// boolBytes views a bool slice as its bytes, for a memory compare.
+func boolBytes(b []bool) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(b))), len(b))
 }
 
 // clusterWeights computes the eq. 7 sampling weight for every cluster
@@ -420,10 +507,13 @@ type selectScratch struct {
 //
 // where Latency_i and ACL_i are the average latency and loss of the
 // cluster's available members. Clusters with no available members get
-// weight 0. The same walk counts each cluster's available members into
-// sel.remaining. Sums run in member (ascending ID) order — the order θ,
-// and with it the RNG stream, has always been computed in. The returned
-// weights are scratch; parts is the caller's to keep.
+// weight 0. Each cluster's available count goes into sel.remaining.
+// Sums run in member (ascending ID) order — the order θ, and with it
+// the RNG stream, has always been computed in. A round whose membership
+// and mask did not change takes the latency sums and counts from
+// sel.sums and walks only the available members' losses, in the same
+// order, for the same bits; any other round walks every member. The
+// returned weights are scratch; parts is the caller's to keep.
 func (s *Scheduler) clusterWeights(available []bool) ([]float64, []clusterWeight) {
 	n := len(s.clusters)
 	sc := &s.sel
@@ -433,15 +523,23 @@ func (s *Scheduler) clusterWeights(available []bool) ([]float64, []clusterWeight
 	}
 	avgLat, avgLoss, weights := sc.avgLat[:n], sc.avgLoss[:n], sc.weights[:n]
 	sc.remaining, sc.cursor = sc.remaining[:n], sc.cursor[:n]
+	hit := sc.sums.hit(s, available)
 	maxLat := 0.0
 	totalLoss := 0.0
 	for i, members := range s.clusters {
 		sumLat, sumLoss, cnt := 0.0, 0.0, 0
-		for _, id := range members {
-			if available[id] {
-				sumLat += s.latency[id]
+		if hit {
+			sumLat, cnt = sc.sums.lat[i], sc.sums.cnt[i]
+			for _, id := range sc.sums.avail[i] {
 				sumLoss += s.lastLoss[id]
-				cnt++
+			}
+		} else {
+			for _, id := range members {
+				if available[id] {
+					sumLat += s.latency[id]
+					sumLoss += s.lastLoss[id]
+					cnt++
+				}
 			}
 		}
 		sc.remaining[i], sc.cursor[i], weights[i] = cnt, 0, 0

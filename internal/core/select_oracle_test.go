@@ -20,12 +20,18 @@ type selectOracle struct {
 	rng *stats.RNG
 }
 
-func (o selectOracle) clusterWeights(available []bool) []float64 {
+// clusterWeights is the uncached walk: one pass over every member of
+// every cluster, summing latency and loss side by side. Besides the
+// weights it returns the parts, each cluster's available count and the
+// cursor Select starts it at (-1 where a NaN latency is available), so
+// that TestClusterWeightsCacheMatchesWalk can hold the cached walk to it.
+func (o selectOracle) clusterWeights(available []bool) (weights []float64, parts []clusterWeight, remaining, cursor []int) {
 	s := o.s
 	n := len(s.clusters)
 	avgLat := make([]float64, n)
 	avgLoss := make([]float64, n)
-	hasMembers := make([]bool, n)
+	weights, parts = make([]float64, n), make([]clusterWeight, n)
+	remaining, cursor = make([]int, n), make([]int, n)
 	maxLat := 0.0
 	totalLoss := 0.0
 	for i, members := range s.clusters {
@@ -37,10 +43,13 @@ func (o selectOracle) clusterWeights(available []bool) []float64 {
 				cnt++
 			}
 		}
+		remaining[i] = cnt
 		if cnt == 0 {
 			continue
 		}
-		hasMembers[i] = true
+		if math.IsNaN(sumLat) {
+			cursor[i] = -1
+		}
 		avgLat[i] = sumLat / float64(cnt)
 		avgLoss[i] = sumLoss / float64(cnt)
 		if avgLat[i] > maxLat {
@@ -48,9 +57,8 @@ func (o selectOracle) clusterWeights(available []bool) []float64 {
 		}
 		totalLoss += avgLoss[i]
 	}
-	weights := make([]float64, n)
 	for i := range s.clusters {
-		if !hasMembers[i] {
+		if remaining[i] == 0 {
 			continue
 		}
 		tau := 0.0
@@ -66,13 +74,14 @@ func (o selectOracle) clusterWeights(available []bool) []float64 {
 			w = 1e-9
 		}
 		weights[i] = w
+		parts[i] = clusterWeight{Theta: w, Tau: tau, ACL: avgLoss[i], ACLShare: lossTerm, Alive: true}
 	}
-	return weights
+	return weights, parts, remaining, cursor
 }
 
 func (o selectOracle) Select(available []bool, k int) []int {
 	s := o.s
-	weights := o.clusterWeights(available)
+	weights, _, _, _ := o.clusterWeights(available)
 	picked := make(map[int]bool, k)
 	var selected []int
 	remaining := make([]int, len(s.clusters))

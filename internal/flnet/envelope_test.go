@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"haccs/internal/session"
 	"haccs/internal/telemetry"
@@ -107,9 +108,12 @@ func (r *rawSession) register(t *testing.T, id int) {
 	}
 }
 
-// expectRequest blocks for the next TrainRequest from the server.
+// expectRequest waits, under peerWait, for the next TrainRequest from
+// the server.
 func (r *rawSession) expectRequest(t *testing.T) *TrainRequest {
 	t.Helper()
+	r.conn.SetReadDeadline(time.Now().Add(peerWait))
+	defer r.conn.SetReadDeadline(time.Time{})
 	var env Envelope
 	if err := r.dec.Decode(&env); err != nil {
 		t.Errorf("decode request: %v", err)
@@ -157,12 +161,21 @@ func countingServer(t *testing.T) (*Server, *telemetry.Registry) {
 	return srv, reg
 }
 
-// expectClosed fails unless the server has closed the raw connection.
+// peerWait bounds a raw session's wait for the server's next frame or
+// its close, so that a server which keeps a connection it should have
+// dropped fails the test in seconds instead of hanging it.
+const peerWait = 2 * time.Second
+
+// expectClosed fails unless the server has closed the raw connection
+// within peerWait.
 func (r *rawSession) expectClosed(t *testing.T, what string) {
 	t.Helper()
+	r.conn.SetReadDeadline(time.Now().Add(peerWait))
 	var env Envelope
-	if err := r.dec.Decode(&env); err == nil {
-		t.Fatalf("%s: the refused connection is still open (got %+v)", what, env)
+	err := r.dec.Decode(&env)
+	var ne net.Error
+	if err == nil || (errors.As(err, &ne) && ne.Timeout()) {
+		t.Fatalf("%s: the refused connection is still open (got %+v, err %v)", what, env, err)
 	}
 }
 

@@ -306,9 +306,10 @@ func (s *Server) AcceptClients(n int) ([]Register, error) {
 	return regs, nil
 }
 
-// refused counts a registration AcceptClients turned away under the
-// protocol error's kind, or "handshake" for a first frame that never
-// arrived whole (silence, EOF, undecodable bytes).
+// refused counts a registration AcceptClients or the reconnect loop
+// turned away under the protocol error's kind, or "handshake" for a
+// first frame that never arrived whole (silence, EOF, undecodable
+// bytes).
 func (s *Server) refused(err error) {
 	reg := s.sess.Registry()
 	if reg == nil {
@@ -319,21 +320,22 @@ func (s *Server) refused(err error) {
 	if errors.As(err, &pe) {
 		kind = string(pe.Kind)
 	}
-	reg.CounterVec("haccs_net_registrations_refused_total", "Connections refused at registration by the initial accept, by kind.", "kind").With(kind).Inc()
+	reg.CounterVec("haccs_net_registrations_refused_total", "Connections refused at registration, by the initial accept or the reconnect loop, by kind.", "kind").With(kind).Inc()
 }
 
 // ServeReconnects starts a background accept loop that re-admits
 // clients after AcceptClients has seated the initial fleet: each new
 // connection registers exactly as in AcceptClients, but an already-
 // known ClientID *replaces* its previous session instead of failing
-// (see session.Server.Seat). The loop exits when the listener closes;
-// Shutdown and Abort wait for it.
+// (see session.Server.Seat). A refused registration is closed and
+// counted as AcceptClients counts it. The loop exits when the listener
+// closes; Shutdown and Abort wait for it.
 func (s *Server) ServeReconnects() {
 	s.sess.ServeReconnects(func(c *session.Conn[Register]) {
 		if s.sess.Seat(c, true) {
 			s.seated(c)
 		}
-	})
+	}, s.refused)
 }
 
 // seated publishes a freshly seated session: a re-registration of a

@@ -1,6 +1,7 @@
 package flnet
 
 import (
+	"math"
 	"net"
 	"testing"
 	"time"
@@ -112,5 +113,52 @@ func TestAbortLooksLikeACrashToClients(t *testing.T) {
 	}
 	if err := srv.Close(); err != nil {
 		t.Errorf("close after abort: %v", err)
+	}
+}
+
+// TestReconnectRefusalsCounted: after start-up, a liar redials with a
+// NaN latency and then with an undecodable first frame. The reconnect
+// loop closes each connection and counts it in
+// haccs_net_registrations_refused_total under the kind AcceptClients
+// would use (bad_register, handshake), and an honest client that
+// redials behind them is still admitted.
+func TestReconnectRefusalsCounted(t *testing.T) {
+	srv, reg := countingServer(t)
+	errc := acceptAsync(srv, 2)
+	dialRaw(t, srv.Addr()).register(t, 0)
+	expectHonest(t, srv, errc, []int{1}, 0, 1)
+	srv.ServeReconnects()
+
+	nan := dialRaw(t, srv.Addr())
+	r := RegisterFromSummary(1, []float64{1}, nil, math.NaN(), 10)
+	if err := nan.enc.Encode(Envelope{Register: &r}); err != nil {
+		t.Fatal(err)
+	}
+	nan.expectClosed(t, "reconnect with a NaN latency")
+
+	garbage := dialRaw(t, srv.Addr())
+	if _, err := garbage.conn.Write([]byte{0x07, 0xff, 0x81, 0x03, 0x00, 0x2a, 0x2a, 0x2a}); err != nil {
+		t.Fatal(err)
+	}
+	garbage.expectClosed(t, "reconnect with a malformed frame")
+
+	// The loop is sequential: once the honest redial is seated, both
+	// refusals ahead of it have been counted.
+	dialRaw(t, srv.Addr()).register(t, 0)
+	deadline := time.Now().Add(peerWait)
+	for srv.Reconnects() < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("honest client not readmitted behind the refused redials")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := refusedCount(reg, ErrBadRegister); got != 1 {
+		t.Errorf("refused{kind=bad_register} = %v, want 1", got)
+	}
+	if got := refusedCount(reg, "handshake"); got != 1 {
+		t.Errorf("refused{kind=handshake} = %v, want 1", got)
+	}
+	if n := srv.Sessions(); n != 2 {
+		t.Errorf("%d live sessions, want the two honest clients", n)
 	}
 }

@@ -32,8 +32,7 @@ type AsyncDriver struct {
 	roundCore
 	async AsyncConfig
 
-	seq  uint64
-	busy []bool // client has an in-flight (queued) update
+	seq uint64
 
 	queue  eventQueue
 	buffer []*asyncEntry
@@ -188,7 +187,7 @@ func NewAsyncDriver(cfg Config, async AsyncConfig, t Transport, strategy Strateg
 		batch:           make([]*asyncEntry, c),
 		stalenessCounts: make([]int, inspStalenessSlots),
 	}
-	d.busy = make([]bool, len(d.proxies))
+	d.busy = make([]bool, len(d.proxies)) // client has an in-flight (queued) update
 	// Each reply is captured eagerly as a delta in its pre-assigned entry,
 	// so transport-owned reply buffers can be reused next cycle.
 	d.sink = func(slot int, res Result) { d.batch[slot].fill(d.global, res) }
@@ -218,7 +217,7 @@ func (d *AsyncDriver) RunRound(round int) Outcome {
 	// Refill: hand the strategy only the free concurrency slots, with
 	// the clients still training masked out, so selected clients train
 	// continuously across cycles.
-	root, selected := d.begin(round, d.busy, d.cfg.ClientsPerRound-len(d.queue))
+	root, selected := d.begin(round, d.cfg.ClientsPerRound-len(d.queue))
 	defer root.End()
 	if len(selected) > 0 {
 		for i, id := range selected {
@@ -246,7 +245,7 @@ func (d *AsyncDriver) RunRound(round int) Outcome {
 		e.seq = d.seq
 		d.seq++
 		heap.Push(&d.queue, e)
-		d.busy[id] = true
+		d.setBusy(id, true)
 	}
 	d.failed = failed
 	d.fail(round, failed)
@@ -261,7 +260,7 @@ func (d *AsyncDriver) RunRound(round int) Outcome {
 	for len(d.queue) > 0 && len(d.buffer) < d.async.BufferK {
 		e := heap.Pop(&d.queue).(*asyncEntry)
 		d.clock = e.finish
-		d.busy[e.client] = false
+		d.setBusy(e.client, false)
 		tau := d.version - e.version
 		e.staleness = tau
 		if d.async.MaxStaleness > 0 && tau > d.async.MaxStaleness {

@@ -161,8 +161,10 @@ func (d *AsyncDriver) RestoreState(data []byte) error {
 	}
 	d.queue = d.queue[:0]
 	d.buffer = d.buffer[:0]
-	for i := range d.busy {
-		d.busy[i] = false
+	for id, busy := range d.busy {
+		if busy {
+			d.setBusy(id, false)
+		}
 	}
 	// Queue entries were serialized in canonical (Finish, Seq) order —
 	// already a valid min-heap layout — so appending in order rebuilds
@@ -173,7 +175,7 @@ func (d *AsyncDriver) RestoreState(data []byte) error {
 			return err
 		}
 		d.queue = append(d.queue, e)
-		d.busy[e.client] = true
+		d.setBusy(e.client, true)
 	}
 	for _, es := range st.Buffer {
 		e, err := d.decodeEntry(es)

@@ -2,6 +2,7 @@ package rounds
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,14 +47,27 @@ type roundCore struct {
 	results     []Result    // per selection slot: the sync leg's update
 	out         SyncOutcome // the sync round's outcome over the selection
 
+	// Availability, kept in place: available[i] is false exactly when
+	// client i is in this round's dropout list (dropped), dead, or busy
+	// (async runtimes; busy is nil elsewhere). Each writer edits only the
+	// entries it changes — begin swaps last round's dropout list for this
+	// round's, fail and setBusy update their own clients — and a restore
+	// recomputes the mask once (resetAvailable). down is this round's
+	// dropped ∪ dead, ascending: the Unavailable event and the fleet
+	// observation.
 	available []bool
-	seen      []bool
+	busy      []bool
+	dropped   []int
+	spare     []int // the dropout model's next list is built here
+	deadIDs   []int // the dead clients, ascending
 	down      []int
-	reps      []Result // this round's aggregated updates, in credit order
-	taus      []int    // their staleness (0 in sync runtimes)
-	repIDs    []int
-	losses    []float64
-	reports   []fleet.ClientReport
+
+	seen    []bool
+	reps    []Result // this round's aggregated updates, in credit order
+	taus    []int    // their staleness (0 in sync runtimes)
+	repIDs  []int
+	losses  []float64
+	reports []fleet.ClientReport
 }
 
 // driverMetrics caches the driver's telemetry collectors (nil when
@@ -120,6 +134,9 @@ func newRoundCore(cfg Config, strategy Strategy, latency, initial []float64, bar
 		repIDs:     make([]int, 0, k),
 		losses:     make([]float64, 0, k),
 	}
+	for i := range c.available {
+		c.available[i] = true
+	}
 	if cfg.Fleet != nil {
 		c.reports = make([]fleet.ClientReport, 0, k)
 	}
@@ -173,17 +190,44 @@ func (c *roundCore) Latency(id int) float64 { return c.latency[id] }
 func (c *roundCore) Dead(id int) bool { return c.dead[id] }
 
 // restoreClock installs the clock and dead mask of a snapshot taken
-// over the same roster; what names the payload in the mismatch error.
+// over the same roster, and recomputes availability from them; what
+// names the payload in the mismatch error.
 func (c *roundCore) restoreClock(what string, clock float64, dead []bool) error {
 	if len(dead) != len(c.dead) {
 		return fmt.Errorf("rounds: %s snapshot for %d clients, driver has %d", what, len(dead), len(c.dead))
 	}
 	c.clock = clock
 	copy(c.dead, dead)
+	c.resetAvailable()
 	if c.met != nil {
 		c.met.clock.Set(c.clock)
 	}
 	return nil
+}
+
+// resetAvailable rebuilds the dead list and the availability mask from
+// the dead and busy masks and the standing dropout list — the one full
+// pass, for a restore that replaced those masks wholesale.
+func (c *roundCore) resetAvailable() {
+	c.deadIDs = c.deadIDs[:0]
+	for id, dead := range c.dead {
+		if dead {
+			c.deadIDs = append(c.deadIDs, id)
+		}
+		c.available[id] = !dead && (c.busy == nil || !c.busy[id])
+	}
+	for _, id := range c.dropped {
+		c.available[id] = false
+	}
+}
+
+// setBusy marks a client as training (hidden from selection without
+// counting as down) or as back from training, and updates its
+// availability. Only async runtimes, which own busy, call it.
+func (c *roundCore) setBusy(id int, busy bool) {
+	c.busy[id] = busy
+	_, dropped := slices.BinarySearch(c.dropped, id)
+	c.available[id] = !busy && !dropped && !c.dead[id]
 }
 
 // open starts a round: the root span every phase hangs under (the zero
@@ -198,33 +242,33 @@ func (c *roundCore) open(round int) telemetry.Span {
 }
 
 // begin opens the round and picks who trains in it. Dropout and death
-// make a client down (the Unavailable event and counter); busy, when
-// non-nil, additionally hides clients that are still training from
-// selection without counting them as down. The strategy then fills up
-// to budget slots from the available mask; budget <= 0 skips selection
+// make a client down (the Unavailable event and counter); busy clients
+// are hidden from selection without counting as down. Availability is
+// edited in place: last round's dropout downs come back (unless dead or
+// busy), then this round's go down, so a round costs what the dropout
+// lists hold, not the roster. The strategy then fills up to budget
+// slots from the available mask; budget <= 0 skips selection
 // altogether. Violations of the Strategy contract panic.
-func (c *roundCore) begin(round int, busy []bool, budget int) (telemetry.Span, []int) {
+func (c *roundCore) begin(round int, budget int) (telemetry.Span, []int) {
 	root := c.open(round)
 	tracer := c.cfg.Tracer
 	sp := root.Child("availability")
-	mask := c.cfg.Dropout.Unavailable(round, len(c.dead))
-	down := c.down[:0]
-	for i := range c.available {
-		if mask[i] || c.dead[i] {
-			down = append(down, i)
-			c.available[i] = false
-		} else {
-			c.available[i] = busy == nil || !busy[i]
-		}
+	next := c.cfg.Dropout.Down(round, len(c.dead), c.spare[:0])
+	for _, id := range c.dropped {
+		c.available[id] = !c.dead[id] && (c.busy == nil || !c.busy[id])
 	}
-	c.down = down
+	for _, id := range next {
+		c.available[id] = false
+	}
+	c.dropped, c.spare = next, c.dropped
+	c.down = union(c.down[:0], c.dropped, c.deadIDs)
 	sp.End()
-	if len(down) > 0 {
+	if len(c.down) > 0 {
 		if tracer != nil {
-			tracer.Emit(telemetry.Unavailable(round, down))
+			tracer.Emit(telemetry.Unavailable(round, c.down))
 		}
 		if c.met != nil {
-			c.met.unavailable.Add(float64(len(down)))
+			c.met.unavailable.Add(float64(len(c.down)))
 		}
 	}
 	if budget <= 0 {
@@ -238,6 +282,27 @@ func (c *roundCore) begin(round int, busy []bool, budget int) (telemetry.Span, [
 	}
 	c.validateSelection(selected, budget)
 	return root, selected
+}
+
+// union appends to dst the ascending union of the ascending lists a and
+// b and returns it.
+func union(dst, a, b []int) []int {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			dst = append(dst, a[i])
+			i++
+		case b[j] < a[i]:
+			dst = append(dst, b[j])
+			j++
+		default:
+			dst = append(dst, a[i])
+			i, j = i+1, j+1
+		}
+	}
+	dst = append(dst, a[i:]...)
+	return append(dst, b[j:]...)
 }
 
 // validateSelection enforces the Strategy contract: valid, available,
@@ -342,7 +407,7 @@ type syncLeg interface {
 // them in through the leg, advance the clock, finish. Driver and the
 // sync HierDriver differ only in their leg.
 func (c *roundCore) syncRound(round int, leg syncLeg) Outcome {
-	root, selected := c.begin(round, nil, c.cfg.ClientsPerRound)
+	root, selected := c.begin(round, c.cfg.ClientsPerRound)
 	defer root.End()
 	if len(selected) == 0 {
 		return c.idle(round, root)
@@ -397,6 +462,10 @@ func (c *roundCore) fail(round int, ids []int) {
 	}
 	for _, id := range ids {
 		c.dead[id] = true
+		c.available[id] = false
+		if i, found := slices.BinarySearch(c.deadIDs, id); !found {
+			c.deadIDs = slices.Insert(c.deadIDs, i, id)
+		}
 	}
 	if c.cfg.Tracer != nil {
 		c.cfg.Tracer.Emit(telemetry.ClientFailed(round, append([]int(nil), ids...)))

@@ -171,11 +171,12 @@ func (s *instantShard) Exec(cmd ShardCmd) (*ShardReport, error) {
 
 // TestRunRoundAllocs pins the steady-state allocations of one round
 // with every observer off: the shared fan-out's per-slot sink must not
-// cost more than the per-driver dispatch loops it replaced (readings of
-// the same harness at b7c8b32: Driver 5 and 19 allocs/round at
-// parallelism 1 and 8, AsyncDriver with BufferK 4 10 and 16), and the
+// cost more than the per-driver dispatch loops it replaced, and the
 // sharded sync round — two shards, the shared sync round over the shard
-// leg — no more than it did with its own body (7).
+// leg — no more than it did with its own body. Availability is kept in
+// place, so no round allocates a dropout mask: Driver 4 and 18
+// allocs/round at parallelism 1 and 8, AsyncDriver with BufferK 4 9 and
+// 15, the sharded round 6 (one fewer each than with a fresh mask).
 func TestRunRoundAllocs(t *testing.T) {
 	transport := func(par int) fakeTransport {
 		proxies := make([]Proxy, 64)
@@ -197,7 +198,7 @@ func TestRunRoundAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		par         int
 		sync, async float64
-	}{{1, 5, 10}, {8, 19, 16}} {
+	}{{1, 4, 9}, {8, 18, 15}} {
 		cfg := Config{ClientsPerRound: 8}
 		if got := measure(NewDriver(cfg, transport(tc.par), &rotateStrategy{}, make([]float64, 256))); got > tc.sync {
 			t.Errorf("Driver parallelism %d: %v allocs/round, want <= %v", tc.par, got, tc.sync)
@@ -215,7 +216,7 @@ func TestRunRoundAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := measure(hier); got > 7 {
-		t.Errorf("sharded sync HierDriver: %v allocs/round, want <= 7", got)
+	if got := measure(hier); got > 6 {
+		t.Errorf("sharded sync HierDriver: %v allocs/round, want <= 6", got)
 	}
 }

@@ -153,10 +153,12 @@ func (s *Server[H]) handshake(conn net.Conn) (*Conn[H], error) {
 
 // ServeReconnects starts the background loop that hands every later
 // connection, after its handshake, to admit — the hop's reconnect
-// policy. Silent, slow or malformed dialers are dropped without
-// disturbing the loop. Starting it twice is a no-op; the loop exits
-// when the listener closes, and Teardown waits for it.
-func (s *Server[H]) ServeReconnects(admit func(*Conn[H])) {
+// policy. Silent, slow or malformed dialers are closed without
+// disturbing the loop, and their handshake error goes to refuse (nil
+// drops it), so that the hop can count them. Starting it twice is a
+// no-op; the loop exits when the listener closes, and Teardown waits
+// for it.
+func (s *Server[H]) ServeReconnects(admit func(*Conn[H]), refuse func(error)) {
 	s.mu.Lock()
 	if s.closed || s.loopDone != nil {
 		s.mu.Unlock()
@@ -172,8 +174,12 @@ func (s *Server[H]) ServeReconnects(admit func(*Conn[H])) {
 			if err != nil {
 				return // listener closed
 			}
-			if c, err := s.handshake(conn); err == nil {
+			c, err := s.handshake(conn)
+			switch {
+			case err == nil:
 				admit(c)
+			case refuse != nil:
+				refuse(err)
 			}
 		}
 	}()

@@ -119,8 +119,8 @@ func TestHandshakeTimeoutInReconnectLoop(t *testing.T) {
 	s.ServeReconnects(func(c *Conn[hello]) {
 		s.Seat(c, true)
 		admitted <- c.ID
-	})
-	s.ServeReconnects(func(*Conn[hello]) { t.Error("second loop started") }) // idempotent
+	}, nil)
+	s.ServeReconnects(func(*Conn[hello]) { t.Error("second loop started") }, nil) // idempotent
 
 	// A silent dialer ahead in the accept queue is dropped quietly and
 	// does not stall the peer behind it.
@@ -241,7 +241,7 @@ func TestTeardownLeavesNoGoroutines(t *testing.T) {
 		if err != nil || !s.Seat(c, false) {
 			t.Fatalf("seat: %v", err)
 		}
-		s.ServeReconnects(func(c *Conn[hello]) { s.Seat(c, true) })
+		s.ServeReconnects(func(c *Conn[hello]) { s.Seat(c, true) }, nil)
 		if err := s.Teardown(hello{ID: -1}); err != nil {
 			t.Fatal(err)
 		}
@@ -259,7 +259,7 @@ func TestTeardownLeavesNoGoroutines(t *testing.T) {
 		if s.Seat(c, true) {
 			t.Error("seated a session after teardown")
 		}
-		s.ServeReconnects(func(*Conn[hello]) {})
+		s.ServeReconnects(func(*Conn[hello]) {}, nil)
 		p.Close()
 	}
 	deadline := time.Now().Add(5 * time.Second)

@@ -210,7 +210,7 @@ func (s *RootServer) sendAck(shardID int) error {
 // where every shard redials a fresh RootServer that learned the
 // rosters from AcceptShards again). The loop exits when the listener
 // closes; Shutdown and Abort wait for it.
-func (s *RootServer) ServeReconnects() { s.sess.ServeReconnects(s.admit) }
+func (s *RootServer) ServeReconnects() { s.sess.ServeReconnects(s.admit, nil) }
 
 // admit is the reconnect policy: the re-offered roster must match the
 // original Hello exactly (the partition is fixed for the run), after

@@ -185,19 +185,28 @@ func TestWrongDimensionPartialIsBadReport(t *testing.T) {
 	if err := srv.setPlan(nil, func() int { return 0 }, dim); err != nil {
 		t.Fatal(err)
 	}
-	answer := func(s *rawShard, shardID, floats int) {
-		var env Envelope
-		if s.dec.Decode(&env) == nil && env.Cmd != nil {
-			s.enc.Encode(Envelope{Report: &Report{ShardID: shardID, Round: env.Cmd.Round, ShardReport: rounds.ShardReport{Partial: make([]float64, floats)}}})
-		}
+	// answer replies to one Cmd on its own goroutine; the returned
+	// channel closes when it is done with s, so that the next reader of
+	// s is ordered after it.
+	answer := func(s *rawShard, shardID, floats int) chan struct{} {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			var env Envelope
+			if s.dec.Decode(&env) == nil && env.Cmd != nil {
+				s.enc.Encode(Envelope{Report: &Report{ShardID: shardID, Round: env.Cmd.Round, ShardReport: rounds.ShardReport{Partial: make([]float64, floats)}}})
+			}
+		}()
+		return done
 	}
-	go answer(bad, 0, dim+1)
-	go answer(good, 1, dim)
+	badDone := answer(bad, 0, dim+1)
+	goodDone := answer(good, 1, dim)
 
 	_, err := srv.exec(0, rounds.ShardCmd{Round: 3, Params: make([]float64, dim)})
 	if pe := wantKind(t, err, ErrBadReport); pe.PeerID != 0 || pe.Round != 3 {
 		t.Errorf("error names shard %d round %d", pe.PeerID, pe.Round)
 	}
+	<-badDone
 	bad.expectClosed(t)
 	_, err = srv.exec(0, rounds.ShardCmd{Round: 4})
 	wantKind(t, err, ErrNotConnected)
@@ -207,10 +216,12 @@ func TestWrongDimensionPartialIsBadReport(t *testing.T) {
 		t.Errorf("the other shard's exchange: %d floats, err %v", len(rep.Partial), err)
 	}
 	// An empty partial — a shard with nothing to contribute — is admitted.
-	go answer(good, 1, 0)
+	<-goodDone
+	goodDone = answer(good, 1, 0)
 	if rep, err = srv.exec(1, rounds.ShardCmd{Round: 4}); err != nil || rep.Partial != nil {
 		t.Errorf("empty partial: %v, err %v", rep, err)
 	}
+	<-goodDone
 	if srv.Sessions() != 1 {
 		t.Errorf("%d live sessions, want 1", srv.Sessions())
 	}

@@ -3,6 +3,7 @@ package simnet
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"haccs/internal/stats"
 )
@@ -11,22 +12,27 @@ import (
 // The paper exercises three regimes: no dropout (scheduling experiments),
 // per-epoch transient dropout with recovery (§V-C), and permanent dropout
 // of individuals or whole groups (the §III motivation experiment).
+//
+// A model reports a list, not a mask, so that a round with few downs
+// costs what it lists: the round driver keeps its availability mask in
+// place and edits only the entries that changed (rounds.roundCore).
 type DropoutModel interface {
-	// Unavailable returns the set of client indices (as a boolean mask
-	// over n clients) that are down during the given epoch.
-	Unavailable(epoch, n int) []bool
+	// Down appends to dst the IDs in [0, n) of the clients that are down
+	// during the given epoch, ascending and each once, and returns the
+	// extended slice. It must not retain dst.
+	Down(epoch, n int, dst []int) []int
 }
 
 // NoDropout keeps every client available in every epoch.
 type NoDropout struct{}
 
-// Unavailable implements DropoutModel.
-func (NoDropout) Unavailable(epoch, n int) []bool { return make([]bool, n) }
+// Down implements DropoutModel: nobody is down, and nothing is allocated.
+func (NoDropout) Down(epoch, n int, dst []int) []int { return dst }
 
 // TransientDropout marks each client unavailable independently with
 // probability Rate at the start of each epoch; clients recover at the
-// end of the epoch (paper §V-C uses Rate = 0.10). The mask for an epoch
-// is drawn from a stream derived from Seed and the epoch number only, so
+// end of the epoch (paper §V-C uses Rate = 0.10). The downs of an epoch
+// are drawn from a stream derived from Seed and the epoch number only, so
 // every selection strategy sees the identical dropout schedule — the
 // paper seeds its RNGs the same way across strategies.
 type TransientDropout struct {
@@ -34,21 +40,23 @@ type TransientDropout struct {
 	Seed uint64
 }
 
-// Unavailable implements DropoutModel.
-func (t TransientDropout) Unavailable(epoch, n int) []bool {
+// Down implements DropoutModel. It draws one uniform per client, in ID
+// order, whatever the rate, so the stream is the same at every rate.
+func (t TransientDropout) Down(epoch, n int, dst []int) []int {
 	if t.Rate < 0 || t.Rate > 1 {
 		panic("simnet: TransientDropout rate out of [0,1]")
 	}
 	r := stats.NewRNG(t.Seed ^ (uint64(epoch)+1)*0x9e3779b97f4a7c15)
-	mask := make([]bool, n)
-	for i := range mask {
-		mask[i] = r.Float64() < t.Rate
+	for i := 0; i < n; i++ {
+		if r.Float64() < t.Rate {
+			dst = append(dst, i)
+		}
 	}
-	return mask
+	return dst
 }
 
-// SnapshotState implements checkpoint.Snapshotter. The per-epoch mask
-// is a pure function of (Seed, epoch), so the schedule carries no
+// SnapshotState implements checkpoint.Snapshotter. The per-epoch downs
+// are a pure function of (Seed, epoch), so the schedule carries no
 // mutable state — the payload records the configuration so a resumed
 // run can verify it reproduces the identical dropout sequence.
 func (t TransientDropout) SnapshotState() ([]byte, error) {
@@ -81,18 +89,20 @@ type PermanentDropout struct {
 	FromEpoch int
 }
 
-// Unavailable implements DropoutModel.
-func (p PermanentDropout) Unavailable(epoch, n int) []bool {
-	mask := make([]bool, n)
+// Down implements DropoutModel: from FromEpoch on, the listed IDs that
+// lie in [0, n), sorted and without repeats.
+func (p PermanentDropout) Down(epoch, n int, dst []int) []int {
 	if epoch < p.FromEpoch {
-		return mask
+		return dst
 	}
+	start := len(dst)
 	for _, i := range p.Dropped {
 		if i >= 0 && i < n {
-			mask[i] = true
+			dst = append(dst, i)
 		}
 	}
-	return mask
+	slices.Sort(dst[start:])
+	return dst[:start+len(slices.Compact(dst[start:]))]
 }
 
 var (

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -22,7 +23,7 @@ func TestTransientDropoutInvalidRate(t *testing.T) {
 					t.Errorf("rate %v did not panic", rate)
 				}
 			}()
-			transient(rate, 1).Unavailable(0, 10)
+			transient(rate, 1).Down(0, 10, nil)
 		}()
 		if _, err := transient(rate, 1).SnapshotState(); err == nil {
 			t.Errorf("SnapshotState accepted rate %v", rate)
@@ -30,7 +31,7 @@ func TestTransientDropoutInvalidRate(t *testing.T) {
 	}
 	// Boundary rates are valid.
 	for _, rate := range []float64{0, 1} {
-		mask := transient(rate, 1).Unavailable(0, 10)
+		mask := maskOf(transient(rate, 1).Down(0, 10, nil), 10)
 		for i, down := range mask {
 			if down != (rate == 1) {
 				t.Errorf("rate %v client %d down=%v", rate, i, down)
@@ -40,11 +41,12 @@ func TestTransientDropoutInvalidRate(t *testing.T) {
 }
 
 // TestTransientDropoutMaskIdenticalAcrossStrategies pins the property
-// the paper's cross-strategy comparison rests on: the per-epoch mask
-// is a pure function of (Seed, epoch, n), so independently constructed
+// the paper's cross-strategy comparison rests on: the per-epoch downs
+// are a pure function of (Seed, epoch, n), so independently constructed
 // models with the same seed — one per strategy under comparison — see
 // the identical dropout schedule, regardless of evaluation order or
-// how often a mask is recomputed.
+// how often it is recomputed, and that schedule is the per-client mask
+// the model drew before it reported lists.
 func TestTransientDropoutMaskIdenticalAcrossStrategies(t *testing.T) {
 	const n, epochs = 40, 20
 	strategies := 5
@@ -52,27 +54,26 @@ func TestTransientDropoutMaskIdenticalAcrossStrategies(t *testing.T) {
 	for i := range models {
 		models[i] = transient(0.25, 99) // fresh value per "strategy run"
 	}
+	sawDown := false
 	for epoch := 0; epoch < epochs; epoch++ {
-		want := models[0].Unavailable(epoch, n)
-		sawDown := false
+		want := models[0].Down(epoch, n, nil)
+		if ref := refTransientMask(models[0], epoch, n); !slices.Equal(maskOf(want, n), ref) {
+			t.Fatalf("epoch %d: downs %v, the per-client draw gives %v", epoch, want, ref)
+		}
 		for s := 1; s < strategies; s++ {
-			got := models[s].Unavailable(epoch, n)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("epoch %d client %d: strategy %d mask %v, strategy 0 mask %v", epoch, i, s, got[i], want[i])
-				}
-				sawDown = sawDown || got[i]
+			if got := models[s].Down(epoch, n, nil); !slices.Equal(got, want) {
+				t.Fatalf("epoch %d: strategy %d downs %v, strategy 0 downs %v", epoch, s, got, want)
 			}
 		}
+		sawDown = sawDown || len(want) > 0
 		// Re-querying the same epoch must also be stable (no hidden
 		// stream advance inside the model).
-		again := models[0].Unavailable(epoch, n)
-		for i := range want {
-			if again[i] != want[i] {
-				t.Fatalf("epoch %d not idempotent at client %d", epoch, i)
-			}
+		if again := models[0].Down(epoch, n, nil); !slices.Equal(again, want) {
+			t.Fatalf("epoch %d not idempotent: %v then %v", epoch, want, again)
 		}
-		_ = sawDown
+	}
+	if !sawDown {
+		t.Fatal("no client went down in any epoch at rate 0.25")
 	}
 }
 

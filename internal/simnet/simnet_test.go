@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"haccs/internal/stats"
@@ -132,11 +133,12 @@ func TestRoundLatencyNegativePanics(t *testing.T) {
 }
 
 func TestNoDropout(t *testing.T) {
-	mask := NoDropout{}.Unavailable(5, 10)
-	for i, down := range mask {
-		if down {
-			t.Fatalf("client %d unavailable under NoDropout", i)
-		}
+	if down := (NoDropout{}).Down(5, 10, nil); len(down) != 0 {
+		t.Fatalf("clients %v down under NoDropout", down)
+	}
+	buf := make([]int, 0, 4)
+	if got := testing.AllocsPerRun(10, func() { buf = NoDropout{}.Down(5, 20000, buf[:0]) }); got != 0 {
+		t.Fatalf("NoDropout.Down allocates %v times, want 0", got)
 	}
 }
 
@@ -145,11 +147,11 @@ func TestTransientDropoutRate(t *testing.T) {
 	down := 0
 	epochs, n := 400, 50
 	for e := 0; e < epochs; e++ {
-		for _, m := range d.Unavailable(e, n) {
-			if m {
-				down++
-			}
+		got := d.Down(e, n, nil)
+		if want := refTransientMask(d, e, n); !slices.Equal(maskOf(got, n), want) {
+			t.Fatalf("epoch %d: downs %v, the per-client draw gives %v", e, got, want)
 		}
+		down += len(got)
 	}
 	rate := float64(down) / float64(epochs*n)
 	if math.Abs(rate-0.1) > 0.01 {
@@ -159,24 +161,14 @@ func TestTransientDropoutRate(t *testing.T) {
 
 func TestTransientDropoutDeterministicPerEpoch(t *testing.T) {
 	d := TransientDropout{Rate: 0.3, Seed: 9}
-	a := d.Unavailable(3, 20)
-	b := d.Unavailable(3, 20)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("same epoch produced different masks")
-		}
+	a := d.Down(3, 20, nil)
+	b := d.Down(3, 20, []int{-1})
+	if !slices.Equal(a, b[1:]) || b[0] != -1 {
+		t.Fatalf("same epoch produced different downs: %v and %v", a, b)
 	}
 	// Different epochs should (almost surely) differ.
-	c := d.Unavailable(4, 20)
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Error("epochs 3 and 4 produced identical masks (suspicious)")
+	if c := d.Down(4, 20, nil); slices.Equal(a, c) {
+		t.Error("epochs 3 and 4 produced identical downs (suspicious)")
 	}
 }
 
@@ -186,32 +178,48 @@ func TestTransientDropoutBadRatePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	TransientDropout{Rate: 1.5, Seed: 1}.Unavailable(0, 5)
+	TransientDropout{Rate: 1.5, Seed: 1}.Down(0, 5, nil)
 }
 
 func TestPermanentDropout(t *testing.T) {
-	d := PermanentDropout{Dropped: []int{1, 3}, FromEpoch: 2}
+	d := PermanentDropout{Dropped: []int{3, 1, 3}, FromEpoch: 2}
 	// Before FromEpoch: everyone up.
-	for _, m := range d.Unavailable(1, 5) {
-		if m {
-			t.Fatal("dropout before FromEpoch")
+	if down := d.Down(1, 5, nil); len(down) != 0 {
+		t.Fatalf("dropout before FromEpoch: %v", down)
+	}
+	// At and after FromEpoch: exactly the listed clients are down,
+	// ascending and once each, appended after what dst held.
+	for _, e := range []int{2, 10} {
+		if down := d.Down(e, 5, []int{7}); !slices.Equal(down, []int{7, 1, 3}) {
+			t.Fatalf("epoch %d downs %v, want [7 1 3]", e, down)
 		}
 	}
-	// At and after FromEpoch: exactly the listed clients are down.
-	for _, e := range []int{2, 10} {
-		mask := d.Unavailable(e, 5)
-		want := []bool{false, true, false, true, false}
-		for i := range want {
-			if mask[i] != want[i] {
-				t.Fatalf("epoch %d mask %v", e, mask)
-			}
-		}
+	if !slices.Equal(d.Dropped, []int{3, 1, 3}) {
+		t.Fatalf("Down reordered the configured list: %v", d.Dropped)
 	}
 	// Out-of-range indices are ignored.
-	d2 := PermanentDropout{Dropped: []int{99}}
-	for _, m := range d2.Unavailable(0, 3) {
-		if m {
-			t.Fatal("out-of-range drop index applied")
-		}
+	d2 := PermanentDropout{Dropped: []int{99, -1}}
+	if down := d2.Down(0, 3, nil); len(down) != 0 {
+		t.Fatalf("out-of-range drop index applied: %v", down)
 	}
+}
+
+// refTransientMask is the per-epoch mask TransientDropout drew before it
+// reported lists: one uniform per client in ID order, down below Rate.
+func refTransientMask(d TransientDropout, epoch, n int) []bool {
+	r := stats.NewRNG(d.Seed ^ (uint64(epoch)+1)*0x9e3779b97f4a7c15)
+	mask := make([]bool, n)
+	for i := range mask {
+		mask[i] = r.Float64() < d.Rate
+	}
+	return mask
+}
+
+// maskOf turns a down list into an n-bool mask.
+func maskOf(down []int, n int) []bool {
+	mask := make([]bool, n)
+	for _, id := range down {
+		mask[id] = true
+	}
+	return mask
 }

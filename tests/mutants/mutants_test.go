@@ -37,6 +37,12 @@ import (
 // root is the module root, relative to this package's directory.
 const root = "../.."
 
+// rowTimeout bounds one row's test run. Every row finishes in seconds
+// when its mutant is killed by an assertion; a test that waits on a
+// peer without a deadline would otherwise hold the whole corpus up to
+// go test's default ten minutes.
+const rowTimeout = "2m"
+
 // mutant is one parsed row of mutants.txt.
 type mutant struct {
 	line           int
@@ -117,9 +123,15 @@ func TestMutants(t *testing.T) {
 			t.Errorf("%v: mutant does not compile:\n%s", m, out)
 			continue
 		}
-		out, err := goCmd(mod, append([]string{"test", "-overlay", ov, "-count=1", "-timeout", "10m", "-run", m.run}, pkgs...)...)
+		out, err := goCmd(mod, append([]string{"test", "-overlay", ov, "-count=1", "-timeout", rowTimeout, "-run", m.run}, pkgs...)...)
 		if err == nil {
 			survivors = append(survivors, fmt.Sprintf("%v survived -run %s in %s", m, m.run, m.pkg))
+			continue
+		}
+		if strings.Contains(out, "panic: test timed out after") {
+			// A hang still kills the mutant, but the row should die by a
+			// named assertion: show the whole run so the stuck test is found.
+			t.Logf("killed by timeout: %v\n%s", m, out)
 			continue
 		}
 		t.Logf("killed: %v\n%s", m, failures(out))
