@@ -51,10 +51,13 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l
 
 ## deadcode: the dead-surface census — top-level funcs, methods and
-## types that no non-test file names, diffed against the committed
-## tests/deadcode/dead.txt. A new dead name fails, and so does a listed
-## name that is live again (delete its line), so the count only goes
-## down. The same test runs inside `go test ./...`.
+## types that no non-test identifier resolves to, type-checked with
+## go/types (a method is also live when it implements an interface
+## method in use), diffed against the committed tests/deadcode/dead.txt.
+## A new dead name fails, and so does a listed name that is live again
+## (delete its line), so the count only goes down. It logs its wall
+## time; run it after `go build ./...` so the standard library's export
+## data is cached. The same test runs inside `go test ./...`.
 deadcode:
 	$(GO) test -count=1 -v -run TestDeadCode ./tests/deadcode
 

@@ -47,14 +47,6 @@ func NewSaver(store *Store, every int, comps []Component, tracer telemetry.Trace
 	return s
 }
 
-// Store returns the underlying store (nil on a nil saver).
-func (s *Saver) Store() *Store {
-	if s == nil {
-		return nil
-	}
-	return s.store
-}
-
 // MaybeSave persists a snapshot when roundsDone is a positive multiple
 // of the cadence, reporting whether a save happened. On a nil receiver
 // it is a zero-allocation no-op.

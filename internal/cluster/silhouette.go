@@ -18,21 +18,32 @@ func Silhouette(m *Matrix, labels []int) float64 {
 	}
 	// Materialize clusters, treating each noise point as its own
 	// singleton so it penalizes (0-contributes) rather than distorts.
+	// The groups are walked in ascending label order, noise singletons
+	// last, so the sum's rounding does not follow map order.
 	groups := map[int][]int{}
-	next := -2 // synthetic ids for noise singletons, distinct from real labels
+	var noise [][]int
 	for i, l := range labels {
 		if l == Noise {
-			groups[next] = []int{i}
-			next--
+			noise = append(noise, []int{i})
 			continue
 		}
 		groups[l] = append(groups[l], i)
 	}
-	if len(groups) < 2 {
+	ids := make([]int, 0, len(groups))
+	for l := range groups {
+		ids = append(ids, l)
+	}
+	sort.Ints(ids)
+	ordered := make([][]int, len(ids), len(ids)+len(noise))
+	for k, l := range ids {
+		ordered[k] = groups[l]
+	}
+	ordered = append(ordered, noise...)
+	if len(ordered) < 2 {
 		return 0
 	}
 	total := 0.0
-	for li, members := range groups {
+	for gi, members := range ordered {
 		for _, i := range members {
 			if len(members) < 2 {
 				continue // singleton: s = 0
@@ -45,8 +56,8 @@ func Silhouette(m *Matrix, labels []int) float64 {
 			}
 			a /= float64(len(members) - 1)
 			b := math.Inf(1)
-			for lj, other := range groups {
-				if lj == li {
+			for gj, other := range ordered {
+				if gj == gi {
 					continue
 				}
 				d := 0.0

@@ -3,6 +3,8 @@ package cluster
 import (
 	"math"
 	"testing"
+
+	"haccs/internal/stats"
 )
 
 func TestSilhouetteKnownValues(t *testing.T) {
@@ -131,5 +133,74 @@ func TestExtractBestSilhouetteTinyInput(t *testing.T) {
 	labels := OPTICS(m, 1, math.Inf(1)).ExtractBestSilhouette(m, 0)
 	if len(labels) != 1 {
 		t.Fatalf("labels %v", labels)
+	}
+}
+
+// TestSilhouetteDeterministic pins the order of Silhouette's sum: the
+// groups in ascending label order, each group's points in index order.
+// The labeling has ten groups and one noise point, and the sum's bits
+// depend on the group order, so a walk in map order disagrees with the
+// reference on most calls.
+func TestSilhouetteDeterministic(t *testing.T) {
+	const groups = 10
+	rng := stats.NewRNG(11)
+	var xs []float64
+	var labels []int
+	for g := 0; g < groups; g++ {
+		for k := 0; k < 3+g%3; k++ {
+			xs = append(xs, float64(g)+rng.Float64())
+			labels = append(labels, (g*7)%groups)
+		}
+	}
+	xs = append(xs, 4.5)
+	labels = append(labels, Noise)
+	m := pointsMatrix(xs)
+
+	// Reference: each point's s(i), as Silhouette defines it.
+	members := make([][]int, groups)
+	for i, l := range labels {
+		if l != Noise {
+			members[l] = append(members[l], i)
+		}
+	}
+	noise := len(xs) - 1
+	dist := func(i int, js []int) float64 {
+		d := 0.0
+		for _, j := range js {
+			if j != i {
+				d += m.At(i, j)
+			}
+		}
+		return d
+	}
+	sum := func(order []int) float64 {
+		total := 0.0
+		for _, g := range order {
+			for _, i := range members[g] {
+				a := dist(i, members[g]) / float64(len(members[g])-1)
+				b := m.At(i, noise)
+				for h := range members {
+					if h != g {
+						b = math.Min(b, dist(i, members[h])/float64(len(members[h])))
+					}
+				}
+				total += (b - a) / math.Max(a, b)
+			}
+		}
+		return total / float64(len(xs))
+	}
+	asc, desc := make([]int, groups), make([]int, groups)
+	for g := range asc {
+		asc[g], desc[g] = g, groups-1-g
+	}
+	want := sum(asc)
+	if math.Float64bits(want) == math.Float64bits(sum(desc)) {
+		t.Fatal("labeling does not make the sum order-sensitive; pick other data")
+	}
+	for call := 0; call < 50; call++ {
+		if got := Silhouette(m, labels); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: Silhouette = %v (%#x), want %v (%#x) summed in label order",
+				call, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
 	}
 }

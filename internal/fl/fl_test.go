@@ -67,48 +67,6 @@ func smallConfig(seed uint64) Config {
 	}
 }
 
-func TestFedAvgWeighted(t *testing.T) {
-	results := []TrainResult{
-		{Params: []float64{1, 2}, NumSamples: 1},
-		{Params: []float64{4, 5}, NumSamples: 3},
-	}
-	avg := FedAvg(results)
-	want := []float64{0.25*1 + 0.75*4, 0.25*2 + 0.75*5}
-	for i := range want {
-		if math.Abs(avg[i]-want[i]) > 1e-12 {
-			t.Errorf("FedAvg[%d] = %v, want %v", i, avg[i], want[i])
-		}
-	}
-}
-
-func TestFedAvgSingleClientIdentity(t *testing.T) {
-	r := TrainResult{Params: []float64{3, 1, 4}, NumSamples: 7}
-	avg := FedAvg([]TrainResult{r})
-	for i := range r.Params {
-		if avg[i] != r.Params[i] {
-			t.Fatal("single-client FedAvg not identity")
-		}
-	}
-}
-
-func TestFedAvgValidation(t *testing.T) {
-	cases := [][]TrainResult{
-		{},
-		{{Params: []float64{1}, NumSamples: 1}, {Params: []float64{1, 2}, NumSamples: 1}},
-		{{Params: []float64{1}, NumSamples: 0}},
-	}
-	for i, rs := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d did not panic", i)
-				}
-			}()
-			FedAvg(rs)
-		}()
-	}
-}
-
 func TestLocalTrainReducesLoss(t *testing.T) {
 	clients := buildClients(t, 4, 200, 1)
 	arch := nn.Arch{Kind: "mlp", In: 36, Hidden: []int{16}, Classes: 4}

@@ -109,24 +109,6 @@ func TestLocalTrainCtxConcurrent(t *testing.T) {
 	}
 }
 
-// TestFedAvgIntoMatchesFedAvg checks the in-place aggregation against
-// the allocating one, including overwrite of stale destination content.
-func TestFedAvgIntoMatchesFedAvg(t *testing.T) {
-	results := []TrainResult{
-		{Params: []float64{1, -2, 3}, NumSamples: 2},
-		{Params: []float64{0.5, 4, -1}, NumSamples: 5},
-		{Params: []float64{2, 2, 2}, NumSamples: 1},
-	}
-	want := FedAvg(results)
-	dst := []float64{99, -99, 99} // stale garbage must be overwritten
-	FedAvgInto(dst, results)
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Fatalf("FedAvgInto[%d] = %v, want %v", i, dst[i], want[i])
-		}
-	}
-}
-
 // buildConvClients creates clients over a 16x16 single-channel task —
 // large enough to survive LeNet's two conv+pool stages.
 func buildConvClients(t testing.TB, n, samples int, seed uint64) []*Client {

@@ -7,7 +7,6 @@ import (
 	"haccs/internal/fleet"
 	"haccs/internal/nn"
 	"haccs/internal/rounds"
-	"haccs/internal/simnet"
 	"haccs/internal/telemetry"
 )
 
@@ -31,10 +30,6 @@ type CoordinatorConfig struct {
 	// Async tunes the buffered asynchronous driver when Mode is
 	// rounds.ModeAsync; ignored in sync mode.
 	Async rounds.AsyncConfig
-	// Dropout injects per-round unavailability (nil = no dropout).
-	// Clients whose connections die are additionally excluded forever
-	// by the driver's failure tracking.
-	Dropout simnet.DropoutModel
 	// Tracer receives the round-trace event stream (nil = off).
 	Tracer telemetry.Tracer
 	// Spans, when non-nil, times the round lifecycle as a span tree
@@ -65,10 +60,6 @@ type CoordinatorConfig struct {
 	// CheckpointEvery is the snapshot cadence in rounds when Checkpoint
 	// is set (<= 0 means every round).
 	CheckpointEvery int
-	// Arch stamps the model component of snapshots. It may be the zero
-	// value when the coordinator does not know the model family; the
-	// restore validation then reduces to the parameter count.
-	Arch nn.Arch
 }
 
 // Coordinator drives federated rounds over registered flnet clients
@@ -154,7 +145,6 @@ func NewCoordinator(srv *Server, cfg CoordinatorConfig, strategy rounds.Strategy
 	rcfg := rounds.Config{
 		ClientsPerRound: cfg.ClientsPerRound,
 		Deadline:        cfg.Deadline,
-		Dropout:         cfg.Dropout,
 		Tracer:          cfg.Tracer,
 		Spans:           cfg.Spans,
 		Metrics:         cfg.Metrics,
@@ -167,7 +157,7 @@ func NewCoordinator(srv *Server, cfg CoordinatorConfig, strategy rounds.Strategy
 	if err != nil {
 		return nil, fmt.Errorf("flnet: %w", err)
 	}
-	return &Coordinator{rounds.NewRun(driver, rcfg, strategy, cfg.Arch, cfg.Checkpoint, cfg.CheckpointEvery)}, nil
+	return &Coordinator{rounds.NewRun(driver, rcfg, strategy, nn.Arch{}, cfg.Checkpoint, cfg.CheckpointEvery)}, nil
 }
 
 // Dead reports whether a client's session failed in an earlier round.

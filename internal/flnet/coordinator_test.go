@@ -3,6 +3,7 @@ package flnet
 import (
 	"reflect"
 	"testing"
+	"time"
 )
 
 // pickStrategy selects a scripted ID list each round, filtered by
@@ -119,7 +120,10 @@ func TestClientDeathMidRound(t *testing.T) {
 	go func() {
 		defer close(killed)
 		var env Envelope
-		_ = killer.dec.Decode(&env)
+		killer.conn.SetReadDeadline(time.Now().Add(peerWait))
+		if err := killer.dec.Decode(&env); err != nil || env.Request == nil {
+			t.Errorf("killer: no TrainRequest within %v: %+v, %v", peerWait, env, err)
+		}
 		killer.conn.Close()
 	}()
 	// Clients 1 and 2 behave.

@@ -307,20 +307,11 @@ func (s *Server) AcceptClients(n int) ([]Register, error) {
 }
 
 // refused counts a registration AcceptClients or the reconnect loop
-// turned away under the protocol error's kind, or "handshake" for a
-// first frame that never arrived whole (silence, EOF, undecodable
-// bytes).
+// turned away, under session.RefusalKind.
 func (s *Server) refused(err error) {
-	reg := s.sess.Registry()
-	if reg == nil {
-		return
+	if reg := s.sess.Registry(); reg != nil {
+		reg.CounterVec("haccs_net_registrations_refused_total", "Connections refused at registration, by the initial accept or the reconnect loop, by kind.", "kind").With(session.RefusalKind(err)).Inc()
 	}
-	kind := "handshake"
-	var pe *session.ProtocolError
-	if errors.As(err, &pe) {
-		kind = string(pe.Kind)
-	}
-	reg.CounterVec("haccs_net_registrations_refused_total", "Connections refused at registration, by the initial accept or the reconnect loop, by kind.", "kind").With(kind).Inc()
 }
 
 // ServeReconnects starts a background accept loop that re-admits

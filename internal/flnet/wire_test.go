@@ -191,6 +191,7 @@ func TestHostileAnnouncerCostsOneTypedError(t *testing.T) {
 	if err := <-errc; err != nil {
 		t.Fatal(err)
 	}
+	conn.SetReadDeadline(time.Now().Add(peerWait))
 	go func() {
 		var env Envelope
 		if err := peer.Decode(&env); err != nil || env.Request == nil {

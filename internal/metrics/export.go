@@ -33,45 +33,6 @@ func WriteHistoryCSV(w io.Writer, history []fl.Point) error {
 	return cw.Error()
 }
 
-// WriteCurvesCSV writes several named histories side by side in long
-// form: strategy,round,time,accuracy,loss.
-func WriteCurvesCSV(w io.Writer, curves map[string][]fl.Point) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"strategy", "round", "time", "accuracy", "loss"}); err != nil {
-		return fmt.Errorf("metrics: write header: %w", err)
-	}
-	// Deterministic order for reproducible files.
-	names := make([]string, 0, len(curves))
-	for name := range curves {
-		names = append(names, name)
-	}
-	sortStrings(names)
-	for _, name := range names {
-		for _, p := range curves[name] {
-			rec := []string{
-				name,
-				strconv.Itoa(p.Round),
-				strconv.FormatFloat(p.Time, 'g', -1, 64),
-				strconv.FormatFloat(p.Acc, 'g', -1, 64),
-				strconv.FormatFloat(p.Loss, 'g', -1, 64),
-			}
-			if err := cw.Write(rec); err != nil {
-				return fmt.Errorf("metrics: write row: %w", err)
-			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-func sortStrings(xs []string) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
-
 // RunSummary is the JSON-exportable digest of one training run.
 type RunSummary struct {
 	Strategy      string     `json:"strategy"`

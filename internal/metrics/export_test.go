@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
-	"strings"
 	"testing"
 
 	"haccs/internal/fl"
@@ -34,27 +33,6 @@ func TestWriteHistoryCSV(t *testing.T) {
 	}
 	if records[1][0] != "5" || records[2][2] != "0.55" {
 		t.Errorf("rows %v", records[1:])
-	}
-}
-
-func TestWriteCurvesCSVDeterministicOrder(t *testing.T) {
-	curves := map[string][]fl.Point{
-		"zeta":  {{Round: 1, Time: 1, Acc: 0.1}},
-		"alpha": {{Round: 1, Time: 2, Acc: 0.2}},
-	}
-	var a, b bytes.Buffer
-	if err := WriteCurvesCSV(&a, curves); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteCurvesCSV(&b, curves); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Error("output order not deterministic")
-	}
-	lines := strings.Split(strings.TrimSpace(a.String()), "\n")
-	if !strings.HasPrefix(lines[1], "alpha,") || !strings.HasPrefix(lines[2], "zeta,") {
-		t.Errorf("strategies not sorted: %v", lines)
 	}
 }
 

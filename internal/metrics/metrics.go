@@ -1,17 +1,15 @@
 // Package metrics post-processes federated training results into the
 // quantities the paper reports: time-to-accuracy (TTA), percentage
-// reductions between strategies, smoothed accuracy curves, and plain-text
-// tables for the benchmark harness output.
+// reductions between strategies, and plain-text tables for the
+// benchmark harness output.
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"haccs/internal/fl"
-	"haccs/internal/stats"
 )
 
 // TTA returns the virtual time at which the run first reached the target
@@ -55,34 +53,6 @@ func BestAccuracy(history []fl.Point) float64 {
 		}
 	}
 	return best
-}
-
-// AccuracyAtTime returns the last evaluated accuracy at or before the
-// given virtual time (0 before the first evaluation).
-func AccuracyAtTime(history []fl.Point, t float64) float64 {
-	acc := 0.0
-	for _, p := range history {
-		if p.Time > t {
-			break
-		}
-		acc = p.Acc
-	}
-	return acc
-}
-
-// SmoothedCurve returns a copy of the history with EMA-smoothed
-// accuracies (the paper's Fig. 5 presents smoothed curves).
-func SmoothedCurve(history []fl.Point, alpha float64) []fl.Point {
-	accs := make([]float64, len(history))
-	for i, p := range history {
-		accs[i] = p.Acc
-	}
-	sm := stats.EMA(accs, alpha)
-	out := append([]fl.Point(nil), history...)
-	for i := range out {
-		out[i].Acc = sm[i]
-	}
-	return out
 }
 
 // Table renders rows as a fixed-width plain-text table. Every row must
@@ -162,18 +132,4 @@ func (t *Table) String() string {
 		writeRow(row)
 	}
 	return b.String()
-}
-
-// SortRowsBy sorts the table rows by the given column, numerically when
-// both cells parse as numbers and lexically otherwise.
-func (t *Table) SortRowsBy(col int) {
-	sort.SliceStable(t.Rows, func(a, b int) bool {
-		var fa, fb float64
-		na, errA := fmt.Sscanf(t.Rows[a][col], "%g", &fa)
-		nb, errB := fmt.Sscanf(t.Rows[b][col], "%g", &fb)
-		if na == 1 && nb == 1 && errA == nil && errB == nil {
-			return fa < fb
-		}
-		return t.Rows[a][col] < t.Rows[b][col]
-	})
 }

@@ -72,35 +72,6 @@ func TestBestAccuracyAndAtTime(t *testing.T) {
 	if BestAccuracy(h) != 0.7 {
 		t.Errorf("BestAccuracy = %v", BestAccuracy(h))
 	}
-	if AccuracyAtTime(h, 25) != 0.7 {
-		t.Errorf("AccuracyAtTime(25) = %v", AccuracyAtTime(h, 25))
-	}
-	if AccuracyAtTime(h, 5) != 0 {
-		t.Errorf("AccuracyAtTime(5) = %v", AccuracyAtTime(h, 5))
-	}
-	if AccuracyAtTime(h, 30) != 0.6 {
-		t.Errorf("AccuracyAtTime(30) = %v", AccuracyAtTime(h, 30))
-	}
-}
-
-func TestSmoothedCurvePreservesTimes(t *testing.T) {
-	h := history([3]float64{10, 0, 1}, [3]float64{20, 1, 1}, [3]float64{30, 0, 1})
-	sm := SmoothedCurve(h, 0.5)
-	if len(sm) != 3 {
-		t.Fatal("length changed")
-	}
-	for i := range sm {
-		if sm[i].Time != h[i].Time || sm[i].Round != h[i].Round {
-			t.Error("times/rounds altered")
-		}
-	}
-	if sm[2].Acc <= 0 {
-		t.Error("smoothing lost history")
-	}
-	// Original must be untouched.
-	if h[2].Acc != 0 {
-		t.Error("SmoothedCurve mutated input")
-	}
 }
 
 func TestTableRendering(t *testing.T) {
@@ -124,21 +95,6 @@ func TestTableRowWidthMismatchPanics(t *testing.T) {
 		}
 	}()
 	NewTable("a", "b").AddRow("only-one")
-}
-
-func TestTableSortRowsBy(t *testing.T) {
-	tab := NewTable("name", "value")
-	tab.AddRow("b", 3.0)
-	tab.AddRow("a", 1.0)
-	tab.AddRow("c", 2.0)
-	tab.SortRowsBy(1)
-	if tab.Rows[0][0] != "a" || tab.Rows[2][0] != "b" {
-		t.Errorf("numeric sort wrong: %v", tab.Rows)
-	}
-	tab.SortRowsBy(0)
-	if tab.Rows[0][0] != "a" || tab.Rows[2][0] != "c" {
-		t.Errorf("lexical sort wrong: %v", tab.Rows)
-	}
 }
 
 func TestFormatFloat(t *testing.T) {

@@ -368,3 +368,36 @@ func TestLabelOutOfRangePanics(t *testing.T) {
 	}()
 	SoftmaxCrossEntropy(tensor.New(1, 2), []int{5})
 }
+
+func TestAddProximalGrad(t *testing.T) {
+	rng := stats.NewRNG(37)
+	n := NewMLP(3, nil, 2, rng)
+	ref := make([]float64, n.NumParams()) // zero reference
+	n.ZeroGrads()
+	n.AddProximalGrad(ref, 0.5)
+	// With a zero reference, grad == mu * params.
+	params := n.ParamsVector()
+	grads := n.GradsVector()
+	for i := range params {
+		if math.Abs(grads[i]-0.5*params[i]) > 1e-12 {
+			t.Fatalf("prox grad[%d] = %v, want %v", i, grads[i], 0.5*params[i])
+		}
+	}
+	// mu = 0 is a no-op.
+	n.ZeroGrads()
+	n.AddProximalGrad(ref, 0)
+	for _, g := range n.GradsVector() {
+		if g != 0 {
+			t.Fatal("mu=0 modified gradients")
+		}
+	}
+}
+
+func TestAddProximalGradLengthMismatchPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	NewMLP(2, nil, 2, stats.NewRNG(1)).AddProximalGrad([]float64{1}, 0.1)
+}

@@ -112,3 +112,63 @@ func FuzzFedAvgMatchesNaive(f *testing.F) {
 		checkFedAvgMatchesNaive(t, fedAvgResults(seed, d, int(k)%8+1, samples))
 	})
 }
+
+func TestFedAvgWeighted(t *testing.T) {
+	results := []Result{
+		{Params: []float64{1, 2}, NumSamples: 1},
+		{Params: []float64{4, 5}, NumSamples: 3},
+	}
+	avg := FedAvg(results)
+	want := []float64{0.25*1 + 0.75*4, 0.25*2 + 0.75*5}
+	for i := range want {
+		if math.Abs(avg[i]-want[i]) > 1e-12 {
+			t.Errorf("FedAvg[%d] = %v, want %v", i, avg[i], want[i])
+		}
+	}
+}
+
+func TestFedAvgSingleClientIdentity(t *testing.T) {
+	r := Result{Params: []float64{3, 1, 4}, NumSamples: 7}
+	avg := FedAvg([]Result{r})
+	for i := range r.Params {
+		if avg[i] != r.Params[i] {
+			t.Fatal("single-client FedAvg not identity")
+		}
+	}
+}
+
+func TestFedAvgValidation(t *testing.T) {
+	cases := [][]Result{
+		{},
+		{{Params: []float64{1}, NumSamples: 1}, {Params: []float64{1, 2}, NumSamples: 1}},
+		{{Params: []float64{1}, NumSamples: 0}},
+	}
+	for i, rs := range cases {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("case %d did not panic", i)
+				}
+			}()
+			FedAvg(rs)
+		}()
+	}
+}
+
+// TestFedAvgIntoMatchesFedAvg checks the in-place aggregation against
+// the allocating one, including overwrite of stale destination content.
+func TestFedAvgIntoMatchesFedAvg(t *testing.T) {
+	results := []Result{
+		{Params: []float64{1, -2, 3}, NumSamples: 2},
+		{Params: []float64{0.5, 4, -1}, NumSamples: 5},
+		{Params: []float64{2, 2, 2}, NumSamples: 1},
+	}
+	want := FedAvg(results)
+	dst := []float64{99, -99, 99} // stale garbage must be overwritten
+	FedAvgInto(dst, results)
+	for i := range want {
+		if dst[i] != want[i] {
+			t.Fatalf("FedAvgInto[%d] = %v, want %v", i, dst[i], want[i])
+		}
+	}
+}

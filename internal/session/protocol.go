@@ -1,6 +1,9 @@
 package session
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // ErrorKind classifies a protocol violation. The kinds both hops share
 // are declared here; each hop declares its own next to its messages.
@@ -63,6 +66,17 @@ func (e *ProtocolError) Error() string {
 // applicable".
 func (h Hop) Err(kind ErrorKind, peerID, round int, detail string) *ProtocolError {
 	return &ProtocolError{Hop: h, Kind: kind, PeerID: peerID, Round: round, Detail: detail}
+}
+
+// RefusalKind is the kind label a hop counts a refused registration
+// under: the protocol error's kind, or "handshake" for a first frame
+// that never arrived whole (silence, EOF, undecodable bytes).
+func RefusalKind(err error) string {
+	var pe *ProtocolError
+	if errors.As(err, &pe) {
+		return string(pe.Kind)
+	}
+	return "handshake"
 }
 
 // OneOf checks an envelope union's invariant — exactly one field set —

@@ -89,9 +89,6 @@ func NewRing(shardIDs []int, vnodes int) (*Ring, error) {
 	return r, nil
 }
 
-// Shards returns the ring's shard IDs in ascending order.
-func (r *Ring) Shards() []int { return append([]int(nil), r.shards...) }
-
 // Owner returns the shard owning a client: the first ring point at or
 // after the client's hash, wrapping at the top of the key space.
 func (r *Ring) Owner(clientID int) int {

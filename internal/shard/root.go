@@ -15,7 +15,6 @@ import (
 	"haccs/internal/nn"
 	"haccs/internal/rounds"
 	"haccs/internal/session"
-	"haccs/internal/simnet"
 	"haccs/internal/telemetry"
 )
 
@@ -209,8 +208,18 @@ func (s *RootServer) sendAck(shardID int) error {
 // redialing after a connection loss (or after a root crash-restore,
 // where every shard redials a fresh RootServer that learned the
 // rosters from AcceptShards again). The loop exits when the listener
-// closes; Shutdown and Abort wait for it.
-func (s *RootServer) ServeReconnects() { s.sess.ServeReconnects(s.admit, nil) }
+// closes; Shutdown and Abort wait for it. A redial refused at its
+// Hello or by admit is closed and counted in
+// haccs_root_shard_registrations_refused_total{kind}.
+func (s *RootServer) ServeReconnects() { s.sess.ServeReconnects(s.admit, s.refused) }
+
+// refused counts a shard redial the reconnect loop turned away, under
+// session.RefusalKind.
+func (s *RootServer) refused(err error) {
+	if reg := s.sess.Registry(); reg != nil {
+		reg.CounterVec("haccs_root_shard_registrations_refused_total", "Shard redials refused at re-registration, by kind.", "kind").With(session.RefusalKind(err)).Inc()
+	}
+}
 
 // admit is the reconnect policy: the re-offered roster must match the
 // original Hello exactly (the partition is fixed for the run), after
@@ -229,7 +238,9 @@ func (s *RootServer) admit(c *session.Conn[Hello]) {
 		if !seen {
 			kind = ErrNotConnected
 		}
-		c.Reject(Envelope{Bye: &Bye{Reason: hop.Err(kind, c.ID, -1, "reconnect refused").Error()}})
+		err := hop.Err(kind, c.ID, -1, "reconnect refused")
+		c.Reject(Envelope{Bye: &Bye{Reason: err.Error()}})
+		s.refused(err)
 		return
 	}
 	if !s.sess.Seat(c, true) {
@@ -241,9 +252,6 @@ func (s *RootServer) admit(c *session.Conn[Hello]) {
 	// A failed replay has already dropped the session; the shard redials.
 	_ = s.sendAck(c.ID)
 }
-
-// ShardReconnects returns the cumulative count of shard re-admissions.
-func (s *RootServer) ShardReconnects() int { return s.sess.Reconnects() }
 
 // exec runs one Cmd/Report exchange with a single connected shard —
 // the transport primitive behind the hierarchical driver's proxies.
@@ -310,18 +318,12 @@ type RootConfig struct {
 	// ResyncEvery is the async base-refresh cadence (see
 	// rounds.HierConfig.ResyncEvery).
 	ResyncEvery int
-	// Dropout injects per-round unavailability at the root's global
-	// selection (sync mode; nil = none).
-	Dropout simnet.DropoutModel
 	// Tracer receives the root's round-trace event stream, including
 	// the shard_report/shard_merge/shard_failed hierarchy events.
 	Tracer telemetry.Tracer
 	// Metrics, when non-nil, receives the driver collectors plus the
 	// haccs_shard_* family and the merged fleet gauges.
 	Metrics *telemetry.Registry
-	// OnSummary receives refreshed client summaries forwarded up by the
-	// shards.
-	OnSummary func(clientID int, labelCounts []float64)
 	// Fleet, when non-nil, is the root's per-client health registry; it
 	// joins the checkpoint component set.
 	Fleet *fleet.Registry
@@ -332,8 +334,6 @@ type RootConfig struct {
 	// lose at most one un-merged local buffer each (bounded loss).
 	Checkpoint      *checkpoint.Store
 	CheckpointEvery int
-	// Arch stamps the model component of snapshots.
-	Arch nn.Arch
 }
 
 // Root drives hierarchical federated rounds over connected shard
@@ -394,10 +394,8 @@ func NewRoot(srv *RootServer, cfg RootConfig, strategy rounds.Strategy, initial 
 	rcfg := rounds.Config{
 		ClientsPerRound: cfg.ClientsPerRound,
 		Deadline:        cfg.Deadline,
-		Dropout:         cfg.Dropout,
 		Tracer:          cfg.Tracer,
 		Metrics:         cfg.Metrics,
-		OnSummary:       cfg.OnSummary,
 		Fleet:           cfg.Fleet,
 	}
 	hcfg := rounds.HierConfig{Mode: mode, Async: cfg.Async, ResyncEvery: cfg.ResyncEvery}
@@ -408,7 +406,7 @@ func NewRoot(srv *RootServer, cfg RootConfig, strategy rounds.Strategy, initial 
 	r := &Root{
 		srv:     srv,
 		driver:  driver,
-		Run:     rounds.NewRun(driver, rcfg, strategy, cfg.Arch, cfg.Checkpoint, cfg.CheckpointEvery),
+		Run:     rounds.NewRun(driver, rcfg, strategy, nn.Arch{}, cfg.Checkpoint, cfg.CheckpointEvery),
 		reg:     cfg.Metrics,
 		budgets: make(map[int]int, len(hellos)),
 	}

@@ -9,6 +9,7 @@ import (
 
 	"haccs/internal/rounds"
 	"haccs/internal/session"
+	"haccs/internal/telemetry"
 )
 
 // These tests drive the root's session handling over a real socket
@@ -256,3 +257,44 @@ func TestVectorsNeverReachGob(t *testing.T) {
 }
 
 func ptr[T any](v T) *T { return &v }
+
+// TestReconnectRefusalsCounted: after start-up, one shard redials with
+// an undecodable Hello and another re-offers a changed roster. The
+// reconnect loop closes both and counts them in
+// haccs_root_shard_registrations_refused_total under the kind
+// session.RefusalKind gives (handshake, roster_mismatch).
+func TestReconnectRefusalsCounted(t *testing.T) {
+	srv := newTestRoot(t)
+	reg := telemetry.NewRegistry()
+	if _, err := srv.EnableTelemetry(reg, "", nil); err != nil {
+		t.Fatal(err)
+	}
+	dialRoot(t, srv).send(t, Envelope{Hello: ptr(validHello(0))})
+	if _, err := srv.AcceptShards(1); err != nil {
+		t.Fatal(err)
+	}
+	srv.ServeReconnects()
+
+	garbage := dialRoot(t, srv)
+	garbage.send(t, "garbage")
+	garbage.expectClosed(t)
+	changed := dialRoot(t, srv)
+	changed.send(t, Envelope{Hello: &Hello{ShardID: 0, Clients: []rounds.ShardClient{{ID: 9, Latency: 1}}}})
+
+	refused := func(kind session.ErrorKind) float64 {
+		for _, smp := range reg.Snapshot() {
+			if smp.Name == "haccs_root_shard_registrations_refused_total" && smp.LabelValue == string(kind) {
+				return smp.Value
+			}
+		}
+		return 0
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for refused("handshake") != 1 || refused(ErrRosterMismatch) != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("refused{kind=handshake} = %v, {kind=roster_mismatch} = %v, want 1 each",
+				refused("handshake"), refused(ErrRosterMismatch))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
