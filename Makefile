@@ -2,10 +2,11 @@
 # fingerprint, bench-guard. Smokes, one CI job each, none in tier-1:
 # resume-smoke, fleet-smoke, async-smoke, scale-smoke, shard-smoke and
 # fuzz-smoke — the home of every native fuzz target: the wire frame, the
-# shard hop's Report decode, the sketch index's Restore, a stored
-# snapshot's decode, the direct convolution against its reference and
-# the blocked FedAvg against the per-result loop today, ROADMAP 5(d)'s
-# exposition target when it lands, one `go test -fuzz` line each.
+# shard hop's Report decode, the sketch index's Restore, its hinted
+# representative search against the linear scan, a stored snapshot's
+# decode, the direct convolution against its reference and the blocked
+# FedAvg against the per-result loop today, ROADMAP 5(d)'s exposition
+# target when it lands, one `go test -fuzz` line each.
 # Measurement: loc, deadcode, bench, scale-results. Test quality:
 # mutants, the committed mutation corpus (its own CI job).
 GO ?= go
@@ -180,6 +181,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime 5s ./internal/session
 	$(GO) test -run '^$$' -fuzz FuzzReportDecode -fuzztime 5s -fuzzminimizetime 1s ./internal/shard
 	$(GO) test -run '^$$' -fuzz FuzzIndexRestore -fuzztime 5s ./internal/sketch
+	$(GO) test -run '^$$' -fuzz FuzzNearestMatchesLinearScan -fuzztime 5s ./internal/sketch
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 5s -fuzzminimizetime 1s ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz FuzzConv2DMatchesRef -fuzztime 5s ./internal/nn
 	$(GO) test -run '^$$' -fuzz FuzzFedAvgMatchesNaive -fuzztime 5s ./internal/rounds

@@ -68,6 +68,32 @@ func (s *Scheduler) addMass(c int, sum Summary, sign int64) {
 	}
 }
 
+// swapMass replaces one summary's quantized label mass in cluster c's
+// running sums with another's in one pass — the re-report of a client
+// that stays in its cluster. The sums are integers, so adding the
+// difference equals removing old and adding sum, bit for bit. Both
+// summaries have the roster's shape.
+func (s *Scheduler) swapMass(c int, old, sum Summary) {
+	m := s.mass[c]
+	if sum.Kind == PY {
+		prev := old.Label.Counts[:len(sum.Label.Counts)]
+		for b, v := range sum.Label.Counts {
+			m[b] += s.quantize(v) - s.quantize(prev[b])
+		}
+		return
+	}
+	for cls, h := range sum.Feature {
+		var d int64
+		if h != nil {
+			d = s.quantize(h.Total())
+		}
+		if o := old.Feature[cls]; o != nil {
+			d -= s.quantize(o.Total())
+		}
+		m[cls] += d
+	}
+}
+
 // centroidInto writes cluster i's label-distribution centroid into dst
 // (length s.bins) from the running sums in O(bins): the normalized
 // per-bin mass, uniform for a cluster whose members carry no positive

@@ -484,6 +484,13 @@ func TestUpdateSummariesRejectsMalformed(t *testing.T) {
 		h.Counts[bins/2] = v
 		return h
 	}
+	lastBin := func(bins int, v float64) *stats.Histogram {
+		h := hist(bins)
+		h.Counts[bins-1] = v
+		return h
+	}
+	// A quiet NaN with a payload in its low mantissa bits, sign set.
+	payloadNaN := math.Float64frombits(0xfff8_0000_dead_beef)
 	features := func(classes, bins int) []*stats.Histogram {
 		f := make([]*stats.Histogram, classes)
 		for c := range f {
@@ -507,16 +514,24 @@ func TestUpdateSummariesRejectsMalformed(t *testing.T) {
 					{Kind: PY, Label: hist(3)},
 					{Kind: PY, Label: poisoned(16, math.NaN())},
 					{Kind: PY, Label: poisoned(16, math.Inf(1))},
+					{Kind: PY, Label: poisoned(16, payloadNaN)},
+					{Kind: PY, Label: lastBin(16, math.Inf(-1))},
 					{Kind: PY},
 				}
 			} else {
 				nanClass := features(16, 8)
 				nanClass[2] = poisoned(8, math.NaN())
+				payloadClass := features(16, 8)
+				payloadClass[6] = poisoned(8, payloadNaN)
+				negInfClass := features(16, 8)
+				negInfClass[14] = lastBin(8, math.Inf(-1))
 				wideClass := features(16, 8)
 				wideClass[4] = hist(32)
 				bad = []Summary{
 					{Kind: PXY, Feature: features(10, 8)},
 					{Kind: PXY, Feature: nanClass},
+					{Kind: PXY, Feature: payloadClass},
+					{Kind: PXY, Feature: negInfClass},
 					{Kind: PXY, Feature: wideClass},
 					{Kind: PXY},
 				}
@@ -543,6 +558,29 @@ func TestUpdateSummariesRejectsMalformed(t *testing.T) {
 			}
 			if got := reg.Counter("haccs_summaries_rejected_total", "").Value(); got != float64(len(bad)) {
 				t.Errorf("%v %v: rejected counter %v, want %d", backend, kind, got, len(bad))
+			}
+
+			// Finite at its edges: the largest magnitudes, a subnormal and
+			// a negative zero are counts like any other.
+			good := map[int]Summary{}
+			for i, v := range []float64{math.MaxFloat64, -math.MaxFloat64, 5e-324, math.Copysign(0, -1)} {
+				if kind == PY {
+					good[i] = Summary{Kind: PY, Label: poisoned(16, v)}
+					continue
+				}
+				f := features(16, 8)
+				f[2*i] = lastBin(8, v)
+				good[i] = Summary{Kind: PXY, Feature: f}
+			}
+			s.UpdateSummaries(good)
+			checkClusterState(t, s, "after edge values")
+			for id, sum := range good {
+				if !reflect.DeepEqual(s.summaries[id], sum) {
+					t.Errorf("%v %v: the finite edge summary for client %d was not accepted", backend, kind, id)
+				}
+			}
+			if got := reg.Counter("haccs_summaries_rejected_total", "").Value(); got != float64(len(bad)) {
+				t.Errorf("%v %v: rejected counter %v after finite edge values, want %d", backend, kind, got, len(bad))
 			}
 		}
 	}

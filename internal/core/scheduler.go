@@ -151,6 +151,8 @@ type Scheduler struct {
 	// Per-Select scratch, reused across rounds: nothing here outlives the
 	// call (lastParts and lastPicks keep their own storage).
 	sel selectScratch
+	// batch is UpdateSummaries' scratch, reused across calls.
+	batch updateBatch
 
 	// Resolved metric handles: the θ gauge per cluster index (grown when
 	// the cluster count grows) and the rejected-summary counter.
@@ -321,7 +323,13 @@ func (s *Scheduler) reclustered(start time.Time, n int) {
 // a non-finite count is skipped — the client keeps its previous summary
 // — and counted in haccs_summaries_rejected_total. The scheduler retains
 // the accepted summaries; the caller must not modify them afterwards.
+//
+// UpdateSummaries is single-writer: like Init, Select and Update it runs
+// on the round-driver loop only, and it reuses one batch buffer across
+// calls.
 func (s *Scheduler) UpdateSummaries(updated map[int]Summary) {
+	b := &s.batch
+	b.keys, b.got = b.keys[:0], b.got[:0]
 	for id, sum := range updated {
 		if id < 0 || id >= len(s.summaries) {
 			panic(fmt.Sprintf("core: UpdateSummaries for unknown client %d", id))
@@ -329,23 +337,31 @@ func (s *Scheduler) UpdateSummaries(updated map[int]Summary) {
 		if sum.Kind != s.cfg.Kind {
 			panic("core: UpdateSummaries kind mismatch")
 		}
+		b.keys = append(b.keys, uint64(id)<<32|uint64(len(b.got)))
+		b.got = append(b.got, sum)
 	}
-	ids := sortedUpdateIDs(updated)
-	accepted := ids[:0]
-	for _, id := range ids {
-		if s.wellFormed(updated[id]) {
-			accepted = append(accepted, id)
+	// Ascending ID is the canonical observation order that keeps the
+	// sketch path independent of map iteration. Checking the entries in
+	// that order too reads their counts in the order the sketch path
+	// then re-reads them.
+	slices.Sort(b.keys)
+	b.ids, b.sums = b.ids[:0], b.sums[:0]
+	for _, k := range b.keys {
+		if sum := b.got[uint32(k)]; s.wellFormed(sum) {
+			b.ids = append(b.ids, int(k>>32))
+			b.sums = append(b.sums, sum)
 		}
 	}
-	if n := len(updated) - len(accepted); n > 0 && s.rejected != nil {
+	ids, sums := b.ids, b.sums
+	if n := len(updated) - len(ids); n > 0 && s.rejected != nil {
 		s.rejected.Add(float64(n))
 	}
 	if s.latency != nil && s.cfg.Backend == SketchBackend && s.sk != nil && s.sk.index != nil {
-		s.updateSketch(accepted, updated)
+		s.updateSketch(ids, sums)
 		return
 	}
-	for _, id := range accepted {
-		s.summaries[id] = updated[id]
+	for i, id := range ids {
+		s.summaries[id] = sums[i]
 	}
 	if s.latency != nil {
 		s.recluster()
@@ -356,26 +372,29 @@ func (s *Scheduler) UpdateSummaries(updated map[int]Summary) {
 // and only finite counts.
 func (s *Scheduler) wellFormed(sum Summary) bool {
 	if sum.Kind == PY {
-		return sum.Label != nil && len(sum.Label.Counts) == s.bins && finite(sum.Label.Counts)
+		return sum.Label != nil && len(sum.Label.Counts) == s.bins && stats.AllFinite(sum.Label.Counts)
 	}
 	if len(sum.Feature) != s.bins {
 		return false
 	}
 	for _, h := range sum.Feature {
-		if h != nil && (len(h.Counts) != s.featBins || !finite(h.Counts)) {
+		if h != nil && (len(h.Counts) != s.featBins || !stats.AllFinite(h.Counts)) {
 			return false
 		}
 	}
 	return true
 }
 
-func finite(counts []float64) bool {
-	for _, c := range counts {
-		if math.IsNaN(c) || math.IsInf(c, 0) {
-			return false
-		}
-	}
-	return true
+// updateBatch is UpdateSummaries' scratch, reused across calls. The
+// entries arrive in map order: got holds them in that order, and each
+// key holds a client ID in its high 32 bits and the entry's position in
+// got in its low 32 (a roster of 2³² summaries would not fit in
+// memory), so one integer sort of keys orders the batch by ID with no
+// further map lookup. ids and sums are the accepted entries, aligned.
+type updateBatch struct {
+	keys      []uint64
+	got, sums []Summary
+	ids       []int
 }
 
 // ClusterLabels returns each client's cluster id.

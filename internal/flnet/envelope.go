@@ -6,6 +6,7 @@ import (
 
 	"haccs/internal/fleet"
 	"haccs/internal/session"
+	"haccs/internal/stats"
 	"haccs/internal/telemetry"
 )
 
@@ -90,7 +91,7 @@ func checkUpdate(reply *TrainReply, dim int) error {
 		return hop.Err(ErrBadUpdate, reply.ClientID, reply.Round,
 			fmt.Sprintf("update sample count %d is not positive", reply.NumSamples))
 	}
-	if allFinite(reply.Params) {
+	if stats.AllFinite(reply.Params) {
 		return nil
 	}
 	for i, v := range reply.Params {
@@ -101,25 +102,6 @@ func checkUpdate(reply *TrainReply, dim int) error {
 		}
 	}
 	return nil
-}
-
-// allFinite reports whether no coordinate of p is NaN or ±Inf, in one
-// branch-free pass: v*0 is ±0 for every finite v and NaN for NaN and
-// ±Inf, and a NaN stays in a sum, so the sum is 0 exactly when every v
-// is finite. Four accumulators keep the adds from waiting on each other.
-func allFinite(p []float64) bool {
-	var a0, a1, a2, a3 float64
-	for ; len(p) >= 4; p = p[4:] {
-		q := p[:4:4] // one bounds check for four loads
-		a0 += q[0] * 0
-		a1 += q[1] * 0
-		a2 += q[2] * 0
-		a3 += q[3] * 0
-	}
-	for _, v := range p {
-		a0 += v * 0
-	}
-	return a0+a1+a2+a3 == 0
 }
 
 // checkWireSpan validates a reply's piggybacked span against the span

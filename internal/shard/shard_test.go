@@ -2,6 +2,7 @@ package shard
 
 import (
 	"encoding/json"
+	"errors"
 	"net"
 	"net/http"
 	"slices"
@@ -318,8 +319,15 @@ func TestReconnectRosterValidation(t *testing.T) {
 		if err := enc.Encode(Envelope{Hello: &h}); err != nil {
 			t.Fatal(err)
 		}
+		// The same 2 s bound as expectClosed: a root that neither says Bye
+		// nor closes fails here by name instead of hanging the suite.
+		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
 		var env Envelope
 		if err := dec.Decode(&env); err != nil {
+			var ne net.Error
+			if errors.As(err, &ne) && ne.Timeout() {
+				t.Fatalf("hello %+v: no Bye within 2 s", h)
+			}
 			return nil // connection closed without farewell
 		}
 		return &env

@@ -38,8 +38,11 @@ type Index struct {
 	counts []int     // members currently assigned to each representative
 	assign []int     // client -> representative (-1 while unseen)
 	// peaks holds each representative's largest-magnitude coordinate, the
-	// one the search probes first; derived from reps, never serialized.
-	peaks []int
+	// one the search probes first, and peakVals that coordinate's value,
+	// contiguous so the probe reads no representative it then rejects;
+	// both derived from reps, never serialized.
+	peaks    []int
+	peakVals []float64
 }
 
 // Metric is a custom dissimilarity over encoded vectors, for callers
@@ -131,12 +134,10 @@ func (x *Index) Nearest(sk []float64, hint int) (rep int, dist float64) {
 		if r == skip {
 			continue
 		}
-		rep := x.reps[r*x.dim : (r+1)*x.dim]
-		j := x.peaks[r]
-		if t := rep[j] - sk[j]; t*t > bestSq {
+		if t := x.peakVals[r] - sk[x.peaks[r]]; t*t > bestSq {
 			continue
 		}
-		d := distanceSqAbove(rep, sk, bestSq)
+		d := distanceSqAbove(x.reps[r*x.dim:(r+1)*x.dim], sk, bestSq)
 		if d < bestSq || (d == bestSq && r < best) {
 			best, bestSq = r, d
 		}
@@ -215,7 +216,9 @@ func (x *Index) ObserveFrom(c int, sk []float64, hint int) (rep int, created boo
 		rep = len(x.counts)
 		x.reps = append(x.reps, sk...)
 		x.counts = append(x.counts, 0)
-		x.peaks = append(x.peaks, peakOf(sk))
+		j := peakOf(sk)
+		x.peaks = append(x.peaks, j)
+		x.peakVals = append(x.peakVals, sk[j])
 		created = true
 	}
 	if prev := x.assign[c]; prev >= 0 {
@@ -292,9 +295,11 @@ func (x *Index) Restore(data []byte) error {
 			return fmt.Errorf("sketch: corrupt snapshot: representative %d counts %d members, %d are assigned to it", r, st.Counts[r], n)
 		}
 	}
-	x.peaks = make([]int, k)
+	x.peaks, x.peakVals = make([]int, k), make([]float64, k)
 	for r := range x.peaks {
-		x.peaks[r] = peakOf(st.Reps[r*st.Dim : (r+1)*st.Dim])
+		rep := st.Reps[r*st.Dim : (r+1)*st.Dim]
+		x.peaks[r] = peakOf(rep)
+		x.peakVals[r] = rep[x.peaks[r]]
 	}
 	x.attach = st.Attach
 	x.reps = st.Reps

@@ -202,3 +202,93 @@ func BenchmarkNearest(b *testing.B) {
 		})
 	}
 }
+
+// fuzzCoords is the coordinate palette FuzzNearestMatchesLinearScan
+// decodes one byte into: small integers, where equal partial sums and
+// exact ties are common, signed zeros, subnormals, values whose square
+// rounds to zero or overflows, the infinities and NaN.
+var fuzzCoords = [16]float64{
+	0, math.Copysign(0, -1), 1, 2, 3, -1, 0.5, 0.25,
+	5e-324, -1e-310, 1e-170, 1e155,
+	math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64,
+}
+
+// decodeNearestInput reads a fuzz input: the width (1–8), the
+// representative count (0–8), then one palette byte per coordinate —
+// the representatives' and then the query's, a missing byte reading 0.
+func decodeNearestInput(data []byte) (dim int, reps [][]float64, query []float64) {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	dim = 1 + int(next()%8)
+	reps = make([][]float64, next()%9)
+	vec := func() []float64 {
+		v := make([]float64, dim)
+		for i := range v {
+			v[i] = fuzzCoords[next()%16]
+		}
+		return v
+	}
+	for r := range reps {
+		reps[r] = vec()
+	}
+	return dim, reps, vec()
+}
+
+// FuzzNearestMatchesLinearScan is TestHintedNearestMatchesLinearScan
+// with the inputs chosen by the fuzzer: for every hint in [−2, K+1] the
+// hinted search returns the plain scan's representative and distance
+// bits. It checks three indexes over the decoded vectors, so that each
+// path that derives the search's peak state is covered: one built by
+// Observe (founding), the same index after Snapshot → Restore, and one
+// restored holding exactly the decoded representatives, duplicates and
+// NaN included. The query is the decoded one and each representative.
+func FuzzNearestMatchesLinearScan(f *testing.F) {
+	for _, seed := range nearestSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dim, reps, query := decodeNearestInput(data)
+		built := NewIndex(len(reps), dim, 0, nil)
+		for c, v := range reps {
+			built.Observe(c, v)
+		}
+		blob, err := built.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored := NewIndex(len(reps), dim, 0, nil)
+		if err := restored.Restore(blob); err != nil {
+			t.Fatalf("an index's own snapshot was refused: %v", err)
+		}
+		queries := append([][]float64{query}, reps...)
+		for name, x := range map[string]*Index{"built": built, "restored": restored, "exact": indexOver(t, dim, reps)} {
+			for qi, sk := range queries {
+				wantRep, wantDist := linearNearest(x, sk)
+				for hint := -2; hint <= x.Len()+1; hint++ {
+					gotRep, gotDist := x.Nearest(sk, hint)
+					if gotRep != wantRep || math.Float64bits(gotDist) != math.Float64bits(wantDist) {
+						t.Fatalf("%s index, query %d, hint %d: (%d, %v), linear scan (%d, %v)\nreps %v\nquery %v",
+							name, qi, hint, gotRep, gotDist, wantRep, wantDist, reps, sk)
+					}
+				}
+			}
+		}
+	})
+}
+
+// nearestSeeds are the hand-made starting points, also committed under
+// testdata/fuzz/FuzzNearestMatchesLinearScan: an exact tie (query 2
+// between representatives 1 and 3, then a duplicate of the first) and
+// a NaN representative ahead of a finite one.
+func nearestSeeds() [][]byte {
+	return [][]byte{
+		{0, 3, 2, 4, 2, 3},        // width 1: reps {1}, {3}, {1}; query {2}
+		{1, 2, 14, 2, 2, 3, 3, 2}, // width 2: reps {NaN, 1}, {1, 2}; query {2, 1}
+	}
+}

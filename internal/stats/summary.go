@@ -151,3 +151,22 @@ func ArgMinFloat(xs []float64) int {
 	}
 	return best
 }
+
+// AllFinite reports whether no element of xs is NaN or ±Inf, in one
+// branch-free pass: v*0 is ±0 for every finite v and NaN for NaN and
+// ±Inf, and a NaN stays in a sum, so the sum is 0 exactly when every v
+// is finite. Four accumulators keep the adds from waiting on each other.
+func AllFinite(xs []float64) bool {
+	var a0, a1, a2, a3 float64
+	for ; len(xs) >= 4; xs = xs[4:] {
+		q := xs[:4:4] // one bounds check for four loads
+		a0 += q[0] * 0
+		a1 += q[1] * 0
+		a2 += q[2] * 0
+		a3 += q[3] * 0
+	}
+	for _, v := range xs {
+		a0 += v * 0
+	}
+	return a0+a1+a2+a3 == 0
+}
