@@ -218,10 +218,12 @@ func BenchmarkLocalTrainRound(b *testing.B) {
 	arch := nn.Arch{Kind: "mlp", In: spec.FeatureDim(), Hidden: []int{32}, Classes: 10}
 	model := arch.Build(stats.NewRNG(3))
 	global := model.ParamsVector()
-	cfg := fl.LocalTrainConfig{Epochs: 2, BatchSize: 32, LR: 0.05}
+	cfg := fl.Config{Seed: 1, Local: fl.LocalTrainConfig{Epochs: 2, BatchSize: 32, LR: 0.05}}
+	tc := fl.NewTrainContext(model)
+	dst := make([]float64, len(global))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		client.LocalTrain(model, global, cfg, stats.NewRNG(uint64(i)))
+		client.TrainRound(&cfg, tc, i, global, dst)
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"haccs/internal/checkpoint"
 	"haccs/internal/core"
 	"haccs/internal/dataset"
+	"haccs/internal/experiments"
 	"haccs/internal/fl"
 	"haccs/internal/fleet"
 	"haccs/internal/introspect"
@@ -86,19 +87,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	planRNG := stats.NewRNG(stats.DeriveSeed(*seed, 14))
-	plan := dataset.MajorityNoisePlan(*clients, *classes, 100, 240, planRNG)
-	gen := dataset.NewGenerator(spec, stats.DeriveSeed(*seed, 10))
-	dataRNG := stats.NewRNG(stats.DeriveSeed(*seed, 110))
-	profRNG := stats.NewRNG(stats.DeriveSeed(*seed, 11))
-	clientData := plan.Materialize(gen, 0.8, dataRNG)
-
-	roster := make([]*fl.Client, len(clientData))
-	trainSets := make([]*dataset.Dataset, len(clientData))
-	for i, cd := range clientData {
-		roster[i] = &fl.Client{ID: i, Data: cd, Profile: simnet.SampleProfile(profRNG)}
-		trainSets[i] = cd.Train
-	}
+	plan := dataset.MajorityNoisePlan(*clients, *classes, 100, 240, stats.NewRNG(stats.DeriveSeed(*seed, 14)))
+	w := experiments.BuildWorkload(spec, plan, modelFor(spec), *seed)
 
 	// validateFlags pinned *policy to fastest|weighted already.
 	intra := core.PickFastest
@@ -146,7 +136,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	strat, err := buildStrategy(*strategy, trainSets, *eps, *rho, intra, clusterBackend, *seed, tracer, reg)
+	strat, err := buildStrategy(*strategy, w.TrainSets, *eps, *rho, intra, clusterBackend, *seed, tracer, reg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -162,7 +152,7 @@ func main() {
 		if cs, ok := strat.(fleet.ClusterSource); ok {
 			src = cs
 		}
-		fleetReg = fleet.NewRegistry(len(roster), fleet.Options{Tracer: tracer, Metrics: reg, Source: src})
+		fleetReg = fleet.NewRegistry(w.NumClients(), fleet.Options{Tracer: tracer, Metrics: reg, Source: src})
 	}
 
 	// In async mode /debug/selection additionally carries the driver's
@@ -216,7 +206,7 @@ func main() {
 	}
 
 	cfg := fl.Config{
-		Arch:                modelFor(spec),
+		Arch:                w.Arch,
 		Seed:                stats.DeriveSeed(*seed, 12),
 		Local:               fl.LocalTrainConfig{Epochs: *epochs, BatchSize: 32, LR: *lr, ProxMu: *prox},
 		ClientsPerRound:     *k,
@@ -257,7 +247,7 @@ func main() {
 	if runMode == roundspkg.ModeAsync {
 		fmt.Printf("haccs-sim: async mode (buffer-k %d, max-staleness %d; 0 = auto/unlimited)\n", *bufferK, *maxStale)
 	}
-	eng := fl.NewEngine(cfg, roster, strat)
+	eng := fl.NewEngine(cfg, w.Clients, strat)
 	if asyncInsp != nil {
 		if ai, ok := eng.Runner().(introspect.AsyncInspector); ok {
 			asyncInsp.bind(ai)

@@ -4,7 +4,11 @@
 // noised P(y) summaries; the coordinator clusters them server-side,
 // schedules clusters per round, pushes global parameters, and folds the
 // replies with federated averaging. This mirrors the paper's
-// gRPC/PySyft deployment (Fig. 2) end to end.
+// gRPC/PySyft deployment (Fig. 2) end to end. Each client registers and
+// trains through fl.Client.Remote — the simulator's own client step,
+// which TestFederatedTrainingOverTCP holds equal to fl.Engine bit for
+// bit — and the coordinator seeds its model and scheduler from the
+// fl.Config as fl.NewEngine does.
 //
 // Run with: go run ./examples/distributed
 package main
@@ -42,7 +46,12 @@ func main() {
 	plan := dataset.MajorityNoisePlan(nClient, classes, 150, 250, stats.NewRNG(stats.DeriveSeed(seed, 2)))
 	clientData := plan.Materialize(gen, 0.8, stats.NewRNG(stats.DeriveSeed(seed, 3)))
 	profRNG := stats.NewRNG(stats.DeriveSeed(seed, 4))
-	arch := nn.Arch{Kind: "mlp", In: spec.FeatureDim(), Hidden: []int{32}, Classes: classes}
+	cfg := fl.Config{
+		Arch:                nn.Arch{Kind: "mlp", In: spec.FeatureDim(), Hidden: []int{32}, Classes: classes},
+		Seed:                stats.DeriveSeed(seed, 5),
+		Local:               fl.LocalTrainConfig{Epochs: 2, BatchSize: 32, LR: 0.05},
+		PerSampleComputeSec: 0.01,
+	}
 
 	srv, err := flnet.NewServer("127.0.0.1:0")
 	if err != nil {
@@ -53,28 +62,22 @@ func main() {
 	// Launch the clients.
 	var wg sync.WaitGroup
 	for i := 0; i < nClient; i++ {
+		me := &fl.Client{ID: i, Data: clientData[i], Profile: simnet.SampleProfile(profRNG)}
+		info, counts, train := me.Remote(cfg)
+		// The client noises its own histogram before upload: the
+		// coordinator never sees true counts.
+		noised := stats.LaplaceMechanism(&stats.Histogram{Counts: counts}, eps, stats.NewRNG(stats.DeriveSeed(seed, uint64(2000+i))))
+		c := &flnet.Client{
+			Reg:     flnet.RegisterFromSummary(i, noised.Counts, nil, info.Latency, info.NumSamples),
+			Trainer: flnet.TrainerFunc(train),
+		}
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			me := &fl.Client{ID: i, Data: clientData[i], Profile: simnet.SampleProfile(profRNG)}
-			model := arch.Build(stats.NewRNG(1))
-			trainer := flnet.TrainerFunc(func(round int, params []float64) ([]float64, int, float64) {
-				res := me.LocalTrain(model, params,
-					fl.LocalTrainConfig{Epochs: 2, BatchSize: 32, LR: 0.05},
-					stats.NewRNG(stats.DeriveSeed(seed, uint64(1000+i*100+round))))
-				return res.Params, res.NumSamples, res.Loss
-			})
-			// The client noises its own histogram before upload: the
-			// coordinator never sees true counts.
-			noised := core.Summarize(me.Data.Train, core.PY, 0).
-				Noised(eps, stats.NewRNG(stats.DeriveSeed(seed, uint64(2000+i))))
-			reg := flnet.RegisterFromSummary(i, noised.Label.Counts, nil,
-				me.RoundLatency(0.01, 2, 4*arch.Build(stats.NewRNG(1)).NumParams()), me.NumTrainSamples())
-			c := &flnet.Client{Reg: reg, Trainer: trainer}
 			if _, err := c.Run(srv.Addr()); err != nil {
-				log.Printf("client %d: %v", i, err)
+				log.Printf("client %d: %v", c.Reg.ClientID, err)
 			}
-		}(i)
+		}()
 	}
 
 	regs, err := srv.AcceptClients(nClient)
@@ -91,14 +94,14 @@ func main() {
 		infos[r.ClientID] = fl.ClientInfo{ID: r.ClientID, Latency: r.LatencyEstimate, NumSamples: r.NumSamples}
 	}
 	sched := core.NewScheduler(core.Config{Kind: core.PY, Rho: 0.75}, sums)
-	sched.Init(infos, stats.NewRNG(stats.DeriveSeed(seed, 5)))
+	sched.Init(infos, stats.NewRNG(stats.DeriveSeed(cfg.Seed, 1)))
 	fmt.Printf("coordinator clustered clients into %d groups: %v\n", sched.NumClusters(), sched.ClusterLabels())
 
 	// The shared round runtime drives selection, dispatch, aggregation
 	// and loss feedback over the wire — the same state machine the
 	// in-process simulation engine uses. Refreshed summaries piggybacked
 	// on replies feed the scheduler's re-clustering.
-	global := arch.Build(stats.NewRNG(stats.DeriveSeed(seed, 6)))
+	global := cfg.Arch.Build(stats.NewRNG(stats.DeriveSeed(cfg.Seed, 0)))
 	coord, err := flnet.NewCoordinator(srv, flnet.CoordinatorConfig{
 		ClientsPerRound: k,
 		OnSummary: func(id int, counts []float64) {

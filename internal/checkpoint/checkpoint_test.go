@@ -9,6 +9,7 @@ import (
 
 	"haccs/internal/nn"
 	"haccs/internal/stats"
+	"haccs/internal/telemetry"
 )
 
 // memComponent is a trivial Snapshotter over one integer.
@@ -308,5 +309,28 @@ func TestSaverCadence(t *testing.T) {
 	}
 	if got := store.Rounds(); len(got) != 2 || got[1] != 6 {
 		t.Fatalf("store rounds %v", got)
+	}
+}
+
+// TestSaverEmitsCheckpointSaved pins the save's trace event: one
+// checkpoint_saved per save, carrying the round, the encoded size and
+// the store's directory.
+func TestSaverEmitsCheckpointSaved(t *testing.T) {
+	dir := t.TempDir()
+	store, err := NewStore(dir, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := &telemetry.MemorySink{}
+	s := NewSaver(store, 1, []Component{{"mem", &memComponent{v: 5}}}, sink, nil, nil)
+	if err := s.Save(4); err != nil {
+		t.Fatal(err)
+	}
+	evs := sink.Filter(telemetry.KindCheckpointSaved)
+	if len(evs) != 1 || len(sink.Events()) != 1 {
+		t.Fatalf("events %+v, want exactly one %s", sink.Events(), telemetry.KindCheckpointSaved)
+	}
+	if e := evs[0]; e.Round != 4 || e.Bytes <= 0 || e.Path != dir {
+		t.Fatalf("checkpoint_saved = round %d, bytes %d, path %q; want round 4, bytes > 0, path %q", e.Round, e.Bytes, e.Path, dir)
 	}
 }

@@ -2,18 +2,14 @@ package experiments
 
 import (
 	"bytes"
-	"sync"
 	"testing"
 
 	"haccs/internal/checkpoint"
-	"haccs/internal/core"
 	"haccs/internal/fl"
 	"haccs/internal/fleet"
-	"haccs/internal/flnet"
 	"haccs/internal/metrics"
 	"haccs/internal/rounds"
 	"haccs/internal/simnet"
-	"haccs/internal/stats"
 )
 
 // The async suite is the buffered-aggregation analogue of the golden /
@@ -185,118 +181,43 @@ func TestAsyncModeMismatchRejected(t *testing.T) {
 	}
 }
 
-// TestAsyncFederatedTrainingOverTCP mirrors the synchronous TCP
-// integration test with the buffered async driver: the same gob
-// protocol, registration flow and HACCS clustering, but the coordinator
-// now dispatches eagerly and flushes BufferK-deep buffers. This is the
+// TestAsyncFederatedTrainingOverTCP is the buffered async row of the
+// wire ≡ engine harness (see TestFederatedTrainingOverTCP): the same
+// gob protocol, registration flow and HACCS clustering, but the
+// coordinator dispatches eagerly and flushes BufferK-deep buffers, and
+// every cycle must still equal the engine's bit for bit. This is the
 // second-transport leg of the async acceptance gate.
 func TestAsyncFederatedTrainingOverTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("network training run skipped in -short mode")
 	}
-	const (
-		seed    = 31
-		nClient = 8
-		classes = 4
-		k       = 4
-		cycles  = 60
-	)
-	w := func() *Workload {
-		spec := specFor("mnist", classes, Quick)
-		plan := dataPlanForTCP(nClient, classes, seed)
-		return BuildWorkload(spec, plan, archFor(spec, Quick), seed)
-	}()
-
-	srv, err := flnet.NewServer("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	var wg sync.WaitGroup
-	arch := w.Arch
-	for i := 0; i < nClient; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			client := w.Clients[i]
-			model := arch.Build(stats.NewRNG(1))
-			trainer := flnet.TrainerFunc(func(round int, params []float64) ([]float64, int, float64) {
-				res := client.LocalTrain(model, params,
-					fl.LocalTrainConfig{Epochs: 2, BatchSize: 16, LR: 0.05},
-					stats.NewRNG(stats.DeriveSeed(seed, uint64(1000+i*100+round))))
-				return res.Params, res.NumSamples, res.Loss
-			})
-			summary := core.Summarize(client.Data.Train, core.PY, 0)
-			reg := flnet.RegisterFromSummary(i, summary.Label.Counts, nil,
-				client.RoundLatency(0.01, 1, 1000), client.NumTrainSamples())
-			c := &flnet.Client{Reg: reg, Trainer: trainer}
-			if _, err := c.Run(srv.Addr()); err != nil {
-				t.Errorf("client %d: %v", i, err)
-			}
-		}(i)
-	}
-
-	regs, err := srv.AcceptClients(nClient)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sums := make([]core.Summary, nClient)
-	infos := make([]fl.ClientInfo, nClient)
-	for _, r := range regs {
-		sums[r.ClientID] = core.Summary{Kind: core.PY, Label: r.LabelHistogram()}
-		infos[r.ClientID] = fl.ClientInfo{ID: r.ClientID, Latency: r.LatencyEstimate, NumSamples: r.NumSamples}
-	}
-	sched := core.NewScheduler(core.Config{Kind: core.PY, Rho: 0.5}, sums)
-	sched.Init(infos, stats.NewRNG(stats.DeriveSeed(seed, 2)))
-
-	global := arch.Build(stats.NewRNG(stats.DeriveSeed(seed, 3)))
-	coord, err := flnet.NewCoordinator(srv, flnet.CoordinatorConfig{
-		ClientsPerRound: k,
-		Mode:            rounds.ModeAsync,
-		Async:           rounds.AsyncConfig{BufferK: 2, MaxStaleness: 8},
-	}, sched, global.ParamsVector())
-	if err != nil {
-		t.Fatal(err)
-	}
+	const cycles = 60
 	flushes := 0
 	firstLoss, lastLoss := 0.0, 0.0
-	for cycle := 0; cycle < cycles; cycle++ {
-		out := coord.RunRound(cycle)
+	run := runWireAndEngine(t, cycles, func(cfg *fl.Config, _ *Workload) {
+		cfg.Mode = rounds.ModeAsync
+		cfg.Async = rounds.AsyncConfig{BufferK: 2, MaxStaleness: 8}
+	}, func(cycle int, out rounds.Outcome) {
 		if len(out.Failed) != 0 {
 			t.Fatalf("cycle %d failed clients over a live TCP transport: %v", cycle, out.Failed)
 		}
 		if !out.Aggregated {
-			continue
-		}
-		meanLoss := 0.0
-		for _, l := range out.Losses {
-			meanLoss += l / float64(len(out.Losses))
+			return
 		}
 		if flushes == 0 {
-			firstLoss = meanLoss
+			firstLoss = meanLoss(out)
 		}
-		lastLoss = meanLoss
+		lastLoss = meanLoss(out)
 		flushes++
-	}
-	srv.Close()
-	wg.Wait()
-
+	})
 	if flushes < cycles/2 {
 		t.Errorf("only %d of %d cycles flushed the buffer", flushes, cycles)
 	}
 	if lastLoss >= firstLoss {
 		t.Errorf("async training over TCP did not reduce loss: %.3f -> %.3f", firstLoss, lastLoss)
 	}
-	global.SetParamsVector(coord.Global())
-	total, n := 0.0, 0
-	for _, c := range w.Clients {
-		_, acc := global.Evaluate(c.Data.Test.X, c.Data.Test.Y)
-		total += acc
-		n++
-	}
-	if mean := total / float64(n); mean < 0.4 {
-		t.Errorf("async TCP-trained global model accuracy %.3f, want >= 0.4", mean)
+	if acc, _, _ := run.eng.Evaluate(); acc < 0.4 {
+		t.Errorf("async TCP-trained global model accuracy %.3f, want >= 0.4", acc)
 	}
 }
 

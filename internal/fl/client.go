@@ -63,8 +63,7 @@ type LocalTrainConfig struct {
 type TrainContext struct {
 	Model *nn.Network
 	Opt   *nn.SGD
-	// Scratch backs minibatch buffers (may be nil: buffers are then
-	// allocated per batch, matching the original LocalTrain behavior).
+	// Scratch backs minibatch buffers (nil: allocated per batch).
 	Scratch *tensor.Scratch
 }
 
@@ -74,20 +73,42 @@ func NewTrainContext(template *nn.Network) *TrainContext {
 	return &TrainContext{Model: template.Clone(), Scratch: tensor.NewScratch()}
 }
 
-// LocalTrain runs local SGD from the given global parameters and returns
-// the updated parameters with the observed loss. The model is a scratch
-// network owned by the caller (reused across rounds to avoid
-// reallocation); its parameters are overwritten. The RNG drives batch
-// shuffling only.
-func (c *Client) LocalTrain(model *nn.Network, globalParams []float64, cfg LocalTrainConfig, rng *stats.RNG) TrainResult {
-	return c.LocalTrainCtx(&TrainContext{Model: model}, globalParams, nil, cfg, rng)
+// TrainRound is the client step a selected client runs in round under
+// cfg, on an engine worker or behind a network session (Remote). Its
+// batches come from the (client, round) stream of cfg.Seed, so the result
+// depends on nothing else; tc and dst (nil, or NumParams long) are the
+// caller's.
+func (c *Client) TrainRound(cfg *Config, tc *TrainContext, round int, global, dst []float64) TrainResult {
+	rng := stats.NewRNG(stats.DeriveSeed(cfg.Seed, 1000+uint64(c.ID)*1_000_003+uint64(round)))
+	return c.LocalTrainCtx(tc, global, dst, cfg.Local, rng)
 }
 
-// LocalTrainCtx is LocalTrain against a reusable TrainContext: numerics
-// and RNG consumption are identical, but the optimizer, minibatch
-// buffers and (when paramsDst is non-nil) the result vector are all
-// reused, making the steady-state round loop allocation-free. paramsDst,
-// when given, must have NumParams entries and becomes TrainResult.Params.
+// Info is what a strategy knows of the client in a run under cfg with
+// modelBytes-byte transfers: its sample count and its round latency, the
+// profile's cost of its local epochs, both transfers and the RTT.
+func (c *Client) Info(cfg *Config, modelBytes int) ClientInfo {
+	compute := cfg.PerSampleComputeSec * float64(c.NumTrainSamples()) * float64(cfg.Local.Epochs)
+	return ClientInfo{ID: c.ID, Latency: c.Profile.RoundLatency(compute, modelBytes), NumSamples: c.NumTrainSamples()}
+}
+
+// Remote is the client as it joins a networked run under cfg: its Info,
+// its P(y) label counts (core's PY summary), and TrainRound with
+// flnet.TrainerFunc's signature, on a context and result buffer of its
+// own. Calls to train must not overlap; each reuses the last one's vector.
+func (c *Client) Remote(cfg Config) (info ClientInfo, labelCounts []float64, train func(round int, params []float64) ([]float64, int, float64)) {
+	tc := NewTrainContext(cfg.Arch.Build(stats.NewRNG(stats.DeriveSeed(cfg.Seed, 0))))
+	dst := make([]float64, tc.Model.NumParams())
+	train = func(round int, params []float64) ([]float64, int, float64) {
+		res := c.TrainRound(&cfg, tc, round, params, dst)
+		return res.Params, res.NumSamples, res.Loss
+	}
+	return c.Info(&cfg, tc.Model.WireBytes()), c.Data.Train.LabelHistogram().Counts, train
+}
+
+// LocalTrainCtx runs local SGD from globalParams on tc's model, reusing
+// its optimizer, minibatch buffers and (when paramsDst, NumParams long,
+// is given) the result vector, so steady-state rounds allocate nothing.
+// The RNG drives batch shuffling only.
 func (c *Client) LocalTrainCtx(tc *TrainContext, globalParams []float64, paramsDst []float64, cfg LocalTrainConfig, rng *stats.RNG) TrainResult {
 	if cfg.Epochs <= 0 || cfg.BatchSize <= 0 {
 		panic(fmt.Sprintf("fl: bad local train config %+v", cfg))
@@ -140,13 +161,4 @@ func (c *Client) LocalTrainCtx(tc *TrainContext, globalParams []float64, paramsD
 		NumSamples: c.NumTrainSamples(),
 		Loss:       loss,
 	}
-}
-
-// RoundLatency returns the client's expected virtual-time cost for one
-// round: local compute (scaled by data volume, local epochs and the
-// profile's compute multiplier) plus the model transfer both ways and
-// the request RTT.
-func (c *Client) RoundLatency(perSampleSec float64, localEpochs, modelBytes int) float64 {
-	compute := perSampleSec * float64(c.NumTrainSamples()) * float64(localEpochs)
-	return c.Profile.RoundLatency(compute, modelBytes)
 }

@@ -246,11 +246,7 @@ func NewEngine(cfg Config, clients []*Client, strategy Strategy) *Engine {
 	e.evalLoss = make([]float64, len(clients))
 	infos := make([]ClientInfo, len(clients))
 	for i, c := range clients {
-		infos[i] = ClientInfo{
-			ID:         c.ID,
-			Latency:    c.RoundLatency(cfg.PerSampleComputeSec, cfg.Local.Epochs, e.modelBytes),
-			NumSamples: c.NumTrainSamples(),
-		}
+		infos[i] = c.Info(&cfg, e.modelBytes)
 	}
 	strategy.Init(infos, stats.NewRNG(stats.DeriveSeed(cfg.Seed, 1)))
 	rcfg := rounds.Config{
@@ -276,7 +272,7 @@ func NewEngine(cfg Config, clients []*Client, strategy Strategy) *Engine {
 // ClientLatency returns a client's expected round latency under the
 // engine's configuration.
 func (e *Engine) ClientLatency(id int) float64 {
-	return e.clients[id].RoundLatency(e.cfg.PerSampleComputeSec, e.cfg.Local.Epochs, e.modelBytes)
+	return e.clients[id].Info(&e.cfg, e.modelBytes).Latency
 }
 
 // Run executes the configured number of rounds (or stops early at the

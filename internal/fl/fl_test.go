@@ -72,9 +72,8 @@ func TestLocalTrainReducesLoss(t *testing.T) {
 	arch := nn.Arch{Kind: "mlp", In: 36, Hidden: []int{16}, Classes: 4}
 	model := arch.Build(stats.NewRNG(2))
 	global := model.ParamsVector()
-	scratch := model.Clone()
-	cfg := LocalTrainConfig{Epochs: 3, BatchSize: 16, LR: 0.1, Momentum: 0.9}
-	res := clients[0].LocalTrain(scratch, global, cfg, stats.NewRNG(3))
+	cfg := Config{Seed: 3, Local: LocalTrainConfig{Epochs: 3, BatchSize: 16, LR: 0.1, Momentum: 0.9}}
+	res := clients[0].TrainRound(&cfg, NewTrainContext(model), 0, global, nil)
 	if res.ClientID != 0 || res.NumSamples != clients[0].NumTrainSamples() {
 		t.Fatal("result metadata wrong")
 	}
@@ -84,7 +83,7 @@ func TestLocalTrainReducesLoss(t *testing.T) {
 		diff += math.Abs(res.Params[i] - global[i])
 	}
 	if diff == 0 {
-		t.Fatal("LocalTrain did not move parameters")
+		t.Fatal("TrainRound did not move parameters")
 	}
 	// Training from the result should show lower loss than from scratch.
 	model.SetParamsVector(res.Params)
@@ -104,12 +103,12 @@ func TestLocalTrainDeterministic(t *testing.T) {
 	arch := nn.Arch{Kind: "mlp", In: 36, Hidden: []int{8}, Classes: 4}
 	model := arch.Build(stats.NewRNG(5))
 	global := model.ParamsVector()
-	cfg := LocalTrainConfig{Epochs: 2, BatchSize: 8, LR: 0.05, Momentum: 0}
-	a := clients[0].LocalTrain(model.Clone(), global, cfg, stats.NewRNG(6))
-	b := clients[0].LocalTrain(model.Clone(), global, cfg, stats.NewRNG(6))
+	cfg := Config{Seed: 6, Local: LocalTrainConfig{Epochs: 2, BatchSize: 8, LR: 0.05, Momentum: 0}}
+	a := clients[0].TrainRound(&cfg, NewTrainContext(model), 4, global, nil)
+	b := clients[0].TrainRound(&cfg, NewTrainContext(model), 4, global, nil)
 	for i := range a.Params {
 		if a.Params[i] != b.Params[i] {
-			t.Fatal("LocalTrain not deterministic under equal seeds")
+			t.Fatal("TrainRound not deterministic under equal seeds")
 		}
 	}
 }
@@ -386,8 +385,8 @@ func TestLocalTrainProximalBoundsDrift(t *testing.T) {
 	global := model.ParamsVector()
 
 	drift := func(mu float64) float64 {
-		cfg := LocalTrainConfig{Epochs: 5, BatchSize: 16, LR: 0.1, ProxMu: mu}
-		res := clients[0].LocalTrain(model.Clone(), global, cfg, stats.NewRNG(29))
+		cfg := Config{Seed: 29, Local: LocalTrainConfig{Epochs: 5, BatchSize: 16, LR: 0.1, ProxMu: mu}}
+		res := clients[0].TrainRound(&cfg, NewTrainContext(model), 0, global, nil)
 		d := 0.0
 		for i := range global {
 			d += (res.Params[i] - global[i]) * (res.Params[i] - global[i])

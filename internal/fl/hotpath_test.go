@@ -12,26 +12,28 @@ import (
 	"haccs/internal/stats"
 )
 
-// TestLocalTrainCtxMatchesLocalTrain pins the reusable-context training
-// path to the one-shot path: same client, parameters, config and RNG
-// stream must yield bit-identical updated parameters and loss, with the
-// context's scratch arena and persistent optimizer in play.
+// TestLocalTrainCtxMatchesLocalTrain pins the client step on a reused
+// context to the step on a bare one-shot context (no scratch arena, no
+// optimizer yet, a fresh result vector): same client, parameters,
+// config and round must yield bit-identical updated parameters and
+// loss, with the context's scratch arena and persistent optimizer in
+// play.
 func TestLocalTrainCtxMatchesLocalTrain(t *testing.T) {
 	clients := buildClients(t, 2, 60, 11)
 	c := clients[0]
 	arch := nn.Arch{Kind: "mlp", In: 36, Hidden: []int{16}, Classes: 4}
 	template := arch.Build(stats.NewRNG(1))
 	global := template.ParamsVector()
-	cfg := LocalTrainConfig{Epochs: 2, BatchSize: 16, LR: 0.1, Momentum: 0.9}
+	cfg := Config{Seed: 42, Local: LocalTrainConfig{Epochs: 2, BatchSize: 16, LR: 0.1, Momentum: 0.9}}
 
-	want := c.LocalTrain(template.Clone(), global, cfg, stats.NewRNG(42))
+	want := c.TrainRound(&cfg, &TrainContext{Model: template.Clone()}, 3, global, nil)
 
 	tc := NewTrainContext(template)
 	dst := make([]float64, len(global))
 	// Two runs through the same context: the second exercises warm
 	// arenas and a reset optimizer and must still match exactly.
 	for run := 0; run < 2; run++ {
-		got := c.LocalTrainCtx(tc, global, dst, cfg, stats.NewRNG(42))
+		got := c.TrainRound(&cfg, tc, 3, global, dst)
 		if got.Loss != want.Loss {
 			t.Fatalf("run %d: loss %v != %v", run, got.Loss, want.Loss)
 		}
@@ -47,9 +49,9 @@ func TestLocalTrainCtxMatchesLocalTrain(t *testing.T) {
 
 	// The proximal path must agree across the two entry points too.
 	proxCfg := cfg
-	proxCfg.ProxMu = 0.01
-	wantProx := c.LocalTrain(template.Clone(), global, proxCfg, stats.NewRNG(43))
-	gotProx := c.LocalTrainCtx(tc, global, dst, proxCfg, stats.NewRNG(43))
+	proxCfg.Local.ProxMu = 0.01
+	wantProx := c.TrainRound(&proxCfg, &TrainContext{Model: template.Clone()}, 4, global, nil)
+	gotProx := c.TrainRound(&proxCfg, tc, 4, global, dst)
 	if gotProx.Loss != wantProx.Loss {
 		t.Fatalf("prox: loss %v != %v", gotProx.Loss, wantProx.Loss)
 	}

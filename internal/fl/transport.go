@@ -2,7 +2,6 @@ package fl
 
 import (
 	"haccs/internal/rounds"
-	"haccs/internal/stats"
 	"haccs/internal/telemetry"
 )
 
@@ -26,9 +25,9 @@ func (t localTransport) Proxies() []rounds.Proxy {
 
 func (t localTransport) Parallelism() int { return len(t.e.workers) }
 
-// localProxy trains one simulated client inline on the calling worker's
-// TrainContext, writing the updated parameters into the selection
-// slot's reusable buffer.
+// localProxy runs one simulated client's step inline on the calling
+// worker's TrainContext, writing the updated parameters into the
+// selection slot's reusable buffer.
 type localProxy struct {
 	e       *Engine
 	id      int
@@ -39,10 +38,7 @@ type localProxy struct {
 // the driver's train span already covers this call exactly.
 func (p *localProxy) Train(round, worker, slot int, params []float64, _ telemetry.SpanContext) (rounds.Result, error) {
 	e := p.e
-	// Each (client, round) pair owns an independent stream so results do
-	// not depend on scheduling order.
-	rng := stats.NewRNG(stats.DeriveSeed(e.cfg.Seed, 1000+uint64(p.id)*1_000_003+uint64(round)))
-	return e.clients[p.id].LocalTrainCtx(e.workers[worker], params, e.paramsBuf[slot], e.cfg.Local, rng), nil
+	return e.clients[p.id].TrainRound(&e.cfg, e.workers[worker], round, params, e.paramsBuf[slot]), nil
 }
 
 func (p *localProxy) Latency() float64 { return p.latency }
